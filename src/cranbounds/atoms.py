@@ -8,11 +8,17 @@ consumer (discrete / Gaussian valuation builders) must agree on a single
 spelling per quantity.  This module is that agreement: variable lists are
 sorted, and the two sides of a mutual information are ordered, so the same
 quantity always canonicalizes to the same name.
+
+`compile_atoms` turns an atom list into a linear map over subset measures
+(entropies, for a discrete back end), so a back end evaluates a whole list
+with one measure kernel and one matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 H = "H"
 I = "I"
@@ -156,3 +162,62 @@ def rewrite_atom(spec: AtomSpec, drop=(), rename=None) -> AtomSpec | None:
     if not a or not b:
         return None
     return mi_atom(a, b, cond)
+
+
+@dataclass(frozen=True)
+class AtomPlan:
+    """An atom list compiled into a linear map over subset entropies.
+
+    Row k of `coeffs` writes atom k as a signed sum of the entropies of
+    `subsets`; `clamp` marks the rows cut at zero (I and Gamma atoms).  The
+    rows of named constants are zero and their names are in `constants`.
+    `names` are the canonical names of the atoms, in input order.
+    """
+
+    names: tuple[str, ...]
+    subsets: tuple[tuple[str, ...], ...]
+    coeffs: np.ndarray
+    clamp: np.ndarray
+    constants: tuple[str, ...]
+
+
+def _entropy_terms(spec: AtomSpec) -> list[tuple[int, tuple[str, ...]]]:
+    """(sign, subset) pairs whose signed entropies sum to the atom."""
+    if spec.kind == CONST:
+        return []
+    if spec.kind == H:
+        return [(1, _grp(spec.groups[0]))]
+    if spec.kind == GAMMA:
+        g = spec.groups[0]
+        return [(1, (v,)) for v in g] + [(-1, _grp(g))] if len(g) > 1 else []
+    a, b = spec.groups[0], spec.groups[1]
+    c = spec.groups[2] if len(spec.groups) == 3 else ()
+    return [(1, _grp(a + c)), (1, _grp(b + c)), (-1, _grp(a + b + c)), (-1, _grp(c))]
+
+
+def compile_atoms(specs, variables) -> AtomPlan:
+    """Compile AtomSpecs over the named `variables` into an AtomPlan.
+
+    Raises TypeError for an element that is not an AtomSpec and KeyError for
+    an atom naming a variable outside `variables`.
+    """
+    known = set(variables)
+    col: dict[tuple[str, ...], int] = {}
+    entries = []  # (row, column, sign)
+    for k, spec in enumerate(specs):
+        if not isinstance(spec, AtomSpec):
+            raise TypeError(f"bad atom spec {spec!r}")
+        unknown = spec.variables() - known
+        if unknown:
+            raise KeyError(f"atom {spec.name} references unknown variables "
+                           f"{sorted(unknown)}")
+        for sign, subset in _entropy_terms(spec):
+            if subset:  # the empty set has entropy zero
+                entries.append((k, col.setdefault(subset, len(col)), sign))
+    coeffs = np.zeros((len(specs), len(col)))
+    for k, j, sign in entries:
+        coeffs[k, j] += sign
+    clamp = np.array([s.kind in (I, GAMMA) for s in specs], dtype=bool)
+    coeffs.flags.writeable = clamp.flags.writeable = False
+    return AtomPlan(tuple(s.name for s in specs), tuple(col), coeffs, clamp,
+                    tuple(s.const_name for s in specs if s.kind == CONST))

@@ -4,7 +4,7 @@ Subcommands: region (export a region's constraints), sumrate-sweep (CSV
 curves over a fronthaul grid), gap-audit (randomized constant-gap check),
 fme (project a text-format inequality system), verify-examples (the two
 benchmark topologies).  Exit codes: 0 all checks pass, 1 verification
-failure, 2 usage error.
+failure, 2 usage error or a Fourier-Motzkin blow-up past --max-constraints.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 from . import gapaudit, verify
 from .discrete import Channel, JointPmf, atom_valuation, compose
 from .gaussian import CranNetwork, JointCovariance
-from .polytope import SystemParseError, eliminate_all, format_system, parse_system
+from .polytope import (FMEBlowupError, SystemParseError, eliminate_all,
+                       format_system, parse_system)
 from .regions import RegionSpec, cutset_region, make_region, region_to_json
 from .schemes import sweep_rows
 
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, FMEBlowupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,16 +4,26 @@ Joint pmfs are dense numpy tensors with named axes.  All logarithms are
 base two and 0*log(0) is taken as 0.  Distributions are treated as
 immutable after construction; every measure below is a pure function of
 its inputs.
+
+Every entropy-based measure goes through one kernel, `subset_entropies`,
+which marginalises the flat probability vector onto many variable subsets
+with a single `np.bincount` over precomputed cell indices.  `atom_valuation`
+compiles its atom list once per (variables, atoms) into an
+`atoms.AtomPlan` (the subsets it needs, a coefficient matrix, a clamp mask
+and the named constants) and evaluates it as kernel, matrix product, clamp
+at zero, constants.  `entropy`, `mutual_info` and `total_correlation` are
+single-atom calls into the same path.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import CONST, GAMMA, H, I, AtomSpec, parse_atom
+from .atoms import AtomPlan, compile_atoms, gamma_atom, mi_atom, parse_atom
 
 __all__ = [
     "JointPmf",
@@ -26,11 +36,17 @@ __all__ = [
     "total_correlation",
     "blahut_arimoto",
     "atom_valuation",
+    "subset_entropies",
     "random_joint_pmf",
 ]
 
 MAX_CELLS = 10_000_000
 _SUM_TOL = 1e-12
+# Largest (subset, cell) index one bincount call marginalises (2 MB); above
+# it each subset gets its own uncached index, so memory stays O(cells).
+_INDEX_BUDGET = 1 << 18
+# Entries kept by each of the compiled-plan and marginal-index caches.
+_CACHE_SIZE = 32
 
 
 def _check_axes(variables):
@@ -60,8 +76,8 @@ class JointPmf:
         probs = np.asarray(probs, dtype=float)
         shape = tuple(s for _, s in variables)
         probs = probs.reshape(shape)
-        if probs.min() < 0:
-            raise ValueError("probabilities must be nonnegative")
+        if not probs.min() >= 0:  # also false for NaN
+            raise ValueError("probabilities must be nonnegative numbers")
         total = probs.sum()
         if abs(total - 1.0) > max(_SUM_TOL, 1e-12 * probs.size):
             raise ValueError(f"probabilities sum to {total}, not 1")
@@ -120,8 +136,8 @@ class Channel:
         probs = np.asarray(probs, dtype=float)
         shape = tuple(s for _, s in inputs) + tuple(s for _, s in outputs)
         probs = probs.reshape(shape)
-        if probs.min() < 0:
-            raise ValueError("channel probabilities must be nonnegative")
+        if not probs.min() >= 0:  # also false for NaN
+            raise ValueError("channel probabilities must be nonnegative numbers")
         out_axes = tuple(range(len(inputs), len(inputs) + len(outputs)))
         sums = probs.sum(axis=out_axes)
         if np.max(np.abs(sums - 1.0)) > 1e-12:
@@ -205,40 +221,77 @@ def add_deterministic(pmf: JointPmf, name: str, size: int, args, func) -> JointP
     return compose(pmf, ch)
 
 
-def _xlog2x_sum(p: np.ndarray) -> float:
-    mask = p > 0
-    return float(-(p[mask] * np.log2(p[mask])).sum())
+def _marginal_index(variables, subsets) -> tuple[np.ndarray, np.ndarray]:
+    """Map every (subset, flat cell) pair to its cell in the concatenated
+    marginals of `subsets`; also return where each marginal starts."""
+    axis = {n: i for i, (n, _) in enumerate(variables)}
+    shape = tuple(s for _, s in variables)
+    parts, starts, offset = [], [], 0
+    for subset in subsets:
+        unknown = set(subset) - axis.keys()
+        if unknown:
+            raise KeyError(f"unknown variables {sorted(unknown)}")
+        index = np.full(shape, offset, dtype=np.intp)
+        stride = 1
+        for i in sorted({axis[n] for n in subset}, reverse=True):
+            digit = np.arange(shape[i]) * stride
+            index += digit.reshape([-1 if j == i else 1 for j in range(len(shape))])
+            stride *= shape[i]
+        parts.append(index.reshape(-1))
+        starts.append(offset)
+        offset += stride
+    index, starts = np.concatenate(parts), np.array(starts, dtype=np.intp)
+    index.flags.writeable = starts.flags.writeable = False
+    return index, starts
+
+
+_cached_marginal_index = functools.lru_cache(maxsize=_CACHE_SIZE)(_marginal_index)
+
+
+def _entropies(flat: np.ndarray, index: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Entropies of the marginals that `index` sums `flat` into."""
+    reps = index.size // flat.size
+    marg = np.bincount(index, weights=flat if reps == 1 else np.tile(flat, reps))
+    plogp = np.zeros_like(marg)
+    np.log2(marg, out=plogp, where=marg > 0)
+    plogp *= marg
+    return 0.0 - np.add.reduceat(plogp, starts)
+
+
+def subset_entropies(pmf: JointPmf, subsets) -> np.ndarray:
+    """H(X(S)) in bits for every S in `subsets` (0 for the empty set).
+
+    The one entropy kernel of this module.  When the index of every
+    (subset, cell) pair fits in _INDEX_BUDGET it is cached per (variables,
+    subsets), so a repeated call costs one bincount, one log2 and one
+    reduceat; past it, each subset is marginalised in turn.
+    """
+    subsets = tuple(map(tuple, subsets))
+    if not subsets:
+        return np.zeros(0)
+    flat = pmf.probs.reshape(-1)
+    if flat.size * len(subsets) <= _INDEX_BUDGET:
+        groups = [_cached_marginal_index(pmf.variables, subsets)]
+    else:
+        groups = (_marginal_index(pmf.variables, (s,)) for s in subsets)
+    return np.concatenate([_entropies(flat, *g) for g in groups])
 
 
 def entropy(pmf: JointPmf, subset) -> float:
     """H(X(subset)) in bits."""
-    subset = set(subset)
-    if not subset:
-        return 0.0
-    return _xlog2x_sum(marginalize(pmf, subset).probs)
+    return float(subset_entropies(pmf, [subset])[0])
 
 
 def mutual_info(pmf: JointPmf, a, b, cond=()) -> float:
     """I(A;B|C) in bits; C may be empty.  Clamped at zero."""
-    a, b, cond = set(a), set(b), set(cond)
-    if not a or not b:
-        raise ValueError("both sides of a mutual information must be nonempty")
-    if a & b or a & cond or b & cond:
-        raise ValueError("A, B, C must be pairwise disjoint")
-    val = (entropy(pmf, a | cond) + entropy(pmf, b | cond)
-           - entropy(pmf, a | b | cond) - entropy(pmf, cond))
-    return max(0.0, val)
+    spec = mi_atom(a, b, cond)
+    return atom_valuation(pmf, [spec])[spec.name]
 
 
 def total_correlation(pmf: JointPmf, subset) -> float:
     """Gamma(X(subset)) = sum_i H(X_i) - H(X(subset)), in bits."""
-    subset = sorted(set(subset))
-    if not subset:
-        raise ValueError("total correlation needs at least one variable")
-    if len(subset) == 1:
-        return 0.0
-    val = sum(entropy(pmf, {v}) for v in subset) - entropy(pmf, subset)
-    return max(0.0, val)
+    spec = gamma_atom(subset)
+    return atom_valuation(pmf, [spec])[spec.name]
 
 
 def blahut_arimoto(channel: Channel, tol: float = 1e-10, max_iter: int = 10_000):
@@ -275,47 +328,27 @@ def blahut_arimoto(channel: Channel, tol: float = 1e-10, max_iter: int = 10_000)
     raise RuntimeError(f"Blahut-Arimoto did not converge in {max_iter} iterations")
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _plan(variables, atoms) -> AtomPlan:
+    specs = [parse_atom(a) if isinstance(a, str) else a for a in atoms]
+    return compile_atoms(specs, [n for n, _ in variables])
+
+
 def atom_valuation(pmf: JointPmf, atoms, constants=None) -> dict[str, float]:
     """Evaluate a list of atoms (AtomSpec or canonical names) on a pmf.
 
     Constants (capacities) are looked up in `constants`.  Returns a map
     from canonical atom name to value in bits.
     """
-    constants = dict(constants or {})
-    cache: dict[tuple[str, ...], float] = {}
-
-    def ent(subset) -> float:
-        key = tuple(sorted(subset))
-        if not key:
-            return 0.0
-        if key not in cache:
-            cache[key] = entropy(pmf, key)
-        return cache[key]
-
-    out: dict[str, float] = {}
-    for atom in atoms:
-        spec = parse_atom(atom) if isinstance(atom, str) else atom
-        if not isinstance(spec, AtomSpec):
-            raise TypeError(f"bad atom spec {atom!r}")
-        if spec.kind == CONST:
-            if spec.const_name not in constants:
-                raise KeyError(f"no value for constant atom {spec.const_name!r}")
-            out[spec.name] = float(constants[spec.const_name])
-            continue
-        unknown = spec.variables() - set(pmf.names)
-        if unknown:
-            raise KeyError(f"atom {spec.name} references unknown variables {sorted(unknown)}")
-        if spec.kind == H:
-            out[spec.name] = ent(spec.groups[0])
-        elif spec.kind == GAMMA:
-            g = spec.groups[0]
-            val = sum(ent({v}) for v in g) - ent(g) if len(g) > 1 else 0.0
-            out[spec.name] = max(0.0, val)
-        elif spec.kind == I:
-            a, b = set(spec.groups[0]), set(spec.groups[1])
-            c = set(spec.groups[2]) if len(spec.groups) == 3 else set()
-            val = ent(a | c) + ent(b | c) - ent(a | b | c) - ent(c)
-            out[spec.name] = max(0.0, val)
+    plan = _plan(pmf.variables, tuple(atoms))
+    values = plan.coeffs @ subset_entropies(pmf, plan.subsets)
+    np.maximum(values, 0.0, out=values, where=plan.clamp)
+    out = dict(zip(plan.names, values.tolist()))
+    constants = constants or {}
+    for name in plan.constants:
+        if name not in constants:
+            raise KeyError(f"no value for constant atom {name!r}")
+        out[name] = float(constants[name])
     return out
 
 

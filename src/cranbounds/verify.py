@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import discrete
 from .discrete import Channel, JointPmf
@@ -126,21 +125,36 @@ def zchannel_pmf() -> JointPmf:
     return p
 
 
+_GDS_VARS = [(n, 2) for n in ("U0", "V0", "U1", "V1", "U2", "V2", "Y1", "Y2")]
+# (U0, V0, U1, V1, U2, V2) of each of the 64 auxiliary cells, row-major;
+# the flat index of each cell's arguments in the 2x2x2x2 symbol maps; and
+# each cell's flat index in the output tensor at Y1 = Y2 = 0.
+_AUX = np.indices((2,) * 6).reshape(6, -1)
+_F1_ARGS = np.ravel_multi_index(_AUX[[0, 1, 2, 3]], (2,) * 4)
+_F2_ARGS = np.ravel_multi_index(_AUX[[0, 1, 4, 5]], (2,) * 4)
+_Y_ORIGIN = 4 * np.arange(64)
+
+
 def random_gds_pmf_zchannel(rng: np.random.Generator) -> JointPmf:
     """One data-sharing candidate: a Dirichlet joint law over six binary
-    auxiliaries, random symbol maps at the BSs, and the fixed deterministic
-    Z-network outputs."""
-    aux = [("U0", 2), ("V0", 2), ("U1", 2), ("V1", 2), ("U2", 2), ("V2", 2)]
-    p = discrete.random_joint_pmf(rng, aux)
+    auxiliaries (U0, V0, U1, V1, U2, V2), random symbol maps
+    X1 = f1(U0, V0, U1, V1) and X2 = f2(U0, V0, U2, V2) at the BSs, and the
+    fixed deterministic Z-network outputs Y1 = X1, Y2 = X1 xor X2.  The law
+    is over the auxiliaries and the outputs."""
+    aux = rng.dirichlet(np.ones(64))
     f1 = rng.integers(0, 2, size=(2, 2, 2, 2))
     f2 = rng.integers(0, 2, size=(2, 2, 2, 2))
-    p = discrete.add_deterministic(p, "X1", 2, ["U0", "V0", "U1", "V1"],
-                                   lambda a, b, c, d: int(f1[a, b, c, d]))
-    p = discrete.add_deterministic(p, "X2", 2, ["U0", "V0", "U2", "V2"],
-                                   lambda a, b, c, d: int(f2[a, b, c, d]))
-    p = discrete.add_deterministic(p, "Y1", 2, ["X1"], lambda a: a)
-    p = discrete.add_deterministic(p, "Y2", 2, ["X1", "X2"], lambda a, b: a ^ b)
-    return discrete.marginalize(p, ["U0", "V0", "U1", "V1", "U2", "V2", "Y1", "Y2"])
+    x1, x2 = f1.take(_F1_ARGS), f2.take(_F2_ARGS)
+    probs = np.zeros(256)
+    probs[_Y_ORIGIN + 2 * x1 + (x1 ^ x2)] = aux
+    return JointPmf.make(_GDS_VARS, probs)
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first call: scipy is needed only
+    by the data-sharing check, so importing the package needs only numpy."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 class _GdsMembership:

@@ -52,6 +52,15 @@ def test_fme_unknown_variable(tmp_path, capsys):
     assert run_cli(["fme", "-i", str(src), "-e", "zz"]) == 2
 
 
+def test_fme_blowup_is_a_one_line_usage_error(tmp_path, capsys):
+    rc = run_cli(["fme", "-i", str(GOLDEN / "cor4_input.txt"), "-e", "Ru1,Rv1",
+                  "--max-constraints", "3", "-o", str(tmp_path / "out.txt")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.strip().splitlines() == [
+        "error: eliminating 'Ru1' produced more than 3 distinct constraints"]
+
+
 def sweep_config(tmp_path, **overrides):
     config = {"P": 4.0, "G": [[1.0, 0.5], [0.5, 1.0]], "C_grid": [0.5, 1.0],
               "T": 0.0, "schemes": ["GDS-I"], "seed": 5,

@@ -226,3 +226,10 @@ def test_state_space_guard():
     # the guard fires on declared sizes before any tensor work
     with pytest.raises(ValueError):
         JointPmf.make([(f"X{i}", 10) for i in range(8)], np.zeros(1))
+
+
+def test_nan_probabilities_are_rejected():
+    with pytest.raises(ValueError):
+        JointPmf.make([("A", 2), ("B", 2)], [np.nan, 0.5, 0.25, 0.25])
+    with pytest.raises(ValueError):
+        Channel.make([("X", 2)], [("Y", 2)], [[np.nan, 1.0], [0.5, 0.5]])

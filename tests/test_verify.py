@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -93,3 +96,20 @@ def test_gds_membership_lp_agrees_with_exact_projection():
             assert lp == exact, (r1, r2)
             checked += 1
     assert checked == 45
+
+
+def test_package_imports_without_scipy():
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+        "import cranbounds\n"
+        "from cranbounds import verify\n"
+        "print(verify.example1_run(cranbounds.Channel.make([('X1', 2)], [('Y1', 2)],"
+        " [[1.0, 0.0], [0.0, 1.0]]), 0.5, samples=5).verdict)\n"
+        "try:\n"
+        "    verify.linprog([0.0])\n"
+        "except ImportError:\n"
+        "    print('linprog needs scipy')\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["confirmed", "linprog needs scipy"]
