@@ -9,13 +9,17 @@ spelling per quantity.  This module is that agreement: variable lists are
 sorted, and the two sides of a mutual information are ordered, so the same
 quantity always canonicalizes to the same name.
 
-`compile_atoms` turns an atom list into a linear map over subset measures
-(entropies, for a discrete back end), so a back end evaluates a whole list
-with one measure kernel and one matrix product.
+`compile_atoms` turns an atom list into a linear map over subset measures:
+every H, I and Gamma atom is a signed sum of the measures of a few variable
+subsets.  Each back end has one kernel for those measures (entropies of a
+pmf, log-pseudo-determinants of a covariance); `atom_plan` caches the
+compiled plan per (variable names, atoms) for both back ends, and
+`AtomPlan.valuation` is their shared tail (clamp, named constants, names).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +30,8 @@ GAMMA = "Gamma"
 CONST = "const"
 
 _KINDS = (H, I, GAMMA, CONST)
+# Compiled plans kept by `atom_plan`.
+PLAN_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -166,23 +172,37 @@ def rewrite_atom(spec: AtomSpec, drop=(), rename=None) -> AtomSpec | None:
 
 @dataclass(frozen=True)
 class AtomPlan:
-    """An atom list compiled into a linear map over subset entropies.
+    """An atom list compiled into a linear map over subset measures.
 
-    Row k of `coeffs` writes atom k as a signed sum of the entropies of
-    `subsets`; `clamp` marks the rows cut at zero (I and Gamma atoms).  The
-    rows of named constants are zero and their names are in `constants`.
-    `names` are the canonical names of the atoms, in input order.
+    Row k of `coeffs` writes atom k as a signed sum of the measures of
+    `subsets` (entropies, or log-determinants up to a factor 1/2); `clamp`
+    marks the rows cut at zero (I and Gamma atoms).  The rows of named
+    constants are zero and their names are in `constants`.  `names` and
+    `kinds` are the canonical names and kinds of the atoms, in input order.
     """
 
     names: tuple[str, ...]
+    kinds: tuple[str, ...]
     subsets: tuple[tuple[str, ...], ...]
     coeffs: np.ndarray
     clamp: np.ndarray
     constants: tuple[str, ...]
 
+    def valuation(self, values: np.ndarray, constants=None) -> dict[str, float]:
+        """Name the row values `values` (clamped in place where `clamp`) and
+        fill in the named constants from `constants`."""
+        np.maximum(values, 0.0, out=values, where=self.clamp)
+        out = dict(zip(self.names, values.tolist()))
+        constants = constants or {}
+        for name in self.constants:
+            if name not in constants:
+                raise KeyError(f"no value for constant atom {name!r}")
+            out[name] = float(constants[name])
+        return out
 
-def _entropy_terms(spec: AtomSpec) -> list[tuple[int, tuple[str, ...]]]:
-    """(sign, subset) pairs whose signed entropies sum to the atom."""
+
+def _measure_terms(spec: AtomSpec) -> list[tuple[int, tuple[str, ...]]]:
+    """(sign, subset) pairs whose signed subset measures sum to the atom."""
     if spec.kind == CONST:
         return []
     if spec.kind == H:
@@ -211,13 +231,22 @@ def compile_atoms(specs, variables) -> AtomPlan:
         if unknown:
             raise KeyError(f"atom {spec.name} references unknown variables "
                            f"{sorted(unknown)}")
-        for sign, subset in _entropy_terms(spec):
-            if subset:  # the empty set has entropy zero
+        for sign, subset in _measure_terms(spec):
+            if subset:  # the empty set has measure zero
                 entries.append((k, col.setdefault(subset, len(col)), sign))
     coeffs = np.zeros((len(specs), len(col)))
     for k, j, sign in entries:
         coeffs[k, j] += sign
     clamp = np.array([s.kind in (I, GAMMA) for s in specs], dtype=bool)
     coeffs.flags.writeable = clamp.flags.writeable = False
-    return AtomPlan(tuple(s.name for s in specs), tuple(col), coeffs, clamp,
+    return AtomPlan(tuple(s.name for s in specs), tuple(s.kind for s in specs),
+                    tuple(col), coeffs, clamp,
                     tuple(s.const_name for s in specs if s.kind == CONST))
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def atom_plan(variables: tuple[str, ...], atoms: tuple) -> AtomPlan:
+    """`compile_atoms` of `atoms` (AtomSpecs or canonical names) over the
+    variable names `variables`, cached per (variables, atoms)."""
+    specs = [parse_atom(a) if isinstance(a, str) else a for a in atoms]
+    return compile_atoms(specs, variables)

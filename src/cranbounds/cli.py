@@ -4,14 +4,14 @@ Subcommands: region (export a region's constraints), sumrate-sweep (CSV
 curves over a fronthaul grid), gap-audit (randomized constant-gap check),
 fme (project a text-format inequality system), verify-examples (the two
 benchmark topologies).  Exit codes: 0 all checks pass, 1 verification
-failure, 2 usage error or a Fourier-Motzkin blow-up past --max-constraints.
+failure, 2 usage error, a Fourier-Motzkin blow-up past --max-constraints or
+scipy missing for the data-sharing check.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -91,8 +91,7 @@ def cmd_sweep(args) -> int:
     for key in ("P", "G", "C_grid", "seed"):
         if key not in config:
             return _fail_usage(f"sweep config is missing required field {key!r}")
-    workers = int(os.environ.get("CRANBOUNDS_THREADS", "1"))
-    rows = sweep_rows(config, workers=workers)
+    rows = sweep_rows(config)
     if args.rcf_csv:
         rows.extend(_load_reference_csv(args.rcf_csv, config))
         rows.sort(key=lambda r: (r["C"], r["T"], r["scheme"]))
@@ -165,7 +164,10 @@ def cmd_verify_examples(args) -> int:
         reports.append(verify.example1_run(bsc, 0.3, samples=args.samples,
                                            seed=args.seed))
     if args.example in (None, 2):
-        reports.append(verify.example2_run(samples=args.samples, seed=args.seed))
+        try:
+            reports.append(verify.example2_run(samples=args.samples, seed=args.seed))
+        except ImportError as exc:
+            return _fail_usage(f"the data-sharing check needs scipy ({exc})")
     payload = [{"example": r.example, "verdict": r.verdict, "values": r.values}
                for r in reports]
     _write_text(args.output, json.dumps(payload, indent=2) + "\n")

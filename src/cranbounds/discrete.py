@@ -8,11 +8,12 @@ its inputs.
 Every entropy-based measure goes through one kernel, `subset_entropies`,
 which marginalises the flat probability vector onto many variable subsets
 with a single `np.bincount` over precomputed cell indices.  `atom_valuation`
-compiles its atom list once per (variables, atoms) into an
-`atoms.AtomPlan` (the subsets it needs, a coefficient matrix, a clamp mask
-and the named constants) and evaluates it as kernel, matrix product, clamp
-at zero, constants.  `entropy`, `mutual_info` and `total_correlation` are
-single-atom calls into the same path.
+takes the compiled `atoms.AtomPlan` of its atom list from the cache shared
+with the Gaussian back end (the subsets it needs, a coefficient matrix, a
+clamp mask and the named constants) and evaluates it as kernel, matrix
+product, then the plan's shared tail: clamp at zero, constants.  `entropy`,
+`mutual_info` and `total_correlation` are single-atom calls into the same
+path.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import AtomPlan, compile_atoms, gamma_atom, mi_atom, parse_atom
+# unused parse_atom stays importable: bench/tracer.py wraps it by this name
+from .atoms import AtomPlan, atom_plan, gamma_atom, mi_atom, parse_atom  # noqa: F401
 
 __all__ = [
     "JointPmf",
@@ -45,7 +47,7 @@ _SUM_TOL = 1e-12
 # Largest (subset, cell) index one bincount call marginalises (2 MB); above
 # it each subset gets its own uncached index, so memory stays O(cells).
 _INDEX_BUDGET = 1 << 18
-# Entries kept by each of the compiled-plan and marginal-index caches.
+# Entries kept by the marginal-index cache.
 _CACHE_SIZE = 32
 
 
@@ -328,10 +330,9 @@ def blahut_arimoto(channel: Channel, tol: float = 1e-10, max_iter: int = 10_000)
     raise RuntimeError(f"Blahut-Arimoto did not converge in {max_iter} iterations")
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _plan(variables, atoms) -> AtomPlan:
-    specs = [parse_atom(a) if isinstance(a, str) else a for a in atoms]
-    return compile_atoms(specs, [n for n, _ in variables])
+    """The shared compiled plan of `atoms` over (name, size) `variables`."""
+    return atom_plan(tuple(n for n, _ in variables), tuple(atoms))
 
 
 def atom_valuation(pmf: JointPmf, atoms, constants=None) -> dict[str, float]:
@@ -340,16 +341,8 @@ def atom_valuation(pmf: JointPmf, atoms, constants=None) -> dict[str, float]:
     Constants (capacities) are looked up in `constants`.  Returns a map
     from canonical atom name to value in bits.
     """
-    plan = _plan(pmf.variables, tuple(atoms))
-    values = plan.coeffs @ subset_entropies(pmf, plan.subsets)
-    np.maximum(values, 0.0, out=values, where=plan.clamp)
-    out = dict(zip(plan.names, values.tolist()))
-    constants = constants or {}
-    for name in plan.constants:
-        if name not in constants:
-            raise KeyError(f"no value for constant atom {name!r}")
-        out[name] = float(constants[name])
-    return out
+    plan = _plan(pmf.variables, atoms)
+    return plan.valuation(plan.coeffs @ subset_entropies(pmf, plan.subsets), constants)
 
 
 def random_joint_pmf(rng: np.random.Generator, variables, concentration=1.0) -> JointPmf:

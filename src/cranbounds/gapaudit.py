@@ -10,11 +10,11 @@ bound L/2 + min(N, L log2 N)/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
 
 import numpy as np
 
 from .gaussian import CranNetwork, capacity_logdet
+from .regions import _subsets_lex
 
 __all__ = [
     "CutReport",
@@ -38,11 +38,6 @@ class CutReport:
     @property
     def gap(self) -> float:
         return self.outer - self.inner
-
-
-def _subsets_lex(items):
-    items = sorted(items)
-    return sorted(chain.from_iterable(combinations(items, r) for r in range(len(items) + 1)))
 
 
 def _cap_terms(network: CranNetwork, s: tuple[int, ...]) -> float:

@@ -1,23 +1,32 @@
 """Joint-Gaussian covariance algebra for log-det information quantities.
 
 Covariances are stored over named components, each of which may be a
-vector (dimension >= 1).  Conditioning uses Schur complements with a
-pseudo-inverse, so zero-variance components (degenerate auxiliaries such
-as a switched-off cloud center) are legal and behave like absent
-variables.  Mutual informations are computed from log-pseudo-determinants
-with a shared eigenvalue threshold, which keeps ranks consistent across
-the three blocks of I(A;B|C).
+vector (dimension >= 1).  Zero-variance components (degenerate auxiliaries
+such as a switched-off cloud center) are legal and behave like absent
+variables.
+
+Every information atom goes through one kernel, `subset_logpdets`: the
+log-pseudo-determinants and ranks of principal blocks, with one eigenvalue
+threshold taken from the whole matrix so ranks stay consistent across
+blocks.  `atom_valuation` evaluates the `atoms.AtomPlan` that the discrete
+back end shares (same cache, same clamp-and-constants tail) as kernel,
+then half a matrix product; the same product over ranks flags infinite
+atoms.  `gauss_mi` and `gauss_total_correlation` are single-atom calls into
+it.  `schur_conditional` gives conditional covariances via a
+pseudo-inverse.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import CONST, GAMMA, I, AtomSpec, parse_atom
+# unused parse_atom stays importable: bench/tracer.py wraps it by this name
+from .atoms import H, PLAN_CACHE_SIZE, atom_plan, gamma_atom, mi_atom, parse_atom  # noqa: F401
 
 __all__ = [
     "JointCovariance",
@@ -27,6 +36,7 @@ __all__ = [
     "gauss_total_correlation",
     "capacity_logdet",
     "atom_valuation",
+    "subset_logpdets",
 ]
 
 _EIG_REL_TOL = 1e-10
@@ -148,124 +158,76 @@ def schur_conditional(cov: JointCovariance, s_names, t_names) -> JointCovariance
     return JointCovariance.make(sub_components, cond)
 
 
-def gauss_mi(cov: JointCovariance, a, b, cond=()) -> float:
-    """I(A;B|C) in bits for jointly Gaussian components, clamped at zero.
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _block_indices(components, subsets) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(row, column) index arrays of the principal block of every subset of
+    component names, taken in sorted name order."""
+    offsets: dict[str, list[int]] = {}
+    pos = 0
+    for n, d in components:
+        offsets[n] = list(range(pos, pos + d))
+        pos += d
+    out = []
+    for s in subsets:
+        idx = np.array([i for n in sorted(s) for i in offsets[n]], dtype=np.intp)
+        out.append((idx[:, None], idx))
+    return tuple(out)
 
-    Computed as half the base-2 log of det Sigma_{A|C} det Sigma_{B|C} /
-    det Sigma_{AB|C}, using pseudo-determinants with a common threshold so
-    that zero-variance (degenerate) components cancel out.
+
+def subset_logpdets(cov: JointCovariance, subsets) -> tuple[np.ndarray, np.ndarray]:
+    """Base-2 log pseudo-determinant and rank of the principal block of every
+    component subset in `subsets` (0 and 0 for the empty set).
+
+    The one measure kernel of this module.  The eigenvalue cut is taken once
+    from the whole matrix, so ranks are consistent across subsets.
     """
-    a, b, cond = list(a), list(b), list(cond)
-    if set(a) & set(b) or set(a) & set(cond) or set(b) & set(cond):
-        raise ValueError("A, B, C must be pairwise disjoint")
-    if not a or not b:
-        raise ValueError("both sides of a mutual information must be nonempty")
-    ia = cov.indices(a)
-    ib = cov.indices(b)
-    iab = np.concatenate([ia, ib])
-    m = cov.matrix[np.ix_(iab, iab)]
-    ic = cov.indices(cond)
-    if ic.size:
-        ct = cov.matrix[np.ix_(iab, ic)]
-        cc = cov.matrix[np.ix_(ic, ic)]
-        m = _sym(m - ct @ _pinv_psd(cc) @ ct.T)
+    m = cov.matrix
     cut = _EIG_REL_TOL * max(np.linalg.eigvalsh(m).max(initial=0.0), 0.0) if m.size else 0.0
-    na = len(ia)
-    la, ra = _logpdet2(m[:na, :na], cut)
-    lb, rb = _logpdet2(m[na:, na:], cut)
-    lab, rab = _logpdet2(m, cut)
-    if rab < ra + rb:
-        # a linear functional of the A side coincides with one of the B side
-        # almost surely, so the mutual information diverges
-        return np.inf
-    return max(0.0, 0.5 * (la + lb - lab))
-
-
-def gauss_total_correlation(cov: JointCovariance, names) -> float:
-    """Total correlation of scalar/vector components in bits: half the log
-    ratio of the product of marginal determinants to the joint determinant."""
-    names = sorted(set(names))
-    if not names:
-        raise ValueError("total correlation needs at least one component")
-    if len(names) == 1:
-        return 0.0
-    m = cov.block(names)
-    cut = _EIG_REL_TOL * max(np.linalg.eigvalsh(m).max(initial=0.0), 0.0) if m.size else 0.0
-    joint = JointCovariance.make([(n, cov.dim_of(n)) for n in names], m)
-    total, rank_sum = 0.0, 0
-    for n in names:
-        i = joint.indices([n])
-        l, r = _logpdet2(m[np.ix_(i, i)], cut)
-        total += l
-        rank_sum += r
-    ljoint, rjoint = _logpdet2(m, cut)
-    if rjoint < rank_sum:
-        return np.inf
-    return max(0.0, 0.5 * (total - ljoint))
+    logs, ranks = np.zeros(len(subsets)), np.zeros(len(subsets))
+    for k, block in enumerate(_block_indices(cov.components, tuple(subsets))):
+        logs[k], ranks[k] = _logpdet2(m[block], cut)
+    return logs, ranks
 
 
 def atom_valuation(cov: JointCovariance, atoms, constants=None) -> dict[str, float]:
     """Evaluate mutual-information and total-correlation atoms on a joint
     Gaussian law.  Differential-entropy atoms are rejected (not bit-valued).
 
-    Every atom reduces to sums of log-pseudo-determinants of principal
-    subblocks, which are memoized per component subset; the eigenvalue
-    threshold is shared across subsets so ranks stay consistent.  Rank
-    shortfalls of the pseudo-Schur decomposition signal an almost-sure
-    linear dependence, reported as an infinite value.
+    The atoms are compiled into the shared `atoms.AtomPlan`: every I and
+    Gamma atom is half a signed sum of subset log-pseudo-determinants.  The
+    same signed sum of subset ranks is positive exactly when the
+    pseudo-Schur decomposition falls short of full rank, which signals an
+    almost-sure linear dependence and is reported as an infinite value.
     """
-    constants = dict(constants or {})
-    cut = _EIG_REL_TOL * max(np.linalg.eigvalsh(cov.matrix).max(initial=0.0), 0.0) \
-        if cov.matrix.size else 0.0
-    offsets: dict[str, list[int]] = {}
-    pos = 0
-    for n, d in cov.components:
-        offsets[n] = list(range(pos, pos + d))
-        pos += d
-    cache: dict[tuple[str, ...], tuple[float, int]] = {(): (0.0, 0)}
+    plan = atom_plan(cov.names, tuple(atoms))
+    if H in plan.kinds:
+        name = plan.names[plan.kinds.index(H)]
+        raise ValueError(f"cannot evaluate entropy atom {name} on a Gaussian law")
+    logs, ranks = subset_logpdets(cov, plan.subsets)
+    values = 0.5 * (plan.coeffs @ logs)
+    values[plan.coeffs @ ranks > 0] = np.inf
+    return plan.valuation(values, constants)
 
-    def lpd(subset) -> tuple[float, int]:
-        key = tuple(sorted(subset))
-        if key not in cache:
-            idx = [i for n in key for i in offsets[n]]
-            cache[key] = _logpdet2(cov.matrix[np.ix_(idx, idx)], cut)
-        return cache[key]
 
-    out: dict[str, float] = {}
-    for atom in atoms:
-        spec = parse_atom(atom) if isinstance(atom, str) else atom
-        if not isinstance(spec, AtomSpec):
-            raise TypeError(f"bad atom spec {atom!r}")
-        if spec.kind == CONST:
-            if spec.const_name not in constants:
-                raise KeyError(f"no value for constant atom {spec.const_name!r}")
-            out[spec.name] = float(constants[spec.const_name])
-        elif spec.kind == I:
-            a, b = set(spec.groups[0]), set(spec.groups[1])
-            c = set(spec.groups[2]) if len(spec.groups) == 3 else set()
-            lac, rac = lpd(a | c)
-            lbc, rbc = lpd(b | c)
-            labc, rabc = lpd(a | b | c)
-            lc, rc = lpd(c)
-            if rac + rbc > rabc + rc:
-                out[spec.name] = np.inf
-            else:
-                out[spec.name] = max(0.0, 0.5 * (lac + lbc - labc - lc))
-        elif spec.kind == GAMMA:
-            names = spec.groups[0]
-            if len(names) < 2:
-                out[spec.name] = 0.0
-                continue
-            lj, rj = lpd(names)
-            total, rank_sum = 0.0, 0
-            for n in names:
-                l1, r1 = lpd((n,))
-                total += l1
-                rank_sum += r1
-            out[spec.name] = np.inf if rj < rank_sum else max(0.0, 0.5 * (total - lj))
-        else:
-            raise ValueError(f"cannot evaluate atom kind {spec.kind!r} on a Gaussian law")
-    return out
+def _single_atom(cov: JointCovariance, spec) -> float:
+    """Value of one atom on `cov` restricted to the atom's components (an
+    unknown component is left out, so the plan raises KeyError for it)."""
+    names = spec.variables()
+    components = tuple(c for c in cov.components if c[0] in names)
+    sub = JointCovariance(components, cov.block([n for n, _ in components]))
+    return atom_valuation(sub, [spec])[spec.name]
+
+
+def gauss_mi(cov: JointCovariance, a, b, cond=()) -> float:
+    """I(A;B|C) in bits for jointly Gaussian components, clamped at zero;
+    infinite when a linear functional of A equals one of B given C."""
+    return _single_atom(cov, mi_atom(a, b, cond))
+
+
+def gauss_total_correlation(cov: JointCovariance, names) -> float:
+    """Total correlation of scalar/vector components in bits: half the log
+    ratio of the product of marginal determinants to the joint determinant."""
+    return _single_atom(cov, gamma_atom(names))
 
 
 def capacity_logdet(g_sub: np.ndarray, k_sub: np.ndarray) -> float:

@@ -404,14 +404,22 @@ def numeric_feasible(system: ConstraintSystem, tighten: float = 0.0,
 
 def min_slack(system: ConstraintSystem, valuation: dict[str, float],
               point: dict[str, float]) -> float:
-    """Smallest slack rhs - lhs over all constraints (+inf for empty systems)."""
+    """Smallest slack rhs - lhs over all constraints (+inf for empty systems).
+
+    Raises ValueError when a right-hand side is NaN (inf - inf): the region
+    is then undefined, so no point is a member or a non-member.
+    """
     missing = [v for v in system.variables if v not in point]
     if missing:
         raise KeyError(f"point missing variables {missing}")
     worst = np.inf
     for c in system.constraints:
+        rhs = c.rhs.value(valuation)
+        if np.isnan(rhs):
+            raise ValueError(f"right-hand side {c.rhs} is undefined (NaN) "
+                             "under this valuation")
         lhs = sum(float(q) * point[k] for k, q in c.lhs)
-        worst = min(worst, c.rhs.value(valuation) - lhs)
+        worst = min(worst, rhs - lhs)
     return worst
 
 

@@ -686,13 +686,15 @@ def max_sum_rate(system: ConstraintSystem, valuation: dict[str, float],
     feasibility test on each R1+R2 = t segment.
 
     Returns 0.0 when the region is empty (infeasible parameters achieve
-    nothing).
+    nothing) or undefined: a right-hand side of inf - inf is NaN.
     """
     if len(system.variables) != 2:
         raise ValueError("max_sum_rate expects a two-variable system")
     if not system.constraints:
         raise ValueError("refusing to maximize over an unconstrained region")
     A, b = system.numeric(valuation)
+    if np.isnan(b).any():
+        return 0.0
     seg = _SumSegment(A, b, tol)
     if not seg.feasible(0.0):
         return 0.0
@@ -715,13 +717,16 @@ def max_sum_rate(system: ConstraintSystem, valuation: dict[str, float],
 
 def max_single_rate(system: ConstraintSystem, valuation: dict[str, float],
                     tol: float = 1e-9) -> float:
-    """Maximum of the single variable of a 1-D region (0.0 when empty)."""
+    """Maximum of the single variable of a 1-D region (0.0 when empty, or
+    undefined by a NaN right-hand side)."""
     if len(system.variables) != 1:
         raise ValueError("max_single_rate expects a one-variable system")
     best = np.inf
     for c in system.constraints:
         coeff = c.coeff(system.variables[0])
         rhs = c.rhs.value(valuation)
+        if np.isnan(rhs):
+            return 0.0
         if coeff == 0:
             if rhs < -tol:
                 return 0.0

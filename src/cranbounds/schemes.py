@@ -10,12 +10,14 @@ holds by construction, and per-BS power is enforced by projection.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gaussian
-from .atoms import parse_atom
+# unused parse_atom stays importable: bench/tracer.py wraps it by this name
+from .atoms import parse_atom  # noqa: F401
 from .gaussian import CranNetwork, JointCovariance
 from .regions import (caps_valuation, corollary1_system, corollary2_system,
                       corollary3_feasible, corollary3_side_conditions,
@@ -246,26 +248,21 @@ _REGION_BUILDERS = {
     "GCOMP": gcomp_theorem2_system,
 }
 
-_REGION_CACHE: dict[str, object] = {}
-_ATOM_CACHE: dict[str, list] = {}
 
-
+@functools.cache
 def _region_system(scheme: str):
-    if scheme not in _REGION_CACHE:
-        _REGION_CACHE[scheme] = _REGION_BUILDERS[scheme]()
-    return _REGION_CACHE[scheme]
+    return _REGION_BUILDERS[scheme]()
 
 
-def _region_atoms(scheme: str) -> list[str]:
-    if scheme not in _ATOM_CACHE:
-        atoms = set(_region_system(scheme).atoms())
-        if scheme == "GDS-III":
-            for lhs, rhs in corollary3_side_conditions():
-                atoms.add(lhs.name)
-                atoms.update(r.name for r in rhs)
-        _ATOM_CACHE[scheme] = [parse_atom(a) for a in sorted(atoms)
-                               if a not in ("C1", "C2", "C12", "C21")]
-    return _ATOM_CACHE[scheme]
+@functools.cache
+def _region_atoms(scheme: str) -> tuple[str, ...]:
+    """Canonical names of the information atoms of a scheme's region."""
+    atoms = set(_region_system(scheme).atoms())
+    if scheme == "GDS-III":
+        for lhs, rhs in corollary3_side_conditions():
+            atoms.add(lhs.name)
+            atoms.update(r.name for r in rhs)
+    return tuple(sorted(atoms - {"C1", "C2", "C12", "C21"}))
 
 
 def scheme_valuation(scheme: str, params, network: CranNetwork) -> dict[str, float]:
@@ -533,15 +530,15 @@ def gds_timeshare_sumrate(network: CranNetwork,
 # ---------------------------------------------------------------------------
 
 
-def sweep_rows(config: dict, workers: int = 1) -> list[dict]:
+def sweep_rows(config: dict) -> list[dict]:
     """Evaluate schemes over a fronthaul-capacity grid.
 
     Config keys: P, G (2x2), C_grid, T (scalar or list), schemes, seed,
     budget {restarts, iters}.  Within one (scheme, T) pair the refined
     parameters found at every grid point are shared: each C reports the best
     sum rate over the whole pool, which preserves monotonicity in C.
-    Returns rows sorted by (C, T, scheme); output is independent of the
-    worker count because every grid point gets its own derived seed.
+    Every grid point gets its own derived seed.  Returns rows sorted by
+    (C, T, scheme).
     """
     P = float(config["P"])
     G = np.asarray(config["G"], dtype=float)
@@ -587,12 +584,7 @@ def sweep_rows(config: dict, workers: int = 1) -> list[dict]:
         tasks = [(scheme, ti, si, ci, T, C)
                  for si, scheme in enumerate(base_schemes)
                  for ci, C in enumerate(c_grid)]
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda t: optimize_point(*t), tasks))
-        else:
-            results = [optimize_point(*t) for t in tasks]
+        results = [optimize_point(*t) for t in tasks]
         per_scheme: dict[str, list[dict]] = {s: [] for s in base_schemes}
         for (scheme, *_), mi_val in zip(tasks, results):
             if mi_val is not None:

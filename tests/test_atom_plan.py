@@ -1,8 +1,10 @@
-"""The compiled discrete valuation against the per-atom formulas it replaced.
+"""The compiled discrete and Gaussian valuations against the per-atom
+formulas they replaced.
 
-The oracle below evaluates each atom on its own from `marginalize`d pmfs,
-which is how `atom_valuation` worked before atoms were compiled into one
-linear map over subset entropies.
+The discrete oracle evaluates each atom on its own from `marginalize`d
+pmfs, and the Gaussian oracle sums memoized subset log-pseudo-determinants
+atom by atom.  That is how the two `atom_valuation`s worked before atoms
+were compiled into one linear map over subset measures.
 """
 
 import numpy as np
@@ -10,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cranbounds import discrete, verify
-from cranbounds.atoms import (CONST, GAMMA, H, const_atom, gamma_atom, h_atom,
+from cranbounds import discrete, gaussian, verify
+from cranbounds.atoms import (CONST, GAMMA, H, atom_plan, const_atom, gamma_atom, h_atom,
                               mi_atom, parse_atom)
 from cranbounds.discrete import JointPmf, atom_valuation, marginalize
+from cranbounds.gaussian import JointCovariance
 
 NAMES = ("A", "B", "C", "D")
 CONSTANTS = {"C1": 1.25, "C2": 0.5}
@@ -168,3 +171,105 @@ def test_zchannel_pmf_build_is_bit_identical(seed):
     assert np.array_equal(new.probs, old.probs)
     # both consumed the same draws
     assert new_rng.random() == old_rng.random()
+
+
+def oracle_gaussian_valuation(cov, atoms, constants):
+    cut = gaussian._EIG_REL_TOL * max(np.linalg.eigvalsh(cov.matrix).max(initial=0.0), 0.0)
+    offsets, pos = {}, 0
+    for n, d in cov.components:
+        offsets[n] = list(range(pos, pos + d))
+        pos += d
+
+    def lpd(subset):
+        idx = [i for n in sorted(subset) for i in offsets[n]]
+        return gaussian._logpdet2(cov.matrix[np.ix_(idx, idx)], cut)
+
+    out = {}
+    for atom in atoms:
+        spec = parse_atom(atom) if isinstance(atom, str) else atom
+        if spec.kind == CONST:
+            out[spec.name] = float(constants[spec.const_name])
+        elif spec.kind == GAMMA:
+            g = spec.groups[0]
+            if len(g) < 2:
+                out[spec.name] = 0.0
+                continue
+            lj, rj = lpd(g)
+            singles = [lpd((n,)) for n in g]
+            total, rank_sum = sum(l for l, _ in singles), sum(r for _, r in singles)
+            out[spec.name] = np.inf if rj < rank_sum else max(0.0, 0.5 * (total - lj))
+        else:
+            a, b = set(spec.groups[0]), set(spec.groups[1])
+            c = set(spec.groups[2]) if len(spec.groups) == 3 else set()
+            lac, rac = lpd(a | c)
+            lbc, rbc = lpd(b | c)
+            labc, rabc = lpd(a | b | c)
+            lc, rc = lpd(c)
+            out[spec.name] = (np.inf if rac + rbc > rabc + rc
+                              else max(0.0, 0.5 * (lac + lbc - labc - lc)))
+    return out
+
+
+@st.composite
+def covariances(draw):
+    """F F^T for an integer factor F whose component blocks are free, zero
+    (a zero-variance component) or integer combinations of earlier rows (a
+    component that is a linear function of others)."""
+    n = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    k = draw(st.integers(1, sum(dims) + 1))
+    entries = st.integers(-3, 3)
+    rows = []
+    for d in dims:
+        kind = draw(st.sampled_from(["free", "free", "zero", "linear"]))
+        for _ in range(d):
+            if kind == "zero":
+                rows.append([0] * k)
+            elif kind == "linear" and rows:
+                w = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+                rows.append(list(np.array(w) @ np.array(rows)))
+            else:
+                rows.append(draw(st.lists(entries, min_size=k, max_size=k)))
+    f = np.array(rows, dtype=float)
+    return JointCovariance.make(list(zip(NAMES, dims)), f @ f.T)
+
+
+@st.composite
+def cov_and_atoms(draw):
+    cov = draw(covariances())
+    atoms = draw(atom_lists(list(cov.names)))
+    return cov, [a for a in atoms
+                 if (parse_atom(a) if isinstance(a, str) else a).kind != H]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cov_and_atoms())
+def test_compiled_gaussian_valuation_matches_oracle(case):
+    cov, atoms = case
+    got = gaussian.atom_valuation(cov, atoms, constants=CONSTANTS)
+    want = oracle_gaussian_valuation(cov, atoms, CONSTANTS)
+    assert list(got) == list(want)
+    assert {k for k, v in got.items() if v == np.inf} == \
+        {k for k, v in want.items() if v == np.inf}
+    for name, value in want.items():
+        if np.isfinite(value):
+            assert got[name] == pytest.approx(value, abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cov_and_atoms(), st.sampled_from(["entropy", "component", "const"]),
+       st.integers(0, 8))
+def test_compiled_gaussian_valuation_errors(case, fault, where):
+    cov, atoms = case
+    bad = {"entropy": h_atom([cov.names[0]]), "component": mi_atom(["A"], ["Z"]),
+           "const": const_atom("C9")}[fault]
+    atoms = atoms[:where] + [bad] + atoms[where:]
+    with pytest.raises(ValueError if fault == "entropy" else KeyError):
+        gaussian.atom_valuation(cov, atoms, constants=CONSTANTS)
+
+
+def test_gaussian_and_discrete_share_one_plan_cache():
+    atoms = ("I(A;B)", "Gamma(A,B)")
+    pmf = JointPmf.make([("A", 2), ("B", 2)], np.full((2, 2), 0.25))
+    cov = JointCovariance.make([("A", 1), ("B", 1)], np.eye(2))
+    assert discrete._plan(pmf.variables, atoms) is atom_plan(cov.names, atoms)

@@ -191,3 +191,12 @@ def test_module_entrypoint_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(out.read_text())["all_pass"]
+
+
+def test_missing_scipy_exits_2_with_one_line(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    rc = run_cli(["verify-examples", "--example", "2", "--samples", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "scipy" in err

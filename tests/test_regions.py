@@ -333,3 +333,19 @@ def test_region_to_json():
     assert len(payload["constraints"]) == 4
     sums = [c for c in payload["constraints"] if c["lhs"] == {"R1": 1.0, "R2": 1.0}]
     assert {round(c["rhs_value"], 6) for c in sums} == {1.25, 2.0}
+
+
+def test_inf_minus_inf_makes_the_region_undefined():
+    # I(U;Y1) = I(U;V) = inf turns the Marton sum bound into inf - inf = NaN
+    sys_ = regions.corollary4_system()
+    val = {"I(U;Y1)": np.inf, "I(V;Y2)": 1.0, "I(U;V)": np.inf, "C1": 3.0}
+    _, b = sys_.numeric(val)
+    assert np.isnan(b).sum() == 1
+    assert regions.max_sum_rate(sys_, val) == 0.0
+    with pytest.raises(ValueError):
+        polytope.min_slack(sys_, val, {"R1": 2.9, "R2": 0.0})
+    with pytest.raises(ValueError):
+        polytope.is_member(sys_, val, {"R1": 2.9, "R2": 0.0})
+    one_d = polytope.ConstraintSystem(["R1"])
+    one_d.add({"R1": 1}, polytope.AffineExpr.make({"C1": 1, "I(U;V)": 1, "I(U;Y1)": -1}))
+    assert regions.max_single_rate(one_d, val) == 0.0

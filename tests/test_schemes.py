@@ -237,9 +237,6 @@ def test_sweep_rows_deterministic_and_sorted():
     keys = [(r["C"], r["T"], r["scheme"]) for r in rows1]
     assert keys == sorted(keys)
     assert {r["scheme"] for r in rows1} == {"GDS-I", "GDS-TS"}
-    # worker count must not change the result
-    rows3 = sweep_rows(config, workers=4)
-    assert rows3 == rows1
 
 
 def test_sweep_rejects_bad_config():
