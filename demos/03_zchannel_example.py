@@ -25,6 +25,10 @@ print("\ncompression region contains (1,1):",
 
 # Every atom is an integer number of bits, so the membership is exact.
 report = verify.example2_run(samples=2000, seed=0)
-print(f"\ndata-sharing sweep: {report.values['gds_hits']} of "
-      f"{report.values['gds_samples']} sampled laws contain (1,1)")
+values = report.values
+print(f"\ndata-sharing sweep: {values['gds_hits']} of "
+      f"{values['gds_samples']} sampled laws contain (1,1)")
+print(f"  {values['gds_screened']} ruled out by {values['gds_certificates']} "
+      f"banked Farkas certificate(s), "
+      f"{values['gds_samples'] - values['gds_screened']} decided by the LP")
 print("verdict:", report.verdict)

@@ -402,6 +402,14 @@ def numeric_feasible(system: ConstraintSystem, tighten: float = 0.0,
     return all(c.rhs.const >= 0 for c in s.constraints)
 
 
+def _defined_rhs(c: LinearConstraint, valuation: dict[str, float]) -> float:
+    rhs = c.rhs.value(valuation)
+    if np.isnan(rhs):
+        raise ValueError(f"right-hand side {c.rhs} is undefined (NaN) "
+                         "under this valuation")
+    return rhs
+
+
 def min_slack(system: ConstraintSystem, valuation: dict[str, float],
               point: dict[str, float]) -> float:
     """Smallest slack rhs - lhs over all constraints (+inf for empty systems).
@@ -414,10 +422,7 @@ def min_slack(system: ConstraintSystem, valuation: dict[str, float],
         raise KeyError(f"point missing variables {missing}")
     worst = np.inf
     for c in system.constraints:
-        rhs = c.rhs.value(valuation)
-        if np.isnan(rhs):
-            raise ValueError(f"right-hand side {c.rhs} is undefined (NaN) "
-                             "under this valuation")
+        rhs = _defined_rhs(c, valuation)
         lhs = sum(float(q) * point[k] for k, q in c.lhs)
         worst = min(worst, rhs - lhs)
     return worst
@@ -443,9 +448,11 @@ def regions_equal_sampled(sys_a: ConstraintSystem, sys_b: ConstraintSystem,
     """Compare membership of two systems on random nonnegative rate points.
 
     Points are sampled uniformly from [0, M]^d per valuation, where M is
-    derived from the resolved right-hand sides of both systems.  Returns a
-    report dict with an `agree` flag and up to 10 disagreement witnesses.
-    Deterministic given the seed.
+    derived from the finite resolved right-hand sides of both systems (an
+    infinite one bounds nothing).  Returns a report dict with an `agree`
+    flag and up to 10 disagreement witnesses.  Deterministic given the seed.
+    Raises ValueError when a right-hand side is NaN (inf - inf), as
+    `min_slack` does.
     """
     if set(sys_a.variables) != set(sys_b.variables):
         raise ValueError("systems must share the same variable set")
@@ -462,7 +469,9 @@ def regions_equal_sampled(sys_a: ConstraintSystem, sys_b: ConstraintSystem,
         hi = 1.0
         for s in (sys_a, sys_b_ordered):
             for c in s.constraints:
-                hi = max(hi, abs(c.rhs.value(val)))
+                rhs = _defined_rhs(c, val)
+                if np.isfinite(rhs):
+                    hi = max(hi, abs(rhs))
         pts = rng.uniform(0.0, hi + 0.5, size=(n_points, len(order)))
         in_a = _membership_matrix(sys_a, val, pts, tol)
         in_b = _membership_matrix(sys_b_ordered, val, pts, tol)

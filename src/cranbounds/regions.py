@@ -402,8 +402,10 @@ def corollary3_side_conditions():
 
 
 def corollary3_feasible(valuation: dict[str, float], tol: float = 1e-9) -> bool:
+    """True iff every strict side condition holds with margin tol.  A NaN
+    side (inf - inf) fails its comparison, so the scheme is infeasible."""
     for lhs, rhs in corollary3_side_conditions():
-        if valuation[lhs.name] >= sum(valuation[r.name] for r in rhs) - tol:
+        if not valuation[lhs.name] < sum(valuation[r.name] for r in rhs) - tol:
             return False
     return True
 

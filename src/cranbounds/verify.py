@@ -6,11 +6,24 @@ The second is the Z-interference network where (1,1) is achievable by the
 compression scheme but provably not by the data-sharing scheme; the latter
 half is a large seeded sweep over data-sharing distributions, so it is a
 consistency check, not a proof.
+
+Each sampled law resolves the data-sharing system to ``A x <= b`` over the
+six auxiliary rates x >= 0.  By Farkas' lemma a vector y >= 0 with
+``y A >= 0`` and ``y b < 0`` proves that no such x exists: y A x >= 0 for
+every x >= 0, yet y A x <= y b < 0.  The sweep keeps a bank of such
+certificates, each checked once in exact rationals, and a sample that one
+of them proves infeasible with ``y b < -1e-6 * ||y||_1`` never reaches the
+LP.  HiGHS accepts a row violated by up to its primal feasibility tolerance
+of 1e-7, so any x it could accept would give y A x <= y b + 1e-7 ||y||_1 < 0:
+HiGHS also calls every screened sample infeasible, and the verdict is the
+one the LP alone would give.  Every other sample is decided by HiGHS.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -157,6 +170,14 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
+_SCREEN_MARGIN = 1e-6  # times ||y||_1; HiGHS's row tolerance is 1e-7
+_BANK_CAP = 64  # certificates per membership check
+# Phase-1 duals at or below this are taken as zero; the rest are rounded
+# to fractions with denominators up to _DUAL_DENOMINATOR.
+_DUAL_ZERO = 1e-9
+_DUAL_DENOMINATOR = 10**6
+
+
 class _GdsMembership:
     """Containment of a rate pair in the data-sharing region, checked as
     feasibility of the auxiliary-rate polytope via linear programming.
@@ -165,6 +186,15 @@ class _GdsMembership:
     right-hand sides change.  "Contained with slack > eps" means some
     auxiliary-rate vector satisfies every rate constraint with slack above
     eps (the nonnegativity bounds are structural and not tightened).
+
+    `contains_screened` puts a bank of Farkas certificates in front of the
+    LP.  A certificate is an integer vector y >= 0 whose y A >= 0 was checked
+    in exact rationals on the system's own coefficients; it proves a right-
+    hand side b infeasible when y @ b < -1e-6 * ||y||_1.  That margin is ten
+    times HiGHS's row tolerance, so HiGHS would call every screened b
+    infeasible too.  Certificates come from the duals of a phase-1 LP on
+    samples that HiGHS found infeasible, at most `_BANK_CAP` of them per
+    instance.
     """
 
     def __init__(self):
@@ -178,6 +208,7 @@ class _GdsMembership:
         self.B = np.zeros((n, len(self.atoms)))
         self.c0 = np.zeros(n)
         self.r_coef = np.zeros((n, 2))
+        self.A_exact = [[Fraction(0)] * len(self.aux) for _ in range(n)]
         for i, c in enumerate(self.system.constraints):
             for k, q in c.lhs:
                 if k == "R1":
@@ -186,20 +217,80 @@ class _GdsMembership:
                     self.r_coef[i, 1] = float(q)
                 else:
                     self.A[i, v_idx[k]] = float(q)
+                    self.A_exact[i][v_idx[k]] = q
             self.c0[i] = float(c.rhs.const)
             for name, q in c.rhs.terms:
                 self.B[i, a_idx[name]] = float(q)
+        self.certificates = np.zeros((0, n))
+        self.screened = 0
 
     def valuation(self, pmf: JointPmf, caps: dict[str, float]) -> np.ndarray:
         vals = discrete.atom_valuation(pmf, self.atoms, constants=caps)
         return np.array([vals[a] for a in self.atoms])
 
+    def rhs(self, atom_vec: np.ndarray, r1: float, r2: float,
+            slack: float = 0.0) -> np.ndarray:
+        """Right-hand side b of ``A x <= b`` at the rate pair (r1, r2)."""
+        return self.B @ atom_vec + self.c0 - self.r_coef @ np.array([r1, r2]) - slack
+
     def contains(self, atom_vec: np.ndarray, r1: float, r2: float,
                  slack: float = 0.0) -> bool:
-        b = self.B @ atom_vec + self.c0 - self.r_coef @ np.array([r1, r2]) - slack
+        b = self.rhs(atom_vec, r1, r2, slack)
         res = linprog(np.zeros(len(self.aux)), A_ub=self.A, b_ub=b,
                       bounds=[(0, None)] * len(self.aux), method="highs")
         return res.status == 0
+
+    def screens(self, b: np.ndarray) -> bool:
+        """True when a banked certificate proves ``A x <= b`` infeasible."""
+        bank = self.certificates
+        return bool(np.any(bank @ b < -_SCREEN_MARGIN * bank.sum(axis=1)))
+
+    def admit(self, y: np.ndarray, b: np.ndarray) -> bool:
+        """Bank candidate y if, once rounded to coprime integers, it passes
+        y A >= 0 in exact rationals and screens b; returns whether it did."""
+        if len(self.certificates) >= _BANK_CAP:
+            return False
+        fracs = [Fraction(float(v)).limit_denominator(_DUAL_DENOMINATOR)
+                 if v > _DUAL_ZERO else Fraction(0) for v in y]
+        scale = math.lcm(*(f.denominator for f in fracs))
+        ints = [int(f * scale) for f in fracs]
+        common = math.gcd(*ints)
+        if common == 0 or max(ints) // common >= 2**53:
+            return False
+        ints = [v // common for v in ints]
+        support = [i for i, v in enumerate(ints) if v]
+        for j in range(len(self.aux)):
+            if sum(ints[i] * self.A_exact[i][j] for i in support) < 0:
+                return False
+        cert = np.array(ints, dtype=float)
+        if not cert @ b < -_SCREEN_MARGIN * cert.sum():
+            return False
+        self.certificates = np.vstack([self.certificates, cert])
+        return True
+
+    def learn(self, b: np.ndarray) -> bool:
+        """Bank a certificate for an infeasible b from the duals of the
+        phase-1 LP  min t  s.t.  A x - t 1 <= b,  x >= 0,  t free."""
+        if len(self.certificates) >= _BANK_CAP:
+            return False
+        n, k = self.A.shape
+        res = linprog(np.r_[np.zeros(k), 1.0], A_ub=np.c_[self.A, -np.ones(n)],
+                      b_ub=b, bounds=[(0, None)] * k + [(None, None)],
+                      method="highs")
+        return res.status == 0 and self.admit(-res.ineqlin.marginals, b)
+
+    def contains_screened(self, atom_vec: np.ndarray, r1: float, r2: float,
+                          slack: float = 0.0) -> bool:
+        """`contains`, with the certificate bank deciding the samples it can
+        prove infeasible and learning from the LP's other misses."""
+        b = self.rhs(atom_vec, r1, r2, slack)
+        if self.screens(b):
+            self.screened += 1
+            return False
+        if self.contains(atom_vec, r1, r2, slack):
+            return True
+        self.learn(b)
+        return False
 
 
 def example2_run(samples: int = 10_000, seed: int = 0,
@@ -222,7 +313,7 @@ def example2_run(samples: int = 10_000, seed: int = 0,
     for _ in range(samples):
         pmf = random_gds_pmf_zchannel(rng)
         vec = member.valuation(pmf, caps)
-        if member.contains(vec, 1.0, 1.0, slack=slack):
+        if member.contains_screened(vec, 1.0, 1.0, slack=slack):
             hits += 1
     verdict = "failed"
     if part_a and hits == 0:
@@ -230,5 +321,6 @@ def example2_run(samples: int = 10_000, seed: int = 0,
     values = {"compression_member": bool(part_a),
               "compression_min_slack": part_a_slack,
               "gds_samples": samples, "gds_hits": hits, "slack": slack,
-              "seed": seed}
+              "seed": seed, "gds_screened": member.screened,
+              "gds_certificates": len(member.certificates)}
     return ExampleReport("z-interference", values, verdict)

@@ -210,3 +210,29 @@ def test_fme_cap_guard():
     sys_ = ConstraintSystem(names, cons)
     with pytest.raises(polytope.FMEBlowupError):
         eliminate_all(sys_, names, max_constraints=50)
+
+
+def test_regions_equal_sampled_nan_rhs_raises():
+    # I(U;Y1) = I(U;V) = inf leaves the right-hand side inf - inf: the region
+    # is undefined, so it must not "agree" with the empty region R1 <= -1
+    undefined = system_of("1*R1 + 1*R2 <= 1*C1 + 1*I(U;Y1) - 1*I(U;V)\n")
+    empty = ConstraintSystem(["R1", "R2"])
+    empty.add({"R1": 1}, AffineExpr.constant(-1))
+    finite = {"C1": 1.0, "I(U;Y1)": 1.0, "I(U;V)": 1.0}
+    assert not regions_equal_sampled(undefined, empty, [finite],
+                                     n_points=100, seed=0)["agree"]
+    with pytest.raises(ValueError):
+        regions_equal_sampled(undefined, empty,
+                              [finite | {"I(U;Y1)": np.inf, "I(U;V)": np.inf}],
+                              n_points=100, seed=0)
+
+
+def test_regions_equal_sampled_inf_rhs_is_vacuous():
+    a = system_of("1*R1 <= 1*C1\n1*R1 <= 1*I(U;Y1)\n")
+    b = system_of("1*R1 <= 1*C1\n")
+    rep = regions_equal_sampled(a, b, [{"C1": 2.0, "I(U;Y1)": np.inf}],
+                                n_points=300, seed=0)
+    assert rep["agree"]
+    rep = regions_equal_sampled(a, b, [{"C1": 2.0, "I(U;Y1)": 1.0}],
+                                n_points=300, seed=0)
+    assert not rep["agree"]

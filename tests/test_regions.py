@@ -349,3 +349,18 @@ def test_inf_minus_inf_makes_the_region_undefined():
     one_d = polytope.ConstraintSystem(["R1"])
     one_d.add({"R1": 1}, polytope.AffineExpr.make({"C1": 1, "I(U;V)": 1, "I(U;Y1)": -1}))
     assert regions.max_single_rate(one_d, val) == 0.0
+
+
+def test_corollary3_nan_side_condition_is_infeasible():
+    val = {}
+    for lhs, rhs in regions.corollary3_side_conditions():
+        val[lhs.name] = 5.0
+        for r in rhs:
+            val[r.name] = 1.0
+    assert not regions.corollary3_feasible(val)
+    for lhs, _ in regions.corollary3_side_conditions():
+        val[lhs.name] = np.nan
+    assert not regions.corollary3_feasible(val)
+    for lhs, _ in regions.corollary3_side_conditions():
+        val[lhs.name] = 0.5
+    assert regions.corollary3_feasible(val)

@@ -1,8 +1,11 @@
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cranbounds import discrete, verify
 from cranbounds.discrete import Channel
@@ -113,3 +116,125 @@ def test_package_imports_without_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["confirmed", "linprog needs scipy"]
+
+
+ZCAPS = {"C1": 1.0, "C2": 1.0, "C12": 0.0, "C21": 0.0}
+RATE_PAIRS = [(0.0, 0.0), (0.3, 0.3), (0.6, 0.2), (1.0, 1.0)]
+
+
+def _banked_member(samples=12, seed=0):
+    """A membership check whose bank was filled from earlier samples."""
+    member = verify._GdsMembership()
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        vec = member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS)
+        for r1, r2 in RATE_PAIRS:
+            member.contains_screened(vec, r1, r2, slack=1e-6)
+    return member
+
+
+def _exactly_sound(member, y):
+    """y A >= 0 over the auxiliary rates, in the system's own rationals."""
+    cols = {v: Fraction(0) for v in member.aux}
+    for yi, c in zip(y, member.system.constraints):
+        for k, q in c.lhs:
+            if k in cols:
+                cols[k] += int(yi) * q
+    return all(v >= 0 for v in cols.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2**32), st.sampled_from([0.0, 1e-6]))
+def test_screened_decision_equals_lp_only_oracle(seed, slack):
+    member = _banked_member()
+    assert len(member.certificates) > 0
+    rng = np.random.default_rng(seed)
+    screened_before = member.screened
+    for _ in range(3):
+        vec = member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS)
+        for r1, r2 in RATE_PAIRS:
+            assert (member.contains_screened(vec, r1, r2, slack)
+                    == member.contains(vec, r1, r2, slack)), (r1, r2)
+    assert member.screened > screened_before
+
+
+def test_banked_certificates_are_exact_integer_farkas_vectors():
+    member = _banked_member(samples=40)
+    assert 0 < len(member.certificates) <= verify._BANK_CAP
+    for y in member.certificates:
+        assert np.all(y >= 0) and np.array_equal(y, np.round(y))
+        assert _exactly_sound(member, y)
+
+
+def test_bank_refuses_unsound_certificate():
+    member = verify._GdsMembership()
+    rows = [c.lhs for c in member.system.constraints]
+    # a covering row -Ru0 - Ru1 <= ... plus the packing row Ru0 <= ...
+    # leaves one negative column of y A: -Ru1
+    cover = rows.index(next(r for r in rows if dict(r) == {"Ru0": -1, "Ru1": -1}))
+    pack = rows.index(next(r for r in rows if dict(r) == {"Ru0": 1}))
+    y = np.zeros(len(rows))
+    y[[cover, pack]] = 1.0
+    assert (y @ member.A).min() == -1.0
+    b = -np.ones(len(rows))  # y screens b, so only y A >= 0 can refuse it
+    assert not member.admit(y, b)
+    assert len(member.certificates) == 0
+    # the certificate the bank learns is admitted; nudged towards the
+    # covering row it loses exactness and is refused
+    rng = np.random.default_rng(0)
+    vec = member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS)
+    b = member.rhs(vec, 1.0, 1.0, 1e-6)
+    assert member.learn(b)
+    good = member.certificates[0]
+    nudged = good.copy()
+    nudged[cover] += 1e-3
+    assert not member.admit(nudged, b)
+    assert not member.admit(good, -b)  # sound, but proves nothing about -b
+    assert len(member.certificates) == 1
+
+
+def test_example2_run_matches_lp_only_loop():
+    samples, seed, slack = 120, 11, 1e-6
+    rep = verify.example2_run(samples=samples, seed=seed, slack=slack)
+    member = verify._GdsMembership()
+    rng = np.random.default_rng(seed)
+    hits = sum(member.contains(member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS),
+                               1.0, 1.0, slack=slack)
+               for _ in range(samples))
+    assert rep.values["gds_hits"] == hits
+    assert rep.verdict == ("sampled-consistent" if hits == 0 else "failed")
+    assert rep.values["gds_screened"] > 0
+    assert rep.values["gds_certificates"] > 0
+
+
+def test_full_bank_sends_every_sample_to_the_lp(monkeypatch):
+    monkeypatch.setattr(verify, "_BANK_CAP", 0)
+    calls = []
+    real = verify.linprog
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "linprog", counting_linprog)
+    rep = verify.example2_run(samples=10, seed=3)
+    assert rep.values["gds_screened"] == 0
+    assert rep.values["gds_certificates"] == 0
+    assert rep.values["gds_hits"] == 0
+    assert len(calls) == 10
+
+
+def test_screen_threshold_is_a_millionth_of_the_l1_norm():
+    member = verify._GdsMembership()
+    rng = np.random.default_rng(0)
+    vec = member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS)
+    assert member.learn(member.rhs(vec, 1.0, 1.0))
+    y = member.certificates[0]
+    b = member.rhs(vec, 1.0, 1.0)
+
+    def at_margin(tau):  # b moved along y until y @ b = -tau * ||y||_1
+        return b - (y @ b + tau * y.sum()) * y / (y @ y)
+
+    assert member.screens(at_margin(2e-6))
+    assert not member.screens(at_margin(0.5e-6))
+    assert not member.screens(at_margin(-1.0))
