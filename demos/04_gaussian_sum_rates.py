@@ -7,7 +7,7 @@ cooperation (T = 2) the data-sharing family dominates compression at every
 grid point; the common-codeword scheme alone follows min(C+T, 2C, Rsum*).
 """
 
-from cranbounds import CranNetwork, OptimizerBudget, rsum_star, sweep_rows
+from cranbounds import CranNetwork, rsum_star, sweep_rows
 
 P, g12, g21, T = 100.0, 0.5, -0.5, 2.0
 config = {
@@ -19,9 +19,8 @@ config = {
     "budget": {"restarts": 3, "iters": 1500},
 }
 
-star = rsum_star(CranNetwork.make(config["G"], P, [1.0, 1.0]),
-                 OptimizerBudget(restarts=16, seed=7))
-print(f"second-hop sum capacity (infinite fronthaul): {star:.4f} bits\n")
+star = rsum_star(CranNetwork.make(config["G"], P, [1.0, 1.0]))
+print(f"second-hop sum capacity (infinite fronthaul, Sato's bound): {star:.4f} bits\n")
 
 rows = sweep_rows(config)
 schemes = config["schemes"]

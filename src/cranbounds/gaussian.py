@@ -270,14 +270,16 @@ class CranNetwork:
         G = np.atleast_2d(np.asarray(G, dtype=float))
         L, N = G.shape
         P = float(P)
-        if P < 0:
-            raise ValueError("power must be nonnegative")
         C = np.asarray(C, dtype=float).reshape(N)
-        if C.min() < 0:
-            raise ValueError("fronthaul capacities must be nonnegative")
         if Ccoop is None:
             Ccoop = np.zeros((N, N))
         Ccoop = np.asarray(Ccoop, dtype=float).reshape(N, N)
+        if not all(np.isfinite(v).all() for v in (G, P, C, Ccoop)):
+            raise ValueError("channel gains, power and capacities must be finite")
+        if P < 0:
+            raise ValueError("power must be nonnegative")
+        if C.min() < 0:
+            raise ValueError("fronthaul capacities must be nonnegative")
         if Ccoop.min() < 0:
             raise ValueError("cooperation capacities must be nonnegative")
         if np.any(np.diag(Ccoop) != 0):

@@ -5,12 +5,15 @@ variables, turns it into a joint covariance, evaluates the matching rate
 region through the shared atom machinery, and extracts the maximum sum
 rate.  Optimization is seeded multistart plus coordinate pattern search;
 covariances are parameterized through lower-triangular factors so PSD
-holds by construction, and per-BS power is enforced by projection.
+holds by construction, and per-BS power is enforced by projection.  The
+second-hop sum capacity `rsum_star` is not searched: it is Sato's bound,
+closed form up to a one-dimensional convex minimisation.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,10 +45,6 @@ __all__ = [
 ]
 
 GAUSSIAN_SCHEMES = ("GDS-I", "GDS-II", "GDS-III", "GCOMP")
-
-
-def _psd_from_factor(L: np.ndarray) -> np.ndarray:
-    return L @ L.T
 
 
 def _check_psd(m: np.ndarray, what: str, tol: float = 1e-8):
@@ -293,17 +292,9 @@ def scheme_sumrate(scheme: str, params, network: CranNetwork) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _tril_to_vec(n: int):
-    return [(i, j) for i in range(n) for j in range(i + 1)]
-
-
-_TRIL2 = _tril_to_vec(2)
-
-
 def _vec_to_psd(vec) -> np.ndarray:
-    L = np.zeros((2, 2))
-    for (i, j), v in zip(_TRIL2, vec):
-        L[i, j] = v
+    """L L^T for the lower-triangular factor L with entries (l11, l21, l22)."""
+    L = np.array([[vec[0], 0.0], [vec[1], vec[2]]])
     return L @ L.T
 
 
@@ -464,55 +455,59 @@ def optimize_scheme(scheme: str, network: CranNetwork,
 # ---------------------------------------------------------------------------
 
 
-def _dpc_sum_rate(network: CranNetwork, K1: np.ndarray, K2: np.ndarray,
-                  order: int) -> float:
-    """Dirty-paper sum rate for one encoding order; the cleanly precoded
-    user sees only its own description."""
-    g1, g2 = network.G[0], network.G[1]
-    if order == 1:
-        g1, g2 = g2, g1
-        K1, K2 = K2, K1
-    s1 = float(g1 @ K1 @ g1)
-    n1 = float(g1 @ K2 @ g1)
-    r1 = 0.5 * np.log2(1.0 + s1 / (1.0 + n1))
-    r2 = 0.5 * np.log2(1.0 + float(g2 @ K2 @ g2))
-    return r1 + r2
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def rsum_star(network: CranNetwork,
-              budget: OptimizerBudget = OptimizerBudget(restarts=32)) -> float:
-    """Sum capacity of the second hop with unconstrained fronthaul: best
-    dirty-paper point over both encoding orders and over covariance splits
-    respecting the per-BS power constraint."""
+def rsum_star(network: CranNetwork) -> float:
+    """Sum capacity of the second hop with unconstrained fronthaul.
+
+    Sato's bound: receivers cooperating under noise N = [[1, r], [r, 1]]
+    get 1/2 log2 det(N + G S G^T) / det N, maximised over diag S <= P, and
+    the minimum over r is the sum capacity under per-BS power (Sato 1978;
+    Yu & Lan 2007).  The optimal S is [[P, c], [c, P]]; in the eigenbasis of
+    N the ratio is 1 + h+ S h+/(1+r) + h- S h-/(1-r) + det(G)^2 det S/(1-r^2)
+    with h+- = (g1 +- g2)/sqrt2, a concave quadratic in c.  Golden section
+    over the convex r-dependence returns the smallest bound it evaluates, so
+    the value never undercuts.  Equal (opposite) rows of G put the infimum
+    at r = 1 (-1); there h- (h+) is zero, so the search approaches the limit
+    with no cancellation and needs no special case.
+    """
     if network.G.shape != (2, 2):
         raise ValueError("rsum_star is defined for the 2-BS 2-user model")
     P = network.P
-    if P <= 0:
-        return 0.0
-    seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
-    step0 = budget.step0_scale * np.sqrt(P)
-    best = 0.0
-    for order in (0, 1):
-        def f(x):
-            K1, K2 = _scale_to_power([_vec_to_psd(x[0:3]), _vec_to_psd(x[3:6])], P)
-            return _dpc_sum_rate(network, K1, K2, order)
-        for r in range(budget.restarts):
-            rng = np.random.default_rng(seeds[r])
-            h = np.sqrt(P) / 2.0
-            x0 = np.array([h, 0, h, h, 0, h]) if r == 0 else rng.normal(0, 0.5 * np.sqrt(P), 6)
-            _, fx, _ = _pattern_search(f, x0, step0, budget.min_step, budget.iters)
-            best = max(best, fx)
-    return best
+    (g11, g12), (g21, g22) = network.G.tolist()
+    p1, p2, m1, m2 = g11 + g21, g12 + g22, g11 - g21, g12 - g22
+    pq, pl = 0.5 * P * (p1 * p1 + p2 * p2), p1 * p2
+    mq, ml = 0.5 * P * (m1 * m1 + m2 * m2), m1 * m2
+    det2 = (g11 * g22 - g12 * g21) ** 2
+
+    def excess(r: float) -> float:  # the ratio minus 1, maximised over c
+        a, b = 1.0 + r, 1.0 - r  # exact near r = -1 and r = 1, unlike 1 - r * r
+        lin, quad = pl / a + ml / b, det2 / (a * b)
+        c = min(P, max(-P, 0.5 * lin / quad)) if quad > 0.0 else math.copysign(P, lin)
+        return (pq + c * pl) / a + (mq + c * ml) / b + quad * (P * P - c * c)
+
+    lo, hi, best = -1.0, 1.0, math.inf
+    while True:
+        x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+        if not (lo < x1 < x2 < hi and hi - lo > 1e-15):
+            break
+        f1, f2 = excess(x1), excess(x2)
+        best = min(best, f1, f2)
+        lo, hi = (lo, x2) if f1 <= f2 else (x1, hi)
+    value = 0.5 * math.log1p(best) / math.log(2.0)
+    return value if value > 0.0 else 0.0
 
 
 def scheme_sum_cap(scheme: str, network: CranNetwork) -> float:
     """Provable upper bound on a scheme's sum rate from its fronthaul
-    budget constraints (used for early exit, so it must never undercut)."""
-    c_sum = float(network.C.sum())
+    budget constraints and the second-hop sum capacity (used for early
+    exit, so it must never undercut)."""
+    cap = min(float(network.C.sum()), rsum_star(network))
     if scheme == "GDS-I":
-        return min(c_sum, float(network.C[0] + network.Ccoop[0, 1]),
+        return min(cap, float(network.C[0] + network.Ccoop[0, 1]),
                    float(network.C[1] + network.Ccoop[1, 0]))
-    return c_sum
+    return cap
 
 
 def gds_timeshare_sumrate(network: CranNetwork,
@@ -537,8 +532,9 @@ def sweep_rows(config: dict) -> list[dict]:
     budget {restarts, iters}.  Within one (scheme, T) pair the refined
     parameters found at every grid point are shared: each C reports the best
     sum rate over the whole pool, which preserves monotonicity in C.
-    Every grid point gets its own derived seed.  Returns rows sorted by
-    (C, T, scheme).
+    Every grid point gets its own derived seed.  The `cutset` column is
+    min(2C, rsum_star), a certified upper bound that does not depend on the
+    seed or the budget.  Returns rows sorted by (C, T, scheme).
     """
     P = float(config["P"])
     G = np.asarray(config["G"], dtype=float)
@@ -564,8 +560,7 @@ def sweep_rows(config: dict) -> list[dict]:
     if unknown:
         raise ValueError(f"unknown schemes {unknown}")
 
-    star = rsum_star(CranNetwork.make(G, P, [c_grid[0], c_grid[0]]),
-                     OptimizerBudget(restarts=max(32, restarts), iters=iters, seed=seed))
+    star = rsum_star(CranNetwork.make(G, P, [c_grid[0], c_grid[0]]))
 
     def optimize_point(scheme: str, ti: int, si: int, ci: int, T: float, C: float):
         net = CranNetwork.make(G, P, [C, C], [[0.0, T], [T, 0.0]])

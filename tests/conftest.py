@@ -1,10 +1,12 @@
-"""Shared fixtures: the full data-sharing system, its projections, and
-random pmf scenario builders for each correlation structure."""
+"""Shared fixtures: the full data-sharing system, its projections,
+random pmf scenario builders for each correlation structure, and the
+random Gaussian networks of acceptance criterion 1."""
 
 import numpy as np
 import pytest
 
 from cranbounds import discrete, regions
+from cranbounds.gaussian import CranNetwork
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +19,20 @@ def projections(theorem1):
     """Symbolic projections for the substitutions that stay tractable."""
     return {name: regions.gds_project(theorem1, name)
             for name in ("scheme-I", "scheme-III", "cor4", "cor5")}
+
+
+def criterion1_networks():
+    """The 20 random symmetric networks of acceptance criterion 1."""
+    rng = np.random.default_rng(1001)
+    nets = []
+    for _ in range(20):
+        P = float(rng.uniform(0.5, 50.0))
+        g = float(rng.uniform(-1.0, 1.0))
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        C = float(rng.uniform(0.2, 4.0))
+        T = float(rng.uniform(0.0, 2.0))
+        nets.append(CranNetwork.symmetric(P, g, sign * g, C, T))
+    return nets
 
 
 def rand_caps(rng, hi=2.5):

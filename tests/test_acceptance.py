@@ -6,11 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (rand_caps, scenario_cor4, scenario_cor5, scenario_gcomp,
-                      scenario_scheme1, scenario_scheme2, scenario_scheme3)
+from conftest import (criterion1_networks, rand_caps, scenario_cor4, scenario_cor5,
+                      scenario_gcomp, scenario_scheme1, scenario_scheme2,
+                      scenario_scheme3)
 from cranbounds import discrete, gapaudit, polytope, regions, schemes, verify
 from cranbounds.discrete import Channel
-from cranbounds.gaussian import CranNetwork
 from cranbounds.schemes import OptimizerBudget
 
 
@@ -22,17 +22,11 @@ def report(criterion: str, ok: bool, detail: str):
 def test_criterion_1_gds1_closed_form():
     """Optimized common-codeword sum rate equals min(C+T, 2C, Rsum*) on 20
     random symmetric instances, within 1e-3 bits, under 60 s total."""
-    rng = np.random.default_rng(1001)
     t0 = time.monotonic()
     worst = 0.0
-    for k in range(20):
-        P = float(rng.uniform(0.5, 50.0))
-        g = float(rng.uniform(-1.0, 1.0))
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        C = float(rng.uniform(0.2, 4.0))
-        T = float(rng.uniform(0.0, 2.0))
-        net = CranNetwork.symmetric(P, g, sign * g, C, T)
-        star = schemes.rsum_star(net, OptimizerBudget(restarts=12, seed=2000 + k))
+    for k, net in enumerate(criterion1_networks()):
+        C, T = float(net.C[0]), float(net.Ccoop[0, 1])
+        star = schemes.rsum_star(net)
         ev = schemes.optimize_scheme(
             "GDS-I", net, OptimizerBudget(restarts=6, seed=2000 + k),
             upper_bound=schemes.scheme_sum_cap("GDS-I", net))

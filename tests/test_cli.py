@@ -98,6 +98,16 @@ def test_sweep_requires_seed(tmp_path):
     assert run_cli(["sumrate-sweep", str(cfg)]) == 2
 
 
+def test_sweep_rejects_nan_power(tmp_path, capsys):
+    """json reads NaN; it used to reach the sweep and print cutset 0.000000."""
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"P": NaN, "G": [[1.0, 0.5], [0.5, 1.0]], "C_grid": [1.0], '
+                   '"schemes": ["GDS-I"], "seed": 0, "budget": {"restarts": 1, "iters": 5}}')
+    out = tmp_path / "out.csv"
+    assert run_cli(["sumrate-sweep", str(cfg), "-o", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_sweep_merges_reference_csv(tmp_path):
     cfg = sweep_config(tmp_path)
     ref = tmp_path / "ref.csv"

@@ -89,6 +89,20 @@ def test_capacity_logdet_values():
         capacity_logdet(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("bad", [
+    {"P": float("nan")}, {"P": float("inf")},
+    {"G": [[1.0, float("nan")], [0.5, 1.0]]}, {"G": [[1.0, 0.5], [-float("inf"), 1.0]]},
+    {"C": [float("nan"), 1.0]}, {"C": [1.0, float("inf")]},
+    {"Ccoop": [[0.0, float("nan")], [0.0, 0.0]]}, {"Ccoop": [[0.0, 0.0], [float("inf"), 0.0]]},
+])
+def test_network_rejects_non_finite_inputs(bad):
+    """NaN slips through `P < 0` and `C.min() < 0`; the old searched
+    rsum_star then returned 0.0 for it, and for P = inf."""
+    args = {"G": [[1.0, 0.5], [0.5, 1.0]], "P": 1.0, "C": [1.0, 1.0], "Ccoop": None}
+    args.update(bad)
+    with pytest.raises(ValueError, match="finite"):
+        CranNetwork.make(args["G"], args["P"], args["C"], args["Ccoop"])
+
 def test_sylvester_identity():
     rng = np.random.default_rng(2)
     for _ in range(15):
