@@ -2,7 +2,7 @@
 
 The package is organized around one idea: every rate region is a linear
 inequality system whose right-hand sides are symbolic information atoms.
-Regions project exactly (Fourier-Motzkin over rationals) and evaluate
+Regions project exactly (Fourier-Motzkin on integer rows) and evaluate
 numerically against atom valuations computed from finite-alphabet joint
 distributions or joint Gaussian covariances.
 """

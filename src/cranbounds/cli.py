@@ -134,6 +134,12 @@ def cmd_gap_audit(args) -> int:
     return 0 if report["all_pass"] else 1
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"want an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def cmd_fme(args) -> int:
     try:
         text = open(args.input).read()
@@ -214,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument("-e", "--eliminate", action="append",
                    help="variable(s) to eliminate; repeatable or comma separated")
-    p.add_argument("--max-constraints", type=int, default=100_000)
+    p.add_argument("--max-constraints", type=_positive_int, default=100_000)
     p.set_defaults(func=cmd_fme)
 
     p = sub.add_parser("verify-examples", help="run the benchmark topology checks")

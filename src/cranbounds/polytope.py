@@ -7,13 +7,19 @@ capacity constants).  All regions are kept in closure (non-strict) form.
 Atoms stay symbolic through Fourier-Motzkin projection; they are resolved
 to floats only when membership of a concrete point is tested against an
 atom valuation.
+
+Fourier-Motzkin elimination runs on exact integer rows: a constraint is
+scaled to a primitive tuple of Python ints over one column order (rate
+variables, atoms, constant), and the set of input rows it derives from
+(Kohler's redundancy rule) is an int bitmask.  Rows become
+`LinearConstraint`s again only when a projection is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -62,25 +68,8 @@ class AffineExpr:
     def constant(c) -> "AffineExpr":
         return AffineExpr.make({}, c)
 
-    @staticmethod
-    def atom(name, coeff=1) -> "AffineExpr":
-        return AffineExpr.make({name: Q(coeff)})
-
     def as_dict(self) -> dict[str, Fraction]:
         return dict(self.terms)
-
-    def __add__(self, other: "AffineExpr") -> "AffineExpr":
-        t = self.as_dict()
-        for k, v in other.terms:
-            t[k] = t.get(k, ZERO) + v
-        return AffineExpr.make(t, self.const + other.const)
-
-    def __sub__(self, other: "AffineExpr") -> "AffineExpr":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "AffineExpr":
-        c = Q(c)
-        return AffineExpr.make({k: v * c for k, v in self.terms}, self.const * c)
 
     def atoms(self) -> set[str]:
         return {k for k, _ in self.terms}
@@ -109,23 +98,15 @@ class AffineExpr:
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """``sum_v lhs[v]*v <= rhs`` with exact rational coefficients.
-
-    `history` tracks which constraints of an elimination run combined into
-    this one (Kohler's redundancy rule); it does not affect equality.
-    """
+    """``sum_v lhs[v]*v <= rhs`` with exact rational coefficients."""
 
     lhs: tuple[tuple[str, Fraction], ...]
     rhs: AffineExpr
-    history: frozenset = field(default=None, compare=False, hash=False)
 
     @staticmethod
-    def make(lhs, rhs: AffineExpr, history=None) -> "LinearConstraint":
+    def make(lhs, rhs: AffineExpr) -> "LinearConstraint":
         t = _clean({k: Q(v) for k, v in dict(lhs).items()})
-        return LinearConstraint(tuple(sorted(t.items())), rhs, history)
-
-    def lhs_dict(self) -> dict[str, Fraction]:
-        return dict(self.lhs)
+        return LinearConstraint(tuple(sorted(t.items())), rhs)
 
     def coeff(self, var: str) -> Fraction:
         return dict(self.lhs).get(var, ZERO)
@@ -136,40 +117,12 @@ class LinearConstraint:
     def atoms(self) -> set[str]:
         return self.rhs.atoms()
 
-    def scale(self, c) -> "LinearConstraint":
-        c = Q(c)
-        if c <= 0:
-            raise ValueError("constraints may only be scaled by positive rationals")
-        return LinearConstraint.make({k: v * c for k, v in self.lhs},
-                                     self.rhs.scale(c), self.history)
-
-    def normalized(self) -> "LinearConstraint":
-        """Canonical representative under positive rescaling.
-
-        The scale is chosen so the left-hand side (or, for pure atom
-        relations, the atom terms) becomes a primitive integer vector.
-        Constraints that differ only in their constant then share the same
-        normalized head, which lets duplicate detection keep the tightest.
-        """
-        for basis in ([v for _, v in self.lhs],
-                      [v for _, v in self.rhs.terms],
-                      [self.rhs.const]):
-            basis = [f for f in basis if f != 0]
-            if basis:
-                break
-        else:
-            return self
-        lcm = 1
-        for f in basis:
-            d = f.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        g = 0
-        for f in basis:
-            g = gcd(g, abs((f * lcm).numerator))
-        return self.scale(Q(lcm, g))
-
     def key(self):
-        c = self.normalized()
+        """Canonical form under positive rescaling: the left-hand side (or,
+        for pure atom relations, the atom terms) as a primitive integer
+        vector, then the atom terms and the constant."""
+        cols = _Columns(ConstraintSystem([k for k, _ in self.lhs], [self]))
+        c = cols.constraint(cols.row(self))
         return (c.lhs, c.rhs.terms, c.rhs.const)
 
     def __str__(self) -> str:
@@ -232,38 +185,107 @@ class ConstraintSystem:
         return format_system(self)
 
 
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin kernel.  A row is a tuple of ints over the columns of a
+# `_Columns` -- rate variables, atoms, then the constant -- standing for
+# ``sum row[:nv]*vars <= sum row[nv:-1]*atoms + row[-1]``.
+# ---------------------------------------------------------------------------
+
+
+class _Columns:
+    """The fixed column order of one system's integer rows."""
+
+    def __init__(self, system: ConstraintSystem):
+        self.variables, self.atoms = list(system.variables), sorted(system.atoms())
+        self.nv = len(self.variables)
+        self.col = {v: i for i, v in enumerate(self.variables)}
+        self.atom_col = {a: self.nv + i for i, a in enumerate(self.atoms)}
+
+    def row(self, c: LinearConstraint) -> tuple[int, ...]:
+        """`c` scaled to a primitive integer row."""
+        fr = [ZERO] * (self.nv + len(self.atoms)) + [c.rhs.const]
+        for k, q in c.lhs:
+            fr[self.col[k]] = q
+        for k, q in c.rhs.terms:
+            fr[self.atom_col[k]] = q
+        m = lcm(*(f.denominator for f in fr))
+        ints = [f.numerator * (m // f.denominator) for f in fr]
+        g = gcd(*ints)
+        return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+    def constraint(self, row) -> LinearConstraint:
+        """Back to a constraint, scaled so its left-hand side (else its atom
+        terms, else its constant) is a primitive integer vector."""
+        nv = self.nv
+        g = gcd(*row[:nv]) or gcd(*row[nv:-1]) or abs(row[-1]) or 1
+        lhs = sorted((self.variables[i], Q(x, g)) for i, x in enumerate(row[:nv]) if x)
+        terms = sorted((self.atoms[i], Q(x, g)) for i, x in enumerate(row[nv:-1]) if x)
+        return LinearConstraint(tuple(lhs), AffineExpr(tuple(terms), Q(row[-1], g)))
+
+    def system(self, variables, rows) -> ConstraintSystem:
+        return ConstraintSystem(variables, [self.constraint(r) for r, _, _ in rows])
+
+
 class _Reducer:
-    """Streaming duplicate/dominance filter keyed on normalized constraint
-    heads (lhs direction plus atom terms); keeps the tightest constant."""
+    """Rows deduplicated by head, the non-constant part divided by its gcd,
+    in first-insertion order.  Per head the tighter constant wins (compared
+    by cross-multiplication); on a tie the newer row wins unless its
+    history has more bits.  Tautologies ``0 <= c`` with c >= 0 are dropped.
+    """
 
     def __init__(self):
-        self.best: dict[tuple, LinearConstraint] = {}
-        self.order: list[tuple] = []
+        self.best: dict[tuple, tuple] = {}  # head -> (row, history, gcd of head)
 
-    @staticmethod
-    def _better(a: LinearConstraint, b: LinearConstraint) -> LinearConstraint:
-        if a.rhs.const != b.rhs.const:
-            return a if a.rhs.const < b.rhs.const else b
-        ha = len(a.history) if a.history is not None else 0
-        hb = len(b.history) if b.history is not None else 0
-        return a if ha <= hb else b
+    def add(self, row: tuple, hist: int = 0):
+        head = row[:-1]
+        g = gcd(*head)
+        if g == 0:
+            if row[-1] >= 0:
+                return
+            g, row = 1, head + (-1,)
+        elif g > 1:
+            head = tuple(x // g for x in head)
+        old = self.best.get(head)
+        if old is not None:
+            d = row[-1] * old[2] - old[0][-1] * g
+            if d > 0 or (d == 0 and hist.bit_count() > old[1].bit_count()):
+                return
+        h = gcd(g, row[-1])
+        if h > 1:
+            row, g = tuple(x // h for x in row), g // h
+        self.best[head] = (row, hist, g)
 
-    def add(self, c: LinearConstraint):
-        n = c.normalized()
-        if not n.lhs and not n.rhs.terms and n.rhs.const >= 0:
-            return
-        head = (n.lhs, n.rhs.terms)
-        if head in self.best:
-            self.best[head] = self._better(n, self.best[head])
+
+def _eliminate_column(rows, j: int, var: str, max_constraints: int, max_history: int):
+    """One Fourier-Motzkin step on column j of (row, history, _) triples.
+
+    Every upper row (positive in column j) combines with every lower row
+    as ``b*up + a*lo``, where a and -b are their column-j entries; rows
+    without column j carry over first.  A pairing whose joint history has
+    more than `max_history` bits is skipped before its row is built.
+    """
+    out = _Reducer()
+    uppers, lowers = [], []
+    for row, hist, _ in rows:
+        a = row[j]
+        if a > 0:
+            uppers.append((row, hist, a))
+        elif a < 0:
+            lowers.append((row, hist, -a))
         else:
-            self.best[head] = n
-            self.order.append(head)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def system(self, variables) -> ConstraintSystem:
-        return ConstraintSystem(list(variables), [self.best[h] for h in self.order])
+            out.add(row, hist)
+    best = out.best
+    for up, hu, a in uppers:
+        for lo, hl, b in lowers:
+            hist = hu | hl
+            if hist.bit_count() > max_history:
+                continue
+            out.add(tuple(b * x + a * y for x, y in zip(up, lo)), hist)
+            if len(best) > max_constraints:
+                raise FMEBlowupError(
+                    f"eliminating {var!r} produced more than "
+                    f"{max_constraints} distinct constraints")
+    return out.best.values()
 
 
 def syntactic_reduce(system: ConstraintSystem) -> ConstraintSystem:
@@ -274,97 +296,66 @@ def syntactic_reduce(system: ConstraintSystem) -> ConstraintSystem:
     Never changes the solution set for any valuation: only constraints whose
     redundancy is visible without knowing atom values are removed.
     """
-    red = _Reducer()
+    cols, red = _Columns(system), _Reducer()
     for c in system.constraints:
-        red.add(c)
-    return red.system(system.variables)
+        red.add(cols.row(c))
+    return cols.system(list(system.variables), red.best.values())
 
 
 def fme_eliminate(system: ConstraintSystem, var: str,
-                  max_constraints: int = DEFAULT_FME_CAP,
-                  max_history: int | None = None) -> ConstraintSystem:
+                  max_constraints: int = DEFAULT_FME_CAP) -> ConstraintSystem:
     """Project out one rate variable by Fourier-Motzkin elimination.
 
     Standard pairing of upper bounds (positive coefficient on `var`) with
     lower bounds (negative coefficient); var-free constraints carry over.
-    Exact rational arithmetic throughout.  Raises FMEBlowupError if the
-    intermediate system would exceed `max_constraints`.  When `max_history`
-    is set, pairings whose combined derivation history exceeds it are
-    skipped (Kohler's redundancy criterion; only sound when the caller
-    seeded histories at the start of an elimination sequence).
+    Raises FMEBlowupError if the result would exceed `max_constraints`.
+    Kohler's rule prunes nothing in a single step: every combined row
+    derives from exactly two input rows.
     """
-    if var not in system.variables:
-        raise KeyError(f"unknown variable {var!r}")
-    uppers, lowers, rest = [], [], []
-    for c in system.constraints:
-        a = c.coeff(var)
-        if a > 0:
-            uppers.append(c.scale(Q(1, 1) / a))
-        elif a < 0:
-            lowers.append(c.scale(Q(-1, 1) / a))
-        else:
-            rest.append(c)
-    red = _Reducer()
-    for c in rest:
-        red.add(c)
-    for up in uppers:
-        up_lhs = up.lhs_dict()
-        up_lhs.pop(var, None)
-        for lo in lowers:
-            # up: var + u(x) <= e_u ; lo: -var + l(x) <= e_l  =>  u+l <= e_u+e_l
-            hist = None
-            if up.history is not None and lo.history is not None:
-                hist = up.history | lo.history
-                if max_history is not None and len(hist) > max_history:
-                    continue
-            lhs = dict(up_lhs)
-            for k, q in lo.lhs:
-                if k == var:
-                    continue
-                lhs[k] = lhs.get(k, ZERO) + q
-            red.add(LinearConstraint.make(lhs, up.rhs + lo.rhs, hist))
-            if len(red) > max_constraints:
-                raise FMEBlowupError(
-                    f"eliminating {var!r} produced more than "
-                    f"{max_constraints} distinct constraints")
-    return red.system([v for v in system.variables if v != var])
+    return eliminate_all(system, [var], max_constraints)
 
 
 def eliminate_all(system: ConstraintSystem, drop_vars,
                   max_constraints: int = DEFAULT_FME_CAP,
                   greedy: bool = True) -> ConstraintSystem:
-    """Eliminate several variables.
+    """Eliminate several variables, in exact integer arithmetic.
 
     `greedy` picks, at each step, the variable with the fewest upper*lower
     pairings.  Constraints derived from more than s+1 of the starting
     inequalities after s eliminations are redundant (Kohler's criterion)
     and are pruned, which is what keeps multi-variable projections of the
-    covering/packing systems tractable.
+    covering/packing systems tractable.  With nothing to eliminate the
+    system is returned as given.
     """
     remaining = list(drop_vars)
-    for v in remaining:
+    for i, v in enumerate(remaining):
+        if v in remaining[:i]:
+            raise ValueError(f"variable {v!r} is listed twice for elimination")
         if v not in system.variables:
             raise KeyError(f"unknown variable {v!r}")
-    sys_ = ConstraintSystem(
-        list(system.variables),
-        [LinearConstraint(c.lhs, c.rhs, frozenset([i]))
-         for i, c in enumerate(system.constraints)])
+    if max_constraints < 1:
+        raise ValueError(f"max_constraints must be at least 1, got {max_constraints}")
+    if not remaining:
+        return system.copy()
+    dropped = set(remaining)
+    cols = _Columns(system)
+    # input rows enter unreduced, each with its own history bit
+    rows = [(cols.row(c), 1 << i, None) for i, c in enumerate(system.constraints)]
     step = 0
     while remaining:
         if greedy and len(remaining) > 1:
             def cost(v):
-                nu = sum(1 for c in sys_.constraints if c.coeff(v) > 0)
-                nl = sum(1 for c in sys_.constraints if c.coeff(v) < 0)
+                j = cols.col[v]
+                nu = sum(1 for row, _, _ in rows if row[j] > 0)
+                nl = sum(1 for row, _, _ in rows if row[j] < 0)
                 return nu * nl - nu - nl
             v = min(remaining, key=cost)
         else:
             v = remaining[0]
         remaining.remove(v)
         step += 1
-        sys_ = fme_eliminate(sys_, v, max_constraints=max_constraints,
-                             max_history=step + 1)
-    return ConstraintSystem(list(sys_.variables),
-                            [LinearConstraint(c.lhs, c.rhs) for c in sys_.constraints])
+        rows = _eliminate_column(rows, cols.col[v], v, max_constraints, step + 1)
+    return cols.system([v for v in system.variables if v not in dropped], rows)
 
 
 def resolve_atoms(system: ConstraintSystem, valuation: dict[str, float]) -> ConstraintSystem:
@@ -380,7 +371,7 @@ def resolve_atoms(system: ConstraintSystem, valuation: dict[str, float]) -> Cons
                 const += q * vals[name]
             except KeyError:
                 raise KeyError(f"valuation missing atom {name!r}") from None
-        out.constraints.append(LinearConstraint(c.lhs, AffineExpr((), const), c.history))
+        out.constraints.append(LinearConstraint(c.lhs, AffineExpr((), const)))
     return out
 
 

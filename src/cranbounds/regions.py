@@ -265,9 +265,8 @@ def gds_project(system: ConstraintSystem, substitution: str | Substitution,
         specialized = resolve_atoms(specialized, valuation)
     for r in sub.eliminate:
         specialized.add({r: -1}, AffineExpr.constant(0))
-    projected = eliminate_all(specialized, list(sub.eliminate),
-                              max_constraints=max_constraints, greedy=True)
-    return syntactic_reduce(projected)
+    return eliminate_all(specialized, list(sub.eliminate),
+                         max_constraints=max_constraints, greedy=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cranbounds import cli
 from cranbounds.discrete import Channel, JointPmf
@@ -59,6 +61,34 @@ def test_fme_blowup_is_a_one_line_usage_error(tmp_path, capsys):
     assert rc == 2
     assert captured.err.strip().splitlines() == [
         "error: eliminating 'Ru1' produced more than 3 distinct constraints"]
+
+
+def test_fme_cor4_output_is_byte_identical(tmp_path):
+    # sha256 of the full output, header included, as first recorded
+    out = tmp_path / "proj.txt"
+    assert run_cli(["fme", "-i", str(GOLDEN / "cor4_input.txt"),
+                    "-e", "Ru1,Rv1", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "fca8ceaae5c9ea976e1bdc2c56fd6ea3fcd539719b09f06a1faa44cd94c47f0a")
+
+
+def test_fme_repeated_variable_is_a_usage_error(tmp_path, capsys):
+    rc = run_cli(["fme", "-i", str(GOLDEN / "cor4_input.txt"), "-e", "Ru1,Ru1",
+                  "-o", str(tmp_path / "out.txt")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.strip().splitlines() == [
+        "error: variable 'Ru1' is listed twice for elimination"]
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "-5", "x"])
+def test_fme_cap_below_one_is_a_usage_error(tmp_path, capsys, cap):
+    rc = run_cli(["fme", "-i", str(GOLDEN / "cor4_input.txt"), "-e", "Ru1",
+                  "--max-constraints", cap, "-o", str(tmp_path / "out.txt")])
+    assert rc == 2
+    assert "--max-constraints: want an integer of at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
 
 
 def sweep_config(tmp_path, **overrides):
