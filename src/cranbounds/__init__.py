@@ -17,21 +17,19 @@ from .gapaudit import (audit, audit_random_instances, cut_gap_formula,
 from .gaussian import (CranNetwork, JointCovariance, capacity_logdet, gauss_mi,
                        gauss_total_correlation, schur_conditional)
 from .gaussian import atom_valuation as gaussian_atom_valuation
-from .polytope import (AffineExpr, ConstraintSystem, FMEBlowupError,
-                       LinearConstraint, eliminate_all, fme_eliminate,
-                       format_system, is_member, min_slack, numeric_feasible,
-                       parse_system, regions_equal_sampled, resolve_atoms,
-                       syntactic_reduce)
-from .regions import (SUBSTITUTIONS, RegionSpec, Substitution,
+from .polytope import (AffineExpr, CompiledSystem, ConstraintSystem,
+                       FMEBlowupError, LinearConstraint, eliminate_all,
+                       fme_eliminate, format_system, is_member, min_slack,
+                       numeric_feasible, parse_system, regions_equal_sampled,
+                       resolve_atoms, syntactic_reduce)
+from .regions import (SUBSTITUTIONS, CompiledRegion, RegionSpec, Substitution,
                       apply_substitution, caps_valuation, corollary1_system,
                       corollary2_system, corollary3_feasible,
-                      corollary3_system, corollary4_region, corollary4_system,
-                      corollary5_rate, corollary5_system, cutset_region,
-                      cutset_symmetric_sumrate, ddf_p1_region, ddf_p1_system,
-                      gcomp_theorem2_region, gcomp_theorem2_system,
-                      gds_project, gds_theorem1_system, make_region,
-                      max_single_rate, max_sum_rate, region_to_json,
-                      scheme1_region, scheme2_region, scheme3_region)
+                      corollary3_system, corollary4_system, corollary5_system,
+                      cutset_region, cutset_symmetric_sumrate, ddf_p1_region,
+                      ddf_p1_system, gcomp_theorem2_system, gds_project,
+                      gds_theorem1_system, make_region, max_single_rate,
+                      max_sum_rate, region_to_json, scheme3_region)
 from .schemes import (GAUSSIAN_SCHEMES, CompressionParams, DescriptionIParams,
                       DescriptionIIParams, DescriptionIIIParams,
                       OptimizerBudget, SchemeEvaluation, build_joint_cov,

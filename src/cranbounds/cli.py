@@ -66,23 +66,24 @@ def cmd_region(args) -> int:
         else:
             K = net.P * np.eye(net.N)
         cov = JointCovariance.make([(f"X{k}", 1) for k in range(1, net.N + 1)], K)
-        system = cutset_region(net, cov)
-        payload = region_to_json(system, {})
-        _write_text(args.output, json.dumps(payload, indent=2) + "\n")
-        return 0
-    system = make_region(spec)
-    valuation = None
-    if args.valuation:
-        valuation = {str(k): float(v) for k, v in json.loads(open(args.valuation).read()).items()}
-    elif args.pmf:
-        pmf = JointPmf.from_json(open(args.pmf).read())
-        if args.channel:
-            pmf = compose(pmf, Channel.from_json(open(args.channel).read()))
-        valuation = atom_valuation(pmf, sorted(a for a in system.atoms()
-                                               if a not in caps), constants=caps)
-        valuation.update({k: caps[k] for k in system.atoms() & caps.keys()})
+        system, valuation = cutset_region(net, cov), {}
+    else:
+        system, valuation = make_region(spec), None
+        if args.valuation:
+            valuation = {str(k): float(v)
+                         for k, v in json.loads(open(args.valuation).read()).items()}
+        elif args.pmf:
+            pmf = JointPmf.from_json(open(args.pmf).read())
+            if args.channel:
+                pmf = compose(pmf, Channel.from_json(open(args.channel).read()))
+            valuation = atom_valuation(pmf, sorted(a for a in system.atoms()
+                                                   if a not in caps), constants=caps)
+            valuation.update({k: caps[k] for k in system.atoms() & caps.keys()})
+    bad = sorted(k for k, v in (valuation or {}).items() if not np.isfinite(v))
+    if bad:
+        return _fail_usage(f"valuation values must be finite numbers: {bad}")
     payload = region_to_json(system, valuation)
-    _write_text(args.output, json.dumps(payload, indent=2) + "\n")
+    _write_text(args.output, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return 0
 
 

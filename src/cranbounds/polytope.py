@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "AffineExpr",
     "LinearConstraint",
     "ConstraintSystem",
+    "CompiledSystem",
     "FMEBlowupError",
     "fme_eliminate",
     "syntactic_reduce",
@@ -168,21 +170,47 @@ class ConstraintSystem:
     def numeric(self, valuation: dict[str, float]):
         """Resolve atoms: returns (A, b) with the row order of `constraints`,
         such that membership of x means A @ x <= b (elementwise)."""
-        nv = len(self.variables)
-        idx = {v: i for i, v in enumerate(self.variables)}
-        A = np.zeros((len(self.constraints), nv))
-        b = np.zeros(len(self.constraints))
-        for i, c in enumerate(self.constraints):
-            for k, q in c.lhs:
-                A[i, idx[k]] = float(q)
-            b[i] = c.rhs.value(valuation)
-        return A, b
+        rows = CompiledSystem(self)
+        return rows.A, rows.rhs(valuation)
 
     def __len__(self) -> int:
         return len(self.constraints)
 
     def __str__(self) -> str:
         return format_system(self)
+
+
+class CompiledSystem:
+    """A system's rows compiled for evaluation under many valuations: the
+    left-hand sides `A` in floats, and the right-hand sides as a sparse sum
+    with one entry per row for its constant, then one per atom term (row,
+    coefficient, index into `atoms`).  An atom absent from a row never
+    touches it, so an infinite atom cannot make 0*inf = NaN, and every row
+    sums its terms in the order `AffineExpr.value` does."""
+
+    def __init__(self, system: ConstraintSystem):
+        cons, n = system.constraints, len(system.constraints)
+        col = {v: i for i, v in enumerate(system.variables)}
+        self.A = np.zeros((n, len(system.variables)))
+        for i, c in enumerate(cons):
+            for k, q in c.lhs:
+                self.A[i, col[k]] = float(q)
+        self.atoms = sorted(system.atoms())
+        index = {a: k for k, a in enumerate(self.atoms)}
+        self.rows = np.fromiter(chain(range(n), (i for i, c in enumerate(cons)
+                                                 for _ in c.rhs.terms)), np.intp)
+        self.const = np.fromiter((c.rhs.const for c in cons), float, n)
+        self.coeffs = np.fromiter((q for c in cons for _, q in c.rhs.terms), float)
+        self.atom_index = np.fromiter((index[a] for c in cons for a, _ in c.rhs.terms), np.intp)
+
+    def rhs(self, valuation: dict[str, float]) -> np.ndarray:
+        """The right-hand sides under `valuation`, in row order."""
+        try:
+            vals = np.array([valuation[a] for a in self.atoms], dtype=float)
+        except KeyError as exc:
+            raise KeyError(f"valuation missing atom {exc.args[0]!r}") from None
+        weights = np.concatenate((self.const, self.coeffs * vals[self.atom_index]))
+        return np.bincount(self.rows, weights, len(self.const))
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +387,25 @@ def eliminate_all(system: ConstraintSystem, drop_vars,
 
 
 def resolve_atoms(system: ConstraintSystem, valuation: dict[str, float]) -> ConstraintSystem:
-    """Substitute exact rational values for every atom, leaving constraints
-    with pure-constant right-hand sides.  Floats convert to Fractions
-    exactly, so projection after resolution is still exact arithmetic."""
-    vals = {k: Q(v) for k, v in valuation.items()}
+    """Substitute exact rational values for the system's atoms, leaving
+    constraints with pure-constant right-hand sides.  Floats convert to
+    Fractions exactly, so projection after resolution is still exact
+    arithmetic.  Atoms the system does not use are ignored; a used one that
+    is ±inf or NaN has no rational value and raises ValueError."""
+    vals: dict[str, Fraction] = {}
     out = ConstraintSystem(list(system.variables))
     for c in system.constraints:
         const = c.rhs.const
         for name, q in c.rhs.terms:
-            try:
-                const += q * vals[name]
-            except KeyError:
-                raise KeyError(f"valuation missing atom {name!r}") from None
+            if name not in vals:
+                try:
+                    vals[name] = Q(valuation[name])
+                except KeyError:
+                    raise KeyError(f"valuation missing atom {name!r}") from None
+                except (OverflowError, ValueError):
+                    raise ValueError(f"atom {name!r} is {valuation[name]}, "
+                                     "which has no exact rational value") from None
+            const += q * vals[name]
         out.constraints.append(LinearConstraint(c.lhs, AffineExpr((), const)))
     return out
 
@@ -393,12 +428,14 @@ def numeric_feasible(system: ConstraintSystem, tighten: float = 0.0,
     return all(c.rhs.const >= 0 for c in s.constraints)
 
 
-def _defined_rhs(c: LinearConstraint, valuation: dict[str, float]) -> float:
-    rhs = c.rhs.value(valuation)
-    if np.isnan(rhs):
-        raise ValueError(f"right-hand side {c.rhs} is undefined (NaN) "
-                         "under this valuation")
-    return rhs
+def _defined_rhs(system: ConstraintSystem, rows: CompiledSystem,
+                 valuation: dict[str, float]) -> np.ndarray:
+    b = rows.rhs(valuation)
+    undefined = np.flatnonzero(np.isnan(b))
+    if undefined.size:
+        raise ValueError(f"right-hand side {system.constraints[undefined[0]].rhs} "
+                         "is undefined (NaN) under this valuation")
+    return b
 
 
 def min_slack(system: ConstraintSystem, valuation: dict[str, float],
@@ -412,8 +449,8 @@ def min_slack(system: ConstraintSystem, valuation: dict[str, float],
     if missing:
         raise KeyError(f"point missing variables {missing}")
     worst = np.inf
-    for c in system.constraints:
-        rhs = _defined_rhs(c, valuation)
+    b = _defined_rhs(system, CompiledSystem(system), valuation)
+    for c, rhs in zip(system.constraints, b.tolist()):
         lhs = sum(float(q) * point[k] for k, q in c.lhs)
         worst = min(worst, rhs - lhs)
     return worst
@@ -423,14 +460,6 @@ def is_member(system: ConstraintSystem, valuation: dict[str, float],
               point: dict[str, float], tol: float = 1e-9) -> bool:
     """True iff every constraint holds with slack >= -tol."""
     return min_slack(system, valuation, point) >= -tol
-
-
-def _membership_matrix(system: ConstraintSystem, valuation, points: np.ndarray,
-                       tol: float) -> np.ndarray:
-    if len(system.constraints) == 0:
-        return np.ones(len(points), dtype=bool)
-    A, b = system.numeric(valuation)
-    return np.all(points @ A.T <= b + tol, axis=1)
 
 
 def regions_equal_sampled(sys_a: ConstraintSystem, sys_b: ConstraintSystem,
@@ -452,20 +481,17 @@ def regions_equal_sampled(sys_a: ConstraintSystem, sys_b: ConstraintSystem,
         raise ValueError("need at least one valuation")
     order = list(sys_a.variables)
     sys_b_ordered = ConstraintSystem(order, list(sys_b.constraints))
+    compiled = [(s, CompiledSystem(s)) for s in (sys_a, sys_b_ordered)]
     rng = np.random.default_rng(seed)
     witnesses = []
     checked = 0
     agree = True
     for vi, val in enumerate(valuations):
-        hi = 1.0
-        for s in (sys_a, sys_b_ordered):
-            for c in s.constraints:
-                rhs = _defined_rhs(c, val)
-                if np.isfinite(rhs):
-                    hi = max(hi, abs(rhs))
+        bs = [_defined_rhs(s, rows, val) for s, rows in compiled]
+        hi = max([1.0] + [abs(x) for b in bs for x in b[np.isfinite(b)].tolist()])
         pts = rng.uniform(0.0, hi + 0.5, size=(n_points, len(order)))
-        in_a = _membership_matrix(sys_a, val, pts, tol)
-        in_b = _membership_matrix(sys_b_ordered, val, pts, tol)
+        in_a, in_b = (np.all(pts @ rows.A.T <= b + tol, axis=1)
+                      for (_, rows), b in zip(compiled, bs))
         checked += len(pts)
         diff = np.nonzero(in_a != in_b)[0]
         if diff.size:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .atoms import GAMMA, AtomSpec, const_atom, gamma_atom, mi_atom, parse_atom, rewrite_atom
 from .gaussian import CranNetwork, JointCovariance, capacity_logdet, schur_conditional
-from .polytope import (AffineExpr, ConstraintSystem, eliminate_all,
-                       resolve_atoms, syntactic_reduce)
+from .polytope import (AffineExpr, CompiledSystem, ConstraintSystem,
+                       eliminate_all, resolve_atoms, syntactic_reduce)
 
 __all__ = [
     "RegionSpec",
@@ -33,20 +33,16 @@ __all__ = [
     "corollary3_system",
     "corollary3_side_conditions",
     "corollary3_feasible",
-    "scheme1_region",
-    "scheme2_region",
     "scheme3_region",
     "corollary4_system",
-    "corollary4_region",
     "corollary5_system",
-    "corollary5_rate",
     "gcomp_theorem2_system",
-    "gcomp_theorem2_region",
     "ddf_p1_system",
     "ddf_p1_region",
     "cutset_region",
     "cutset_symmetric_sumrate",
     "caps_valuation",
+    "CompiledRegion",
     "max_sum_rate",
     "max_single_rate",
     "region_to_json",
@@ -55,7 +51,6 @@ __all__ = [
 
 Q = Fraction
 
-AUX_VARS = ("U0", "U1", "U2", "V0", "V1", "V2")
 RATE_VARS = ("R1", "R2", "Ru0", "Ru1", "Ru2", "Rv0", "Rv1", "Rv2")
 
 SCHEME_IDS = ("GDS-T1", "GDS-I", "GDS-II", "GDS-III", "COR4", "COR5",
@@ -415,18 +410,6 @@ def _check_atoms(system: ConstraintSystem, valuation: dict[str, float]):
         raise KeyError(f"valuation missing atoms: {missing}")
 
 
-def scheme1_region(valuation: dict[str, float]) -> ConstraintSystem:
-    sys_ = corollary1_system()
-    _check_atoms(sys_, valuation)
-    return sys_
-
-
-def scheme2_region(valuation: dict[str, float]) -> ConstraintSystem:
-    sys_ = corollary2_system()
-    _check_atoms(sys_, valuation)
-    return sys_
-
-
 def scheme3_region(valuation: dict[str, float], tol: float = 1e-9):
     """Returns (system, feasible).  When the strict side conditions fail the
     parameters are infeasible for this scheme; the system is still returned
@@ -453,12 +436,6 @@ def corollary4_system() -> ConstraintSystem:
     ])
 
 
-def corollary4_region(valuation: dict[str, float]) -> ConstraintSystem:
-    sys_ = corollary4_system()
-    _check_atoms(sys_, valuation)
-    return sys_
-
-
 def corollary5_system() -> ConstraintSystem:
     """Two-BS single-user (diamond) region over R1 only."""
     c1, c2 = const_atom("C1"), const_atom("C2")
@@ -477,13 +454,6 @@ def corollary5_system() -> ConstraintSystem:
     sys_.add({"R1": 1}, _expr([(c1, half), (c2, half), (c12, half), (c21, half),
                                (ix12_y1_u, half), (ix1x2_u, -half)]))
     return sys_
-
-
-def corollary5_rate(valuation: dict[str, float]) -> float:
-    """Largest single-user rate: the minimum of the five cut expressions."""
-    sys_ = corollary5_system()
-    _check_atoms(sys_, valuation)
-    return max_single_rate(sys_, valuation)
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +500,6 @@ def gcomp_theorem2_system() -> ConstraintSystem:
         ({"R1": 2, "R2": 2}, _expr(marton + marton + caps + [(uu_x012, -1), (x1x2_x0, -1),
                                                              (uu_x0, -1)])),
     ])
-
-
-def gcomp_theorem2_region(valuation: dict[str, float]) -> ConstraintSystem:
-    sys_ = gcomp_theorem2_system()
-    _check_atoms(sys_, valuation)
-    return sys_
 
 
 # ---------------------------------------------------------------------------
@@ -641,101 +605,92 @@ def cutset_symmetric_sumrate(C: float, rsum_star: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _SumSegment:
-    """Feasibility oracle for segments {(s, t-s) : 0 <= s <= t} of A x <= b.
+def _max_bound(rows, tol: float) -> float:
+    """Largest t >= 0 with d*t <= e for every (d, e) in `rows`.
 
-    Each constraint restricts s to one linear interval; the slopes are
-    precomputed, and the per-t work is plain scalar arithmetic (constraint
-    counts here are tiny, so this beats array operations)."""
-
-    def __init__(self, A: np.ndarray, b: np.ndarray, tol: float):
-        self.tol = tol
-        self.flat = []   # (a2, b): require b - a2*t >= -tol
-        self.pos = []    # (1/coeff, a2, b): s <= (b - a2*t + tol)/coeff
-        self.neg = []
-        for (a1, a2), bi in zip(A.tolist(), b.tolist()):
-            coeff = a1 - a2
-            if abs(coeff) <= 1e-15:
-                self.flat.append((a2, bi))
-            elif coeff > 0:
-                self.pos.append((1.0 / coeff, a2, bi))
-            else:
-                self.neg.append((1.0 / coeff, a2, bi))
-
-    def feasible(self, t: float) -> bool:
-        tol = self.tol
-        for a2, bi in self.flat:
-            if bi - a2 * t < -tol:
-                return False
-        hi = t
-        for inv, a2, bi in self.pos:
-            v = (bi - a2 * t + tol) * inv
+    0.0 when no t satisfies every row within `tol`, or when some e is -inf
+    (a row no point meets) or NaN (inf - inf, an undefined region); raises
+    ValueError when no row bounds t above."""
+    lo, hi = 0.0, np.inf
+    for d, e in rows:
+        if not e > -np.inf:
+            return 0.0
+        if d > 0.0:
+            v = e / d
             if v < hi:
                 hi = v
-        lo = 0.0
-        for inv, a2, bi in self.neg:
-            v = (bi - a2 * t - tol) * inv
+        elif d < 0.0:
+            v = e / d
             if v > lo:
                 lo = v
-        return lo <= hi + tol
+        elif e < -tol:
+            return 0.0
+    if lo > hi + tol:
+        return 0.0
+    if hi == np.inf:
+        raise ValueError("region is unbounded")
+    return hi if hi > 0.0 else 0.0
 
 
-def max_sum_rate(system: ConstraintSystem, valuation: dict[str, float],
-                 tol: float = 1e-9, precision: float = 1e-7) -> float:
-    """Maximum of R1+R2 over a two-variable region intersected with the
-    nonnegative quadrant, by bisection on the sum value with an exact
-    feasibility test on each R1+R2 = t segment.
+class CompiledRegion:
+    """A region over two rates (R1, R2) compiled once for `max_sum_rate`.
 
-    Returns 0.0 when the region is empty (infeasible parameters achieve
-    nothing) or undefined: a right-hand side of inf - inf is NaN.
+    With s = R1 and t = R1 + R2 a row a1*R1 + a2*R2 <= b reads
+    (a1 - a2)*s + a2*t <= b, and R1, R2 >= 0 add the rows -s <= 0 and
+    s - t <= 0 with right-hand side 0.  One Fourier-Motzkin step eliminates
+    s: rows free of s carry over as `flat` (d, row), and every row with a
+    positive s-coefficient pairs with every row with a negative one as
+    (d, row, weight, row, weight), the weights summing to 1.  Pairs and
+    weights follow from the exact left-hand sides alone, so they are fixed
+    here and an evaluation only combines right-hand sides.  Every row pairs
+    with a quadrant row or carries over, so a NaN or -inf reaches the bounds.
     """
-    if len(system.variables) != 2:
-        raise ValueError("max_sum_rate expects a two-variable system")
-    if not system.constraints:
-        raise ValueError("refusing to maximize over an unconstrained region")
-    A, b = system.numeric(valuation)
-    if np.isnan(b).any():
-        return 0.0
-    seg = _SumSegment(A, b, tol)
-    if not seg.feasible(0.0):
-        return 0.0
-    hi = 1.0
-    for _ in range(80):
-        if not seg.feasible(hi):
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("region is unbounded in the sum direction")
-    lo = 0.0
-    while hi - lo > precision * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if seg.feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+
+    def __init__(self, system: ConstraintSystem):
+        if len(system.variables) != 2:
+            raise ValueError("max_sum_rate expects a two-variable system")
+        if not system.constraints:
+            raise ValueError("refusing to maximize over an unconstrained region")
+        self.rows = CompiledSystem(system)
+        r1, r2 = system.variables
+        st = [(c.coeff(r1) - c.coeff(r2), c.coeff(r2)) for c in system.constraints]
+        st += [(Q(-1), Q(0)), (Q(1), Q(-1))]
+        self.flat = [(float(d), i) for i, (c, d) in enumerate(st) if c == 0]
+        self.pairs = [(float(wu * du + wl * dl), i, float(wu), j, float(wl))
+                      for i, (cu, du) in enumerate(st) if cu > 0
+                      for j, (cl, dl) in enumerate(st) if cl < 0
+                      for wu, wl in [(-cl / (cu - cl), cu / (cu - cl))]]
+
+
+def max_sum_rate(region: ConstraintSystem | CompiledRegion, valuation: dict[str, float],
+                 tol: float = 1e-9) -> float:
+    """Maximum of R1+R2 over a two-variable region intersected with the
+    nonnegative quadrant: one Fourier-Motzkin step (see `CompiledRegion`)
+    leaves bounds on t = R1 + R2, and the largest feasible t is exact up
+    to float rounding.
+
+    Returns 0.0 when the region is empty within `tol`, or undefined: a
+    right-hand side of inf - inf is NaN.  A right-hand side of -inf empties
+    the region, one of +inf bounds nothing.  Raises ValueError when the
+    region is unbounded in the sum direction, and KeyError when the
+    valuation misses an atom of the region.
+    """
+    if not isinstance(region, CompiledRegion):
+        region = CompiledRegion(region)
+    b = region.rows.rhs(valuation).tolist() + [0.0, 0.0]
+    rows = [(d, b[i]) for d, i in region.flat]
+    rows += [(d, wu * b[i] + wl * b[j]) for d, i, wu, j, wl in region.pairs]
+    return _max_bound(rows, tol)
 
 
 def max_single_rate(system: ConstraintSystem, valuation: dict[str, float],
                     tol: float = 1e-9) -> float:
-    """Maximum of the single variable of a 1-D region (0.0 when empty, or
-    undefined by a NaN right-hand side)."""
+    """Maximum of the single nonnegative variable of a 1-D region, with the
+    semantics of `max_sum_rate`."""
     if len(system.variables) != 1:
         raise ValueError("max_single_rate expects a one-variable system")
-    best = np.inf
-    for c in system.constraints:
-        coeff = c.coeff(system.variables[0])
-        rhs = c.rhs.value(valuation)
-        if np.isnan(rhs):
-            return 0.0
-        if coeff == 0:
-            if rhs < -tol:
-                return 0.0
-        elif coeff > 0:
-            best = min(best, rhs / float(coeff))
-    if not np.isfinite(best):
-        raise ValueError("region is unbounded")
-    return max(0.0, best)
+    rows = CompiledSystem(system)
+    return _max_bound(zip(rows.A[:, 0].tolist(), rows.rhs(valuation).tolist()), tol)
 
 
 def region_to_json(system: ConstraintSystem, valuation: dict[str, float] | None = None):
@@ -747,29 +702,21 @@ def region_to_json(system: ConstraintSystem, valuation: dict[str, float] | None 
             "lhs": {k: float(v) for k, v in c.lhs},
             "rhs": str(c.rhs),
         }
-        if valuation is not None:
-            row["rhs_value"] = c.rhs.value(valuation)
         rows.append(row)
+    if valuation is not None:
+        for row, value in zip(rows, CompiledSystem(system).rhs(valuation).tolist()):
+            row["rhs_value"] = value
     return {"variables": list(system.variables), "constraints": rows}
 
 
 def make_region(spec: RegionSpec) -> ConstraintSystem:
     """Symbolic constraint system for a region identifier (CUTSET excluded:
     it is tied to a concrete network and input covariance)."""
-    if spec.scheme == "GDS-T1":
-        return gds_theorem1_system()
-    if spec.scheme == "GDS-I":
-        return corollary1_system()
-    if spec.scheme == "GDS-II":
-        return corollary2_system()
-    if spec.scheme == "GDS-III":
-        return corollary3_system()
-    if spec.scheme == "COR4":
-        return corollary4_system()
-    if spec.scheme == "COR5":
-        return corollary5_system()
-    if spec.scheme == "GCOMP-T2":
-        return gcomp_theorem2_system()
     if spec.scheme == "DDF-P1":
         return ddf_p1_system(spec.N, spec.L)
-    raise ValueError(f"{spec.scheme} requires a network instance; use cutset_region")
+    if spec.scheme == "CUTSET":
+        raise ValueError(f"{spec.scheme} requires a network instance; use cutset_region")
+    return {"GDS-T1": gds_theorem1_system, "GDS-I": corollary1_system,
+            "GDS-II": corollary2_system, "GDS-III": corollary3_system,
+            "COR4": corollary4_system, "COR5": corollary5_system,
+            "GCOMP-T2": gcomp_theorem2_system}[spec.scheme]()

@@ -22,10 +22,9 @@ from . import gaussian
 # unused parse_atom stays importable: bench/tracer.py wraps it by this name
 from .atoms import parse_atom  # noqa: F401
 from .gaussian import CranNetwork, JointCovariance
-from .regions import (caps_valuation, corollary1_system, corollary2_system,
+from .regions import (CompiledRegion, RegionSpec, caps_valuation,
                       corollary3_feasible, corollary3_side_conditions,
-                      corollary3_system, cutset_symmetric_sumrate,
-                      gcomp_theorem2_system, max_sum_rate)
+                      cutset_symmetric_sumrate, make_region, max_sum_rate)
 
 __all__ = [
     "DescriptionIParams",
@@ -240,17 +239,14 @@ def build_joint_cov(scheme: str, params, network: CranNetwork) -> JointCovarianc
     raise ValueError(f"unknown Gaussian scheme {scheme!r}")
 
 
-_REGION_BUILDERS = {
-    "GDS-I": corollary1_system,
-    "GDS-II": corollary2_system,
-    "GDS-III": corollary3_system,
-    "GCOMP": gcomp_theorem2_system,
-}
+@functools.cache
+def _region_system(scheme: str):
+    return make_region(RegionSpec("GCOMP-T2" if scheme == "GCOMP" else scheme))
 
 
 @functools.cache
-def _region_system(scheme: str):
-    return _REGION_BUILDERS[scheme]()
+def _compiled_region(scheme: str) -> CompiledRegion:
+    return CompiledRegion(_region_system(scheme))
 
 
 @functools.cache
@@ -275,10 +271,9 @@ def _sumrate_from_valuation(scheme: str, mi_val: dict[str, float],
     val = dict(mi_val)
     caps = caps_valuation(network)
     val.update({k: caps[k] for k in ("C1", "C2", "C12", "C21")})
-    system = _region_system(scheme)
     if scheme == "GDS-III" and not corollary3_feasible(val):
         return 0.0
-    return max_sum_rate(system, val)
+    return max_sum_rate(_compiled_region(scheme), val)
 
 
 def scheme_sumrate(scheme: str, params, network: CranNetwork) -> float:
@@ -322,19 +317,12 @@ class _SchemeSpace:
         if restart == 0:
             # balanced deterministic start: half power per description
             x = np.zeros(self.nparams)
-            h = s / 2.0
-            if self.scheme == "GDS-I":
-                x[[0, 2]] = h   # diag of L1
-                x[[3, 5]] = h
-            elif self.scheme == "GDS-II":
+            if self.scheme == "GDS-II":
                 x[:] = s / 2.0
-            elif self.scheme == "GDS-III":
-                x[[0, 2]] = h
-                x[[3, 5]] = h
             else:
-                x[[0, 2]] = h
-                x[[3, 5]] = h
-                x[[6, 8]] = 0.1 * s
+                x[[0, 2, 3, 5]] = s / 2.0   # diagonals of the first two factors
+                if self.scheme == "GCOMP":
+                    x[[6, 8]] = 0.1 * s
             return x
         return rng.normal(0.0, 0.5 * s, size=self.nparams)
 

@@ -162,6 +162,20 @@ def test_region_with_valuation(tmp_path, capsys):
     assert all("rhs_value" in c for c in payload["constraints"])
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_region_rejects_a_nonfinite_valuation(tmp_path, capsys, token):
+    vpath = tmp_path / "val.json"
+    vpath.write_text('{"I(U0;Y1)": %s, "I(V0;Y2)": 2.0, "I(U0;V0)": 0.0, "C1": 1.0, '
+                     '"C2": 1.0, "C12": 0.0, "C21": 0.0}' % token)
+    out = tmp_path / "region.json"
+    rc = run_cli(["region", "--scheme", "GDS-I", "--valuation", str(vpath),
+                  "-o", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "I(U0;Y1)" in err
+
+
 def test_region_from_pmf_and_channel(tmp_path):
     pmf = JointPmf.make([("U", 2), ("V", 2)], np.full((2, 2), 0.25))
     ch = Channel.from_map([("U", 2), ("V", 2)], [("Y1", 2), ("Y2", 2)],

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,17 @@ def test_resolve_atoms_and_numeric_feasible():
     assert not numeric_feasible(resolve_atoms(sys_, {"a": -0.5}))
     # tightening shrinks the feasible set
     assert not numeric_feasible(resolve_atoms(sys_, {"a": 1e-9}), tighten=1e-6)
+
+
+def test_resolve_atoms_converts_only_the_atoms_it_uses():
+    sys_ = system_of("1*x <= 1*a\n-1*x <= 0\n")
+    resolved = resolve_atoms(sys_, {"a": 0.5, "b": np.inf, "c": np.nan})
+    assert [c.rhs.const for c in resolved.constraints] == [Fraction(1, 2), 0]
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="atom 'a' is"):
+            resolve_atoms(sys_, {"a": bad})
+    with pytest.raises(KeyError):
+        resolve_atoms(sys_, {"b": 1.0})
 
 
 def test_parse_format_roundtrip():

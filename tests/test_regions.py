@@ -60,6 +60,23 @@ def test_theorem1_independent_degeneration(theorem1):
     assert not polytope.is_member(proj, {}, {"R1": 1.05, "R2": 0.0})
 
 
+def test_projection_ignores_an_infinite_atom_it_drops(theorem1):
+    # scheme-II drops every Gamma atom, so Gamma(U0,U1,U2) = inf is unused
+    val = {a: 1.0 for a in theorem1.atoms()}
+    finite = regions.gds_project(theorem1, "scheme-II", valuation=val)
+    val["Gamma(U0,U1,U2)"] = np.inf
+    proj = regions.gds_project(theorem1, "scheme-II", valuation=val)
+    assert polytope.format_system(proj) == polytope.format_system(finite)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_projection_rejects_a_nonfinite_atom_it_uses(theorem1, bad):
+    val = {a: 1.0 for a in theorem1.atoms()}
+    val["I(U0;U1,U2,Y1)"] = bad
+    with pytest.raises(ValueError, match=r"atom 'I\(U0;U1,U2,Y1\)' is"):
+        regions.gds_project(theorem1, "scheme-II", valuation=val)
+
+
 def test_substitution_unknown_name(theorem1):
     with pytest.raises(KeyError):
         regions.gds_project(theorem1, "scheme-X")
@@ -68,16 +85,17 @@ def test_substitution_unknown_name(theorem1):
 def test_corollary1_min_example():
     val = {"I(U0;Y1)": 2.0, "I(V0;Y2)": 2.0, "I(U0;V0)": 0.0,
            "C1": 1.0, "C2": 1.0, "C12": 0.0, "C21": 0.0}
-    sys_ = regions.scheme1_region(val)
+    sys_ = regions.corollary1_system()
     assert regions.max_sum_rate(sys_, val) == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(KeyError):
-        regions.scheme1_region({"C1": 1.0})
+        regions.max_sum_rate(sys_, {"C1": 1.0})
 
 
 def test_corollary2_zero_mi_collapses():
     val = {a: 0.0 for a in regions.corollary2_system().atoms()}
     val.update({"C1": 1.0, "C2": 1.0, "C12": 0.0, "C21": 0.0})
-    sys_ = regions.scheme2_region(val)
+    sys_ = regions.corollary2_system()
+    assert regions.max_sum_rate(sys_, val) == 0.0
     assert polytope.is_member(sys_, val, {"R1": 0.0, "R2": 0.0})
     assert not polytope.is_member(sys_, val, {"R1": 0.01, "R2": 0.0})
 
@@ -105,7 +123,7 @@ def test_corollary4_structure():
     assert len(sys_) == 4
     assert sys_.atoms() == {"I(U;Y1)", "I(V;Y2)", "I(U;V)", "C1"}
     val = {"I(U;Y1)": 1.0, "I(V;Y2)": 1.0, "I(U;V)": 1.0, "C1": 0.7}
-    assert regions.max_sum_rate(regions.corollary4_region(val), val) == \
+    assert regions.max_sum_rate(regions.corollary4_system(), val) == \
         pytest.approx(0.7, abs=1e-6)
 
 
@@ -126,7 +144,7 @@ def test_corollary5_binary_adder_grid_search():
         val = discrete.atom_valuation(discrete.compose(pmf, adder), atoms,
                                       constants=caps)
         val.update(caps)
-        return regions.corollary5_rate(val)
+        return regions.max_single_rate(regions.corollary5_system(), val)
 
     uniform_independent = discrete.JointPmf.make(
         [("U", 2), ("X1", 2), ("X2", 2)],
@@ -151,7 +169,7 @@ def test_corollary5_zero_capacities():
     val = {a: 2.0 for a in regions.corollary5_system().atoms()}
     val.update({"C1": 0.0, "C2": 0.0, "C12": 0.0, "C21": 0.0})
     # first expression pins the rate at C1+C2 - I(X1;X2|U) <= 0
-    assert regions.corollary5_rate(val) == 0.0
+    assert regions.max_single_rate(regions.corollary5_system(), val) == 0.0
 
 
 def test_theorem2_zchannel_membership_exact():
