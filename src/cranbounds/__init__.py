@@ -29,7 +29,7 @@ from .regions import (SUBSTITUTIONS, CompiledRegion, RegionSpec, Substitution,
                       cutset_region, cutset_symmetric_sumrate, ddf_p1_region,
                       ddf_p1_system, gcomp_theorem2_system, gds_project,
                       gds_theorem1_system, make_region, max_single_rate,
-                      max_sum_rate, region_to_json, scheme3_region)
+                      max_sum_rate, region_to_json)
 from .schemes import (GAUSSIAN_SCHEMES, CompressionParams, DescriptionIParams,
                       DescriptionIIParams, DescriptionIIIParams,
                       OptimizerBudget, SchemeEvaluation, build_joint_cov,

@@ -97,12 +97,6 @@ class JointPmf:
                 return s
         raise KeyError(f"unknown variable {name!r}")
 
-    def axis(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.variables):
-            if n == name:
-                return i
-        raise KeyError(f"unknown variable {name!r}")
-
     def to_json(self) -> str:
         return json.dumps({
             "variables": [{"name": n, "size": s} for n, s in self.variables],

@@ -47,9 +47,16 @@ def _cap_terms(network: CranNetwork, s: tuple[int, ...]) -> float:
     return total
 
 
-def _signal_term(network: CranNetwork, d, s) -> float:
-    g = network.G_cut(d, s)
-    return capacity_logdet(g, network.P * np.eye(len(s)))
+def _relaxed_bounds(network: CranNetwork, d, s) -> tuple[float, float]:
+    """(inner, outer) relaxed values of one cut from one shared log-det."""
+    d, s = tuple(sorted(set(d))), tuple(sorted(set(s)))
+    if not d:
+        raise ValueError("user subset D must be nonempty")
+    base = _cap_terms(network, s)
+    if not s:
+        return base, base
+    shared = base + capacity_logdet(network.G_cut(d, s), network.P * np.eye(len(s)))
+    return shared - len(d) / 2.0, shared + 0.5 * min(len(s), len(d) * np.log2(len(s)))
 
 
 def ddf_inner_relaxed(network: CranNetwork, d, s) -> float:
@@ -59,26 +66,13 @@ def ddf_inner_relaxed(network: CranNetwork, d, s) -> float:
     For the empty BS cut the signal term is absent and the bound equals the
     fronthaul sum exactly (no -|D|/2 correction to relax).
     """
-    d, s = tuple(sorted(set(d))), tuple(sorted(set(s)))
-    if not d:
-        raise ValueError("user subset D must be nonempty")
-    base = _cap_terms(network, s)
-    if not s:
-        return base
-    return base + _signal_term(network, d, s) - len(d) / 2.0
+    return _relaxed_bounds(network, d, s)[0]
 
 
 def cutset_outer_relaxed(network: CranNetwork, d, s) -> float:
     """Relaxed cut-set value: same capacity and log-det terms plus the slack
     (1/2) min(|S|, |D| log2 |S|); exact fronthaul sum when S is empty."""
-    d, s = tuple(sorted(set(d))), tuple(sorted(set(s)))
-    if not d:
-        raise ValueError("user subset D must be nonempty")
-    base = _cap_terms(network, s)
-    if not s:
-        return base
-    slack = 0.5 * min(len(s), len(d) * np.log2(len(s)))
-    return base + _signal_term(network, d, s) + slack
+    return _relaxed_bounds(network, d, s)[1]
 
 
 def cut_gap_formula(n_s: int, n_d: int) -> float:
@@ -105,9 +99,7 @@ def audit(network: CranNetwork) -> dict:
         for d in _subsets_lex(users):
             if not d:
                 continue
-            reports.append(CutReport(tuple(s), tuple(d),
-                                     ddf_inner_relaxed(network, d, s),
-                                     cutset_outer_relaxed(network, d, s)))
+            reports.append(CutReport(tuple(s), tuple(d), *_relaxed_bounds(network, d, s)))
     max_gap = max(r.gap for r in reports)
     bound = gap_bound(network.N, network.L)
     ok = max_gap <= bound + 1e-9 and all(r.inner <= r.outer + 1e-9 for r in reports)

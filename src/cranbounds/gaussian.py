@@ -31,6 +31,7 @@ from .atoms import H, PLAN_CACHE_SIZE, atom_plan, gamma_atom, mi_atom, parse_ato
 __all__ = [
     "JointCovariance",
     "CranNetwork",
+    "check_psd",
     "schur_conditional",
     "gauss_mi",
     "gauss_total_correlation",
@@ -44,6 +45,14 @@ _EIG_REL_TOL = 1e-10
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
+
+
+def check_psd(m: np.ndarray, what: str, tol: float):
+    """Raise ValueError naming `what` unless no eigenvalue of the symmetric
+    part of m lies below -tol * max(1, largest |eigenvalue|)."""
+    w = np.linalg.eigvalsh(_sym(m))
+    if w.min(initial=0.0) < -tol * max(1.0, abs(w).max(initial=1.0)):
+        raise ValueError(f"{what} is not PSD (min eigenvalue {w.min()})")
 
 
 def _pinv_psd(m: np.ndarray) -> np.ndarray:
@@ -101,9 +110,7 @@ class JointCovariance:
         if np.max(np.abs(m - m.T), initial=0.0) > 1e-10 * max(1.0, np.abs(m).max(initial=1.0)):
             raise ValueError("covariance matrix is not symmetric")
         m = _sym(m)
-        w = np.linalg.eigvalsh(m) if dim else np.array([])
-        if dim and w.min() < -1e-9 * max(1.0, abs(w).max()):
-            raise ValueError(f"covariance matrix is not PSD (min eigenvalue {w.min()})")
+        check_psd(m, "covariance matrix", 1e-9)
         m = m.copy()
         m.flags.writeable = False
         return JointCovariance(components, m)

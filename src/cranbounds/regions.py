@@ -33,7 +33,6 @@ __all__ = [
     "corollary3_system",
     "corollary3_side_conditions",
     "corollary3_feasible",
-    "scheme3_region",
     "corollary4_system",
     "corollary5_system",
     "gcomp_theorem2_system",
@@ -383,22 +382,26 @@ def corollary3_system() -> ConstraintSystem:
     return _system_r1r2(rows)
 
 
+_COROLLARY3_SIDE = (
+    (mi_atom(["U1"], ["V1"]), (mi_atom(["U1"], ["U2", "Y1"]), mi_atom(["V1"], ["V2", "Y2"]))),
+    (mi_atom(["U2"], ["V2"]), (mi_atom(["U2"], ["U1", "Y1"]), mi_atom(["V2"], ["V1", "Y2"]))),
+    (mi_atom(["U1"], ["V2"]), (mi_atom(["U1"], ["U2", "Y1"]), mi_atom(["V2"], ["V1", "Y2"]))),
+    (mi_atom(["U2"], ["V1"]), (mi_atom(["U2"], ["U1", "Y1"]), mi_atom(["V1"], ["V2", "Y2"]))),
+)
+
+
 def corollary3_side_conditions():
     """Strict pmf conditions under which the private-codewords region holds.
 
-    Each entry (lhs_atom, rhs_atoms) encodes lhs < sum(rhs)."""
-    return [
-        (mi_atom(["U1"], ["V1"]), (mi_atom(["U1"], ["U2", "Y1"]), mi_atom(["V1"], ["V2", "Y2"]))),
-        (mi_atom(["U2"], ["V2"]), (mi_atom(["U2"], ["U1", "Y1"]), mi_atom(["V2"], ["V1", "Y2"]))),
-        (mi_atom(["U1"], ["V2"]), (mi_atom(["U1"], ["U2", "Y1"]), mi_atom(["V2"], ["V1", "Y2"]))),
-        (mi_atom(["U2"], ["V1"]), (mi_atom(["U2"], ["U1", "Y1"]), mi_atom(["V1"], ["V2", "Y2"]))),
-    ]
+    Each entry (lhs_atom, rhs_atoms) encodes lhs < sum(rhs).  The tuple is
+    built once, at import."""
+    return _COROLLARY3_SIDE
 
 
 def corollary3_feasible(valuation: dict[str, float], tol: float = 1e-9) -> bool:
     """True iff every strict side condition holds with margin tol.  A NaN
     side (inf - inf) fails its comparison, so the scheme is infeasible."""
-    for lhs, rhs in corollary3_side_conditions():
+    for lhs, rhs in _COROLLARY3_SIDE:
         if not valuation[lhs.name] < sum(valuation[r.name] for r in rhs) - tol:
             return False
     return True
@@ -408,18 +411,6 @@ def _check_atoms(system: ConstraintSystem, valuation: dict[str, float]):
     missing = sorted(system.atoms() - set(valuation))
     if missing:
         raise KeyError(f"valuation missing atoms: {missing}")
-
-
-def scheme3_region(valuation: dict[str, float], tol: float = 1e-9):
-    """Returns (system, feasible).  When the strict side conditions fail the
-    parameters are infeasible for this scheme; the system is still returned
-    for inspection."""
-    sys_ = corollary3_system()
-    _check_atoms(sys_, valuation)
-    for lhs, _ in corollary3_side_conditions():
-        if lhs.name not in valuation:
-            raise KeyError(f"valuation missing atoms: [{lhs.name!r}]")
-    return sys_, corollary3_feasible(valuation, tol)
 
 
 def corollary4_system() -> ConstraintSystem:

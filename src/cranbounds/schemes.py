@@ -1,9 +1,13 @@
 """Gaussian auxiliary constructions, sum-rate optimization, and sweeps.
 
-Each scheme fixes a linear-Gaussian construction of the auxiliary random
-variables, turns it into a joint covariance, evaluates the matching rate
-region through the shared atom machinery, and extracts the maximum sum
-rate.  Optimization is seeded multistart plus coordinate pattern search;
+Every scheme is one linear-Gaussian construction: independent Gaussian
+sources S with covariance `base`, auxiliaries R S, channel inputs X S and
+outputs Y = G X S + Z with unit receiver noise.  A scheme states only its
+source covariance and its rows R and X; one builder forms the joint
+covariance and runs the PSD checks on the covariance parameters and the
+per-BS power check on var(X1), var(X2).  The matching rate region is
+evaluated through the shared atom machinery and its maximum sum rate taken.
+Optimization is seeded multistart plus coordinate pattern search;
 covariances are parameterized through lower-triangular factors so PSD
 holds by construction, and per-BS power is enforced by projection.  The
 second-hop sum capacity `rsum_star` is not searched: it is Sato's bound,
@@ -46,12 +50,6 @@ __all__ = [
 GAUSSIAN_SCHEMES = ("GDS-I", "GDS-II", "GDS-III", "GCOMP")
 
 
-def _check_psd(m: np.ndarray, what: str, tol: float = 1e-8):
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
-    if w.min(initial=0.0) < -tol * max(1.0, abs(w).max(initial=1.0)):
-        raise ValueError(f"{what} is not PSD")
-
-
 @dataclass(frozen=True)
 class DescriptionIParams:
     """Common-codeword construction: X = S1 + S2 with independent Gaussian
@@ -61,12 +59,6 @@ class DescriptionIParams:
     K1: np.ndarray
     K2: np.ndarray
 
-    def validate(self, P: float):
-        _check_psd(self.K1, "K1")
-        _check_psd(self.K2, "K2")
-        if np.any(np.diag(self.K1 + self.K2) > P + 1e-6):
-            raise ValueError("per-BS power violated: diag(K1+K2) > P")
-
 
 @dataclass(frozen=True)
 class DescriptionIIParams:
@@ -74,10 +66,6 @@ class DescriptionIIParams:
 
     a: np.ndarray  # coefficients of (U0, V0, U1, V1) at BS 1
     b: np.ndarray  # coefficients of (U0, V0, U2, V2) at BS 2
-
-    def validate(self, P: float):
-        if np.sum(self.a ** 2) > P + 1e-6 or np.sum(self.b ** 2) > P + 1e-6:
-            raise ValueError("per-BS power violated: coefficient norm > P")
 
 
 @dataclass(frozen=True)
@@ -88,13 +76,6 @@ class DescriptionIIIParams:
     K1: np.ndarray
     K2: np.ndarray
     A: np.ndarray
-
-    def validate(self, P: float):
-        _check_psd(self.K1, "K1")
-        _check_psd(self.K2, "K2")
-        ia = np.eye(2) + self.A
-        if np.any(np.diag(ia @ self.K1 @ ia.T + self.K2) > P + 1e-6):
-            raise ValueError("per-BS power violated")
 
 
 @dataclass(frozen=True)
@@ -107,22 +88,9 @@ class CompressionParams:
     Kw: np.ndarray
     x0cov: np.ndarray  # covariance of X0 with (S1, S2, W), length 6
 
-    def validate(self, P: float):
-        _check_psd(self.K1, "K1")
-        _check_psd(self.K2, "K2")
-        _check_psd(self.Kw, "Kw")
-        if np.any(np.diag(self.K1 + self.K2 + self.Kw) > P + 1e-6):
-            raise ValueError("per-BS power violated: diag(K1+K2+Kw) > P")
-        _check_psd(self.base_cov(), "joint (S1,S2,W,X0) covariance", tol=1e-6)
-
     def base_cov(self) -> np.ndarray:
-        base = np.zeros((7, 7))
-        base[0:2, 0:2] = self.K1
-        base[2:4, 2:4] = self.K2
-        base[4:6, 4:6] = self.Kw
-        base[6, 0:6] = self.x0cov
-        base[0:6, 6] = self.x0cov
-        base[6, 6] = 1.0
+        base = _blockdiag(self.K1, self.K2, self.Kw, np.ones((1, 1)))
+        base[6, 0:6] = base[0:6, 6] = self.x0cov
         return base
 
 
@@ -150,93 +118,71 @@ def _dpc_precoder(K2: np.ndarray, g2: np.ndarray, Kw: np.ndarray | None = None) 
     return np.outer(K2 @ g2, g2) / denom
 
 
-def _assemble(components, rows, base_cov) -> JointCovariance:
-    M = np.vstack(rows)
-    return JointCovariance.make(components, M @ base_cov @ M.T)
+def _blockdiag(*blocks) -> np.ndarray:
+    n = sum(len(b) for b in blocks)
+    out, i = np.zeros((n, n)), 0
+    for b in blocks:
+        out[i:i + len(b), i:i + len(b)] = b
+        i += len(b)
+    return out
+
+
+def _joint(network: CranNetwork, base, comps, R, X, psd=()) -> JointCovariance:
+    """Joint covariance of the auxiliaries R S, the inputs X S and the
+    outputs G X S + Z, for sources S ~ `base` and unit receiver noise Z.
+
+    The components are `comps` (the auxiliaries, in the row order of R),
+    then X1, X2, Y1, Y2.  Every (name, matrix, tol) in `psd` is checked
+    first; per-BS power is checked on the joint's own var(X1), var(X2).
+    """
+    for name, m, tol in psd:
+        gaussian.check_psd(m, name, tol)
+    n, k = base.shape[0], R.shape[0]
+    M = np.zeros((k + 4, n + 2))  # rows R, X, G X; columns S, Z
+    M[:k, :n] = R
+    M[k:k + 2, :n] = X
+    M[k + 2:, :n] = [g @ X for g in network.G]
+    M[k + 2:, n:] = np.eye(2)
+    cov = M @ _blockdiag(base, np.eye(2)) @ M.T
+    if np.any(np.diag(cov)[k:k + 2] > network.P + 1e-6):
+        raise ValueError("per-BS power violated: var(X1) or var(X2) > P")
+    return JointCovariance.make([*comps, ("X1", 1), ("X2", 1), ("Y1", 1), ("Y2", 1)], cov)
 
 
 def build_joint_cov(scheme: str, params, network: CranNetwork) -> JointCovariance:
     """Joint covariance over auxiliaries, channel inputs, and outputs for one
-    scheme instance; receiver noises are independent with unit variance."""
-    G = network.G
-    if G.shape != (2, 2):
+    scheme instance; receiver noises are independent with unit variance.
+    Raises ValueError for a non-PSD covariance parameter or a per-BS power
+    above P."""
+    if network.G.shape != (2, 2):
         raise ValueError("Gaussian scheme constructions are 2-BS 2-user")
-    g1, g2 = G[0], G[1]
-    if scheme == "GDS-I":
-        params.validate(network.P)
-        A = _dpc_precoder(params.K2, g2)
-        base = np.zeros((6, 6))
-        base[0:2, 0:2] = params.K1
-        base[2:4, 2:4] = params.K2
-        base[4:6, 4:6] = np.eye(2)
-        I2, Z2 = np.eye(2), np.zeros((2, 2))
-        rows = [
-            np.hstack([I2, Z2, Z2]),            # U0 = S1
-            np.hstack([A, I2, Z2]),             # V0 = S2 + A S1
-            np.array([[1, 0, 1, 0, 0, 0]]),     # X1
-            np.array([[0, 1, 0, 1, 0, 0]]),     # X2
-            np.hstack([[g1], [g1], [[1, 0]]]),  # Y1
-            np.hstack([[g2], [g2], [[0, 1]]]),  # Y2
-        ]
-        comps = [("U0", 2), ("V0", 2), ("X1", 1), ("X2", 1), ("Y1", 1), ("Y2", 1)]
-        return _assemble(comps, rows, base)
-    if scheme == "GDS-II":
-        params.validate(network.P)
+    g2 = network.G[1]
+    if scheme == "GDS-II":  # unit sources U0 V0 U1 V1 U2 V2; X rows (a, b)
         a, b = params.a, params.b
-        base = np.eye(8)  # U0 V0 U1 V1 U2 V2 Z1 Z2
-        x1 = np.array([a[0], a[1], a[2], a[3], 0, 0, 0, 0])
-        x2 = np.array([b[0], b[1], 0, 0, b[2], b[3], 0, 0])
-        y1 = g1[0] * x1 + g1[1] * x2
-        y1[6] = 1.0
-        y2 = g2[0] * x1 + g2[1] * x2
-        y2[7] = 1.0
-        rows = [np.eye(8)[i][None, :] for i in range(6)] + [x1[None, :], x2[None, :],
-                                                            y1[None, :], y2[None, :]]
-        comps = [("U0", 1), ("V0", 1), ("U1", 1), ("V1", 1), ("U2", 1), ("V2", 1),
-                 ("X1", 1), ("X2", 1), ("Y1", 1), ("Y2", 1)]
-        return _assemble(comps, rows, base)
-    if scheme == "GDS-III":
-        params.validate(network.P)
-        A = params.A
-        base = np.zeros((6, 6))
-        base[0:2, 0:2] = params.K1
-        base[2:4, 2:4] = params.K2
-        base[4:6, 4:6] = np.eye(2)
-        I2, Z2 = np.eye(2), np.zeros((2, 2))
-        U = np.hstack([I2, Z2, Z2])             # (U1,U2) = S1
-        V = np.hstack([A, I2, Z2])              # (V1,V2) = S2 + A S1
-        X = np.hstack([I2 + A, I2, Z2])         # X = (I+A) S1 + S2
-        y1 = g1 @ X
-        y1[4] = 1.0
-        y2 = g2 @ X
-        y2[5] = 1.0
-        rows = [U[0][None, :], U[1][None, :], V[0][None, :], V[1][None, :],
-                X[0][None, :], X[1][None, :], y1[None, :], y2[None, :]]
-        comps = [("U1", 1), ("U2", 1), ("V1", 1), ("V2", 1),
-                 ("X1", 1), ("X2", 1), ("Y1", 1), ("Y2", 1)]
-        return _assemble(comps, rows, base)
-    if scheme == "GCOMP":
-        params.validate(network.P)
-        A = _dpc_precoder(params.K2, g2, params.Kw)
-        base = np.zeros((9, 9))  # S1 S2 W X0 Z1 Z2
-        base[0:7, 0:7] = params.base_cov()
-        base[7, 7] = base[8, 8] = 1.0
-        I2, Z2 = np.eye(2), np.zeros((2, 2))
-        z1 = np.zeros((2, 1))
-        U1 = np.hstack([I2, Z2, Z2, z1, z1, z1])      # U1 = S1
-        U2 = np.hstack([A, I2, Z2, z1, z1, z1])       # U2 = S2 + A S1
-        X = np.hstack([I2, I2, I2, z1, z1, z1])       # X = S1 + S2 + W
-        X0 = np.zeros((1, 9))
-        X0[0, 6] = 1.0
-        y1 = g1 @ X
-        y1[7] = 1.0
-        y2 = g2 @ X
-        y2[8] = 1.0
-        rows = [U1, U2, X0, X[0][None, :], X[1][None, :], y1[None, :], y2[None, :]]
-        comps = [("U1", 2), ("U2", 2), ("X0", 1), ("X1", 1), ("X2", 1),
-                 ("Y1", 1), ("Y2", 1)]
-        return _assemble(comps, rows, base)
-    raise ValueError(f"unknown Gaussian scheme {scheme!r}")
+        X = np.array([[a[0], a[1], a[2], a[3], 0, 0], [b[0], b[1], 0, 0, b[2], b[3]]])
+        comps = [(n, 1) for n in ("U0", "V0", "U1", "V1", "U2", "V2")]
+        return _joint(network, np.eye(6), comps, np.eye(6), X)
+    if scheme not in GAUSSIAN_SCHEMES:
+        raise ValueError(f"unknown Gaussian scheme {scheme!r}")
+    K1, K2 = params.K1, params.K2
+    psd = (("K1", K1, 1e-8), ("K2", K2, 1e-8))
+    if scheme == "GCOMP":  # U1 = S1, U2 = S2 + A S1, X0; X = S1 + S2 + W
+        base = params.base_cov()
+        R = np.eye(7)[[0, 1, 2, 3, 6]]
+        R[2:4, 0:2] = _dpc_precoder(K2, g2, params.Kw)
+        psd += (("Kw", params.Kw, 1e-8), ("joint (S1,S2,W,X0) covariance", base, 1e-6))
+        return _joint(network, base, [("U1", 2), ("U2", 2), ("X0", 1)], R,
+                      np.eye(2, 7) + np.eye(2, 7, 2) + np.eye(2, 7, 4), psd)
+    # sources (S1, S2); R = [[I, 0], [A, I]]
+    R = np.eye(4)
+    if scheme == "GDS-I":  # U0 = S1, V0 = S2 + A S1; X = S1 + S2
+        R[2:, 0:2] = _dpc_precoder(K2, g2)
+        return _joint(network, _blockdiag(K1, K2), [("U0", 2), ("V0", 2)], R,
+                      np.eye(2, 4) + np.eye(2, 4, 2), psd)
+    # GDS-III: (U1, U2) = S1, (V1, V2) = S2 + A S1; X = U + V = (I+A) S1 + S2
+    R[2:, 0:2] = params.A
+    comps = [(n, 1) for n in ("U1", "U2", "V1", "V2")]
+    return _joint(network, _blockdiag(K1, K2), comps, R, R[:2] + R[2:], psd)
 
 
 @functools.cache
@@ -352,10 +298,7 @@ class _SchemeSpace:
         K1, K2, Kw = (_vec_to_psd(x[0:3]), _vec_to_psd(x[3:6]), _vec_to_psd(x[6:9]))
         K1, K2, Kw = _scale_to_power([K1, K2, Kw], self.P)
         c = x[9:15].copy()
-        base = np.zeros((6, 6))
-        base[0:2, 0:2] = K1
-        base[2:4, 2:4] = K2
-        base[4:6, 4:6] = Kw
+        base = _blockdiag(K1, K2, Kw)
         # X0 has unit variance; keep the joint PSD by shrinking c if needed
         w, v = np.linalg.eigh(base)
         inv = np.where(w > 1e-12, 1.0 / np.where(w > 1e-12, w, 1.0), 0.0)

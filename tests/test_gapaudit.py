@@ -75,3 +75,33 @@ def test_randomized_audit_smoke():
     assert rep["worst"]["max_gap"] <= rep["worst"]["bound"] + 1e-9
     again = gapaudit.audit_random_instances(30, seed=5)
     assert again == rep
+
+
+def test_audit_takes_one_logdet_per_cut(monkeypatch):
+    """Each cut with a nonempty BS set S costs one capacity_logdet, shared by
+    both bounds, and the reports keep the two-call formula's values."""
+    rng = np.random.default_rng(11)
+    nets = [gapaudit.random_network(rng) for _ in range(12)] + [net22()]
+    logdet = gapaudit.capacity_logdet
+    calls = []
+
+    def counted(g, k):
+        calls.append(1)
+        return logdet(g, k)
+
+    monkeypatch.setattr(gapaudit, "capacity_logdet", counted)
+    for net in nets:
+        calls.clear()
+        rep = gapaudit.audit(net)
+        assert len(calls) == sum(1 for r in rep["reports"] if r.S)
+        expect = []
+        for r in rep["reports"]:
+            base = gapaudit._cap_terms(net, r.S)
+            if not r.S:
+                expect.append((base, base))
+                continue
+            sig = logdet(net.G_cut(r.D, r.S), net.P * np.eye(len(r.S)))
+            slack = 0.5 * min(len(r.S), len(r.D) * np.log2(len(r.S)))
+            expect.append((base + sig - len(r.D) / 2.0, base + sig + slack))
+        assert [(r.inner, r.outer) for r in rep["reports"]] == expect
+        assert rep["max_gap"] == max(o - i for i, o in expect)

@@ -108,14 +108,12 @@ def test_corollary3_side_condition_flag():
         for r in rhs:
             val.setdefault(r.name, 0.0)
     val["I(U1;V1)"] = 5.0
-    _, feasible = regions.scheme3_region(val)
-    assert not feasible
+    assert not regions.corollary3_feasible(val)
     val["I(U1;V1)"] = 0.0
     for lhs, rhs in regions.corollary3_side_conditions():
         for r in rhs:
             val[r.name] = 1.0
-    _, feasible = regions.scheme3_region(val)
-    assert feasible
+    assert regions.corollary3_feasible(val)
 
 
 def test_corollary4_structure():

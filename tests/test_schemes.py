@@ -18,16 +18,22 @@ def sym_net(P=10.0, g12=0.5, g21=-0.5, C=2.0, T=0.0):
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
-        DescriptionIParams(np.eye(2), np.eye(2)).validate(1.0)
-    with pytest.raises(ValueError):
-        DescriptionIIParams(np.array([2.0, 0, 0, 0]), np.zeros(4)).validate(1.0)
-    with pytest.raises(ValueError):
-        DescriptionIIIParams(np.eye(2), np.eye(2), np.zeros((2, 2))).validate(1.0)
+    with pytest.raises(ValueError, match="power"):
+        build_joint_cov("GDS-I", DescriptionIParams(np.eye(2), np.eye(2)), sym_net(P=1.0))
+    with pytest.raises(ValueError, match="power"):
+        build_joint_cov("GDS-II", DescriptionIIParams(np.array([2.0, 0, 0, 0]), np.zeros(4)),
+                        sym_net(P=1.0))
+    with pytest.raises(ValueError, match="power"):
+        build_joint_cov("GDS-III", DescriptionIIIParams(np.eye(2), np.eye(2), np.zeros((2, 2))),
+                        sym_net(P=1.0))
     # X0 correlation exceeding unit variance breaks joint PSD
-    with pytest.raises(ValueError):
-        CompressionParams(np.eye(2), np.eye(2), np.eye(2),
-                          np.array([2.0, 0, 0, 0, 0, 0])).validate(100.0)
+    with pytest.raises(ValueError, match=r"\(S1,S2,W,X0\) covariance is not PSD"):
+        build_joint_cov("GCOMP", CompressionParams(np.eye(2), np.eye(2), np.eye(2),
+                                                   np.array([2.0, 0, 0, 0, 0, 0])),
+                        sym_net(P=100.0))
+    with pytest.raises(ValueError, match="K1 is not PSD"):
+        build_joint_cov("GDS-I", DescriptionIParams(np.diag([1.0, -0.5]), np.eye(2)),
+                        sym_net(P=10.0))
 
 
 def test_desc1_zero_second_description():
