@@ -209,10 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gap-audit", help="randomized constant-gap audit")
-    p.add_argument("--instances", type=int, default=200)
+    p.add_argument("--instances", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nmax", type=int, default=4)
-    p.add_argument("--lmax", type=int, default=4)
+    p.add_argument("--nmax", type=_positive_int, default=4)
+    p.add_argument("--lmax", type=_positive_int, default=4)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gap_audit)
 

@@ -4,12 +4,14 @@ cut-set outer bound, cut by cut, for N-BS L-user Gaussian networks.
 Both relaxed bounds share their fronthaul/cooperation and log-det terms and
 differ only by an additive slack, so the per-cut gap has a closed form; the
 audit checks every cut of randomized instances against the power-independent
-bound L/2 + min(N, L log2 N)/2.
+bound L/2 + min(N, L log2 N)/2.  `audit` takes all log-dets of one |D| in one
+stacked `capacity_logdet` call: G(D, :) with the columns outside S zeroed, K = P I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -47,16 +49,17 @@ def _cap_terms(network: CranNetwork, s: tuple[int, ...]) -> float:
     return total
 
 
-def _relaxed_bounds(network: CranNetwork, d, s) -> tuple[float, float]:
-    """(inner, outer) relaxed values of one cut from one shared log-det."""
+def _shared(net: CranNetwork, d, s):
+    """Sorted (D, S) and the capacity terms plus, for nonempty S, the log-det."""
     d, s = tuple(sorted(set(d))), tuple(sorted(set(s)))
     if not d:
         raise ValueError("user subset D must be nonempty")
-    base = _cap_terms(network, s)
-    if not s:
-        return base, base
-    shared = base + capacity_logdet(network.G_cut(d, s), network.P * np.eye(len(s)))
-    return shared - len(d) / 2.0, shared + 0.5 * min(len(s), len(d) * np.log2(len(s)))
+    base = _cap_terms(net, s)
+    return d, s, base + capacity_logdet(net.G_cut(d, s), net.P * np.eye(len(s))) if s else base
+
+
+def _slack(n_s: int, n_d: int) -> float:
+    return 0.5 * min(n_s, n_d * np.log2(n_s))
 
 
 def ddf_inner_relaxed(network: CranNetwork, d, s) -> float:
@@ -66,21 +69,21 @@ def ddf_inner_relaxed(network: CranNetwork, d, s) -> float:
     For the empty BS cut the signal term is absent and the bound equals the
     fronthaul sum exactly (no -|D|/2 correction to relax).
     """
-    return _relaxed_bounds(network, d, s)[0]
+    d, s, shared = _shared(network, d, s)
+    return shared - len(d) / 2.0 if s else shared
 
 
 def cutset_outer_relaxed(network: CranNetwork, d, s) -> float:
     """Relaxed cut-set value: same capacity and log-det terms plus the slack
     (1/2) min(|S|, |D| log2 |S|); exact fronthaul sum when S is empty."""
-    return _relaxed_bounds(network, d, s)[1]
+    d, s, shared = _shared(network, d, s)
+    return shared + _slack(len(s), len(d)) if s else shared
 
 
 def cut_gap_formula(n_s: int, n_d: int) -> float:
     """Algebraic outer-minus-inner gap of one cut: zero for the empty BS
     cut, else |D|/2 + min(|S|, |D| log2 |S|)/2."""
-    if n_s == 0:
-        return 0.0
-    return n_d / 2.0 + 0.5 * min(n_s, n_d * np.log2(n_s))
+    return n_d / 2.0 + _slack(n_s, n_d) if n_s else 0.0
 
 
 def gap_bound(N: int, L: int) -> float:
@@ -92,14 +95,19 @@ def gap_bound(N: int, L: int) -> float:
 def audit(network: CranNetwork) -> dict:
     """Evaluate every (S, nonempty D) cut; passes iff the inner bound never
     exceeds the outer and the worst gap respects the closed-form bound."""
-    users = list(range(1, network.L + 1))
-    bss = list(range(1, network.N + 1))
-    reports = []
-    for s in _subsets_lex(bss):
-        for d in _subsets_lex(users):
-            if not d:
-                continue
-            reports.append(CutReport(tuple(s), tuple(d), *_relaxed_bounds(network, d, s)))
+    users = range(1, network.L + 1)
+    subsets = _subsets_lex(range(1, network.N + 1))  # the empty S first
+    base = [_cap_terms(network, s) for s in subsets]
+    mask = np.array([[k in s for k in range(1, network.N + 1)] for s in subsets[1:]], float)
+    cuts = dict.fromkeys(_subsets_lex(users)[1:])  # D -> [(inner, outer) for each S]
+    for l in users:
+        ds = list(combinations(users, l))
+        g = mask[:, None, None, :] * network.G[np.array(ds) - 1]
+        shared = np.array(base[1:])[:, None] + capacity_logdet(g, network.P * np.eye(network.N))
+        slack = [[_slack(len(s), l)] for s in subsets[1:]]
+        for d, lo, hi in zip(ds, (shared - l / 2.0).T.tolist(), (shared + slack).T.tolist()):
+            cuts[d] = [(base[0], base[0])] + list(zip(lo, hi))
+    reports = [CutReport(s, d, *c[i]) for i, s in enumerate(subsets) for d, c in cuts.items()]
     max_gap = max(r.gap for r in reports)
     bound = gap_bound(network.N, network.L)
     ok = max_gap <= bound + 1e-9 and all(r.inner <= r.outer + 1e-9 for r in reports)
@@ -109,6 +117,8 @@ def audit(network: CranNetwork) -> dict:
 def random_network(rng: np.random.Generator, nmax: int = 4, lmax: int = 4) -> CranNetwork:
     """Random Gaussian instance: N, L up to the caps, gains in [-2, 2],
     power in [0.1, 100], capacities in [0, 5]."""
+    if min(nmax, lmax) < 1:
+        raise ValueError(f"nmax and lmax must be at least 1, got {nmax} and {lmax}")
     N = int(rng.integers(1, nmax + 1))
     L = int(rng.integers(1, lmax + 1))
     G = rng.uniform(-2.0, 2.0, size=(L, N))
@@ -122,6 +132,8 @@ def random_network(rng: np.random.Generator, nmax: int = 4, lmax: int = 4) -> Cr
 def audit_random_instances(instances: int, seed: int, nmax: int = 4,
                            lmax: int = 4) -> dict:
     """Audit a batch of seeded random networks; deterministic given seed."""
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     rng = np.random.default_rng(seed)
     worst = {"max_gap": -np.inf}
     all_pass = True

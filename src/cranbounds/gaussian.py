@@ -237,23 +237,24 @@ def gauss_total_correlation(cov: JointCovariance, names) -> float:
     return _single_atom(cov, gamma_atom(names))
 
 
-def capacity_logdet(g_sub: np.ndarray, k_sub: np.ndarray) -> float:
-    """(1/2) log2 det(I + G K G^T) in bits; K is clipped to the PSD cone."""
+def capacity_logdet(g_sub: np.ndarray, k_sub: np.ndarray):
+    """(1/2) log2 det(I + G K G^T) in bits; K is clipped to the PSD cone once.
+    A stack G of shape (..., m, n) gives an array of shape (...), a matrix a float."""
     g = np.asarray(g_sub, dtype=float)
-    if g.ndim != 2:
+    if g.ndim < 2:
         raise ValueError("G must be a matrix")
     if g.size == 0:
-        return 0.0
+        return 0.0 if g.ndim == 2 else np.zeros(g.shape[:-2])
     k = np.asarray(k_sub, dtype=float)
-    if k.shape != (g.shape[1], g.shape[1]):
-        raise ValueError(f"K shape {k.shape} does not match G columns {g.shape[1]}")
+    if k.shape != (g.shape[-1], g.shape[-1]):
+        raise ValueError(f"K shape {k.shape} does not match G columns {g.shape[-1]}")
     w, v = np.linalg.eigh(_sym(k))
     k = (v * np.clip(w, 0.0, None)) @ v.T
-    m = np.eye(g.shape[0]) + g @ k @ g.T
-    sign, logdet = np.linalg.slogdet(m)
-    if sign <= 0:
+    sign, logdet = np.linalg.slogdet(np.eye(g.shape[-2]) + g @ k @ np.swapaxes(g, -1, -2))
+    if np.any(sign <= 0):
         raise ValueError("I + G K G^T is numerically singular")
-    return max(0.0, float(logdet / np.log(2.0) * 0.5))
+    bits = np.where(logdet > 0.0, logdet / np.log(2.0) * 0.5, 0.0)
+    return float(bits) if g.ndim == 2 else bits
 
 
 @dataclass(frozen=True)

@@ -574,14 +574,10 @@ def cutset_region(network: CranNetwork, K: JointCovariance) -> ConstraintSystem:
         s_c = [k for k in bss if k not in s]
         cap_term = sum(caps[_cap_name(k)] for k in s_c)
         cap_term += sum(caps[_cap_name(k, j)] for j in s for k in s_c)
-        for d in _subsets_lex(users):
-            if not d:
-                continue
-            if s:
-                k_cond = schur_conditional(K, [f"X{k}" for k in s], [f"X{k}" for k in s_c])
-                signal = capacity_logdet(network.G_cut(d, s), k_cond.matrix)
-            else:
-                signal = 0.0
+        if s:  # K(S | S^c) depends on S alone
+            k_cond = schur_conditional(K, [f"X{k}" for k in s], [f"X{k}" for k in s_c]).matrix
+        for d in _subsets_lex(users)[1:]:
+            signal = capacity_logdet(network.G_cut(d, s), k_cond) if s else 0.0
             sys_.add({f"R{l}": 1 for l in d}, AffineExpr.constant(Q(cap_term + signal)))
     return sys_
 

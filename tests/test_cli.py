@@ -232,6 +232,24 @@ def test_gap_audit_cli(tmp_path):
     assert payload["all_pass"] and payload["instances"] == 15
 
 
+@pytest.mark.parametrize("flag", ["--instances", "--nmax", "--lmax"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_gap_audit_rejects_sizes_below_one(flag, value, tmp_path, capsys):
+    out = tmp_path / "audit.json"
+    rc = run_cli(["gap-audit", "--instances", "3", flag, value, "-o", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and not out.exists()
+    assert f"argument {flag}" in err and repr(value) in err
+
+
+def test_gap_audit_matches_golden_output(tmp_path):
+    out = tmp_path / "audit.json"
+    rc = run_cli(["gap-audit", "--instances", "200", "--seed", "0", "--nmax", "4",
+                  "--lmax", "4", "-o", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / "gap_audit_seed0.json").read_bytes()
+
+
 def test_usage_errors():
     assert run_cli(["region"]) == 2          # missing --scheme
     assert run_cli(["no-such-command"]) == 2

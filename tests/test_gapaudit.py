@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gap_oracle
 from cranbounds import gapaudit
 from cranbounds.gaussian import CranNetwork
 
@@ -77,9 +78,10 @@ def test_randomized_audit_smoke():
     assert again == rep
 
 
-def test_audit_takes_one_logdet_per_cut(monkeypatch):
-    """Each cut with a nonempty BS set S costs one capacity_logdet, shared by
-    both bounds, and the reports keep the two-call formula's values."""
+def test_audit_takes_one_logdet_per_user_subset_size(monkeypatch):
+    """One stacked capacity_logdet per user-subset size |D| covers every cut
+    (L calls per network), and the reports keep the per-cut 2-D formula's
+    values exactly."""
     rng = np.random.default_rng(11)
     nets = [gapaudit.random_network(rng) for _ in range(12)] + [net22()]
     logdet = gapaudit.capacity_logdet
@@ -93,7 +95,7 @@ def test_audit_takes_one_logdet_per_cut(monkeypatch):
     for net in nets:
         calls.clear()
         rep = gapaudit.audit(net)
-        assert len(calls) == sum(1 for r in rep["reports"] if r.S)
+        assert len(calls) == net.L
         expect = []
         for r in rep["reports"]:
             base = gapaudit._cap_terms(net, r.S)
@@ -105,3 +107,51 @@ def test_audit_takes_one_logdet_per_cut(monkeypatch):
             expect.append((base + sig - len(r.D) / 2.0, base + sig + slack))
         assert [(r.inner, r.outer) for r in rep["reports"]] == expect
         assert rep["max_gap"] == max(o - i for i, o in expect)
+
+
+def oracle_networks():
+    """Random networks with N, L <= 6, plus P = 0, N = 1 (log2 1 = 0) and a
+    zero column of G."""
+    rng = np.random.default_rng(2024)
+    nets = []
+    for N, L in [(1, 1), (1, 6), (6, 1), (6, 6), (3, 5), (5, 2)]:
+        nets += [gapaudit.random_network(rng, N, L) for _ in range(4)]
+        G = rng.uniform(-2.0, 2.0, size=(L, N))
+        G[:, rng.integers(N)] = 0.0
+        C, T = rng.uniform(0.0, 5.0, size=N), rng.uniform(0.0, 5.0, size=(N, N))
+        np.fill_diagonal(T, 0.0)
+        nets += [CranNetwork.make(G, 0.0, C, T), CranNetwork.make(G, 7.5, C, T)]
+    nets.append(CranNetwork.make(np.zeros((3, 2)), 0.0, [1.0, 2.0]))
+    return nets
+
+
+@pytest.mark.parametrize("net", oracle_networks(), ids=lambda n: f"{n.N}x{n.L}-P{n.P:g}")
+def test_batched_audit_equals_per_cut_oracle_bit_for_bit(net):
+    got, want = gapaudit.audit(net), gap_oracle.audit(net)
+
+    def bits(rep):
+        return ([(r.S, r.D, float(r.inner).hex(), float(r.outer).hex()) for r in rep["reports"]],
+                float(rep["max_gap"]).hex(), rep["pass"])
+
+    assert bits(got) == bits(want)
+    assert got["bound"] == want["bound"]
+
+
+@pytest.mark.parametrize("d,s", [([1], [1]), ([2, 1], [2]), ([1, 2], [1, 2]), ([2], [])])
+def test_per_cut_bounds_match_oracle(d, s):
+    for net in (net22(), net22(P=0.0)):
+        want = gap_oracle.relaxed_bounds(net, d, s)
+        assert (gapaudit.ddf_inner_relaxed(net, d, s),
+                gapaudit.cutset_outer_relaxed(net, d, s)) == want
+
+
+def test_random_instances_reject_sizes_below_one():
+    rng = np.random.default_rng(0)
+    for nmax, lmax in [(0, 4), (4, 0), (-1, -1)]:
+        with pytest.raises(ValueError, match="at least 1"):
+            gapaudit.random_network(rng, nmax, lmax)
+    for instances in (0, -1):
+        with pytest.raises(ValueError, match=f"at least 1, got {instances}"):
+            gapaudit.audit_random_instances(instances, seed=0)
+    with pytest.raises(ValueError, match="at least 1, got 0 and 4"):
+        gapaudit.audit_random_instances(3, seed=0, nmax=0)

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cranbounds import gaussian
 from cranbounds.atoms import gamma_atom, mi_atom
@@ -164,3 +167,42 @@ def test_network_container():
     sym = CranNetwork.symmetric(5.0, 0.5, -0.5, 2.0, 1.0)
     assert sym.C[0] == 2.0 and sym.Ccoop[0, 1] == 1.0
     assert json.loads(sym.to_json())["P"] == 5.0
+
+
+@st.composite
+def stacked_logdet_case(draw):
+    """A stack G of shape lead + (m, n), lead up to (3, 4), and one K that
+    is PSD (A A^T) or arbitrary (indefinite, possibly asymmetric)."""
+    lead = draw(st.sampled_from([(), (1,), (3,), (1, 4), (3, 4), (2, 1)]))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.floats(-3.0, 3.0, allow_nan=False)
+    g = draw(hnp.arrays(float, lead + (m, n), elements=entries))
+    a = draw(hnp.arrays(float, (n, n), elements=entries))
+    return g, (a @ a.T if draw(st.booleans()) else a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacked_logdet_case())
+def test_stacked_capacity_logdet_equals_per_matrix_calls(case):
+    g, k = case
+    out = capacity_logdet(g, k)
+    if g.ndim == 2:
+        assert type(out) is float
+        return
+    assert out.shape == g.shape[:-2]
+    for idx in np.ndindex(*g.shape[:-2]):
+        one = capacity_logdet(g[idx], k)
+        assert type(one) is float and float(out[idx]).hex() == one.hex()
+
+
+def test_stacked_capacity_logdet_sizes_and_shape_errors():
+    assert capacity_logdet(np.zeros((0, 3)), np.eye(5)) == 0.0
+    for shape in [(2, 0, 3), (2, 3, 0), (0, 2, 2), (3, 1, 0, 0)]:
+        out = capacity_logdet(np.ones(shape), np.eye(shape[-1]))
+        assert out.shape == shape[:-2] and not out.any()
+    with pytest.raises(ValueError, match="matrix"):
+        capacity_logdet(np.ones(3), np.eye(3))
+    with pytest.raises(ValueError, match="does not match"):
+        capacity_logdet(np.ones((4, 2, 3)), np.eye(2))
+    with pytest.raises(ValueError, match="does not match"):
+        capacity_logdet(np.ones((4, 2, 3)), np.ones((3, 2)))

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import rand_caps, scenario_gcomp, scenario_scheme1
 from cranbounds import discrete, polytope, regions
-from cranbounds.gaussian import CranNetwork, JointCovariance
+from cranbounds.gaussian import (CranNetwork, JointCovariance, capacity_logdet,
+                                 schur_conditional)
 from cranbounds.verify import zchannel_pmf
 
 
@@ -291,6 +292,43 @@ def test_cutset_region_structure_and_power():
         regions.cutset_region(net0, K)  # power violated
     assert regions.cutset_symmetric_sumrate(1.0, 5.0) == 2.0
     assert regions.cutset_symmetric_sumrate(4.0, 5.0) == 5.0
+
+
+def cutset_region_per_cut(network, K):
+    """`regions.cutset_region` with K(S | S^c) recomputed for every cut."""
+    caps = regions.caps_valuation(network)
+    bss, users = list(range(1, network.N + 1)), list(range(1, network.L + 1))
+    sys_ = polytope.ConstraintSystem([f"R{l}" for l in users])
+    for s in regions._subsets_lex(bss):
+        s_c = [k for k in bss if k not in s]
+        cap_term = sum(caps[regions._cap_name(k)] for k in s_c)
+        cap_term += sum(caps[regions._cap_name(k, j)] for j in s for k in s_c)
+        for d in regions._subsets_lex(users):
+            if not d:
+                continue
+            signal = 0.0
+            if s:
+                k_cond = schur_conditional(K, [f"X{k}" for k in s], [f"X{k}" for k in s_c])
+                signal = capacity_logdet(network.G_cut(d, s), k_cond.matrix)
+            sys_.add({f"R{l}": 1 for l in d},
+                     polytope.AffineExpr.constant(Fraction(cap_term + signal)))
+    return sys_
+
+
+def test_cutset_region_matches_per_cut_schur_complements():
+    rng = np.random.default_rng(33)
+    names = [("X1", 1), ("X2", 1), ("X3", 1)]
+    for _ in range(20):
+        P = float(rng.uniform(0.5, 20.0))
+        a = rng.normal(size=(3, 3))
+        K = a @ a.T
+        K *= P / K.diagonal().max()  # the largest variance at exactly P
+        net = CranNetwork.make(rng.uniform(-2.0, 2.0, size=(3, 3)), P,
+                               rng.uniform(0.0, 5.0, size=3), rng.uniform(0.0, 5.0, size=(3, 3))
+                               * (1.0 - np.eye(3)))
+        cov = JointCovariance.make(names, K)
+        assert (polytope.format_system(regions.cutset_region(net, cov))
+                == polytope.format_system(cutset_region_per_cut(net, cov)))
 
 
 def test_ddf_inside_cutset_for_gaussian_law():
