@@ -26,15 +26,14 @@ from .regions import (SUBSTITUTIONS, CompiledRegion, RegionSpec, Substitution,
                       apply_substitution, caps_valuation, corollary1_system,
                       corollary2_system, corollary3_feasible,
                       corollary3_system, corollary4_system, corollary5_system,
-                      cutset_region, cutset_symmetric_sumrate, ddf_p1_region,
-                      ddf_p1_system, gcomp_theorem2_system, gds_project,
-                      gds_theorem1_system, make_region, max_single_rate,
-                      max_sum_rate, region_to_json)
+                      cutset_region, ddf_p1_system, gcomp_theorem2_system,
+                      gds_project, gds_theorem1_system, make_region,
+                      max_single_rate, max_sum_rate, region_to_json)
 from .schemes import (GAUSSIAN_SCHEMES, CompressionParams, DescriptionIParams,
                       DescriptionIIParams, DescriptionIIIParams,
                       OptimizerBudget, SchemeEvaluation, build_joint_cov,
-                      gds_timeshare_sumrate, optimize_scheme, rsum_star,
-                      scheme_sumrate, scheme_valuation, sweep_rows)
+                      optimize_scheme, rsum_star, scheme_sumrate,
+                      scheme_valuation, sweep_rows)
 from .verify import ExampleReport, example1_run, example2_run
 
 __version__ = "0.1.0"

@@ -21,7 +21,8 @@ from .discrete import Channel, JointPmf, atom_valuation, compose
 from .gaussian import CranNetwork, JointCovariance
 from .polytope import (FMEBlowupError, SystemParseError, eliminate_all,
                        format_system, parse_system)
-from .regions import RegionSpec, cutset_region, make_region, region_to_json
+from .regions import (SCHEME_IDS, RegionSpec, cutset_region, make_region,
+                      region_to_json)
 from .schemes import sweep_rows
 
 CSV_COLUMNS = ("C", "T", "scheme", "sum_rate", "cutset", "rsum_star")
@@ -188,9 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("region", help="export a rate region as JSON")
-    p.add_argument("--scheme", required=True,
-                   choices=["GDS-T1", "GDS-I", "GDS-II", "GDS-III", "COR4",
-                            "COR5", "GCOMP-T2", "DDF-P1", "CUTSET"])
+    p.add_argument("--scheme", required=True, choices=SCHEME_IDS)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--valuation", help="JSON file of atom values")
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-examples", help="run the benchmark topology checks")
     p.add_argument("--example", type=int, choices=[1, 2])
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_verify_examples)

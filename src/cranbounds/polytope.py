@@ -70,20 +70,8 @@ class AffineExpr:
     def constant(c) -> "AffineExpr":
         return AffineExpr.make({}, c)
 
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(self.terms)
-
     def atoms(self) -> set[str]:
         return {k for k, _ in self.terms}
-
-    def value(self, valuation: dict[str, float]) -> float:
-        total = float(self.const)
-        for k, v in self.terms:
-            try:
-                total += float(v) * valuation[k]
-            except KeyError:
-                raise KeyError(f"valuation missing atom {k!r}") from None
-        return total
 
     def __str__(self) -> str:
         parts = [(v, f"{abs(v)}*{k}") for k, v in self.terms]
@@ -164,9 +152,6 @@ class ConstraintSystem:
             raise ValueError(f"constraint uses undeclared variables {sorted(extra)}")
         self.constraints.append(c)
 
-    def copy(self) -> "ConstraintSystem":
-        return ConstraintSystem(list(self.variables), list(self.constraints))
-
     def numeric(self, valuation: dict[str, float]):
         """Resolve atoms: returns (A, b) with the row order of `constraints`,
         such that membership of x means A @ x <= b (elementwise)."""
@@ -186,7 +171,7 @@ class CompiledSystem:
     with one entry per row for its constant, then one per atom term (row,
     coefficient, index into `atoms`).  An atom absent from a row never
     touches it, so an infinite atom cannot make 0*inf = NaN, and every row
-    sums its terms in the order `AffineExpr.value` does."""
+    sums its constant, then its atom terms in order."""
 
     def __init__(self, system: ConstraintSystem):
         cons, n = system.constraints, len(system.constraints)
@@ -364,7 +349,7 @@ def eliminate_all(system: ConstraintSystem, drop_vars,
     if max_constraints < 1:
         raise ValueError(f"max_constraints must be at least 1, got {max_constraints}")
     if not remaining:
-        return system.copy()
+        return ConstraintSystem(list(system.variables), list(system.constraints))
     dropped = set(remaining)
     cols = _Columns(system)
     # input rows enter unreduced, each with its own history bit

@@ -37,9 +37,7 @@ __all__ = [
     "corollary5_system",
     "gcomp_theorem2_system",
     "ddf_p1_system",
-    "ddf_p1_region",
     "cutset_region",
-    "cutset_symmetric_sumrate",
     "caps_valuation",
     "CompiledRegion",
     "max_sum_rate",
@@ -157,67 +155,59 @@ def gds_theorem1_system() -> ConstraintSystem:
     return sys_
 
 
+# the auxiliaries whose degeneracy pins each rate to zero
+_RATE_AUX = {"R1": frozenset({"U0", "U1", "U2"}), "R2": frozenset({"V0", "V1", "V2"})}
+_RATE_AUX.update({f"R{a.lower()}{i}": frozenset({f"{a}{i}"}) for a in "UV" for i in range(3)})
+
+
 @dataclass(frozen=True)
 class Substitution:
     """Restriction of the full G-DS system to one corollary's structure.
 
     degenerate:  auxiliary variables forced constant (dropped from atoms)
-    zero_rates:  auxiliary-rate variables pinned to zero
     rename:      variable renames applied inside atoms
     zero_consts: capacity constants pinned to zero
     zero_gamma:  drop every total-correlation atom (mutually independent
                  auxiliaries)
-    drop_vars:   additional rate variables pinned to zero (e.g. R2 for the
-                 single-user topology)
-    eliminate:   auxiliary rates to project out afterwards
+
+    The rates it pins to zero and the auxiliary rates it projects out
+    follow from `degenerate`.
     """
 
     name: str
     degenerate: frozenset = frozenset()
-    zero_rates: frozenset = frozenset()
     rename: tuple = ()
     zero_consts: frozenset = frozenset()
     zero_gamma: bool = False
-    drop_vars: frozenset = frozenset()
-    eliminate: tuple = ()
+
+    @property
+    def zero_rates(self) -> tuple[str, ...]:
+        """Rates pinned to zero, in `RATE_VARS` order: Rui (Rvj) for each
+        degenerate Ui (Vj), and R1 (R2) once all three U (V) are."""
+        return tuple(r for r in RATE_VARS if _RATE_AUX[r] <= self.degenerate)
+
+    @property
+    def eliminate(self) -> tuple[str, ...]:
+        """The remaining auxiliary rates, in `RATE_VARS` order: greedy FME
+        breaks ties by list position."""
+        return tuple(r for r in RATE_VARS[2:] if r not in self.zero_rates)
 
 
-SUBSTITUTIONS = {
-    "scheme-I": Substitution(
-        name="scheme-I",
-        degenerate=frozenset({"U1", "V1", "U2", "V2"}),
-        zero_rates=frozenset({"Ru1", "Rv1", "Ru2", "Rv2"}),
-        eliminate=("Ru0", "Rv0")),
-    "scheme-II": Substitution(
-        name="scheme-II",
-        zero_gamma=True,
-        eliminate=("Ru0", "Ru1", "Ru2", "Rv0", "Rv1", "Rv2")),
-    "scheme-III": Substitution(
-        name="scheme-III",
-        degenerate=frozenset({"U0", "V0"}),
-        zero_rates=frozenset({"Ru0", "Rv0"}),
-        eliminate=("Ru1", "Ru2", "Rv1", "Rv2")),
-    "cor4": Substitution(
-        name="cor4",
-        degenerate=frozenset({"U0", "U2", "V0", "V2"}),
-        zero_rates=frozenset({"Ru0", "Ru2", "Rv0", "Rv2"}),
-        rename=(("U1", "U"), ("V1", "V")),
-        zero_consts=frozenset({"C2", "C12", "C21"}),
-        eliminate=("Ru1", "Rv1")),
-    "cor5": Substitution(
-        name="cor5",
-        degenerate=frozenset({"V0", "V1", "V2"}),
-        zero_rates=frozenset({"Rv0", "Rv1", "Rv2"}),
-        rename=(("U0", "U"), ("U1", "X1"), ("U2", "X2")),
-        drop_vars=frozenset({"R2"}),
-        eliminate=("Ru0", "Ru1", "Ru2")),
-}
+SUBSTITUTIONS = {sub.name: sub for sub in (
+    Substitution("scheme-I", frozenset({"U1", "V1", "U2", "V2"})),
+    Substitution("scheme-II", zero_gamma=True),
+    Substitution("scheme-III", frozenset({"U0", "V0"})),
+    Substitution("cor4", frozenset({"U0", "U2", "V0", "V2"}), (("U1", "U"), ("V1", "V")),
+                 frozenset({"C2", "C12", "C21"})),
+    Substitution("cor5", frozenset({"V0", "V1", "V2"}),
+                 (("U0", "U"), ("U1", "X1"), ("U2", "X2"))),
+)}
 
 
 def apply_substitution(system: ConstraintSystem, sub: Substitution) -> ConstraintSystem:
     """Specialize a symbolic system: zero rates, rewrite or drop atoms."""
     rename = dict(sub.rename)
-    dropped_rates = sub.zero_rates | sub.drop_vars
+    dropped_rates = set(sub.zero_rates)
     keep_vars = [v for v in system.variables if v not in dropped_rates]
     out = ConstraintSystem(keep_vars)
     for c in system.constraints:
@@ -407,12 +397,6 @@ def corollary3_feasible(valuation: dict[str, float], tol: float = 1e-9) -> bool:
     return True
 
 
-def _check_atoms(system: ConstraintSystem, valuation: dict[str, float]):
-    missing = sorted(system.atoms() - set(valuation))
-    if missing:
-        raise KeyError(f"valuation missing atoms: {missing}")
-
-
 def corollary4_system() -> ConstraintSystem:
     """Single-BS two-user region: Marton's inner bound plus the fronthaul
     sum constraint."""
@@ -539,19 +523,6 @@ def caps_valuation(network: CranNetwork) -> dict[str, float]:
     return out
 
 
-def ddf_p1_region(network: CranNetwork, valuation: dict[str, float],
-                  N: int | None = None, L: int | None = None):
-    """DDF region with capacities taken from `network`; returns the system
-    and the merged valuation covering all its atoms."""
-    N = network.N if N is None else N
-    L = network.L if L is None else L
-    sys_ = ddf_p1_system(N, L)
-    merged = dict(valuation)
-    merged.update(caps_valuation(network))
-    _check_atoms(sys_, merged)
-    return sys_, merged
-
-
 # ---------------------------------------------------------------------------
 # Cut-set outer bound (Gaussian)
 # ---------------------------------------------------------------------------
@@ -580,11 +551,6 @@ def cutset_region(network: CranNetwork, K: JointCovariance) -> ConstraintSystem:
             signal = capacity_logdet(network.G_cut(d, s), k_cond) if s else 0.0
             sys_.add({f"R{l}": 1 for l in d}, AffineExpr.constant(Q(cap_term + signal)))
     return sys_
-
-
-def cutset_symmetric_sumrate(C: float, rsum_star: float) -> float:
-    """Sum-rate cut-set reference for the symmetric instance: min(2C, R*)."""
-    return min(2.0 * C, rsum_star)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .atoms import parse_atom  # noqa: F401
 from .gaussian import CranNetwork, JointCovariance
 from .regions import (CompiledRegion, RegionSpec, caps_valuation,
                       corollary3_feasible, corollary3_side_conditions,
-                      cutset_symmetric_sumrate, make_region, max_sum_rate)
+                      make_region, max_sum_rate)
 
 __all__ = [
     "DescriptionIParams",
@@ -43,7 +43,6 @@ __all__ = [
     "scheme_sumrate",
     "optimize_scheme",
     "rsum_star",
-    "gds_timeshare_sumrate",
     "sweep_rows",
 ]
 
@@ -99,8 +98,10 @@ class OptimizerBudget:
     restarts: int = 64
     iters: int = 4000  # objective evaluations per restart
     seed: int = 0
-    step0_scale: float = 0.25  # initial step = step0_scale * sqrt(P)
-    min_step: float = 1e-5
+
+
+STEP0_SCALE = 0.25  # initial pattern-search step = STEP0_SCALE * sqrt(P)
+MIN_STEP = 1e-5
 
 
 @dataclass
@@ -319,13 +320,13 @@ class _SchemeSpace:
 
 
 def _pattern_search(f, x0: np.ndarray, step0: float, min_step: float,
-                    max_evals: int, stop_at: float | None = None):
+                    max_evals: int, stop_at: float = np.inf):
     x = x0.copy()
     fx = f(x)
     evals = 1
     step = step0
     while step > min_step and evals < max_evals:
-        if stop_at is not None and fx >= stop_at:
+        if fx >= stop_at:
             break
         improved = False
         for i in range(len(x)):
@@ -340,7 +341,7 @@ def _pattern_search(f, x0: np.ndarray, step0: float, min_step: float,
                     x, fx = y, fy
                     improved = True
                     break
-            if stop_at is not None and fx >= stop_at:
+            if fx >= stop_at:
                 return x, fx, evals
         if not improved:
             step *= 0.5
@@ -348,32 +349,31 @@ def _pattern_search(f, x0: np.ndarray, step0: float, min_step: float,
 
 
 def optimize_scheme(scheme: str, network: CranNetwork,
-                    budget: OptimizerBudget = OptimizerBudget(),
-                    upper_bound: float | None = None) -> SchemeEvaluation:
+                    budget: OptimizerBudget = OptimizerBudget()) -> SchemeEvaluation:
     """Best-effort maximization of a scheme's sum rate.
 
     Deterministic given the seed: restart r uses the r-th spawned generator,
-    and ties between restarts keep the lowest restart index.  `upper_bound`
-    allows early exit once the objective provably cannot improve (e.g. the
-    fronthaul cap in the sum-rate direction).
+    and ties between restarts keep the lowest restart index.  The search
+    stops early once the objective reaches `scheme_sum_cap`, which it
+    provably cannot exceed.
     """
     if scheme not in GAUSSIAN_SCHEMES:
         raise ValueError(f"unknown Gaussian scheme {scheme!r}")
     space = _SchemeSpace(scheme, network)
     seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
-    step0 = budget.step0_scale * np.sqrt(max(network.P, 1e-12))
+    step0 = STEP0_SCALE * np.sqrt(max(network.P, 1e-12))
     best_x, best_f, best_r = None, -np.inf, -1
     total_evals = 0
-    stop_at = None if upper_bound is None else upper_bound - 1e-9
+    stop_at = scheme_sum_cap(scheme, network) - 1e-9
     for r in range(budget.restarts):
         rng = np.random.default_rng(seeds[r])
         x0 = space.initial(rng, r)
         x, fx, ev = _pattern_search(space.objective, x0, step0,
-                                    budget.min_step, budget.iters, stop_at)
+                                    MIN_STEP, budget.iters, stop_at)
         total_evals += ev
         if fx > best_f + 1e-12:
             best_x, best_f, best_r = x, fx, r
-        if stop_at is not None and best_f >= stop_at:
+        if best_f >= stop_at:
             break
     params = space.to_params(best_x) if best_x is not None else None
     return SchemeEvaluation(scheme, params, max(0.0, best_f),
@@ -441,16 +441,6 @@ def scheme_sum_cap(scheme: str, network: CranNetwork) -> float:
     return cap
 
 
-def gds_timeshare_sumrate(network: CranNetwork,
-                          budget: OptimizerBudget = OptimizerBudget()) -> float:
-    """Best G-DS sum rate over the three correlation structures (time sharing
-    at a fixed instance cannot beat the best single sum rate)."""
-    vals = [optimize_scheme(s, network, budget,
-                            upper_bound=scheme_sum_cap(s, network)).sum_rate
-            for s in ("GDS-I", "GDS-II", "GDS-III")]
-    return max(vals)
-
-
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
@@ -460,9 +450,10 @@ def sweep_rows(config: dict) -> list[dict]:
     """Evaluate schemes over a fronthaul-capacity grid.
 
     Config keys: P, G (2x2), C_grid, T (scalar or list), schemes, seed,
-    budget {restarts, iters}.  Within one (scheme, T) pair the refined
-    parameters found at every grid point are shared: each C reports the best
-    sum rate over the whole pool, which preserves monotonicity in C.
+    budget {restarts, iters}, each an integer of at least 1.  Within one
+    (scheme, T) pair the refined parameters found at every grid point are
+    shared: each C reports the best sum rate over the whole pool, which
+    preserves monotonicity in C.
     Every grid point gets its own derived seed.  The `cutset` column is
     min(2C, rsum_star), a certified upper bound that does not depend on the
     seed or the budget.  Returns rows sorted by (C, T, scheme).
@@ -482,8 +473,10 @@ def sweep_rows(config: dict) -> list[dict]:
         raise ValueError("scheme list must be nonempty")
     seed = int(config["seed"])
     bcfg = config.get("budget", {})
-    restarts = int(bcfg.get("restarts", 8))
-    iters = int(bcfg.get("iters", 4000))
+    restarts, iters = bcfg.get("restarts", 8), bcfg.get("iters", 4000)
+    for key, value in (("restarts", restarts), ("iters", iters)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"budget {key} must be an integer of at least 1, got {value!r}")
 
     base_schemes = sorted({s for s in schemes if s != "GDS-TS"}
                           | ({"GDS-I", "GDS-II", "GDS-III"} if "GDS-TS" in schemes else set()))
@@ -498,8 +491,7 @@ def sweep_rows(config: dict) -> list[dict]:
         sub_seed = np.random.SeedSequence(seed, spawn_key=(ti, si, ci))
         budget = OptimizerBudget(restarts=restarts, iters=iters,
                                  seed=int(sub_seed.generate_state(1)[0]))
-        ev = optimize_scheme(scheme, net, budget,
-                             upper_bound=scheme_sum_cap(scheme, net))
+        ev = optimize_scheme(scheme, net, budget)
         if ev.params is None:
             return None
         return scheme_valuation(scheme, ev.params, net)
@@ -526,7 +518,7 @@ def sweep_rows(config: dict) -> list[dict]:
             if "GDS-TS" in schemes:
                 values["GDS-TS"] = max(values.get(s, 0.0)
                                        for s in ("GDS-I", "GDS-II", "GDS-III"))
-            cut = cutset_symmetric_sumrate(C, star)
+            cut = min(2.0 * C, star)
             for scheme in schemes:
                 rows.append({"C": C, "T": T, "scheme": scheme,
                              "sum_rate": values[scheme], "cutset": cut,

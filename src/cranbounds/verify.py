@@ -29,7 +29,7 @@ import numpy as np
 
 from . import discrete
 from .discrete import Channel, JointPmf
-from .polytope import is_member, min_slack
+from .polytope import CompiledSystem, is_member, min_slack
 from .regions import gcomp_theorem2_system, gds_theorem1_system
 
 __all__ = [
@@ -73,8 +73,11 @@ def example1_run(channel: Channel, c1: float, samples: int = 4000,
 
     With a deterministic second hop the compression route reaches capacity
     (U1 = Y1 works); with a noisy hop and 0 < C1 < max I it stays strictly
-    below, and the sampled margin is recorded.
+    below, and the sampled margin is recorded.  `samples` may be 0: the two
+    structured corners are always tried.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     if len(channel.inputs) != 1 or len(channel.outputs) != 1:
         raise ValueError("example 1 expects a single-input single-output channel")
     if channel.inputs[0][0] != "X1" or channel.outputs[0][0] != "Y1":
@@ -199,46 +202,29 @@ class _GdsMembership:
 
     def __init__(self):
         self.system = gds_theorem1_system()
-        self.aux = [v for v in self.system.variables if v not in ("R1", "R2")]
-        self.atoms = sorted(self.system.atoms())
-        a_idx = {a: i for i, a in enumerate(self.atoms)}
-        v_idx = {v: i for i, v in enumerate(self.aux)}
-        n = len(self.system.constraints)
-        self.A = np.zeros((n, len(self.aux)))
-        self.B = np.zeros((n, len(self.atoms)))
-        self.c0 = np.zeros(n)
-        self.r_coef = np.zeros((n, 2))
-        self.A_exact = [[Fraction(0)] * len(self.aux) for _ in range(n)]
-        for i, c in enumerate(self.system.constraints):
-            for k, q in c.lhs:
-                if k == "R1":
-                    self.r_coef[i, 0] = float(q)
-                elif k == "R2":
-                    self.r_coef[i, 1] = float(q)
-                else:
-                    self.A[i, v_idx[k]] = float(q)
-                    self.A_exact[i][v_idx[k]] = q
-            self.c0[i] = float(c.rhs.const)
-            for name, q in c.rhs.terms:
-                self.B[i, a_idx[name]] = float(q)
-        self.certificates = np.zeros((0, n))
+        self.aux = self.system.variables[2:]  # after R1, R2
+        self.rows = CompiledSystem(self.system)
+        self.A = self.rows.A[:, 2:]
+        self.A_exact = [[c.coeff(v) for v in self.aux] for c in self.system.constraints]
+        self.certificates = np.zeros((0, len(self.A)))
         self.screened = 0
 
-    def valuation(self, pmf: JointPmf, caps: dict[str, float]) -> np.ndarray:
-        vals = discrete.atom_valuation(pmf, self.atoms, constants=caps)
-        return np.array([vals[a] for a in self.atoms])
+    def valuation(self, pmf: JointPmf, caps: dict[str, float]) -> dict[str, float]:
+        return discrete.atom_valuation(pmf, self.rows.atoms, constants=caps)
 
-    def rhs(self, atom_vec: np.ndarray, r1: float, r2: float,
+    def rhs(self, valuation: dict[str, float], r1: float, r2: float,
             slack: float = 0.0) -> np.ndarray:
         """Right-hand side b of ``A x <= b`` at the rate pair (r1, r2)."""
-        return self.B @ atom_vec + self.c0 - self.r_coef @ np.array([r1, r2]) - slack
+        return self.rows.rhs(valuation) - self.rows.A[:, :2] @ np.array([r1, r2]) - slack
 
-    def contains(self, atom_vec: np.ndarray, r1: float, r2: float,
-                 slack: float = 0.0) -> bool:
-        b = self.rhs(atom_vec, r1, r2, slack)
+    def _feasible(self, b: np.ndarray) -> bool:
         res = linprog(np.zeros(len(self.aux)), A_ub=self.A, b_ub=b,
                       bounds=[(0, None)] * len(self.aux), method="highs")
         return res.status == 0
+
+    def contains(self, valuation: dict[str, float], r1: float, r2: float,
+                 slack: float = 0.0) -> bool:
+        return self._feasible(self.rhs(valuation, r1, r2, slack))
 
     def screens(self, b: np.ndarray) -> bool:
         """True when a banked certificate proves ``A x <= b`` infeasible."""
@@ -279,15 +265,15 @@ class _GdsMembership:
                       method="highs")
         return res.status == 0 and self.admit(-res.ineqlin.marginals, b)
 
-    def contains_screened(self, atom_vec: np.ndarray, r1: float, r2: float,
+    def contains_screened(self, valuation: dict[str, float], r1: float, r2: float,
                           slack: float = 0.0) -> bool:
         """`contains`, with the certificate bank deciding the samples it can
         prove infeasible and learning from the LP's other misses."""
-        b = self.rhs(atom_vec, r1, r2, slack)
+        b = self.rhs(valuation, r1, r2, slack)
         if self.screens(b):
             self.screened += 1
             return False
-        if self.contains(atom_vec, r1, r2, slack):
+        if self._feasible(b):
             return True
         self.learn(b)
         return False
@@ -298,7 +284,9 @@ def example2_run(samples: int = 10_000, seed: int = 0,
     """(a) Confirm (1,1) lies in the compression region of the Z-network
     witness exactly (all atoms are integer bits, zero tolerance).
     (b) Sweep `samples` random data-sharing laws and confirm none contains
-    (1,1) with slack above `slack`."""
+    (1,1) with slack above `slack`; `samples` must be at least 1."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     caps = {"C1": 1.0, "C2": 1.0, "C12": 0.0, "C21": 0.0}
     t2 = gcomp_theorem2_system()
     witness = zchannel_pmf()
@@ -312,8 +300,7 @@ def example2_run(samples: int = 10_000, seed: int = 0,
     hits = 0
     for _ in range(samples):
         pmf = random_gds_pmf_zchannel(rng)
-        vec = member.valuation(pmf, caps)
-        if member.contains_screened(vec, 1.0, 1.0, slack=slack):
+        if member.contains_screened(member.valuation(pmf, caps), 1.0, 1.0, slack=slack):
             hits += 1
     verdict = "failed"
     if part_a and hits == 0:

@@ -35,6 +35,15 @@ def criterion1_networks():
     return nets
 
 
+def rhs_value(expr, valuation):
+    """An affine right-hand side evaluated term by term, constant first: the
+    oracle for `polytope.CompiledSystem.rhs`."""
+    total = float(expr.const)
+    for name, q in expr.terms:
+        total += float(q) * valuation[name]
+    return total
+
+
 def rand_caps(rng, hi=2.5):
     return {"C1": float(rng.uniform(0, hi)), "C2": float(rng.uniform(0, hi)),
             "C12": float(rng.uniform(0, hi / 2)), "C21": float(rng.uniform(0, hi / 2))}

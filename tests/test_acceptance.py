@@ -28,8 +28,7 @@ def test_criterion_1_gds1_closed_form():
         C, T = float(net.C[0]), float(net.Ccoop[0, 1])
         star = schemes.rsum_star(net)
         ev = schemes.optimize_scheme(
-            "GDS-I", net, OptimizerBudget(restarts=6, seed=2000 + k),
-            upper_bound=schemes.scheme_sum_cap("GDS-I", net))
+            "GDS-I", net, OptimizerBudget(restarts=6, seed=2000 + k))
         target = min(C + T, 2.0 * C, star)
         worst = max(worst, abs(ev.sum_rate - target))
     elapsed = time.monotonic() - t0

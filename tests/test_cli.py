@@ -138,6 +138,25 @@ def test_sweep_rejects_nan_power(tmp_path, capsys):
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
 
+@pytest.mark.parametrize("budget", [{"restarts": 0, "iters": 5}, {"restarts": -2, "iters": 5},
+                                    {"restarts": 1, "iters": 0}])
+def test_sweep_budget_below_one_is_a_usage_error(tmp_path, capsys, budget):
+    """restarts 0 used to print 0.000000 for every scheme and exit 0, and
+    restarts -2 to exit 1 with an OverflowError traceback."""
+    cfg, out = sweep_config(tmp_path, budget=budget), tmp_path / "out.csv"
+    assert run_cli(["sumrate-sweep", str(cfg), "-o", str(out)]) == 2
+    key = "restarts" if budget["restarts"] < 1 else "iters"
+    assert f"budget {key} must be an integer of at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_matches_golden_output(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sumrate-sweep", str(GOLDEN / "sweep_fig4_config.json"),
+                    "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "sweep_fig4_seed0.csv").read_bytes()
+
+
 def test_sweep_merges_reference_csv(tmp_path):
     cfg = sweep_config(tmp_path)
     ref = tmp_path / "ref.csv"
@@ -222,6 +241,25 @@ def test_verify_examples_exit_code(tmp_path):
     payload = json.loads(out.read_text())
     assert {r["example"] for r in payload} == {"one-bs-one-user"}
     assert all(r["verdict"] in ("confirmed", "sampled-consistent") for r in payload)
+
+
+@pytest.mark.parametrize("example", ["1", "2"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_examples_samples_below_one_is_a_usage_error(tmp_path, capsys, example, samples):
+    """Both used to print sampled-consistent after 0 laws and exit 0."""
+    out = tmp_path / "report.json"
+    rc = run_cli(["verify-examples", "--example", example, "--samples", samples,
+                  "-o", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and not out.exists()
+    assert "argument --samples" in err and repr(samples) in err
+
+
+def test_verify_example2_matches_golden_output(tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(["verify-examples", "--example", "2", "--samples", "300",
+                    "--seed", "0", "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "verify_example2_seed0.json").read_bytes()
 
 
 def test_gap_audit_cli(tmp_path):

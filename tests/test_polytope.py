@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import rhs_value
 from cranbounds import polytope
 from cranbounds.polytope import (AffineExpr, ConstraintSystem, LinearConstraint,
                                  SystemParseError, eliminate_all, fme_eliminate,
@@ -96,7 +97,7 @@ def _interval_feasible(system, val, point, var, lo=-1e9, hi=1e9):
     for c in system.constraints:
         coeff = float(c.coeff(var))
         rest = sum(float(q) * point[k] for k, q in c.lhs if k != var)
-        rhs = c.rhs.value(val) - rest
+        rhs = rhs_value(c.rhs, val) - rest
         if abs(coeff) < 1e-15:
             if rhs < -1e-12:
                 return False

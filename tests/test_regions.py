@@ -33,7 +33,7 @@ def test_theorem1_full_covering_instance(theorem1):
                 "Ru1": Fraction(-1), "Ru2": Fraction(-1)}
     hits = [c for c in theorem1.constraints if dict(c.lhs) == want_lhs]
     assert len(hits) == 1
-    assert hits[0].rhs.as_dict() == {"Gamma(U0,U1,U2)": Fraction(-1)}
+    assert dict(hits[0].rhs.terms) == {"Gamma(U0,U1,U2)": Fraction(-1)}
     assert hits[0].rhs.const == 0
 
 
@@ -44,7 +44,7 @@ def test_theorem1_budget_constraints(theorem1):
     assert len(budget) == 3
     full = [c for c in budget if len(dict(c.lhs)) == 6]
     assert len(full) == 1
-    assert full[0].rhs.as_dict()["Gamma(U0,V0)"] == Fraction(-1)
+    assert dict(full[0].rhs.terms)["Gamma(U0,V0)"] == Fraction(-1)
 
 
 def test_theorem1_independent_degeneration(theorem1):
@@ -53,8 +53,7 @@ def test_theorem1_independent_degeneration(theorem1):
     val = {a: (0.0 if a.startswith("Gamma(") else 100.0)
            for a in theorem1.atoms()}
     val.update({"C1": 0.5, "C2": 0.5, "C12": 0.0, "C21": 0.0})
-    sub = regions.Substitution(name="all", eliminate=("Ru0", "Ru1", "Ru2",
-                                                      "Rv0", "Rv1", "Rv2"))
+    sub = regions.Substitution(name="all")  # projects out all six aux rates
     proj = regions.gds_project(theorem1, sub, valuation=val)
     assert polytope.is_member(proj, {}, {"R1": 0.45, "R2": 0.45})
     assert not polytope.is_member(proj, {}, {"R1": 0.7, "R2": 0.4})
@@ -76,6 +75,31 @@ def test_projection_rejects_a_nonfinite_atom_it_uses(theorem1, bad):
     val["I(U0;U1,U2,Y1)"] = bad
     with pytest.raises(ValueError, match=r"atom 'I\(U0;U1,U2,Y1\)' is"):
         regions.gds_project(theorem1, "scheme-II", valuation=val)
+
+
+# The rates each data-sharing instance pins to zero and projects out; the
+# order of the projected rates is greedy FME's tie-break, so it is pinned.
+STATED_RATES = {
+    "scheme-I": ({"Ru1", "Rv1", "Ru2", "Rv2"}, ("Ru0", "Rv0")),
+    "scheme-II": (set(), ("Ru0", "Ru1", "Ru2", "Rv0", "Rv1", "Rv2")),
+    "scheme-III": ({"Ru0", "Rv0"}, ("Ru1", "Ru2", "Rv1", "Rv2")),
+    "cor4": ({"Ru0", "Ru2", "Rv0", "Rv2"}, ("Ru1", "Rv1")),
+    "cor5": ({"Rv0", "Rv1", "Rv2", "R2"}, ("Ru0", "Ru1", "Ru2")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATED_RATES))
+def test_substitution_derives_the_stated_rates(name):
+    zero, eliminate = STATED_RATES[name]
+    sub = regions.SUBSTITUTIONS[name]
+    assert sub.zero_rates == tuple(r for r in regions.RATE_VARS if r in zero)
+    assert sub.eliminate == eliminate
+
+
+def test_substitution_drops_a_user_rate_only_with_all_three_auxiliaries():
+    assert regions.Substitution("u", degenerate=frozenset({"U0", "U1", "U2"})).zero_rates \
+        == ("R1", "Ru0", "Ru1", "Ru2")
+    assert "R2" not in regions.Substitution("v", degenerate=frozenset({"V0", "V1"})).zero_rates
 
 
 def test_substitution_unknown_name(theorem1):
@@ -235,11 +259,9 @@ def test_ddf_count_and_network_merge():
     assert caps == {"C1": 1.0, "C2": 2.0, "C12": 0.25, "C21": 0.75}
     sys_ = regions.ddf_p1_system(2, 2)
     mi_only = {a: 0.5 for a in sys_.atoms() if a not in caps}
-    merged_sys, merged = regions.ddf_p1_region(net, mi_only)
-    assert merged["C21"] == 0.75
-    assert polytope.is_member(merged_sys, merged, {"R1": 0.0, "R2": 0.0})
+    assert polytope.is_member(sys_, mi_only | caps, {"R1": 0.0, "R2": 0.0})
     with pytest.raises(KeyError):
-        regions.ddf_p1_region(net, {})
+        polytope.is_member(sys_, mi_only, {"R1": 0.0, "R2": 0.0})
 
 
 def test_capacity_monotonicity_of_regions(theorem1):
@@ -290,8 +312,6 @@ def test_cutset_region_structure_and_power():
     assert not polytope.is_member(sys0, {}, {"R1": 0.01, "R2": 0.0})
     with pytest.raises(ValueError):
         regions.cutset_region(net0, K)  # power violated
-    assert regions.cutset_symmetric_sumrate(1.0, 5.0) == 2.0
-    assert regions.cutset_symmetric_sumrate(4.0, 5.0) == 5.0
 
 
 def cutset_region_per_cut(network, K):

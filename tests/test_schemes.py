@@ -9,8 +9,8 @@ from cranbounds.gaussian import CranNetwork
 from cranbounds.schemes import (CompressionParams, DescriptionIParams,
                                 DescriptionIIParams, DescriptionIIIParams,
                                 OptimizerBudget, build_joint_cov,
-                                gds_timeshare_sumrate, optimize_scheme,
-                                rsum_star, scheme_sumrate, sweep_rows)
+                                optimize_scheme, rsum_star, scheme_sumrate,
+                                sweep_rows)
 
 
 def sym_net(P=10.0, g12=0.5, g21=-0.5, C=2.0, T=0.0):
@@ -148,6 +148,14 @@ def test_optimize_zero_power():
         assert ev.sum_rate == pytest.approx(0.0, abs=1e-9)
 
 
+def test_optimize_rejects_a_non_2x2_network():
+    """It used to return sum rate 0.0 with no parameters: every evaluation
+    failed.  Its early-exit bound, rsum_star, now rejects the shape."""
+    net = CranNetwork.make(np.eye(3), 1.0, [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="2-BS 2-user"):
+        optimize_scheme("GDS-I", net, OptimizerBudget(restarts=1, iters=5))
+
+
 def test_optimizer_monotone_in_restarts():
     net = sym_net(P=20.0, C=3.0, T=0.0)
     small = optimize_scheme("GDS-II", net, OptimizerBudget(restarts=2, iters=1200, seed=5))
@@ -237,8 +245,8 @@ def dpc_oracle(network, budget=OptimizerBudget(restarts=4)):
     smallest step shrinks with sqrt(P) so that tiny powers are searched."""
     P = network.P
     seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
-    step0 = budget.step0_scale * np.sqrt(P)
-    min_step = budget.min_step * min(1.0, np.sqrt(P))
+    step0 = schemes.STEP0_SCALE * np.sqrt(P)
+    min_step = schemes.MIN_STEP * min(1.0, np.sqrt(P))
     best = 0.0
     for order in (0, 1):
         def f(x):
@@ -326,15 +334,27 @@ def test_sweep_cutset_never_undercut_at_small_budget(seed):
         assert r["sum_rate"] <= r["cutset"] + 1e-9, r
 
 
-def test_timeshare_dominates_each_scheme():
-    net = sym_net(P=10.0, C=1.5, T=0.5)
-    budget = OptimizerBudget(restarts=2, iters=800, seed=11)
-    ts = gds_timeshare_sumrate(net, budget)
-    for scheme in ("GDS-I", "GDS-II", "GDS-III"):
-        cap = min(net.C[0] + net.Ccoop[0, 1], 2 * net.C[0]) if scheme == "GDS-I" \
-            else 2 * net.C[0]
-        ev = optimize_scheme(scheme, net, budget, upper_bound=cap)
-        assert ts >= ev.sum_rate - 1e-9
+def test_sweep_timeshare_is_the_best_gds_scheme():
+    """GDS-TS is the maximum of GDS-I/II/III at every C, and the cut-set
+    column is min(2C, rsum_star)."""
+    config = {"P": 10.0, "G": [[1.0, 0.5], [-0.5, 1.0]], "C_grid": [0.5, 1.5, 4.0],
+              "T": 0.5, "seed": 11, "budget": {"restarts": 2, "iters": 300}}
+    rows = sweep_rows(config)
+    for C in config["C_grid"]:
+        at = {r["scheme"]: r for r in rows if r["C"] == C}
+        assert at["GDS-TS"]["sum_rate"] == max(at[s]["sum_rate"]
+                                               for s in ("GDS-I", "GDS-II", "GDS-III"))
+        for r in at.values():
+            assert r["cutset"] == min(2.0 * C, r["rsum_star"])
+
+
+@pytest.mark.parametrize("key,value", [("restarts", 0), ("restarts", -2), ("iters", 0),
+                                       ("iters", 2.5), ("restarts", "3"), ("iters", True)])
+def test_sweep_rejects_a_budget_count_that_is_not_a_positive_integer(key, value):
+    config = {"P": 1.0, "G": np.eye(2).tolist(), "C_grid": [1.0], "schemes": ["GDS-I"],
+              "seed": 0, "budget": {"restarts": 1, "iters": 5, key: value}}
+    with pytest.raises(ValueError, match=f"budget {key} must be an integer of at least 1"):
+        sweep_rows(config)
 
 
 def test_every_scheme_below_cutset():
@@ -347,8 +367,7 @@ def test_every_scheme_below_cutset():
         cut = min(2 * C, star)
         for scheme in schemes.GAUSSIAN_SCHEMES:
             ev = optimize_scheme(scheme, net,
-                                 OptimizerBudget(restarts=3, iters=1500, seed=19),
-                                 upper_bound=2 * C)
+                                 OptimizerBudget(restarts=3, iters=1500, seed=19))
             assert ev.sum_rate <= cut + 1e-6
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rhs_value
 from cranbounds import discrete, verify
 from cranbounds.discrete import Channel
 
@@ -33,6 +34,20 @@ def test_example1_bsc_strict_gap():
     assert rep.values["capacity"] == pytest.approx(0.3, abs=1e-9)
     assert rep.values["margin"] > 0
     assert rep.verdict == "sampled-consistent"
+
+
+def test_example1_takes_zero_samples_but_not_fewer():
+    ident = Channel.make([("X1", 2)], [("Y1", 2)], np.eye(2))
+    rep = verify.example1_run(ident, 0.5, samples=0)
+    assert rep.verdict == "confirmed" and rep.values["samples"] == 0
+    with pytest.raises(ValueError, match="samples must be at least 0, got -1"):
+        verify.example1_run(ident, 0.5, samples=-1)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_example2_needs_a_sample(samples):
+    with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+        verify.example2_run(samples=samples)
 
 
 def test_example1_rejects_multiterminal():
@@ -64,10 +79,20 @@ def test_gds_membership_degenerate_pmf_is_origin_only():
     deg = discrete.JointPmf.make(
         [("U0", 1), ("V0", 1), ("U1", 1), ("V1", 1), ("U2", 1), ("V2", 1),
          ("Y1", 1), ("Y2", 1)], np.ones(1).reshape(1, 1, 1, 1, 1, 1, 1, 1))
-    vec = member.valuation(deg, caps)
-    assert member.contains(vec, 0.0, 0.0)
-    assert not member.contains(vec, 0.05, 0.0)
-    assert not member.contains(vec, 0.0, 0.05)
+    val = member.valuation(deg, caps)
+    assert member.contains(val, 0.0, 0.0)
+    assert not member.contains(val, 0.05, 0.0)
+    assert not member.contains(val, 0.0, 0.05)
+
+
+def test_gds_membership_rhs_is_each_row_evaluated_at_the_rate_pair():
+    member = verify._GdsMembership()
+    val = member.valuation(verify.random_gds_pmf_zchannel(np.random.default_rng(4)), ZCAPS)
+    b = member.rhs(val, 0.7, 0.2, slack=1e-6)
+    for bi, c in zip(b, member.system.constraints):
+        shift = 0.7 * float(c.coeff("R1")) + 0.2 * float(c.coeff("R2"))
+        assert bi == pytest.approx(rhs_value(c.rhs, val) - shift - 1e-6, abs=1e-12)
+    assert np.array_equal(member.A, [[float(q) for q in row] for row in member.A_exact])
 
 
 def test_gds_membership_lp_agrees_with_exact_projection():
@@ -80,11 +105,10 @@ def test_gds_membership_lp_agrees_with_exact_projection():
     checked = 0
     for _ in range(15):
         pmf = verify.random_gds_pmf_zchannel(rng)
-        vec = member.valuation(pmf, caps)
+        val = member.valuation(pmf, caps)
         for r1, r2 in [(1.0, 1.0), (0.3, 0.3), (0.6, 0.2)]:
-            lp = member.contains(vec, r1, r2)
-            resolved = polytope.resolve_atoms(
-                member.system, dict(zip(member.atoms, vec)))
+            lp = member.contains(val, r1, r2)
+            resolved = polytope.resolve_atoms(member.system, val)
             cons = []
             for c in resolved.constraints:
                 lhs = {k: q for k, q in c.lhs if k in member.aux}
@@ -127,9 +151,9 @@ def _banked_member(samples=12, seed=0):
     member = verify._GdsMembership()
     rng = np.random.default_rng(seed)
     for _ in range(samples):
-        vec = member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS)
+        val = member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS)
         for r1, r2 in RATE_PAIRS:
-            member.contains_screened(vec, r1, r2, slack=1e-6)
+            member.contains_screened(val, r1, r2, slack=1e-6)
     return member
 
 
@@ -151,10 +175,10 @@ def test_screened_decision_equals_lp_only_oracle(seed, slack):
     rng = np.random.default_rng(seed)
     screened_before = member.screened
     for _ in range(3):
-        vec = member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS)
+        val = member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS)
         for r1, r2 in RATE_PAIRS:
-            assert (member.contains_screened(vec, r1, r2, slack)
-                    == member.contains(vec, r1, r2, slack)), (r1, r2)
+            assert (member.contains_screened(val, r1, r2, slack)
+                    == member.contains(val, r1, r2, slack)), (r1, r2)
     assert member.screened > screened_before
 
 
@@ -182,8 +206,8 @@ def test_bank_refuses_unsound_certificate():
     # the certificate the bank learns is admitted; nudged towards the
     # covering row it loses exactness and is refused
     rng = np.random.default_rng(0)
-    vec = member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS)
-    b = member.rhs(vec, 1.0, 1.0, 1e-6)
+    val = member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS)
+    b = member.rhs(val, 1.0, 1.0, 1e-6)
     assert member.learn(b)
     good = member.certificates[0]
     nudged = good.copy()
@@ -227,10 +251,10 @@ def test_full_bank_sends_every_sample_to_the_lp(monkeypatch):
 def test_screen_threshold_is_a_millionth_of_the_l1_norm():
     member = verify._GdsMembership()
     rng = np.random.default_rng(0)
-    vec = member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS)
-    assert member.learn(member.rhs(vec, 1.0, 1.0))
+    val = member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS)
+    assert member.learn(member.rhs(val, 1.0, 1.0))
     y = member.certificates[0]
-    b = member.rhs(vec, 1.0, 1.0)
+    b = member.rhs(val, 1.0, 1.0)
 
     def at_margin(tau):  # b moved along y until y @ b = -tau * ||y||_1
         return b - (y @ b + tau * y.sum()) * y / (y @ y)
