@@ -119,12 +119,6 @@ class JointCovariance:
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.components)
 
-    def dim_of(self, name: str) -> int:
-        for n, d in self.components:
-            if n == name:
-                return d
-        raise KeyError(f"unknown component {name!r}")
-
     def indices(self, names) -> np.ndarray:
         names = list(names)
         unknown = set(names) - set(self.names)
@@ -152,8 +146,9 @@ def schur_conditional(cov: JointCovariance, s_names, t_names) -> JointCovariance
     s_names, t_names = list(s_names), list(t_names)
     if set(s_names) & set(t_names):
         raise ValueError("S and T must be disjoint")
-    sub_components = [(n, cov.dim_of(n)) for n in s_names]
     ss = cov.block(s_names)
+    dims = dict(cov.components)
+    sub_components = [(n, dims[n]) for n in s_names]
     if not t_names:
         return JointCovariance.make(sub_components, ss)
     st = cov.block(s_names, t_names)

@@ -197,10 +197,10 @@ SUBSTITUTIONS = {sub.name: sub for sub in (
     Substitution("scheme-I", frozenset({"U1", "V1", "U2", "V2"})),
     Substitution("scheme-II", zero_gamma=True),
     Substitution("scheme-III", frozenset({"U0", "V0"})),
-    Substitution("cor4", frozenset({"U0", "U2", "V0", "V2"}), (("U1", "U"), ("V1", "V")),
-                 frozenset({"C2", "C12", "C21"})),
+    Substitution("cor4", frozenset({"U0", "U2", "V0", "V2"}), rename=(("U1", "U"), ("V1", "V")),
+                 zero_consts=frozenset({"C2", "C12", "C21"})),
     Substitution("cor5", frozenset({"V0", "V1", "V2"}),
-                 (("U0", "U"), ("U1", "X1"), ("U2", "X2"))),
+                 rename=(("U0", "U"), ("U1", "X1"), ("U2", "X2"))),
 )}
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,6 +98,12 @@ class OptimizerBudget:
     restarts: int = 64
     iters: int = 4000  # objective evaluations per restart
     seed: int = 0
+
+    def __post_init__(self):
+        for key in ("restarts", "iters"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"budget {key} must be an integer of at least 1, got {value!r}")
 
 
 STEP0_SCALE = 0.25  # initial pattern-search step = STEP0_SCALE * sqrt(P)
@@ -215,9 +221,7 @@ def scheme_valuation(scheme: str, params, network: CranNetwork) -> dict[str, flo
 
 def _sumrate_from_valuation(scheme: str, mi_val: dict[str, float],
                             network: CranNetwork) -> float:
-    val = dict(mi_val)
-    caps = caps_valuation(network)
-    val.update({k: caps[k] for k in ("C1", "C2", "C12", "C21")})
+    val = mi_val | caps_valuation(network)
     if scheme == "GDS-III" and not corollary3_feasible(val):
         return 0.0
     return max_sum_rate(_compiled_region(scheme), val)
@@ -473,10 +477,7 @@ def sweep_rows(config: dict) -> list[dict]:
         raise ValueError("scheme list must be nonempty")
     seed = int(config["seed"])
     bcfg = config.get("budget", {})
-    restarts, iters = bcfg.get("restarts", 8), bcfg.get("iters", 4000)
-    for key, value in (("restarts", restarts), ("iters", iters)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"budget {key} must be an integer of at least 1, got {value!r}")
+    budget = OptimizerBudget(restarts=bcfg.get("restarts", 8), iters=bcfg.get("iters", 4000))
 
     base_schemes = sorted({s for s in schemes if s != "GDS-TS"}
                           | ({"GDS-I", "GDS-II", "GDS-III"} if "GDS-TS" in schemes else set()))
@@ -489,9 +490,8 @@ def sweep_rows(config: dict) -> list[dict]:
     def optimize_point(scheme: str, ti: int, si: int, ci: int, T: float, C: float):
         net = CranNetwork.make(G, P, [C, C], [[0.0, T], [T, 0.0]])
         sub_seed = np.random.SeedSequence(seed, spawn_key=(ti, si, ci))
-        budget = OptimizerBudget(restarts=restarts, iters=iters,
-                                 seed=int(sub_seed.generate_state(1)[0]))
-        ev = optimize_scheme(scheme, net, budget)
+        point_budget = replace(budget, seed=int(sub_seed.generate_state(1)[0]))
+        ev = optimize_scheme(scheme, net, point_budget)
         if ev.params is None:
             return None
         return scheme_valuation(scheme, ev.params, net)

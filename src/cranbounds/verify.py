@@ -202,7 +202,8 @@ class _GdsMembership:
 
     def __init__(self):
         self.system = gds_theorem1_system()
-        self.aux = self.system.variables[2:]  # after R1, R2
+        assert self.system.variables[:2] == ["R1", "R2"], "rhs shifts these two columns"
+        self.aux = self.system.variables[2:]
         self.rows = CompiledSystem(self.system)
         self.A = self.rows.A[:, 2:]
         self.A_exact = [[c.coeff(v) for v in self.aux] for c in self.system.constraints]
@@ -300,7 +301,8 @@ def example2_run(samples: int = 10_000, seed: int = 0,
     hits = 0
     for _ in range(samples):
         pmf = random_gds_pmf_zchannel(rng)
-        if member.contains_screened(member.valuation(pmf, caps), 1.0, 1.0, slack=slack):
+        gds_val = member.valuation(pmf, caps)
+        if member.contains_screened(gds_val, 1.0, 1.0, slack=slack):
             hits += 1
     verdict = "failed"
     if part_a and hits == 0:

@@ -348,8 +348,17 @@ def test_sweep_timeshare_is_the_best_gds_scheme():
             assert r["cutset"] == min(2.0 * C, r["rsum_star"])
 
 
-@pytest.mark.parametrize("key,value", [("restarts", 0), ("restarts", -2), ("iters", 0),
-                                       ("iters", 2.5), ("restarts", "3"), ("iters", True)])
+BAD_BUDGET_COUNTS = [("restarts", 0), ("restarts", -2), ("iters", 0),
+                     ("iters", 2.5), ("restarts", "3"), ("iters", True)]
+
+
+@pytest.mark.parametrize("key,value", BAD_BUDGET_COUNTS)
+def test_optimizer_budget_rejects_a_count_that_is_not_a_positive_integer(key, value):
+    with pytest.raises(ValueError, match=f"budget {key} must be an integer of at least 1"):
+        OptimizerBudget(**{key: value})
+
+
+@pytest.mark.parametrize("key,value", BAD_BUDGET_COUNTS)
 def test_sweep_rejects_a_budget_count_that_is_not_a_positive_integer(key, value):
     config = {"P": 1.0, "G": np.eye(2).tolist(), "C_grid": [1.0], "schemes": ["GDS-I"],
               "seed": 0, "budget": {"restarts": 1, "iters": 5, key: value}}
@@ -357,7 +366,10 @@ def test_sweep_rejects_a_budget_count_that_is_not_a_positive_integer(key, value)
         sweep_rows(config)
 
 
-def test_every_scheme_below_cutset():
+def test_every_scheme_below_cutset(monkeypatch):
+    # no early exit: the search may run past the cap, so an objective that
+    # overshoots the cut-set bound shows up in the assertion
+    monkeypatch.setattr(schemes, "scheme_sum_cap", lambda scheme, network: np.inf)
     rng = np.random.default_rng(13)
     for _ in range(2):
         P = float(rng.uniform(1, 40))
