@@ -7,13 +7,15 @@ variables.
 
 Every information atom goes through one kernel, `subset_logpdets`: the
 log-pseudo-determinants and ranks of principal blocks, with one eigenvalue
-threshold taken from the whole matrix so ranks stay consistent across
-blocks.  `atom_valuation` evaluates the `atoms.AtomPlan` that the discrete
-back end shares (same cache, same clamp-and-constants tail) as kernel,
-then half a matrix product; the same product over ranks flags infinite
-atoms.  `gauss_mi` and `gauss_total_correlation` are single-atom calls into
-it.  `schur_conditional` gives conditional covariances via a
-pseudo-inverse.
+threshold relative to the whole matrix's largest eigenvalue (kept by
+`JointCovariance.make` from its PSD check) so ranks stay consistent across
+blocks.  1x1 and 2x2 blocks have closed forms; larger blocks are grouped by
+size, one stacked eigensolve per size.  `atom_valuation` evaluates the
+`atoms.AtomPlan` that the discrete back end shares (same cache, same
+clamp-and-constants tail) as kernel, then half a matrix product; the same
+product over ranks flags infinite atoms.  `gauss_mi` and
+`gauss_total_correlation` are single-atom calls into it.
+`schur_conditional` gives conditional covariances via a pseudo-inverse.
 """
 
 from __future__ import annotations
@@ -47,12 +49,13 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def check_psd(m: np.ndarray, what: str, tol: float):
-    """Raise ValueError naming `what` unless no eigenvalue of the symmetric
-    part of m lies below -tol * max(1, largest |eigenvalue|)."""
+def check_psd(m: np.ndarray, what: str, tol: float) -> np.ndarray:
+    """Eigenvalues of the symmetric part of m; raise ValueError naming `what`
+    if one lies below -tol * max(1, largest |eigenvalue|)."""
     w = np.linalg.eigvalsh(_sym(m))
     if w.min(initial=0.0) < -tol * max(1.0, abs(w).max(initial=1.0)):
         raise ValueError(f"{what} is not PSD (min eigenvalue {w.min()})")
+    return w
 
 
 def _pinv_psd(m: np.ndarray) -> np.ndarray:
@@ -63,33 +66,6 @@ def _pinv_psd(m: np.ndarray) -> np.ndarray:
     cut = _EIG_REL_TOL * max(w.max(initial=0.0), 0.0)
     inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
     return (v * inv) @ v.T
-
-
-def _logpdet2(m: np.ndarray, cut: float) -> tuple[float, int]:
-    """Base-2 log pseudo-determinant and rank, dropping eigenvalues <= cut."""
-    n = m.shape[0] if m.ndim == 2 else 0
-    if n == 0:
-        return 0.0, 0
-    if n == 1:
-        v = float(m[0, 0])
-        return (math.log2(v), 1) if v > cut else (0.0, 0)
-    if n == 2:
-        # closed-form symmetric 2x2 eigenvalues
-        a, d = float(m[0, 0]), float(m[1, 1])
-        off = 0.5 * float(m[0, 1] + m[1, 0])
-        h = 0.5 * (a + d)
-        r = math.sqrt(max(0.0, (0.5 * (a - d)) ** 2 + off * off))
-        total, rank = 0.0, 0
-        for w in (h - r, h + r):
-            if w > cut:
-                total += math.log2(w)
-                rank += 1
-        return total, rank
-    w = np.linalg.eigvalsh(_sym(m))
-    kept = w[w > cut]
-    if kept.size == 0:
-        return 0.0, 0
-    return float(np.log2(kept).sum()), int(kept.size)
 
 
 @dataclass(frozen=True)
@@ -110,10 +86,17 @@ class JointCovariance:
         if np.max(np.abs(m - m.T), initial=0.0) > 1e-10 * max(1.0, np.abs(m).max(initial=1.0)):
             raise ValueError("covariance matrix is not symmetric")
         m = _sym(m)
-        check_psd(m, "covariance matrix", 1e-9)
+        w = check_psd(m, "covariance matrix", 1e-9)
         m = m.copy()
         m.flags.writeable = False
-        return JointCovariance(components, m)
+        cov = JointCovariance(components, m)
+        object.__setattr__(cov, "top_eigenvalue", max(w.max(initial=0.0), 0.0))
+        return cov
+
+    @functools.cached_property
+    def top_eigenvalue(self) -> float:
+        """Largest eigenvalue, or 0; `make` keeps it from its PSD check."""
+        return max(np.linalg.eigvalsh(self.matrix).max(initial=0.0), 0.0)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -161,33 +144,54 @@ def schur_conditional(cov: JointCovariance, s_names, t_names) -> JointCovariance
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _block_indices(components, subsets) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(row, column) index arrays of the principal block of every subset of
-    component names, taken in sorted name order."""
-    offsets: dict[str, list[int]] = {}
-    pos = 0
-    for n, d in components:
-        offsets[n] = list(range(pos, pos + d))
-        pos += d
-    out = []
-    for s in subsets:
-        idx = np.array([i for n in sorted(s) for i in offsets[n]], dtype=np.intp)
-        out.append((idx[:, None], idx))
-    return tuple(out)
+def _block_groups(components, subsets):
+    """The principal block of every subset of component names, indices taken
+    in sorted name order, grouped by size: (k, i) for a 1x1 block at position
+    k, (k, i, j) for a 2x2 block, and for each larger size n the positions
+    and the (g, n, 1) row and (g, 1, n) column indices of a stack of g."""
+    ends = np.cumsum([d for _, d in components])
+    offsets = {n: range(e - d, e) for (n, d), e in zip(components, ends)}
+    by_size: dict[int, list] = {}
+    for k, s in enumerate(subsets):
+        idx = [i for n in sorted(s) for i in offsets[n]]
+        by_size.setdefault(len(idx), []).append((k, *idx))
+    arrays = (np.array(g, dtype=np.intp) for n, g in by_size.items() if n > 2)
+    stacks = tuple((a[:, 0], a[:, 1:, None], a[:, None, 1:]) for a in arrays)
+    return tuple(by_size.get(1, ())), tuple(by_size.get(2, ())), stacks
 
 
 def subset_logpdets(cov: JointCovariance, subsets) -> tuple[np.ndarray, np.ndarray]:
     """Base-2 log pseudo-determinant and rank of the principal block of every
     component subset in `subsets` (0 and 0 for the empty set).
 
-    The one measure kernel of this module.  The eigenvalue cut is taken once
-    from the whole matrix, so ranks are consistent across subsets.
+    The one measure kernel of this module.  Eigenvalues at or below one cut,
+    relative to the whole matrix's largest, are dropped, so ranks are
+    consistent across subsets.  1x1 and 2x2 blocks have closed forms; the
+    larger blocks of one size go through one stacked eigensolve.
     """
     m = cov.matrix
-    cut = _EIG_REL_TOL * max(np.linalg.eigvalsh(m).max(initial=0.0), 0.0) if m.size else 0.0
-    logs, ranks = np.zeros(len(subsets)), np.zeros(len(subsets))
-    for k, block in enumerate(_block_indices(cov.components, tuple(subsets))):
-        logs[k], ranks[k] = _logpdet2(m[block], cut)
+    cut = _EIG_REL_TOL * cov.top_eigenvalue
+    logs, ranks = [0.0] * len(subsets), [0] * len(subsets)
+    singles, pairs, stacks = _block_groups(cov.components, tuple(subsets))
+    rows = m.tolist()
+    for k, i in singles:
+        if rows[i][i] > cut:
+            logs[k], ranks[k] = math.log2(rows[i][i]), 1
+    for k, i, j in pairs:
+        # closed-form symmetric 2x2 eigenvalues
+        a, d, off = rows[i][i], rows[j][j], rows[i][j]
+        h = 0.5 * (a + d)
+        r = math.sqrt(max(0.0, (0.5 * (a - d)) ** 2 + off * off))
+        for w in (h - r, h + r):
+            if w > cut:
+                logs[k] += math.log2(w)
+                ranks[k] += 1
+    logs, ranks = np.array(logs), np.array(ranks, dtype=float)
+    for ks, r, c in stacks:
+        w = np.linalg.eigvalsh(m[r, c])
+        kept = w > cut
+        logs[ks] = np.log2(np.where(kept, w, 1.0)).sum(axis=1)
+        ranks[ks] = kept.sum(axis=1)
     return logs, ranks
 
 

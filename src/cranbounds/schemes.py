@@ -262,6 +262,7 @@ class _SchemeSpace:
         self.network = network
         self.P = network.P
         self.nparams = {"GDS-I": 6, "GDS-II": 8, "GDS-III": 10, "GCOMP": 15}[scheme]
+        self.memo: dict[bytes, float] = {}
 
     def initial(self, rng: np.random.Generator, restart: int) -> np.ndarray:
         s = np.sqrt(max(self.P, 1e-12))
@@ -316,11 +317,15 @@ class _SchemeSpace:
         return CompressionParams(K1, K2, Kw, c)
 
     def objective(self, x: np.ndarray) -> float:
-        try:
-            params = self.to_params(x)
-            return scheme_sumrate(self.scheme, params, self.network)
-        except (ValueError, np.linalg.LinAlgError):
-            return -np.inf
+        """Sum rate at x, -inf where infeasible; memoised, since a pattern
+        search steps back onto points it has already evaluated."""
+        key = x.tobytes()
+        if key not in self.memo:
+            try:
+                self.memo[key] = scheme_sumrate(self.scheme, self.to_params(x), self.network)
+            except (ValueError, np.linalg.LinAlgError):
+                self.memo[key] = -np.inf
+        return self.memo[key]
 
 
 def _pattern_search(f, x0: np.ndarray, step0: float, min_step: float,
@@ -359,7 +364,8 @@ def optimize_scheme(scheme: str, network: CranNetwork,
     Deterministic given the seed: restart r uses the r-th spawned generator,
     and ties between restarts keep the lowest restart index.  The search
     stops early once the objective reaches `scheme_sum_cap`, which it
-    provably cannot exceed.
+    provably cannot exceed.  The diagnostics count objective calls (`evals`)
+    and the distinct points of each restart, computed once (`distinct_evals`).
     """
     if scheme not in GAUSSIAN_SCHEMES:
         raise ValueError(f"unknown Gaussian scheme {scheme!r}")
@@ -367,14 +373,16 @@ def optimize_scheme(scheme: str, network: CranNetwork,
     seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
     step0 = STEP0_SCALE * np.sqrt(max(network.P, 1e-12))
     best_x, best_f, best_r = None, -np.inf, -1
-    total_evals = 0
+    total_evals = distinct = 0
     stop_at = scheme_sum_cap(scheme, network) - 1e-9
     for r in range(budget.restarts):
         rng = np.random.default_rng(seeds[r])
         x0 = space.initial(rng, r)
+        space.memo.clear()  # restarts seldom meet; this bounds the memo by `iters`
         x, fx, ev = _pattern_search(space.objective, x0, step0,
                                     MIN_STEP, budget.iters, stop_at)
         total_evals += ev
+        distinct += len(space.memo)
         if fx > best_f + 1e-12:
             best_x, best_f, best_r = x, fx, r
         if best_f >= stop_at:
@@ -382,7 +390,7 @@ def optimize_scheme(scheme: str, network: CranNetwork,
     params = space.to_params(best_x) if best_x is not None else None
     return SchemeEvaluation(scheme, params, max(0.0, best_f),
                             {"restarts": budget.restarts, "best_restart": best_r,
-                             "evals": total_evals})
+                             "evals": total_evals, "distinct_evals": distinct})
 
 
 # ---------------------------------------------------------------------------
@@ -454,36 +462,41 @@ def sweep_rows(config: dict) -> list[dict]:
     """Evaluate schemes over a fronthaul-capacity grid.
 
     Config keys: P, G (2x2), C_grid, T (scalar or list), schemes, seed,
-    budget {restarts, iters}, each an integer of at least 1.  Within one
-    (scheme, T) pair the refined parameters found at every grid point are
-    shared: each C reports the best sum rate over the whole pool, which
-    preserves monotonicity in C.
+    budget {restarts, iters}, each an integer of at least 1.  C_grid, T and
+    schemes are nonempty lists without repeats, the capacities finite and
+    nonnegative.  Within one (scheme, T) pair the refined parameters found
+    at every grid point are shared: each C reports the best sum rate over
+    the whole pool, which preserves monotonicity in C.
     Every grid point gets its own derived seed.  The `cutset` column is
     min(2C, rsum_star), a certified upper bound that does not depend on the
     seed or the budget.  Returns rows sorted by (C, T, scheme).
     """
     P = float(config["P"])
     G = np.asarray(config["G"], dtype=float)
-    c_grid = [float(c) for c in config["C_grid"]]
-    if not c_grid:
-        raise ValueError("C_grid must be nonempty")
-    t_values = config.get("T", 0.0)
-    if isinstance(t_values, (int, float)):
-        t_values = [float(t_values)]
-    else:
-        t_values = [float(t) for t in t_values]
-    schemes = list(config.get("schemes", ["GDS-I", "GDS-II", "GDS-III", "GDS-TS", "GCOMP"]))
-    if not schemes:
-        raise ValueError("scheme list must be nonempty")
+
+    def listed(key, default, ok, what):
+        values = config.get(key, default)
+        values = [values] if key == "T" and isinstance(values, (int, float)) else values
+        if not (isinstance(values, (list, tuple)) and values and all(map(ok, values))
+                and len(set(values)) == len(values)):
+            raise ValueError(f"sweep config {key} must be a nonempty list of distinct "
+                             f"{what}, got {values!r}")
+        return list(values)
+
+    def number(v):
+        return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+                and math.isfinite(v) and v >= 0)
+
+    c_grid = [float(c) for c in listed("C_grid", None, number, "finite numbers >= 0")]
+    t_values = [float(t) for t in listed("T", 0.0, number, "finite numbers >= 0")]
+    schemes = listed("schemes", ["GDS-I", "GDS-II", "GDS-III", "GDS-TS", "GCOMP"],
+                     lambda s: s in GAUSSIAN_SCHEMES + ("GDS-TS",), "scheme names")
     seed = int(config["seed"])
     bcfg = config.get("budget", {})
     budget = OptimizerBudget(restarts=bcfg.get("restarts", 8), iters=bcfg.get("iters", 4000))
 
     base_schemes = sorted({s for s in schemes if s != "GDS-TS"}
                           | ({"GDS-I", "GDS-II", "GDS-III"} if "GDS-TS" in schemes else set()))
-    unknown = [s for s in base_schemes if s not in GAUSSIAN_SCHEMES]
-    if unknown:
-        raise ValueError(f"unknown schemes {unknown}")
 
     star = rsum_star(CranNetwork.make(G, P, [c_grid[0], c_grid[0]]))
 

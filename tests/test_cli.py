@@ -157,6 +157,35 @@ def test_sweep_matches_golden_output(tmp_path):
     assert out.read_bytes() == (GOLDEN / "sweep_fig4_seed0.csv").read_bytes()
 
 
+def test_sweep_fig6_matches_golden_output(tmp_path):
+    """fig6 (P = 100, cooperation links T = 2), as written by the per-block
+    log-determinant kernel with no objective memo: the grouped kernel and
+    the memo must leave every digit in place."""
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sumrate-sweep", str(GOLDEN / "sweep_fig6_config.json"),
+                    "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "sweep_fig6_seed0.csv").read_bytes()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("T", []),                         # printed only the CSV header
+    ("schemes", ["GDS-TS", "GDS-TS"]),  # printed every row twice
+    ("schemes", "GDS-I"),              # iterated as characters
+    ("schemes", ["GDS-I", "GDS-IV"]),
+    ("C_grid", [1.0, 1.0]),
+    ("C_grid", "12"),
+    ("C_grid", [0.5, -1.0]),
+    ("C_grid", [float("nan")]),
+    ("T", float("inf")),
+    ("T", [0.0, -0.5]),
+])
+def test_sweep_config_list_is_a_usage_error_naming_the_field(tmp_path, capsys, key, value):
+    cfg, out = sweep_config(tmp_path, **{key: value}), tmp_path / "out.csv"
+    assert run_cli(["sumrate-sweep", str(cfg), "-o", str(out)]) == 2
+    assert f"sweep config {key} must be a nonempty list of distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_merges_reference_csv(tmp_path):
     cfg = sweep_config(tmp_path)
     ref = tmp_path / "ref.csv"

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import criterion1_networks
 from cranbounds import gaussian, schemes
+from cranbounds.atoms import atom_plan
 from cranbounds.gaussian import CranNetwork
 from cranbounds.schemes import (CompressionParams, DescriptionIParams,
                                 DescriptionIIParams, DescriptionIIIParams,
@@ -418,3 +419,64 @@ def test_gcomp_infinite_atom_when_compression_noise_vanishes():
     val = gaussian.atom_valuation(cov, ["I(U1,U2;X0,X1,X2)"])
     assert np.isinf(val["I(U1,U2;X0,X1,X2)"])
     assert scheme_sumrate("GCOMP", p, net) == 0.0
+
+
+def plain_objective(space, x):
+    """`_SchemeSpace.objective` without its memo."""
+    try:
+        return schemes.scheme_sumrate(space.scheme, space.to_params(x), space.network)
+    except (ValueError, np.linalg.LinAlgError):
+        return -np.inf
+
+
+@pytest.mark.parametrize("scheme", schemes.GAUSSIAN_SCHEMES)
+def test_objective_memo_changes_no_result(scheme, monkeypatch):
+    """The memo computes each distinct point of a restart once and changes
+    nothing else: the same sum rate, parameters, evaluation count and
+    winning restart as without it."""
+    # no early exit, so every restart runs its whole budget and steps back
+    monkeypatch.setattr(schemes, "scheme_sum_cap", lambda scheme, network: np.inf)
+    net = CranNetwork.make([[1.0, 0.5], [-0.5, 1.0]], 100.0, [2.0, 2.5], [[0.0, 1.0], [0.5, 0.0]])
+    budget = OptimizerBudget(restarts=3, iters=120, seed=4)
+    search, sumrate = schemes._pattern_search, schemes.scheme_sumrate
+    visits, calls = [], []
+
+    def traced_search(f, *args):
+        seen = []
+        visits.append(seen)
+        return search(lambda x: seen.append(x.tobytes()) or f(x), *args)
+
+    monkeypatch.setattr(schemes, "_pattern_search", traced_search)
+    monkeypatch.setattr(schemes, "scheme_sumrate", lambda *a: calls.append(a) or sumrate(*a))
+    memo = optimize_scheme(scheme, net, budget)
+    distinct = sum(len(set(seen)) for seen in visits)
+    assert len(calls) == memo.diagnostics["distinct_evals"] == distinct
+    assert distinct < memo.diagnostics["evals"] == sum(map(len, visits)) == 3 * 120
+
+    monkeypatch.setattr(schemes._SchemeSpace, "objective", plain_objective)
+    plain = optimize_scheme(scheme, net, budget)
+    assert plain.sum_rate == memo.sum_rate
+    for key in ("evals", "best_restart"):
+        assert plain.diagnostics[key] == memo.diagnostics[key]
+    for name, value in vars(plain.params).items():
+        assert np.array_equal(value, getattr(memo.params, name)), name
+
+
+@pytest.mark.parametrize("scheme", schemes.GAUSSIAN_SCHEMES)
+def test_an_evaluation_solves_the_joint_once_and_one_stack_per_block_size(scheme, monkeypatch):
+    """The eigenvalue cut reuses the joint's PSD-check spectrum, and the
+    blocks above 2x2 take one stacked eigensolve per size."""
+    net = sym_net()
+    space = schemes._SchemeSpace(scheme, net)
+    params = space.to_params(space.initial(np.random.default_rng(0), 1))
+    cov = schemes.build_joint_cov(scheme, params, net)
+    dims = dict(cov.components)
+    plan = atom_plan(cov.names, schemes._region_atoms(scheme))
+    sizes = {sum(dims[n] for n in s) for s in plan.subsets}
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    schemes.scheme_sumrate(scheme, params, net)
+    n = cov.matrix.shape[0]
+    parameters = {"GDS-II": [], "GCOMP": [(2, 2)] * 3 + [(7, 7)]}.get(scheme, [(2, 2)] * 2)
+    assert [s for s in shapes if len(s) == 2] == parameters + [(n, n)]
+    assert sorted(s[1] for s in shapes if len(s) == 3) == sorted(k for k in sizes if k > 2)
