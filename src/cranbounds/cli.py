@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,8 +22,7 @@ from .discrete import Channel, JointPmf, atom_valuation, compose
 from .gaussian import CranNetwork, JointCovariance
 from .polytope import (FMEBlowupError, SystemParseError, eliminate_all,
                        format_system, parse_system)
-from .regions import (SCHEME_IDS, RegionSpec, cutset_region, make_region,
-                      region_to_json)
+from .regions import SCHEME_IDS, cutset_region, make_region, region_to_json
 from .schemes import sweep_rows
 
 CSV_COLUMNS = ("C", "T", "scheme", "sum_rate", "cutset", "rsum_star")
@@ -41,23 +41,25 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-def _parse_caps(text: str | None) -> dict[str, float]:
-    caps = {"C1": 0.0, "C2": 0.0, "C12": 0.0, "C21": 0.0}
-    if not text:
-        return caps
-    for item in text.split(","):
-        if not item.strip():
-            continue
-        if "=" not in item:
-            raise ValueError(f"bad capacity assignment {item!r} (want NAME=VALUE)")
-        k, v = item.split("=", 1)
-        caps[k.strip()] = float(v)
+def _parse_caps(text: str) -> dict[str, float]:
+    """--caps NAME=VALUE,... with every VALUE a finite number >= 0."""
+    caps = {}
+    for item in filter(str.strip, text.split(",")):
+        name, eq, value = (x.strip() for x in item.partition("="))
+        try:
+            caps[name] = float(value)
+        except ValueError:
+            caps[name] = math.nan
+        if not (eq and 0.0 <= caps[name] < math.inf):
+            raise ValueError(f"--caps wants NAME=VALUE with VALUE finite and >= 0, got {item!r}")
     return caps
 
 
 def cmd_region(args) -> int:
-    spec = RegionSpec(args.scheme, N=args.n, L=args.l)
-    caps = _parse_caps(args.caps)
+    given = _parse_caps(args.caps or "")
+    if given and not args.pmf:
+        return _fail_usage("--caps needs --pmf: it sets the capacities of a pmf's valuation")
+    caps = {"C1": 0.0, "C2": 0.0, "C12": 0.0, "C21": 0.0} | given
     if args.scheme == "CUTSET":
         if not args.network:
             return _fail_usage("CUTSET needs --network")
@@ -69,7 +71,7 @@ def cmd_region(args) -> int:
         cov = JointCovariance.make([(f"X{k}", 1) for k in range(1, net.N + 1)], K)
         system, valuation = cutset_region(net, cov), {}
     else:
-        system, valuation = make_region(spec), None
+        system, valuation = make_region(args.scheme, args.n, args.l), None
         if args.valuation:
             valuation = {str(k): float(v)
                          for k, v in json.loads(open(args.valuation).read()).items()}
@@ -80,6 +82,9 @@ def cmd_region(args) -> int:
             valuation = atom_valuation(pmf, sorted(a for a in system.atoms()
                                                    if a not in caps), constants=caps)
             valuation.update({k: caps[k] for k in system.atoms() & caps.keys()})
+    unused = sorted(given.keys() - system.atoms())
+    if unused:
+        return _fail_usage(f"--caps names {unused}, which {args.scheme} does not use")
     bad = sorted(k for k, v in (valuation or {}).items() if not np.isfinite(v))
     if bad:
         return _fail_usage(f"valuation values must be finite numbers: {bad}")
@@ -136,10 +141,15 @@ def cmd_gap_audit(args) -> int:
     return 0 if report["all_pass"] else 1
 
 
-def _positive_int(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"want an integer of at least 1, got {text!r}")
-    return int(text)
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < lo:
+            raise argparse.ArgumentTypeError(f"want an integer of at least {lo}, got {text!r}")
+        return int(text)
+    return parse
+
+
+_positive_int, _seed = _int_at_least(1), _int_at_least(0)
 
 
 def cmd_fme(args) -> int:
@@ -190,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("region", help="export a rate region as JSON")
     p.add_argument("--scheme", required=True, choices=SCHEME_IDS)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--l", type=int, default=2)
+    p.add_argument("--n", type=_positive_int, default=2)
+    p.add_argument("--l", type=_positive_int, default=2)
     p.add_argument("--valuation", help="JSON file of atom values")
     p.add_argument("--pmf", help="JSON joint pmf to evaluate atoms on")
     p.add_argument("--channel", help="JSON channel composed onto the pmf")
@@ -209,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap-audit", help="randomized constant-gap audit")
     p.add_argument("--instances", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--nmax", type=_positive_int, default=4)
     p.add_argument("--lmax", type=_positive_int, default=4)
     p.add_argument("-o", "--output")
@@ -226,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-examples", help="run the benchmark topology checks")
     p.add_argument("--example", type=int, choices=[1, 2])
     p.add_argument("--samples", type=_positive_int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_verify_examples)
     return ap

@@ -290,12 +290,12 @@ def total_correlation(pmf: JointPmf, subset) -> float:
     return atom_valuation(pmf, [spec])[spec.name]
 
 
-def blahut_arimoto(channel: Channel, tol: float = 1e-10, max_iter: int = 10_000):
+def blahut_arimoto(channel: Channel, tol: float = 1e-10):
     """Capacity of a single-input single-output channel, in bits.
 
     Runs the classic alternating maximization; the lower bound on capacity
     is nondecreasing and the iteration stops once the upper/lower gap drops
-    below `tol`.  Returns (capacity, input_pmf).
+    below `tol`, within 10,000 iterations.  Returns (capacity, input_pmf).
     """
     if len(channel.inputs) != 1 or len(channel.outputs) != 1:
         raise ValueError("blahut_arimoto expects a single-input single-output channel")
@@ -306,7 +306,7 @@ def blahut_arimoto(channel: Channel, tol: float = 1e-10, max_iter: int = 10_000)
     r = np.full(m, 1.0 / m)
     logW = np.where(W > 0, np.log2(np.where(W > 0, W, 1.0)), 0.0)
     last_low = -np.inf
-    for _ in range(int(max_iter)):
+    for _ in range(10_000):
         q = r @ W  # output marginal
         with np.errstate(divide="ignore"):
             logq = np.where(q > 0, np.log2(np.where(q > 0, q, 1.0)), 0.0)
@@ -321,7 +321,7 @@ def blahut_arimoto(channel: Channel, tol: float = 1e-10, max_iter: int = 10_000)
         last_low = low
         r = r * np.exp2(D - D.max())
         r = r / r.sum()
-    raise RuntimeError(f"Blahut-Arimoto did not converge in {max_iter} iterations")
+    raise RuntimeError("Blahut-Arimoto did not converge in 10,000 iterations")
 
 
 def _plan(variables, atoms) -> AtomPlan:
@@ -339,9 +339,9 @@ def atom_valuation(pmf: JointPmf, atoms, constants=None) -> dict[str, float]:
     return plan.valuation(plan.coeffs @ subset_entropies(pmf, plan.subsets), constants)
 
 
-def random_joint_pmf(rng: np.random.Generator, variables, concentration=1.0) -> JointPmf:
-    """Dirichlet-distributed random joint pmf over the given variables."""
+def random_joint_pmf(rng: np.random.Generator, variables) -> JointPmf:
+    """Random joint pmf over the given variables, from the flat Dirichlet law."""
     variables = [(str(n), int(s)) for n, s in variables]
     cells = int(np.prod([s for _, s in variables]))
-    probs = rng.dirichlet(np.full(cells, concentration))
+    probs = rng.dirichlet(np.ones(cells))
     return JointPmf.make(variables, probs.reshape([s for _, s in variables]))

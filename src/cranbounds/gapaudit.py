@@ -6,6 +6,7 @@ differ only by an additive slack, so the per-cut gap has a closed form; the
 audit checks every cut of randomized instances against the power-independent
 bound L/2 + min(N, L log2 N)/2.  `audit` takes all log-dets of one |D| in one
 stacked `capacity_logdet` call: G(D, :) with the columns outside S zeroed, K = P I.
+Its reports give every cut's inner and outer value.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ from itertools import combinations
 import numpy as np
 
 from .gaussian import CranNetwork, capacity_logdet
-from .regions import _subsets_lex
+from .regions import _subsets_lex, cut_capacity
 
 __all__ = [
     "CutReport",
-    "ddf_inner_relaxed",
-    "cutset_outer_relaxed",
     "cut_gap_formula",
     "gap_bound",
     "audit",
@@ -42,42 +41,8 @@ class CutReport:
         return self.outer - self.inner
 
 
-def _cap_terms(network: CranNetwork, s: tuple[int, ...]) -> float:
-    s_c = [k for k in range(1, network.N + 1) if k not in s]
-    total = sum(float(network.C[k - 1]) for k in s_c)
-    total += sum(float(network.Ccoop[k - 1][j - 1]) for j in s for k in s_c)
-    return total
-
-
-def _shared(net: CranNetwork, d, s):
-    """Sorted (D, S) and the capacity terms plus, for nonempty S, the log-det."""
-    d, s = tuple(sorted(set(d))), tuple(sorted(set(s)))
-    if not d:
-        raise ValueError("user subset D must be nonempty")
-    base = _cap_terms(net, s)
-    return d, s, base + capacity_logdet(net.G_cut(d, s), net.P * np.eye(len(s))) if s else base
-
-
 def _slack(n_s: int, n_d: int) -> float:
     return 0.5 * min(n_s, n_d * np.log2(n_s))
-
-
-def ddf_inner_relaxed(network: CranNetwork, d, s) -> float:
-    """Relaxed decode-forward cut value: fronthaul/cooperation terms plus
-    (1/2) log det(I + P G(D,S) G(D,S)^T) - |D|/2.
-
-    For the empty BS cut the signal term is absent and the bound equals the
-    fronthaul sum exactly (no -|D|/2 correction to relax).
-    """
-    d, s, shared = _shared(network, d, s)
-    return shared - len(d) / 2.0 if s else shared
-
-
-def cutset_outer_relaxed(network: CranNetwork, d, s) -> float:
-    """Relaxed cut-set value: same capacity and log-det terms plus the slack
-    (1/2) min(|S|, |D| log2 |S|); exact fronthaul sum when S is empty."""
-    d, s, shared = _shared(network, d, s)
-    return shared + _slack(len(s), len(d)) if s else shared
 
 
 def cut_gap_formula(n_s: int, n_d: int) -> float:
@@ -97,7 +62,7 @@ def audit(network: CranNetwork) -> dict:
     exceeds the outer and the worst gap respects the closed-form bound."""
     users = range(1, network.L + 1)
     subsets = _subsets_lex(range(1, network.N + 1))  # the empty S first
-    base = [_cap_terms(network, s) for s in subsets]
+    base = [cut_capacity(network, s) for s in subsets]
     mask = np.array([[k in s for k in range(1, network.N + 1)] for s in subsets[1:]], float)
     cuts = dict.fromkeys(_subsets_lex(users)[1:])  # D -> [(inner, outer) for each S]
     for l in users:

@@ -74,6 +74,7 @@ class JointCovariance:
 
     components: tuple[tuple[str, int], ...]
     matrix: np.ndarray
+    top_eigenvalue: float  # largest eigenvalue, or 0: the rank cut's scale
 
     @staticmethod
     def make(components, matrix) -> "JointCovariance":
@@ -89,14 +90,7 @@ class JointCovariance:
         w = check_psd(m, "covariance matrix", 1e-9)
         m = m.copy()
         m.flags.writeable = False
-        cov = JointCovariance(components, m)
-        object.__setattr__(cov, "top_eigenvalue", max(w.max(initial=0.0), 0.0))
-        return cov
-
-    @functools.cached_property
-    def top_eigenvalue(self) -> float:
-        """Largest eigenvalue, or 0; `make` keeps it from its PSD check."""
-        return max(np.linalg.eigvalsh(self.matrix).max(initial=0.0), 0.0)
+        return JointCovariance(components, m, max(w.max(initial=0.0), 0.0))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -220,7 +214,8 @@ def _single_atom(cov: JointCovariance, spec) -> float:
     unknown component is left out, so the plan raises KeyError for it)."""
     names = spec.variables()
     components = tuple(c for c in cov.components if c[0] in names)
-    sub = JointCovariance(components, cov.block([n for n, _ in components]))
+    m = cov.block([n for n, _ in components])
+    sub = JointCovariance(components, m, max(np.linalg.eigvalsh(m).max(initial=0.0), 0.0))
     return atom_valuation(sub, [spec])[spec.name]
 
 

@@ -329,16 +329,15 @@ def fme_eliminate(system: ConstraintSystem, var: str,
 
 
 def eliminate_all(system: ConstraintSystem, drop_vars,
-                  max_constraints: int = DEFAULT_FME_CAP,
-                  greedy: bool = True) -> ConstraintSystem:
+                  max_constraints: int = DEFAULT_FME_CAP) -> ConstraintSystem:
     """Eliminate several variables, in exact integer arithmetic.
 
-    `greedy` picks, at each step, the variable with the fewest upper*lower
-    pairings.  Constraints derived from more than s+1 of the starting
-    inequalities after s eliminations are redundant (Kohler's criterion)
-    and are pruned, which is what keeps multi-variable projections of the
-    covering/packing systems tractable.  With nothing to eliminate the
-    system is returned as given.
+    Each step eliminates the variable with the fewest upper*lower pairings,
+    ties going to the earliest listed.  Constraints derived from more than
+    s+1 of the starting inequalities after s eliminations are redundant
+    (Kohler's criterion) and are pruned, which is what keeps multi-variable
+    projections of the covering/packing systems tractable.  With nothing to
+    eliminate the system is returned as given.
     """
     remaining = list(drop_vars)
     for i, v in enumerate(remaining):
@@ -356,7 +355,7 @@ def eliminate_all(system: ConstraintSystem, drop_vars,
     rows = [(cols.row(c), 1 << i, None) for i, c in enumerate(system.constraints)]
     step = 0
     while remaining:
-        if greedy and len(remaining) > 1:
+        if len(remaining) > 1:
             def cost(v):
                 j = cols.col[v]
                 nu = sum(1 for row, _, _ in rows if row[j] > 0)
@@ -395,8 +394,7 @@ def resolve_atoms(system: ConstraintSystem, valuation: dict[str, float]) -> Cons
     return out
 
 
-def numeric_feasible(system: ConstraintSystem, tighten: float = 0.0,
-                     max_constraints: int = DEFAULT_FME_CAP) -> bool:
+def numeric_feasible(system: ConstraintSystem, tighten: float = 0.0) -> bool:
     """Feasibility of a fully-resolved system (no atoms) by eliminating all
     variables; `tighten` shrinks every right-hand side first.  Exact
     rational arithmetic, so the answer is a certificate, not a heuristic."""
@@ -408,8 +406,7 @@ def numeric_feasible(system: ConstraintSystem, tighten: float = 0.0,
             list(system.variables),
             [LinearConstraint(c.lhs, AffineExpr((), c.rhs.const - Q(tighten)))
              for c in system.constraints])
-    s = eliminate_all(syntactic_reduce(s), list(s.variables),
-                      max_constraints=max_constraints, greedy=True)
+    s = eliminate_all(syntactic_reduce(s), list(s.variables))
     return all(c.rhs.const >= 0 for c in s.constraints)
 
 
@@ -448,9 +445,9 @@ def is_member(system: ConstraintSystem, valuation: dict[str, float],
 
 
 def regions_equal_sampled(sys_a: ConstraintSystem, sys_b: ConstraintSystem,
-                          valuations, n_points: int, seed: int,
-                          tol: float = 1e-9) -> dict:
-    """Compare membership of two systems on random nonnegative rate points.
+                          valuations, n_points: int, seed: int) -> dict:
+    """Compare membership of two systems, each within 1e-9, on random
+    nonnegative rate points.
 
     Points are sampled uniformly from [0, M]^d per valuation, where M is
     derived from the finite resolved right-hand sides of both systems (an
@@ -475,7 +472,7 @@ def regions_equal_sampled(sys_a: ConstraintSystem, sys_b: ConstraintSystem,
         bs = [_defined_rhs(s, rows, val) for s, rows in compiled]
         hi = max([1.0] + [abs(x) for b in bs for x in b[np.isfinite(b)].tolist()])
         pts = rng.uniform(0.0, hi + 0.5, size=(n_points, len(order)))
-        in_a, in_b = (np.all(pts @ rows.A.T <= b + tol, axis=1)
+        in_a, in_b = (np.all(pts @ rows.A.T <= b + 1e-9, axis=1)
                       for (_, rows), b in zip(compiled, bs))
         checked += len(pts)
         diff = np.nonzero(in_a != in_b)[0]

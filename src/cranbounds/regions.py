@@ -21,7 +21,6 @@ from .polytope import (AffineExpr, CompiledSystem, ConstraintSystem,
                        eliminate_all, resolve_atoms, syntactic_reduce)
 
 __all__ = [
-    "RegionSpec",
     "SCHEME_IDS",
     "Substitution",
     "SUBSTITUTIONS",
@@ -38,6 +37,7 @@ __all__ = [
     "gcomp_theorem2_system",
     "ddf_p1_system",
     "cutset_region",
+    "cut_capacity",
     "caps_valuation",
     "CompiledRegion",
     "max_sum_rate",
@@ -54,22 +54,8 @@ SCHEME_IDS = ("GDS-T1", "GDS-I", "GDS-II", "GDS-III", "COR4", "COR5",
               "GCOMP-T2", "DDF-P1", "CUTSET")
 
 
-@dataclass(frozen=True)
-class RegionSpec:
-    """Identifier of one rate region family, plus shape parameters."""
-
-    scheme: str
-    N: int = 2
-    L: int = 2
-
-    def __post_init__(self):
-        if self.scheme not in SCHEME_IDS:
-            raise ValueError(f"unknown scheme id {self.scheme!r}")
-        if self.scheme in ("DDF-P1", "CUTSET"):
-            if self.N < 1 or self.L < 1:
-                raise ValueError("DDF-P1 and CUTSET need N, L >= 1")
-        elif (self.N, self.L) != (2, 2):
-            raise ValueError(f"{self.scheme} is fixed to the 2-BS 2-user shape")
+# slack within which a region counts as nonempty, and a side condition as met
+_TOL = 1e-9
 
 
 def _subsets_lex(items):
@@ -231,8 +217,7 @@ def apply_substitution(system: ConstraintSystem, sub: Substitution) -> Constrain
 
 
 def gds_project(system: ConstraintSystem, substitution: str | Substitution,
-                valuation: dict[str, float] | None = None,
-                max_constraints: int = 100_000) -> ConstraintSystem:
+                valuation: dict[str, float] | None = None) -> ConstraintSystem:
     """Apply a named substitution to the full G-DS system and project out the
     remaining auxiliary rates (which are existentially quantified and
     nonnegative).
@@ -249,8 +234,7 @@ def gds_project(system: ConstraintSystem, substitution: str | Substitution,
         specialized = resolve_atoms(specialized, valuation)
     for r in sub.eliminate:
         specialized.add({r: -1}, AffineExpr.constant(0))
-    return eliminate_all(specialized, list(sub.eliminate),
-                         max_constraints=max_constraints, greedy=True)
+    return eliminate_all(specialized, list(sub.eliminate))
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +372,11 @@ def corollary3_side_conditions():
     return _COROLLARY3_SIDE
 
 
-def corollary3_feasible(valuation: dict[str, float], tol: float = 1e-9) -> bool:
-    """True iff every strict side condition holds with margin tol.  A NaN
+def corollary3_feasible(valuation: dict[str, float]) -> bool:
+    """True iff every strict side condition holds with margin 1e-9.  A NaN
     side (inf - inf) fails its comparison, so the scheme is infeasible."""
     for lhs, rhs in _COROLLARY3_SIDE:
-        if not valuation[lhs.name] < sum(valuation[r.name] for r in rhs) - tol:
+        if not valuation[lhs.name] < sum(valuation[r.name] for r in rhs) - _TOL:
             return False
     return True
 
@@ -482,12 +466,6 @@ def gcomp_theorem2_system() -> ConstraintSystem:
 # ---------------------------------------------------------------------------
 
 
-def _cap_name(k: int, j: int | None = None) -> str:
-    if j is None:
-        return f"C{k}"
-    return f"C{k}{j}"
-
-
 def ddf_p1_system(N: int = 2, L: int = 2) -> ConstraintSystem:
     """Refined decode-forward region: one constraint per cut (S, D),
     S over base stations and D a nonempty user subset."""
@@ -504,8 +482,8 @@ def ddf_p1_system(N: int = 2, L: int = 2) -> ConstraintSystem:
             if not d:
                 continue
             pairs = [(mi_atom([f"U{l}"], [f"Y{l}"]), 1) for l in d]
-            pairs += [(const_atom(_cap_name(k)), 1) for k in s_c]
-            pairs += [(const_atom(_cap_name(k, j)), 1) for j in s for k in s_c]
+            pairs += [(const_atom(f"C{k}"), 1) for k in s_c]
+            pairs += [(const_atom(f"C{k}{j}"), 1) for j in s for k in s_c]
             gam = _gamma_or_none([f"X{k}" for k in s_c] + [f"U{l}" for l in d])
             pairs.append((gam, -1))
             sys_.add({f"R{l}": 1 for l in d}, _expr(pairs))
@@ -516,16 +494,24 @@ def caps_valuation(network: CranNetwork) -> dict[str, float]:
     """Capacity constants of a network as an atom valuation fragment."""
     out: dict[str, float] = {}
     for k in range(1, network.N + 1):
-        out[_cap_name(k)] = float(network.C[k - 1])
+        out[f"C{k}"] = float(network.C[k - 1])
         for j in range(1, network.N + 1):
             if j != k:
-                out[_cap_name(k, j)] = float(network.Ccoop[k - 1][j - 1])
+                out[f"C{k}{j}"] = float(network.Ccoop[k - 1][j - 1])
     return out
 
 
 # ---------------------------------------------------------------------------
 # Cut-set outer bound (Gaussian)
 # ---------------------------------------------------------------------------
+
+
+def cut_capacity(network: CranNetwork, s) -> float:
+    """Capacity term of BS cut S: the fronthaul into every BS outside S plus
+    every cooperation link from a BS in S into one outside it."""
+    s_c = [k for k in range(1, network.N + 1) if k not in s]
+    total = sum(float(network.C[k - 1]) for k in s_c)
+    return total + sum(float(network.Ccoop[k - 1][j - 1]) for j in s for k in s_c)
 
 
 def cutset_region(network: CranNetwork, K: JointCovariance) -> ConstraintSystem:
@@ -537,14 +523,12 @@ def cutset_region(network: CranNetwork, K: JointCovariance) -> ConstraintSystem:
     diag = np.diag(K.block(names))
     if np.any(diag > network.P + 1e-9):
         raise ValueError("input covariance violates the per-BS power constraint")
-    caps = caps_valuation(network)
     bss = list(range(1, network.N + 1))
     users = list(range(1, network.L + 1))
     sys_ = ConstraintSystem([f"R{l}" for l in users])
     for s in _subsets_lex(bss):
         s_c = [k for k in bss if k not in s]
-        cap_term = sum(caps[_cap_name(k)] for k in s_c)
-        cap_term += sum(caps[_cap_name(k, j)] for j in s for k in s_c)
+        cap_term = cut_capacity(network, s)
         if s:  # K(S | S^c) depends on S alone
             k_cond = schur_conditional(K, [f"X{k}" for k in s], [f"X{k}" for k in s_c]).matrix
         for d in _subsets_lex(users)[1:]:
@@ -558,10 +542,10 @@ def cutset_region(network: CranNetwork, K: JointCovariance) -> ConstraintSystem:
 # ---------------------------------------------------------------------------
 
 
-def _max_bound(rows, tol: float) -> float:
+def _max_bound(rows) -> float:
     """Largest t >= 0 with d*t <= e for every (d, e) in `rows`.
 
-    0.0 when no t satisfies every row within `tol`, or when some e is -inf
+    0.0 when no t satisfies every row within 1e-9, or when some e is -inf
     (a row no point meets) or NaN (inf - inf, an undefined region); raises
     ValueError when no row bounds t above."""
     lo, hi = 0.0, np.inf
@@ -576,9 +560,9 @@ def _max_bound(rows, tol: float) -> float:
             v = e / d
             if v > lo:
                 lo = v
-        elif e < -tol:
+        elif e < -_TOL:
             return 0.0
-    if lo > hi + tol:
+    if lo > hi + _TOL:
         return 0.0
     if hi == np.inf:
         raise ValueError("region is unbounded")
@@ -615,14 +599,14 @@ class CompiledRegion:
                       for wu, wl in [(-cl / (cu - cl), cu / (cu - cl))]]
 
 
-def max_sum_rate(region: ConstraintSystem | CompiledRegion, valuation: dict[str, float],
-                 tol: float = 1e-9) -> float:
+def max_sum_rate(region: ConstraintSystem | CompiledRegion,
+                 valuation: dict[str, float]) -> float:
     """Maximum of R1+R2 over a two-variable region intersected with the
     nonnegative quadrant: one Fourier-Motzkin step (see `CompiledRegion`)
     leaves bounds on t = R1 + R2, and the largest feasible t is exact up
     to float rounding.
 
-    Returns 0.0 when the region is empty within `tol`, or undefined: a
+    Returns 0.0 when the region is empty within 1e-9, or undefined: a
     right-hand side of inf - inf is NaN.  A right-hand side of -inf empties
     the region, one of +inf bounds nothing.  Raises ValueError when the
     region is unbounded in the sum direction, and KeyError when the
@@ -633,17 +617,16 @@ def max_sum_rate(region: ConstraintSystem | CompiledRegion, valuation: dict[str,
     b = region.rows.rhs(valuation).tolist() + [0.0, 0.0]
     rows = [(d, b[i]) for d, i in region.flat]
     rows += [(d, wu * b[i] + wl * b[j]) for d, i, wu, j, wl in region.pairs]
-    return _max_bound(rows, tol)
+    return _max_bound(rows)
 
 
-def max_single_rate(system: ConstraintSystem, valuation: dict[str, float],
-                    tol: float = 1e-9) -> float:
+def max_single_rate(system: ConstraintSystem, valuation: dict[str, float]) -> float:
     """Maximum of the single nonnegative variable of a 1-D region, with the
     semantics of `max_sum_rate`."""
     if len(system.variables) != 1:
         raise ValueError("max_single_rate expects a one-variable system")
     rows = CompiledSystem(system)
-    return _max_bound(zip(rows.A[:, 0].tolist(), rows.rhs(valuation).tolist()), tol)
+    return _max_bound(zip(rows.A[:, 0].tolist(), rows.rhs(valuation).tolist()))
 
 
 def region_to_json(system: ConstraintSystem, valuation: dict[str, float] | None = None):
@@ -662,14 +645,19 @@ def region_to_json(system: ConstraintSystem, valuation: dict[str, float] | None 
     return {"variables": list(system.variables), "constraints": rows}
 
 
-def make_region(spec: RegionSpec) -> ConstraintSystem:
-    """Symbolic constraint system for a region identifier (CUTSET excluded:
-    it is tied to a concrete network and input covariance)."""
-    if spec.scheme == "DDF-P1":
-        return ddf_p1_system(spec.N, spec.L)
-    if spec.scheme == "CUTSET":
-        raise ValueError(f"{spec.scheme} requires a network instance; use cutset_region")
+def make_region(scheme: str, N: int = 2, L: int = 2) -> ConstraintSystem:
+    """Symbolic constraint system for a region identifier: DDF-P1 for any
+    N, L >= 1, the others for 2 BSs and 2 users (CUTSET excluded: it is tied
+    to a concrete network and input covariance)."""
+    if scheme not in SCHEME_IDS:
+        raise ValueError(f"unknown scheme id {scheme!r}")
+    if scheme == "DDF-P1":
+        return ddf_p1_system(N, L)
+    if scheme == "CUTSET":
+        raise ValueError(f"{scheme} requires a network instance; use cutset_region")
+    if (N, L) != (2, 2):
+        raise ValueError(f"{scheme} is fixed to the 2-BS 2-user shape")
     return {"GDS-T1": gds_theorem1_system, "GDS-I": corollary1_system,
             "GDS-II": corollary2_system, "GDS-III": corollary3_system,
             "COR4": corollary4_system, "COR5": corollary5_system,
-            "GCOMP-T2": gcomp_theorem2_system}[spec.scheme]()
+            "GCOMP-T2": gcomp_theorem2_system}[scheme]()

@@ -26,9 +26,8 @@ from . import gaussian
 # unused parse_atom stays importable: bench/tracer.py wraps it by this name
 from .atoms import parse_atom  # noqa: F401
 from .gaussian import CranNetwork, JointCovariance
-from .regions import (CompiledRegion, RegionSpec, caps_valuation,
-                      corollary3_feasible, corollary3_side_conditions,
-                      make_region, max_sum_rate)
+from .regions import (CompiledRegion, caps_valuation, corollary3_feasible,
+                      corollary3_side_conditions, make_region, max_sum_rate)
 
 __all__ = [
     "DescriptionIParams",
@@ -101,9 +100,14 @@ class OptimizerBudget:
 
     def __post_init__(self):
         for key in ("restarts", "iters"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"budget {key} must be an integer of at least 1, got {value!r}")
+            _check_int(getattr(self, key), f"budget {key}", 1)
+
+
+def _check_int(value, what: str, lo: int):
+    """`value` if it is an int (or numpy integer; bool excluded) >= lo, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise ValueError(f"{what} must be an integer of at least {lo}, got {value!r}")
+    return value
 
 
 STEP0_SCALE = 0.25  # initial pattern-search step = STEP0_SCALE * sqrt(P)
@@ -193,19 +197,14 @@ def build_joint_cov(scheme: str, params, network: CranNetwork) -> JointCovarianc
 
 
 @functools.cache
-def _region_system(scheme: str):
-    return make_region(RegionSpec("GCOMP-T2" if scheme == "GCOMP" else scheme))
-
-
-@functools.cache
 def _compiled_region(scheme: str) -> CompiledRegion:
-    return CompiledRegion(_region_system(scheme))
+    return CompiledRegion(make_region("GCOMP-T2" if scheme == "GCOMP" else scheme))
 
 
 @functools.cache
 def _region_atoms(scheme: str) -> tuple[str, ...]:
     """Canonical names of the information atoms of a scheme's region."""
-    atoms = set(_region_system(scheme).atoms())
+    atoms = set(_compiled_region(scheme).rows.atoms)
     if scheme == "GDS-III":
         for lhs, rhs in corollary3_side_conditions():
             atoms.add(lhs.name)
@@ -461,9 +460,10 @@ def scheme_sum_cap(scheme: str, network: CranNetwork) -> float:
 def sweep_rows(config: dict) -> list[dict]:
     """Evaluate schemes over a fronthaul-capacity grid.
 
-    Config keys: P, G (2x2), C_grid, T (scalar or list), schemes, seed,
-    budget {restarts, iters}, each an integer of at least 1.  C_grid, T and
-    schemes are nonempty lists without repeats, the capacities finite and
+    Config keys: P, G (2x2), C_grid, T (scalar or list), schemes, seed
+    (an integer >= 0), budget {restarts, iters}, each an integer of at
+    least 1, and out; any other key is an error.  C_grid, T and schemes
+    are nonempty lists without repeats, P and the capacities finite and
     nonnegative.  Within one (scheme, T) pair the refined parameters found
     at every grid point are shared: each C reports the best sum rate over
     the whole pool, which preserves monotonicity in C.
@@ -471,8 +471,9 @@ def sweep_rows(config: dict) -> list[dict]:
     min(2C, rsum_star), a certified upper bound that does not depend on the
     seed or the budget.  Returns rows sorted by (C, T, scheme).
     """
-    P = float(config["P"])
-    G = np.asarray(config["G"], dtype=float)
+    unknown = sorted(set(config) - {"P", "G", "C_grid", "T", "schemes", "seed", "budget", "out"})
+    if unknown:
+        raise ValueError(f"sweep config has unknown fields {unknown}")
 
     def listed(key, default, ok, what):
         values = config.get(key, default)
@@ -487,12 +488,17 @@ def sweep_rows(config: dict) -> list[dict]:
         return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
                 and math.isfinite(v) and v >= 0)
 
+    if not number(config["P"]):
+        raise ValueError(f"sweep config P must be finite and >= 0, got {config['P']!r}")
+    P, G = float(config["P"]), np.asarray(config["G"], dtype=float)
     c_grid = [float(c) for c in listed("C_grid", None, number, "finite numbers >= 0")]
     t_values = [float(t) for t in listed("T", 0.0, number, "finite numbers >= 0")]
     schemes = listed("schemes", ["GDS-I", "GDS-II", "GDS-III", "GDS-TS", "GCOMP"],
                      lambda s: s in GAUSSIAN_SCHEMES + ("GDS-TS",), "scheme names")
-    seed = int(config["seed"])
+    seed = int(_check_int(config["seed"], "sweep config seed", 0))
     bcfg = config.get("budget", {})
+    if not isinstance(bcfg, dict) or bcfg.keys() - {"restarts", "iters"}:
+        raise ValueError(f"sweep config budget must map restarts and iters only, got {bcfg!r}")
     budget = OptimizerBudget(restarts=bcfg.get("restarts", 8), iters=bcfg.get("iters", 4000))
 
     base_schemes = sorted({s for s in schemes if s != "GDS-TS"}

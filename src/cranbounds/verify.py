@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 VERDICTS = ("confirmed", "sampled-consistent", "failed")
+U_CAP = 4  # largest alphabet of the sampled auxiliary U1 in example 1
+GDS_SLACK = 1e-6  # example 2 counts a data-sharing law only with slack above this
 
 
 @dataclass
@@ -67,7 +69,7 @@ def _compression_rate(pmf: JointPmf, channel: Channel, c1: float) -> float:
 
 
 def example1_run(channel: Channel, c1: float, samples: int = 4000,
-                 seed: int = 0, u_cap: int = 4) -> ExampleReport:
+                 seed: int = 0) -> ExampleReport:
     """Compare min(C1, max_p I(X1;Y1)) with the best sampled compression
     rate min(I(U1;Y1), C1 - I(U1;X1|Y1)) over joint laws of (U1, X1).
 
@@ -103,7 +105,7 @@ def example1_run(channel: Channel, c1: float, samples: int = 4000,
     try_joint(np.maximum(p_star, 0) / max(p_star.sum(), 1e-12), eye)
     try_joint(np.full(nx, 1.0 / nx), eye)
     for _ in range(samples):
-        nu = int(rng.integers(2, u_cap + 1))
+        nu = int(rng.integers(2, U_CAP + 1))
         p_x = rng.dirichlet(np.ones(nx))
         cond = rng.dirichlet(np.ones(nu), size=nx)
         try_joint(p_x, cond)
@@ -119,7 +121,7 @@ def example1_run(channel: Channel, c1: float, samples: int = 4000,
         "one-bs-one-user",
         {"C1": c1, "max_mutual_info": max_i, "capacity": capacity,
          "best_compression_rate": best, "margin": margin,
-         "deterministic_hop": deterministic, "samples": samples, "u_cap": u_cap},
+         "deterministic_hop": deterministic, "samples": samples, "u_cap": U_CAP},
         verdict)
 
 
@@ -280,12 +282,11 @@ class _GdsMembership:
         return False
 
 
-def example2_run(samples: int = 10_000, seed: int = 0,
-                 slack: float = 1e-6) -> ExampleReport:
+def example2_run(samples: int = 10_000, seed: int = 0) -> ExampleReport:
     """(a) Confirm (1,1) lies in the compression region of the Z-network
     witness exactly (all atoms are integer bits, zero tolerance).
     (b) Sweep `samples` random data-sharing laws and confirm none contains
-    (1,1) with slack above `slack`; `samples` must be at least 1."""
+    (1,1) with slack above `GDS_SLACK`; `samples` must be at least 1."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     caps = {"C1": 1.0, "C2": 1.0, "C12": 0.0, "C21": 0.0}
@@ -302,14 +303,14 @@ def example2_run(samples: int = 10_000, seed: int = 0,
     for _ in range(samples):
         pmf = random_gds_pmf_zchannel(rng)
         gds_val = member.valuation(pmf, caps)
-        if member.contains_screened(gds_val, 1.0, 1.0, slack=slack):
+        if member.contains_screened(gds_val, 1.0, 1.0, slack=GDS_SLACK):
             hits += 1
     verdict = "failed"
     if part_a and hits == 0:
         verdict = "sampled-consistent"
     values = {"compression_member": bool(part_a),
               "compression_min_slack": part_a_slack,
-              "gds_samples": samples, "gds_hits": hits, "slack": slack,
+              "gds_samples": samples, "gds_hits": hits, "slack": GDS_SLACK,
               "seed": seed, "gds_screened": member.screened,
               "gds_certificates": len(member.certificates)}
     return ExampleReport("z-interference", values, verdict)

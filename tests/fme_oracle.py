@@ -129,8 +129,7 @@ def fme_eliminate(system: ConstraintSystem, var: str,
 
 
 def eliminate_all(system: ConstraintSystem, drop_vars,
-                  max_constraints: int = DEFAULT_FME_CAP,
-                  greedy: bool = True) -> ConstraintSystem:
+                  max_constraints: int = DEFAULT_FME_CAP) -> ConstraintSystem:
     """Greedy (fewest upper*lower pairings) elimination with Kohler's rule:
     after s steps, rows derived from more than s+1 input rows are skipped."""
     remaining = list(drop_vars)
@@ -141,7 +140,7 @@ def eliminate_all(system: ConstraintSystem, drop_vars,
     rows = [(c, frozenset([i])) for i, c in enumerate(system.constraints)]
     step = 0
     while remaining:
-        if greedy and len(remaining) > 1:
+        if len(remaining) > 1:
             def cost(v):
                 nu = sum(1 for c, _ in rows if c.coeff(v) > 0)
                 nl = sum(1 for c, _ in rows if c.coeff(v) < 0)

@@ -8,15 +8,13 @@ lexicographic order.
 import numpy as np
 
 from cranbounds import gapaudit
-from cranbounds.regions import _subsets_lex
+from cranbounds.regions import _subsets_lex, cut_capacity
 
 
 def relaxed_bounds(network, d, s) -> tuple[float, float]:
     """(inner, outer) relaxed values of one cut from one shared log-det."""
     d, s = tuple(sorted(set(d))), tuple(sorted(set(s)))
-    if not d:
-        raise ValueError("user subset D must be nonempty")
-    base = gapaudit._cap_terms(network, s)
+    base = cut_capacity(network, s)
     if not s:
         return base, base
     shared = base + gapaudit.capacity_logdet(network.G_cut(d, s), network.P * np.eye(len(s)))

@@ -39,7 +39,7 @@ def test_criterion_1_gds1_closed_form():
 
 def _agreement(proj, explicit, valuations, seed):
     rep = polytope.regions_equal_sampled(proj, explicit, valuations,
-                                         n_points=1000, seed=seed, tol=1e-9)
+                                         n_points=1000, seed=seed)
     return rep
 
 
@@ -121,7 +121,7 @@ def test_criterion_3_ddf_equals_degenerate_cloud_center():
 def test_criterion_4_zchannel():
     """(1,1) in the compression region with zero tolerance; 10^4 sampled
     data-sharing laws never contain it with slack above 1e-6."""
-    rep = verify.example2_run(samples=10_000, seed=1004, slack=1e-6)
+    rep = verify.example2_run(samples=10_000, seed=1004)
     ok = (rep.values["compression_member"]
           and rep.values["compression_min_slack"] == 0.0
           and rep.values["gds_hits"] == 0)

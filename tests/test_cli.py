@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,24 @@ def test_sweep_config_list_is_a_usage_error_naming_the_field(tmp_path, capsys, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides,field", [
+    ({"budget": [1]}, "sweep config budget"),      # AttributeError traceback, exit 1
+    ({"budget": "fast"}, "sweep config budget"),   # the same
+    ({"budget": {"restarts": 1, "iter": 5}}, "sweep config budget"),  # ran 4000 iterations
+    ({"budjet": {"restarts": 1, "iters": 5}}, "unknown fields ['budjet']"),  # ran 8 x 4000
+    ({"seed": 1.7}, "sweep config seed"),          # ran as seed 1
+    ({"seed": True}, "sweep config seed"),         # ran as seed 1
+    ({"seed": -1}, "sweep config seed"),           # named no field
+])
+def test_sweep_config_type_hole_is_a_usage_error_naming_the_field(tmp_path, capsys,
+                                                                  overrides, field):
+    cfg, out = sweep_config(tmp_path, **overrides), tmp_path / "out.csv"
+    assert run_cli(["sumrate-sweep", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and field in err
+    assert not out.exists()
+
+
 def test_sweep_merges_reference_csv(tmp_path):
     cfg = sweep_config(tmp_path)
     ref = tmp_path / "ref.csv"
@@ -224,7 +243,8 @@ def test_region_rejects_a_nonfinite_valuation(tmp_path, capsys, token):
     assert err.count("\n") == 1 and "I(U0;Y1)" in err
 
 
-def test_region_from_pmf_and_channel(tmp_path):
+def cor4_pmf_args(tmp_path):
+    """`--pmf` and `--channel` arguments of a COR4 law over (U, V, Y1, Y2)."""
     pmf = JointPmf.make([("U", 2), ("V", 2)], np.full((2, 2), 0.25))
     ch = Channel.from_map([("U", 2), ("V", 2)], [("Y1", 2), ("Y2", 2)],
                           lambda u, v: (u, v))
@@ -232,9 +252,13 @@ def test_region_from_pmf_and_channel(tmp_path):
     cpath = tmp_path / "ch.json"
     ppath.write_text(pmf.to_json())
     cpath.write_text(ch.to_json())
+    return ["--pmf", str(ppath), "--channel", str(cpath)]
+
+
+def test_region_from_pmf_and_channel(tmp_path):
     out = tmp_path / "region.json"
-    rc = run_cli(["region", "--scheme", "COR4", "--pmf", str(ppath),
-                  "--channel", str(cpath), "--caps", "C1=1.5", "-o", str(out)])
+    rc = run_cli(["region", "--scheme", "COR4", *cor4_pmf_args(tmp_path),
+                  "--caps", "C1=1.5", "-o", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
     values = {round(c["rhs_value"], 6) for c in payload["constraints"]}
@@ -260,6 +284,29 @@ def test_region_ddf_shape(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["variables"] == ["R1"]
     assert len(payload["constraints"]) == 8
+
+
+@pytest.mark.parametrize("with_pmf,message", [
+    (False, "--caps needs --pmf"),                               # parsed, then ignored
+    (True, "--caps names ['C2'], which COR4 does not use"),      # exited 0
+])
+def test_region_caps_that_nothing_uses_are_a_usage_error(tmp_path, capsys, with_pmf, message):
+    args = cor4_pmf_args(tmp_path) if with_pmf else []
+    out = tmp_path / "region.json"
+    rc = run_cli(["region", "--scheme", "COR4", *args, "--caps", "C1=1,C2=1", "-o", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and not out.exists()
+    assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("args,golden", [
+    (["--scheme", "DDF-P1", "--n", "3", "--l", "2"], "region_ddf_p1_n3_l2.json"),
+    (["--scheme", "CUTSET", "--network", str(GOLDEN / "net3.json")], "region_cutset_net3.json"),
+])
+def test_region_matches_golden_output(tmp_path, args, golden):
+    out = tmp_path / "region.json"
+    assert run_cli(["region", *args, "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_verify_examples_exit_code(tmp_path):
@@ -339,3 +386,63 @@ def test_missing_scipy_exits_2_with_one_line(monkeypatch, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "scipy" in err
+
+
+def _flag(*argv):
+    """A CLI input given as the flag that ends `argv`."""
+    return lambda tmp_path, value: [*argv, value], f"argument {argv[-1]}"
+
+
+def _sweep_field(named, field, wrap=lambda v: v):
+    """A CLI input given as a field of the sweep config (a budget count if
+    `field` is restarts or iters)."""
+    def argv(tmp_path, value):
+        v = {"0": 0, "-1": -1, "nan": math.nan, "inf": math.inf}.get(value, value)
+        budget = {"restarts": 1, "iters": 5}
+        overrides = {"budget": budget | {field: v}} if field in budget else {field: wrap(v)}
+        return ["sumrate-sweep", str(sweep_config(tmp_path, **{"budget": budget, **overrides}))]
+    return argv, named
+
+
+# every numeric input of every subcommand, and whether README makes 0 valid
+NUMERIC_INPUTS = {
+    "region --n": (_flag("region", "--scheme", "CUTSET", "--network", str(GOLDEN / "net3.json"),
+                         "--n"), False),
+    "region --l": (_flag("region", "--scheme", "DDF-P1", "--l"), False),
+    "region --caps": ((lambda tmp_path, value: ["region", "--scheme", "COR4",
+                                                *cor4_pmf_args(tmp_path), "--caps", f"C1={value}"],
+                       "--caps"), True),
+    "sumrate-sweep P": (_sweep_field("sweep config P", "P"), True),
+    "sumrate-sweep C_grid": (_sweep_field("sweep config C_grid", "C_grid", lambda v: [v]), True),
+    "sumrate-sweep T": (_sweep_field("sweep config T", "T"), True),
+    "sumrate-sweep seed": (_sweep_field("sweep config seed", "seed"), True),
+    "sumrate-sweep budget restarts": (_sweep_field("budget restarts", "restarts"), False),
+    "sumrate-sweep budget iters": (_sweep_field("budget iters", "iters"), False),
+    "gap-audit --instances": (_flag("gap-audit", "--instances"), False),
+    "gap-audit --seed": (_flag("gap-audit", "--instances", "1", "--seed"), True),
+    "gap-audit --nmax": (_flag("gap-audit", "--instances", "1", "--nmax"), False),
+    "gap-audit --lmax": (_flag("gap-audit", "--instances", "1", "--lmax"), False),
+    "fme --max-constraints": (_flag("fme", "-i", str(GOLDEN / "cor4_input.txt"), "-e", "Ru1",
+                                    "--max-constraints"), False),
+    "verify-examples --example": (_flag("verify-examples", "--samples", "10", "--example"),
+                                  False),
+    "verify-examples --samples": (_flag("verify-examples", "--example", "1", "--samples"),
+                                  False),
+    "verify-examples --seed": (_flag("verify-examples", "--example", "1", "--samples", "10",
+                                     "--seed"), True),
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "x"])
+@pytest.mark.parametrize("name", NUMERIC_INPUTS)
+def test_numeric_input_outside_its_range_is_a_usage_error_naming_it(tmp_path, capsys,
+                                                                    name, value):
+    (argv, named), zero_ok = NUMERIC_INPUTS[name]
+    out = tmp_path / "out"
+    rc = run_cli([*argv(tmp_path, value), "-o", str(out)])
+    err = capsys.readouterr().err
+    if value == "0" and zero_ok:
+        assert rc == 0 and out.exists(), err
+    else:
+        assert rc == 2 and not out.exists()
+        assert named in err.splitlines()[-1], err

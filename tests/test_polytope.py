@@ -138,8 +138,8 @@ def test_fme_order_independence():
         rhs = AffineExpr.make({"a": int(rng.integers(-1, 2))}, int(rng.integers(-2, 5)))
         cons.append(LinearConstraint.make(lhs, rhs))
     sys_ = ConstraintSystem(names, cons)
-    out1 = eliminate_all(sys_, ["z", "w"], greedy=False)
-    out2 = eliminate_all(sys_, ["w", "z"], greedy=False)
+    out1 = eliminate_all(eliminate_all(sys_, ["z"]), ["w"])
+    out2 = eliminate_all(eliminate_all(sys_, ["w"]), ["z"])
     rep = regions_equal_sampled(out1, out2, [{"a": 0.7}, {"a": -0.4}],
                                 n_points=400, seed=3)
     assert rep["agree"], rep["witnesses"][:3]

@@ -321,8 +321,8 @@ def cutset_region_per_cut(network, K):
     sys_ = polytope.ConstraintSystem([f"R{l}" for l in users])
     for s in regions._subsets_lex(bss):
         s_c = [k for k in bss if k not in s]
-        cap_term = sum(caps[regions._cap_name(k)] for k in s_c)
-        cap_term += sum(caps[regions._cap_name(k, j)] for j in s for k in s_c)
+        cap_term = sum(caps[f"C{k}"] for k in s_c)
+        cap_term += sum(caps[f"C{k}{j}"] for j in s for k in s_c)
         for d in regions._subsets_lex(users):
             if not d:
                 continue
@@ -390,13 +390,16 @@ def test_ddf_inside_cutset_for_gaussian_law():
 
 
 def test_region_spec_validation():
-    with pytest.raises(ValueError):
-        regions.RegionSpec("NOPE")
-    with pytest.raises(ValueError):
-        regions.RegionSpec("GDS-I", N=3)
-    spec = regions.RegionSpec("DDF-P1", N=3, L=2)
-    assert len(regions.make_region(spec)) == 8 * 3
-    assert len(regions.make_region(regions.RegionSpec("GDS-T1"))) == 57 + 14 + 3
+    with pytest.raises(ValueError, match="unknown scheme id 'NOPE'"):
+        regions.make_region("NOPE")
+    with pytest.raises(ValueError, match="fixed to the 2-BS 2-user shape"):
+        regions.make_region("GDS-I", N=3)
+    with pytest.raises(ValueError, match="requires a network instance"):
+        regions.make_region("CUTSET")
+    with pytest.raises(ValueError, match="N, L >= 1"):
+        regions.make_region("DDF-P1", N=0)
+    assert len(regions.make_region("DDF-P1", N=3, L=2)) == 8 * 3
+    assert len(regions.make_region("GDS-T1")) == 57 + 14 + 3
 
 
 def test_region_to_json():

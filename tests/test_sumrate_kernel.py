@@ -19,7 +19,7 @@ from cranbounds import regions
 from cranbounds.polytope import AffineExpr, CompiledSystem, ConstraintSystem
 
 SCHEMES = ("GDS-I", "GDS-II", "GDS-III", "GCOMP-T2", "COR4")
-SYSTEMS = {s: regions.make_region(regions.RegionSpec(s)) for s in SCHEMES}
+SYSTEMS = {s: regions.make_region(s) for s in SCHEMES}
 COMPILED = {s: regions.CompiledRegion(sys_) for s, sys_ in SYSTEMS.items()}
 
 

@@ -218,12 +218,12 @@ def test_bank_refuses_unsound_certificate():
 
 
 def test_example2_run_matches_lp_only_loop():
-    samples, seed, slack = 120, 11, 1e-6
-    rep = verify.example2_run(samples=samples, seed=seed, slack=slack)
+    samples, seed = 120, 11
+    rep = verify.example2_run(samples=samples, seed=seed)
     member = verify._GdsMembership()
     rng = np.random.default_rng(seed)
     hits = sum(member.contains(member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS),
-                               1.0, 1.0, slack=slack)
+                               1.0, 1.0, slack=verify.GDS_SLACK)
                for _ in range(samples))
     assert rep.values["gds_hits"] == hits
     assert rep.verdict == ("sampled-consistent" if hits == 0 else "failed")
