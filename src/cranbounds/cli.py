@@ -59,6 +59,8 @@ def cmd_region(args) -> int:
     given = _parse_caps(args.caps or "")
     if given and not args.pmf:
         return _fail_usage("--caps needs --pmf: it sets the capacities of a pmf's valuation")
+    if args.channel and not args.pmf:
+        return _fail_usage("--channel needs --pmf: it is composed onto the pmf")
     caps = {"C1": 0.0, "C2": 0.0, "C12": 0.0, "C21": 0.0} | given
     if args.scheme == "CUTSET":
         if not args.network:
@@ -79,9 +81,7 @@ def cmd_region(args) -> int:
             pmf = JointPmf.from_json(open(args.pmf).read())
             if args.channel:
                 pmf = compose(pmf, Channel.from_json(open(args.channel).read()))
-            valuation = atom_valuation(pmf, sorted(a for a in system.atoms()
-                                                   if a not in caps), constants=caps)
-            valuation.update({k: caps[k] for k in system.atoms() & caps.keys()})
+            valuation = atom_valuation(pmf, sorted(system.atoms()), constants=caps)
     unused = sorted(given.keys() - system.atoms())
     if unused:
         return _fail_usage(f"--caps names {unused}, which {args.scheme} does not use")
@@ -95,9 +95,6 @@ def cmd_region(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = json.loads(open(args.config).read())
-    for key in ("P", "G", "C_grid", "seed"):
-        if key not in config:
-            return _fail_usage(f"sweep config is missing required field {key!r}")
     rows = sweep_rows(config)
     if args.rcf_csv:
         rows.extend(_load_reference_csv(args.rcf_csv, config))
@@ -193,9 +190,16 @@ def cmd_verify_examples(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its errors, so that `main` prints each as one line with no
+    usage block; subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cranbounds",
-                                 description=__doc__.splitlines()[0])
+    ap = _Parser(prog="cranbounds", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("region", help="export a rate region as JSON")
@@ -243,13 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return exc.code or 0
     except (ValueError, KeyError, OSError, FMEBlowupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

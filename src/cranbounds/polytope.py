@@ -17,6 +17,7 @@ variables, atoms, constant), and the set of input rows it derives from
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -54,6 +55,17 @@ def _clean(terms: dict[str, Fraction]) -> dict[str, Fraction]:
     return {k: v for k, v in terms.items() if v != 0}
 
 
+def _signed_text(terms, const=ZERO) -> str:
+    """``q*Name`` terms, then the constant when nonzero or alone, joined
+    with their signs: ``-1*a + 1/2*b - 3``.  A Fraction's text carries its
+    sign as a leading '-', which becomes the joining sign."""
+    parts = [f"{q}*{k}" for k, q in terms]
+    if const or not parts:
+        parts.append(str(const))
+    text = "".join(f" - {p[1:]}" if p[0] == "-" else f" + {p}" for p in parts)
+    return "-" + text[3:] if text[1] == "-" else text[3:]
+
+
 @dataclass(frozen=True)
 class AffineExpr:
     """Exact rational affine expression ``sum_a terms[a]*a + const``."""
@@ -74,16 +86,7 @@ class AffineExpr:
         return {k for k, _ in self.terms}
 
     def __str__(self) -> str:
-        parts = [(v, f"{abs(v)}*{k}") for k, v in self.terms]
-        if self.const != 0 or not parts:
-            parts.append((self.const, str(abs(self.const))))
-        out = ""
-        for i, (sign_val, text) in enumerate(parts):
-            if i == 0:
-                out = ("-" if sign_val < 0 else "") + text
-            else:
-                out += (" - " if sign_val < 0 else " + ") + text
-        return out
+        return _signed_text(self.terms, self.const)
 
 
 @dataclass(frozen=True)
@@ -116,13 +119,7 @@ class LinearConstraint:
         return (c.lhs, c.rhs.terms, c.rhs.const)
 
     def __str__(self) -> str:
-        lhs = ""
-        for i, (k, v) in enumerate(self.lhs):
-            if i == 0:
-                lhs = ("-" if v < 0 else "") + f"{abs(v)}*{k}"
-            else:
-                lhs += (" - " if v < 0 else " + ") + f"{abs(v)}*{k}"
-        return f"{lhs or '0'} <= {self.rhs}"
+        return f"{_signed_text(self.lhs)} <= {self.rhs}"
 
 
 @dataclass
@@ -394,19 +391,13 @@ def resolve_atoms(system: ConstraintSystem, valuation: dict[str, float]) -> Cons
     return out
 
 
-def numeric_feasible(system: ConstraintSystem, tighten: float = 0.0) -> bool:
+def numeric_feasible(system: ConstraintSystem) -> bool:
     """Feasibility of a fully-resolved system (no atoms) by eliminating all
-    variables; `tighten` shrinks every right-hand side first.  Exact
-    rational arithmetic, so the answer is a certificate, not a heuristic."""
+    variables.  Exact rational arithmetic, so the answer is a certificate,
+    not a heuristic."""
     if any(c.rhs.terms for c in system.constraints):
         raise ValueError("numeric_feasible needs a resolved system")
-    s = system
-    if tighten:
-        s = ConstraintSystem(
-            list(system.variables),
-            [LinearConstraint(c.lhs, AffineExpr((), c.rhs.const - Q(tighten)))
-             for c in system.constraints])
-    s = eliminate_all(syntactic_reduce(s), list(s.variables))
+    s = eliminate_all(syntactic_reduce(system), list(system.variables))
     return all(c.rhs.const >= 0 for c in s.constraints)
 
 
@@ -491,10 +482,21 @@ def regions_equal_sampled(sys_a: ConstraintSystem, sys_b: ConstraintSystem,
 
 
 # ---------------------------------------------------------------------------
-# Text format: one constraint per line, "<lhs> <= <rhs>", terms "q*Name" with
-# q a decimal rational ("2", "1/2", "0.25"), "#" starts a comment.  Names on
-# the left are rate variables, names on the right are atoms.
+# Text format: one constraint per line, "<lhs> <= <rhs>", "#" starts a
+# comment.  A side is a signed sum of terms "q*Name", "q" or "Name": q is a
+# number as `Fraction` reads it ("2", "1/2", "0.25", "1e-6"), a name starts
+# with a letter or underscore and may end in one parenthesised group, as in
+# "I(U0;Y1|V0)".  Names on the left are rate variables, names on the right
+# are atoms.
 # ---------------------------------------------------------------------------
+
+_DIGITS = r"\d+(?:_\d+)*"
+_NUMBER = (rf"{_DIGITS}/{_DIGITS}"
+           rf"|(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?")
+_NAME = r"[A-Za-z_]\w*(?:\([^()]*\))?"
+_TERM = re.compile(rf"(?P<signs>[-+\s]*)(?:(?P<q>{_NUMBER})(?:\s*\*\s*(?P<qname>{_NAME}))?"
+                   rf"|(?P<name>{_NAME}))")
+_SIGNS = re.compile(r"[-+\s]*")
 
 
 class SystemParseError(ValueError):
@@ -507,68 +509,33 @@ class SystemParseError(ValueError):
 
 
 def _parse_terms(text: str, lineno: int, offset: int):
-    """Split on top-level +/- and parse each term as [q*]Name or bare q."""
+    """Read `text` as `_TERM` matches, each starting where the last ended;
+    every term after the first needs a sign of its own.  Columns in errors
+    count from 1 at `offset` characters before `text`."""
     terms: dict[str, Fraction] = {}
-    const = ZERO
-    depth = 0
-    chunks = []
-    cur = ""
-    cur_start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise SystemParseError("unbalanced ')'", lineno, offset + i + 1)
-        if ch in "+-" and depth == 0 and cur.strip():
-            chunks.append((cur, cur_start))
-            cur, cur_start = ch, i
+    const, pos = ZERO, 0
+    while (m := _TERM.match(text, pos)) and (pos == 0 or m["signs"].strip()):
+        try:
+            q = Q(m["q"] or 1)
+        except (ValueError, ZeroDivisionError):  # 1/0; underscores before Python 3.11
+            raise SystemParseError(f"bad coefficient {m['q']!r}", lineno,
+                                   offset + m.start("q") + 1) from None
+        q = -q if m["signs"].count("-") % 2 else q
+        name = m["qname"] or m["name"]
+        if name:
+            terms[name] = terms.get(name, ZERO) + q
         else:
-            cur += ch
-    if depth != 0:
-        raise SystemParseError("unbalanced '('", lineno, offset + len(text))
-    if cur.strip():
-        chunks.append((cur, cur_start))
-    if not chunks:
+            const += q
+        pos = m.end()
+    bad = _SIGNS.match(text, pos).end()
+    if bad < len(text):
+        raise SystemParseError(f"unreadable term {text[bad:].split()[0]!r}", lineno,
+                               offset + bad + 1)
+    if text[pos:].strip():
+        raise SystemParseError("dangling sign", lineno,
+                               offset + len(text) - len(text[pos:].lstrip()) + 1)
+    if pos == 0:
         raise SystemParseError("empty expression", lineno, offset + 1)
-    pending = Q(1)
-    dangling = None
-    for chunk, start in chunks:
-        col = offset + start + 1
-        t = chunk.strip()
-        sign = pending
-        pending = Q(1)
-        dangling = None
-        while t and t[0] in "+-":
-            if t[0] == "-":
-                sign = -sign
-            t = t[1:].strip()
-        if not t:
-            # sign-only chunk (e.g. from "a + -b"); carry into the next term
-            pending = sign
-            dangling = col
-            continue
-        if "*" in t:
-            qs, name = t.split("*", 1)
-            qs, name = qs.strip(), name.strip()
-            try:
-                q = Q(qs)
-            except (ValueError, ZeroDivisionError):
-                raise SystemParseError(f"bad coefficient {qs!r}", lineno, col) from None
-            if not name:
-                raise SystemParseError("missing name after '*'", lineno, col)
-            terms[name] = terms.get(name, ZERO) + sign * q
-        else:
-            try:
-                const += sign * Q(t)
-            except (ValueError, ZeroDivisionError):
-                # bare name with implicit coefficient 1
-                if any(c.isspace() for c in t):
-                    raise SystemParseError(f"malformed term {t!r}", lineno, col) from None
-                terms[t] = terms.get(t, ZERO) + sign
-    if dangling is not None:
-        raise SystemParseError("dangling sign", lineno, dangling)
     return _clean(terms), const
 
 

@@ -460,10 +460,11 @@ def scheme_sum_cap(scheme: str, network: CranNetwork) -> float:
 def sweep_rows(config: dict) -> list[dict]:
     """Evaluate schemes over a fronthaul-capacity grid.
 
-    Config keys: P, G (2x2), C_grid, T (scalar or list), schemes, seed
-    (an integer >= 0), budget {restarts, iters}, each an integer of at
-    least 1, and out; any other key is an error.  C_grid, T and schemes
-    are nonempty lists without repeats, P and the capacities finite and
+    Config keys: P, G (a 2x2 matrix of finite numbers), C_grid, T (scalar
+    or list), schemes, seed (an integer >= 0), budget {restarts, iters},
+    each an integer of at least 1, and out; P, G, C_grid and seed are
+    required, and any other key is an error.  C_grid, T and schemes are
+    nonempty lists without repeats, P and the capacities finite and
     nonnegative.  Within one (scheme, T) pair the refined parameters found
     at every grid point are shared: each C reports the best sum rate over
     the whole pool, which preserves monotonicity in C.
@@ -471,9 +472,14 @@ def sweep_rows(config: dict) -> list[dict]:
     min(2C, rsum_star), a certified upper bound that does not depend on the
     seed or the budget.  Returns rows sorted by (C, T, scheme).
     """
+    if not isinstance(config, dict):
+        raise ValueError(f"sweep config must be an object, got {config!r}")
     unknown = sorted(set(config) - {"P", "G", "C_grid", "T", "schemes", "seed", "budget", "out"})
     if unknown:
         raise ValueError(f"sweep config has unknown fields {unknown}")
+    missing = [k for k in ("P", "G", "C_grid", "seed") if k not in config]
+    if missing:
+        raise ValueError(f"sweep config is missing required field {missing[0]!r}")
 
     def listed(key, default, ok, what):
         values = config.get(key, default)
@@ -484,13 +490,20 @@ def sweep_rows(config: dict) -> list[dict]:
                              f"{what}, got {values!r}")
         return list(values)
 
-    def number(v):
+    def real(v):
         return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-                and math.isfinite(v) and v >= 0)
+                and math.isfinite(v))
+
+    def number(v):
+        return real(v) and v >= 0
 
     if not number(config["P"]):
         raise ValueError(f"sweep config P must be finite and >= 0, got {config['P']!r}")
-    P, G = float(config["P"]), np.asarray(config["G"], dtype=float)
+    G = np.array(config["G"], dtype=object)
+    if G.shape != (2, 2) or not all(map(real, G.flat)):
+        raise ValueError(f"sweep config G must be a 2x2 matrix of finite numbers, "
+                         f"got {config['G']!r}")
+    P, G = float(config["P"]), G.astype(float)
     c_grid = [float(c) for c in listed("C_grid", None, number, "finite numbers >= 0")]
     t_values = [float(t) for t in listed("T", 0.0, number, "finite numbers >= 0")]
     schemes = listed("schemes", ["GDS-I", "GDS-II", "GDS-III", "GDS-TS", "GCOMP"],
@@ -501,46 +514,28 @@ def sweep_rows(config: dict) -> list[dict]:
         raise ValueError(f"sweep config budget must map restarts and iters only, got {bcfg!r}")
     budget = OptimizerBudget(restarts=bcfg.get("restarts", 8), iters=bcfg.get("iters", 4000))
 
+    timeshared = ("GDS-I", "GDS-II", "GDS-III")
     base_schemes = sorted({s for s in schemes if s != "GDS-TS"}
-                          | ({"GDS-I", "GDS-II", "GDS-III"} if "GDS-TS" in schemes else set()))
-
+                          | (set(timeshared) if "GDS-TS" in schemes else set()))
     star = rsum_star(CranNetwork.make(G, P, [c_grid[0], c_grid[0]]))
-
-    def optimize_point(scheme: str, ti: int, si: int, ci: int, T: float, C: float):
-        net = CranNetwork.make(G, P, [C, C], [[0.0, T], [T, 0.0]])
-        sub_seed = np.random.SeedSequence(seed, spawn_key=(ti, si, ci))
-        point_budget = replace(budget, seed=int(sub_seed.generate_state(1)[0]))
-        ev = optimize_scheme(scheme, net, point_budget)
-        if ev.params is None:
-            return None
-        return scheme_valuation(scheme, ev.params, net)
-
     rows = []
     for ti, T in enumerate(t_values):
-        # per-scheme pool of optimized parameter valuations across the C grid
-        tasks = [(scheme, ti, si, ci, T, C)
-                 for si, scheme in enumerate(base_schemes)
-                 for ci, C in enumerate(c_grid)]
-        results = [optimize_point(*t) for t in tasks]
-        per_scheme: dict[str, list[dict]] = {s: [] for s in base_schemes}
-        for (scheme, *_), mi_val in zip(tasks, results):
-            if mi_val is not None:
-                per_scheme[scheme].append(mi_val)
-        for C in c_grid:
-            net = CranNetwork.make(G, P, [C, C], [[0.0, T], [T, 0.0]])
-            values = {}
-            for scheme in base_schemes:
-                best = 0.0
-                for mi_val in per_scheme[scheme]:
-                    best = max(best, _sumrate_from_valuation(scheme, mi_val, net))
-                values[scheme] = best
-            if "GDS-TS" in schemes:
-                values["GDS-TS"] = max(values.get(s, 0.0)
-                                       for s in ("GDS-I", "GDS-II", "GDS-III"))
-            cut = min(2.0 * C, star)
-            for scheme in schemes:
-                rows.append({"C": C, "T": T, "scheme": scheme,
-                             "sum_rate": values[scheme], "cutset": cut,
-                             "rsum_star": star})
+        nets = [CranNetwork.make(G, P, [C, C], [[0.0, T], [T, 0.0]]) for C in c_grid]
+        best = {}
+        for si, scheme in enumerate(base_schemes):
+            pool = []  # the scheme's optimised valuations across the C grid
+            for ci, net in enumerate(nets):
+                sub_seed = np.random.SeedSequence(seed, spawn_key=(ti, si, ci))
+                ev = optimize_scheme(scheme, net,
+                                     replace(budget, seed=int(sub_seed.generate_state(1)[0])))
+                if ev.params is not None:
+                    pool.append(scheme_valuation(scheme, ev.params, net))
+            best[scheme] = [max([0.0] + [_sumrate_from_valuation(scheme, v, net) for v in pool])
+                            for net in nets]
+        if "GDS-TS" in schemes:
+            best["GDS-TS"] = [max(r) for r in zip(*(best[s] for s in timeshared))]
+        for ci, C in enumerate(c_grid):
+            rows.extend({"C": C, "T": T, "scheme": s, "sum_rate": best[s][ci],
+                         "cutset": min(2.0 * C, star), "rsum_star": star} for s in schemes)
     rows.sort(key=lambda r: (r["C"], r["T"], r["scheme"]))
     return rows

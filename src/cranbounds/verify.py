@@ -225,10 +225,6 @@ class _GdsMembership:
                       bounds=[(0, None)] * len(self.aux), method="highs")
         return res.status == 0
 
-    def contains(self, valuation: dict[str, float], r1: float, r2: float,
-                 slack: float = 0.0) -> bool:
-        return self._feasible(self.rhs(valuation, r1, r2, slack))
-
     def screens(self, b: np.ndarray) -> bool:
         """True when a banked certificate proves ``A x <= b`` infeasible."""
         bank = self.certificates
@@ -270,8 +266,9 @@ class _GdsMembership:
 
     def contains_screened(self, valuation: dict[str, float], r1: float, r2: float,
                           slack: float = 0.0) -> bool:
-        """`contains`, with the certificate bank deciding the samples it can
-        prove infeasible and learning from the LP's other misses."""
+        """Whether (r1, r2) is contained with slack above `slack`: the
+        certificate bank decides the samples it can prove infeasible, the
+        LP the rest, and the bank learns from the LP's misses."""
         b = self.rhs(valuation, r1, r2, slack)
         if self.screens(b):
             self.screened += 1

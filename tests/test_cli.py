@@ -65,12 +65,40 @@ def test_fme_blowup_is_a_one_line_usage_error(tmp_path, capsys):
 
 
 def test_fme_cor4_output_is_byte_identical(tmp_path):
-    # sha256 of the full output, header included, as first recorded
+    # the full output, header included, as first recorded (and its sha256)
     out = tmp_path / "proj.txt"
     assert run_cli(["fme", "-i", str(GOLDEN / "cor4_input.txt"),
                     "-e", "Ru1,Rv1", "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "fme_cor4_ru1_rv1.txt").read_bytes()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "fca8ceaae5c9ea976e1bdc2c56fd6ea3fcd539719b09f06a1faa44cd94c47f0a")
+
+
+@pytest.mark.parametrize("line,reading", [
+    # numbers with an exponent; each was read as an atom (1e, 2.5E) plus a
+    # separate term, e.g. "1*R1 <= 1*1e - 6*C1", with exit 0
+    ("1*R1 <= 1e-6*C1", "1*R1 <= 1/1000000*C1"),
+    ("1*R1 <= 2.5E+3*a", "1*R1 <= 2500*a"),
+    ("1*R1 <= 1e+3", "1*R1 <= 1000"),
+    # unreadable at the column given; each was read with exit 0
+    ("1*R1 <= 2x", "column 10"),             # as the atom 2x
+    ("1*R1 <= 1*f(g(a))", "column 12"),      # as the atom f(g(a))
+    ("x <= 1e-6/2*a", "column 10"),          # as 1*1e - 3*a
+    ("1*x 2*y <= 1", "column 5"),            # as the variable 'x 2*y'
+    ("1*x <= 1*I (U;Y1)", "column 12"),      # as the atom 'I (U;Y1)'
+    ("1*x.y <= 1", "column 4"),              # as the variable x.y
+])
+def test_fme_reads_numbers_and_names_by_their_rules(tmp_path, capsys, line, reading):
+    src, out = tmp_path / "sys.txt", tmp_path / "out.txt"
+    src.write_text(line + "\n")
+    rc = run_cli(["fme", "-i", str(src), "-o", str(out)])
+    err = capsys.readouterr().err
+    if reading.startswith("column"):
+        assert rc == 2 and not out.exists()
+        assert err.count("\n") == 1 and f"(line 1, {reading})" in err
+    else:
+        assert rc == 0, err
+        assert out.read_text().splitlines()[1:] == [reading]
 
 
 def test_fme_repeated_variable_is_a_usage_error(tmp_path, capsys):
@@ -121,12 +149,13 @@ def test_sweep_rejects_empty_schemes(tmp_path, capsys):
     assert run_cli(["sumrate-sweep", str(cfg)]) == 2
 
 
-def test_sweep_requires_seed(tmp_path):
+def test_sweep_requires_seed(tmp_path, capsys):
     cfg = sweep_config(tmp_path)
     config = json.loads(cfg.read_text())
     del config["seed"]
     cfg.write_text(json.dumps(config))
     assert run_cli(["sumrate-sweep", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: sweep config is missing required field 'seed'\n"
 
 
 def test_sweep_rejects_nan_power(tmp_path, capsys):
@@ -195,6 +224,10 @@ def test_sweep_config_list_is_a_usage_error_naming_the_field(tmp_path, capsys, k
     ({"seed": 1.7}, "sweep config seed"),          # ran as seed 1
     ({"seed": True}, "sweep config seed"),         # ran as seed 1
     ({"seed": -1}, "sweep config seed"),           # named no field
+    ({"G": [[1, 0.5]]}, "sweep config G"),         # "rsum_star is defined for the 2-BS ..."
+    ({"G": [[1, 0.5, 0], [0.5, 1, 0]]}, "sweep config G"),  # "cannot reshape array ..."
+    ({"G": [[1.0, "x"], [0.5, 1.0]]}, "sweep config G"),    # "could not convert string ..."
+    ({"G": [[1.0, float("nan")], [0.5, 1.0]]}, "sweep config G"),  # named no field
 ])
 def test_sweep_config_type_hole_is_a_usage_error_naming_the_field(tmp_path, capsys,
                                                                   overrides, field):
@@ -299,6 +332,18 @@ def test_region_caps_that_nothing_uses_are_a_usage_error(tmp_path, capsys, with_
     assert err.count("\n") == 1 and message in err
 
 
+def test_region_channel_without_pmf_is_a_usage_error(tmp_path, capsys):
+    """The channel used to be parsed, then ignored, with exit 0."""
+    vpath, out = tmp_path / "val.json", tmp_path / "region.json"
+    vpath.write_text('{"I(U;Y1)": 1.0, "I(V;Y2)": 0.5, "I(U;V)": 0.25, "C1": 2.0}')
+    channel = cor4_pmf_args(tmp_path)[2:]
+    rc = run_cli(["region", "--scheme", "COR4", "--valuation", str(vpath), *channel,
+                  "-o", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == (
+        "error: --channel needs --pmf: it is composed onto the pmf\n")
+
+
 @pytest.mark.parametrize("args,golden", [
     (["--scheme", "DDF-P1", "--n", "3", "--l", "2"], "region_ddf_p1_n3_l2.json"),
     (["--scheme", "CUTSET", "--network", str(GOLDEN / "net3.json")], "region_cutset_net3.json"),
@@ -364,9 +409,16 @@ def test_gap_audit_matches_golden_output(tmp_path):
     assert out.read_bytes() == (GOLDEN / "gap_audit_seed0.json").read_bytes()
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     assert run_cli(["region"]) == 2          # missing --scheme
+    assert capsys.readouterr().err == (
+        "error: cranbounds region: the following arguments are required: --scheme\n")
     assert run_cli(["no-such-command"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "invalid choice: 'no-such-command'" in err
+    for argv in (["--help"], ["fme", "--help"]):
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: cranbounds")
 
 
 def test_module_entrypoint_subprocess(tmp_path):
@@ -445,4 +497,4 @@ def test_numeric_input_outside_its_range_is_a_usage_error_naming_it(tmp_path, ca
         assert rc == 0 and out.exists(), err
     else:
         assert rc == 2 and not out.exists()
-        assert named in err.splitlines()[-1], err
+        assert err.count("\n") == 1 and named in err, err

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rhs_value
 from cranbounds import polytope
@@ -169,8 +171,10 @@ def test_resolve_atoms_and_numeric_feasible():
     resolved = resolve_atoms(sys_, {"a": 0.5})
     assert numeric_feasible(resolved)
     assert not numeric_feasible(resolve_atoms(sys_, {"a": -0.5}))
-    # tightening shrinks the feasible set
-    assert not numeric_feasible(resolve_atoms(sys_, {"a": 1e-9}), tighten=1e-6)
+    # shrinking every right-hand side by 1e-6 leaves a = 1e-9 infeasible
+    shrunk = [LinearConstraint(c.lhs, AffineExpr((), c.rhs.const - Fraction(1e-6)))
+              for c in resolve_atoms(sys_, {"a": 1e-9}).constraints]
+    assert not numeric_feasible(ConstraintSystem(sys_.variables, shrunk))
 
 
 def test_resolve_atoms_converts_only_the_atoms_it_uses():
@@ -197,6 +201,18 @@ def test_parse_decimal_and_bare_names():
     assert dict(c.lhs)["x"] == polytope.Q(1, 2)
     assert dict(c.lhs)["y"] == 1
     assert c.rhs.const == polytope.Q(3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3))
+def test_parse_reads_float_reprs_as_fractions(values):
+    """repr writes 1e-07 and -2.5e+16, which used to split at the exponent's
+    sign into an atom 1e (or 2.5e) and a separate term."""
+    x, a, k = map(repr, values)
+    c = parse_system(f"{x}*x <= {a}*a + {k}\n").constraints[0]
+    assert c.coeff("x") == Fraction(x)
+    assert dict(c.rhs.terms).get("a", 0) == Fraction(a)
+    assert c.rhs.const == Fraction(k)
 
 
 def test_parse_error_reports_location():

@@ -408,6 +408,16 @@ def test_sweep_rejects_bad_config():
                     "schemes": ["NOPE"], "seed": 0})
 
 
+@pytest.mark.parametrize("key", ["P", "G", "C_grid", "seed"])
+def test_sweep_rows_names_a_missing_required_field(key):
+    """Only the CLI used to check these; sweep_rows raised KeyError."""
+    config = {"P": 1.0, "G": np.eye(2).tolist(), "C_grid": [1.0], "schemes": ["GDS-I"],
+              "seed": 0}
+    del config[key]
+    with pytest.raises(ValueError, match=f"sweep config is missing required field '{key}'"):
+        sweep_rows(config)
+
+
 def test_gcomp_infinite_atom_when_compression_noise_vanishes():
     """Zero compression noise makes the channel inputs a deterministic
     function of the descriptions: the fronthaul atoms diverge and the

@@ -12,6 +12,12 @@ from cranbounds import discrete, verify
 from cranbounds.discrete import Channel
 
 
+def lp_contains(member, valuation, r1, r2, slack=0.0):
+    """The oracle for `contains_screened`: the LP alone, with no
+    certificate bank in front of it."""
+    return member._feasible(member.rhs(valuation, r1, r2, slack))
+
+
 def test_example1_noiseless_hop_reaches_capacity():
     ident = Channel.make([("X1", 2)], [("Y1", 2)], np.eye(2))
     rep = verify.example1_run(ident, 0.5, samples=200, seed=0)
@@ -80,9 +86,9 @@ def test_gds_membership_degenerate_pmf_is_origin_only():
         [("U0", 1), ("V0", 1), ("U1", 1), ("V1", 1), ("U2", 1), ("V2", 1),
          ("Y1", 1), ("Y2", 1)], np.ones(1).reshape(1, 1, 1, 1, 1, 1, 1, 1))
     val = member.valuation(deg, caps)
-    assert member.contains(val, 0.0, 0.0)
-    assert not member.contains(val, 0.05, 0.0)
-    assert not member.contains(val, 0.0, 0.05)
+    assert lp_contains(member, val, 0.0, 0.0)
+    assert not lp_contains(member, val, 0.05, 0.0)
+    assert not lp_contains(member, val, 0.0, 0.05)
 
 
 def test_gds_membership_rhs_is_each_row_evaluated_at_the_rate_pair():
@@ -107,7 +113,7 @@ def test_gds_membership_lp_agrees_with_exact_projection():
         pmf = verify.random_gds_pmf_zchannel(rng)
         val = member.valuation(pmf, caps)
         for r1, r2 in [(1.0, 1.0), (0.3, 0.3), (0.6, 0.2)]:
-            lp = member.contains(val, r1, r2)
+            lp = lp_contains(member, val, r1, r2)
             resolved = polytope.resolve_atoms(member.system, val)
             cons = []
             for c in resolved.constraints:
@@ -178,7 +184,7 @@ def test_screened_decision_equals_lp_only_oracle(seed, slack):
         val = member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS)
         for r1, r2 in RATE_PAIRS:
             assert (member.contains_screened(val, r1, r2, slack)
-                    == member.contains(val, r1, r2, slack)), (r1, r2)
+                    == lp_contains(member, val, r1, r2, slack)), (r1, r2)
     assert member.screened > screened_before
 
 
@@ -222,8 +228,8 @@ def test_example2_run_matches_lp_only_loop():
     rep = verify.example2_run(samples=samples, seed=seed)
     member = verify._GdsMembership()
     rng = np.random.default_rng(seed)
-    hits = sum(member.contains(member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS),
-                               1.0, 1.0, slack=verify.GDS_SLACK)
+    hits = sum(lp_contains(member, member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS),
+                           1.0, 1.0, slack=verify.GDS_SLACK)
                for _ in range(samples))
     assert rep.values["gds_hits"] == hits
     assert rep.verdict == ("sampled-consistent" if hits == 0 else "failed")
