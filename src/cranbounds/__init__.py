@@ -19,15 +19,15 @@ from .gaussian import atom_valuation as gaussian_atom_valuation
 from .polytope import (AffineExpr, CompiledSystem, ConstraintSystem,
                        FMEBlowupError, LinearConstraint, eliminate_all,
                        fme_eliminate, format_system, is_member, min_slack,
-                       numeric_feasible, parse_system, regions_equal_sampled,
-                       resolve_atoms, syntactic_reduce)
+                       parse_system, regions_equal_sampled, resolve_atoms,
+                       syntactic_reduce)
 from .regions import (SUBSTITUTIONS, CompiledRegion, Substitution,
                       apply_substitution, caps_valuation, corollary1_system,
                       corollary2_system, corollary3_feasible,
                       corollary3_system, corollary4_system, corollary5_system,
                       cut_capacity, cutset_region, ddf_p1_system,
                       gcomp_theorem2_system, gds_project, gds_theorem1_system,
-                      make_region, max_single_rate, max_sum_rate, region_to_json)
+                      make_region, max_sum_rate, region_to_json)
 from .schemes import (GAUSSIAN_SCHEMES, CompressionParams, DescriptionIParams,
                       DescriptionIIParams, DescriptionIIIParams,
                       OptimizerBudget, SchemeEvaluation, build_joint_cov,

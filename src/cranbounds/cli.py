@@ -20,8 +20,7 @@ import numpy as np
 from . import gapaudit, verify
 from .discrete import Channel, JointPmf, atom_valuation, compose
 from .gaussian import CranNetwork, JointCovariance
-from .polytope import (FMEBlowupError, SystemParseError, eliminate_all,
-                       format_system, parse_system)
+from .polytope import FMEBlowupError, eliminate_all, format_system, parse_system
 from .regions import SCHEME_IDS, cutset_region, make_region, region_to_json
 from .schemes import sweep_rows
 
@@ -39,6 +38,18 @@ def _write_text(path: str | None, text: str):
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _read(flag: str, path: str, parse):
+    """`parse` of the text of the file at `path`, which is closed before
+    `parse` runs; a file that cannot be read or parsed is a usage error
+    naming `flag`."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        return parse(text)
+    except (OSError, ValueError, TypeError, KeyError, AttributeError, IndexError) as exc:
+        raise ValueError(f"{flag} {path}: {type(exc).__name__}: {exc}") from None
 
 
 def _parse_caps(text: str) -> dict[str, float]:
@@ -65,9 +76,9 @@ def cmd_region(args) -> int:
     if args.scheme == "CUTSET":
         if not args.network:
             return _fail_usage("CUTSET needs --network")
-        net = CranNetwork.from_json(open(args.network).read())
+        net = _read("--network", args.network, CranNetwork.from_json)
         if args.cov:
-            K = np.asarray(json.loads(open(args.cov).read()), dtype=float)
+            K = _read("--cov", args.cov, lambda t: np.asarray(json.loads(t), dtype=float))
         else:
             K = net.P * np.eye(net.N)
         cov = JointCovariance.make([(f"X{k}", 1) for k in range(1, net.N + 1)], K)
@@ -75,12 +86,12 @@ def cmd_region(args) -> int:
     else:
         system, valuation = make_region(args.scheme, args.n, args.l), None
         if args.valuation:
-            valuation = {str(k): float(v)
-                         for k, v in json.loads(open(args.valuation).read()).items()}
+            valuation = _read("--valuation", args.valuation, lambda t: {
+                str(k): float(v) for k, v in json.loads(t).items()})
         elif args.pmf:
-            pmf = JointPmf.from_json(open(args.pmf).read())
+            pmf = _read("--pmf", args.pmf, JointPmf.from_json)
             if args.channel:
-                pmf = compose(pmf, Channel.from_json(open(args.channel).read()))
+                pmf = compose(pmf, _read("--channel", args.channel, Channel.from_json))
             valuation = atom_valuation(pmf, sorted(system.atoms()), constants=caps)
     unused = sorted(given.keys() - system.atoms())
     if unused:
@@ -94,10 +105,10 @@ def cmd_region(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = json.loads(open(args.config).read())
+    config = _read("config", args.config, json.loads)
     rows = sweep_rows(config)
     if args.rcf_csv:
-        rows.extend(_load_reference_csv(args.rcf_csv, config))
+        rows.extend(_read("--rcf-csv", args.rcf_csv, lambda t: _reference_rows(t, config)))
         rows.sort(key=lambda r: (r["C"], r["T"], r["scheme"]))
     lines = [",".join(CSV_COLUMNS)]
     for r in rows:
@@ -108,26 +119,30 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _load_reference_csv(path: str, config: dict) -> list[dict]:
+def _reference_rows(text: str, config: dict) -> list[dict]:
     """External reference curves (e.g. lattice-based schemes evaluated
-    elsewhere) as rows scheme=name; columns C,scheme,sum_rate."""
+    elsewhere) as rows scheme=name at the config's first T; columns
+    C,scheme,sum_rate, with C and sum_rate finite numbers >= 0."""
+    t0 = config.get("T", 0.0)
+    t0 = float(t0[0]) if isinstance(t0, (list, tuple)) else float(t0)
+    head, *lines = text.splitlines() or [""]
+    header = head.strip().split(",")
+    idx = {name: i for i, name in enumerate(header)}
+    for need in ("C", "scheme", "sum_rate"):
+        if need not in idx:
+            raise ValueError(f"reference CSV missing column {need!r}")
     out = []
-    t_values = config.get("T", 0.0)
-    t0 = float(t_values[0]) if isinstance(t_values, (list, tuple)) else float(t_values)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        idx = {name: i for i, name in enumerate(header)}
-        for need in ("C", "scheme", "sum_rate"):
-            if need not in idx:
-                raise ValueError(f"reference CSV missing column {need!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            out.append({"C": float(parts[idx["C"]]), "T": t0,
-                        "scheme": parts[idx["scheme"]],
-                        "sum_rate": float(parts[idx["sum_rate"]]),
-                        "cutset": float("nan"), "rsum_star": float("nan")})
+    for n, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        parts = line.strip().split(",")
+        if len(parts) != len(header):
+            raise ValueError(f"line {n} has {len(parts)} fields, want {len(header)}")
+        c, rate = float(parts[idx["C"]]), float(parts[idx["sum_rate"]])
+        if not (0.0 <= c < math.inf and 0.0 <= rate < math.inf):
+            raise ValueError(f"line {n}: C and sum_rate must be finite numbers >= 0")
+        out.append({"C": c, "T": t0, "scheme": parts[idx["scheme"]], "sum_rate": rate,
+                    "cutset": float("nan"), "rsum_star": float("nan")})
     return out
 
 
@@ -150,12 +165,7 @@ _positive_int, _seed = _int_at_least(1), _int_at_least(0)
 
 
 def cmd_fme(args) -> int:
-    try:
-        text = open(args.input).read()
-        system = parse_system(text)
-    except SystemParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    system = _read("--input", args.input, parse_system)
     drop = []
     for item in args.eliminate or []:
         drop.extend(v.strip() for v in item.split(",") if v.strip())

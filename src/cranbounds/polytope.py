@@ -110,14 +110,6 @@ class LinearConstraint:
     def atoms(self) -> set[str]:
         return self.rhs.atoms()
 
-    def key(self):
-        """Canonical form under positive rescaling: the left-hand side (or,
-        for pure atom relations, the atom terms) as a primitive integer
-        vector, then the atom terms and the constant."""
-        cols = _Columns(ConstraintSystem([k for k, _ in self.lhs], [self]))
-        c = cols.constraint(cols.row(self))
-        return (c.lhs, c.rhs.terms, c.rhs.const)
-
     def __str__(self) -> str:
         return f"{_signed_text(self.lhs)} <= {self.rhs}"
 
@@ -391,16 +383,6 @@ def resolve_atoms(system: ConstraintSystem, valuation: dict[str, float]) -> Cons
     return out
 
 
-def numeric_feasible(system: ConstraintSystem) -> bool:
-    """Feasibility of a fully-resolved system (no atoms) by eliminating all
-    variables.  Exact rational arithmetic, so the answer is a certificate,
-    not a heuristic."""
-    if any(c.rhs.terms for c in system.constraints):
-        raise ValueError("numeric_feasible needs a resolved system")
-    s = eliminate_all(syntactic_reduce(system), list(system.variables))
-    return all(c.rhs.const >= 0 for c in s.constraints)
-
-
 def _defined_rhs(system: ConstraintSystem, rows: CompiledSystem,
                  valuation: dict[str, float]) -> np.ndarray:
     b = rows.rhs(valuation)
@@ -413,20 +395,20 @@ def _defined_rhs(system: ConstraintSystem, rows: CompiledSystem,
 
 def min_slack(system: ConstraintSystem, valuation: dict[str, float],
               point: dict[str, float]) -> float:
-    """Smallest slack rhs - lhs over all constraints (+inf for empty systems).
+    """Smallest slack b - A @ x over all constraints (+inf for empty systems).
 
     Raises ValueError when a right-hand side is NaN (inf - inf): the region
-    is then undefined, so no point is a member or a non-member.
+    is then undefined, so no point is a member or a non-member.  A point
+    coordinate that is not a finite number raises ValueError too.
     """
     missing = [v for v in system.variables if v not in point]
     if missing:
         raise KeyError(f"point missing variables {missing}")
-    worst = np.inf
-    b = _defined_rhs(system, CompiledSystem(system), valuation)
-    for c, rhs in zip(system.constraints, b.tolist()):
-        lhs = sum(float(q) * point[k] for k, q in c.lhs)
-        worst = min(worst, rhs - lhs)
-    return worst
+    x = np.array([point[v] for v in system.variables], dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"point coordinates must be finite numbers, got {point}")
+    rows = CompiledSystem(system)
+    return float(np.min(_defined_rhs(system, rows, valuation) - rows.A @ x, initial=np.inf))
 
 
 def is_member(system: ConstraintSystem, valuation: dict[str, float],
@@ -449,6 +431,8 @@ def regions_equal_sampled(sys_a: ConstraintSystem, sys_b: ConstraintSystem,
     """
     if set(sys_a.variables) != set(sys_b.variables):
         raise ValueError("systems must share the same variable set")
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     valuations = list(valuations)
     if not valuations:
         raise ValueError("need at least one valuation")
@@ -562,12 +546,7 @@ def parse_system(text: str, variables=None) -> ConstraintSystem:
     return ConstraintSystem(var_list, constraints)
 
 
-def format_system(system: ConstraintSystem, header: str | None = None) -> str:
-    lines = []
-    if header:
-        for h in header.splitlines():
-            lines.append(f"# {h}")
-    lines.append(f"# variables: {' '.join(system.variables)}")
-    for c in system.constraints:
-        lines.append(str(c))
+def format_system(system: ConstraintSystem) -> str:
+    lines = [f"# variables: {' '.join(system.variables)}"]
+    lines += [str(c) for c in system.constraints]
     return "\n".join(lines) + "\n"

@@ -41,7 +41,6 @@ __all__ = [
     "caps_valuation",
     "CompiledRegion",
     "max_sum_rate",
-    "max_single_rate",
     "region_to_json",
     "make_region",
 ]
@@ -56,6 +55,9 @@ SCHEME_IDS = ("GDS-T1", "GDS-I", "GDS-II", "GDS-III", "COR4", "COR5",
 
 # slack within which a region counts as nonempty, and a side condition as met
 _TOL = 1e-9
+
+# the fronthaul and cooperation capacities of the 2-BS regions
+C1, C2, C12, C21 = (const_atom(n) for n in ("C1", "C2", "C12", "C21"))
 
 
 def _subsets_lex(items):
@@ -131,13 +133,10 @@ def gds_theorem1_system() -> ConstraintSystem:
     g01 = gamma_atom(["U0", "V0", "U1", "V1"])
     g02 = gamma_atom(["U0", "V0", "U2", "V2"])
     g0 = gamma_atom(["U0", "V0"])
-    sys_.add({"Ru0": 1, "Ru1": 1, "Rv0": 1, "Rv1": 1},
-             _expr([(const_atom("C1"), 1), (const_atom("C12"), 1), (g01, 1)]))
-    sys_.add({"Ru0": 1, "Ru2": 1, "Rv0": 1, "Rv2": 1},
-             _expr([(const_atom("C2"), 1), (const_atom("C21"), 1), (g02, 1)]))
+    sys_.add({"Ru0": 1, "Ru1": 1, "Rv0": 1, "Rv1": 1}, _expr([(C1, 1), (C12, 1), (g01, 1)]))
+    sys_.add({"Ru0": 1, "Ru2": 1, "Rv0": 1, "Rv2": 1}, _expr([(C2, 1), (C21, 1), (g02, 1)]))
     sys_.add({f"Ru{i}": 1 for i in idx} | {f"Rv{j}": 1 for j in idx},
-             _expr([(const_atom("C1"), 1), (const_atom("C2"), 1),
-                    (g01, 1), (g02, 1), (g0, -1)]))
+             _expr([(C1, 1), (C2, 1), (g01, 1), (g02, 1), (g0, -1)]))
     return sys_
 
 
@@ -242,8 +241,8 @@ def gds_project(system: ConstraintSystem, substitution: str | Substitution,
 # ---------------------------------------------------------------------------
 
 
-def _system_r1r2(rows) -> ConstraintSystem:
-    sys_ = ConstraintSystem(["R1", "R2"])
+def _system(rows, variables=("R1", "R2")) -> ConstraintSystem:
+    sys_ = ConstraintSystem(list(variables))
     for lhs, expr in rows:
         sys_.add(lhs, expr)
     return sys_
@@ -255,23 +254,19 @@ def corollary1_system() -> ConstraintSystem:
     iu = mi_atom(["U0"], ["Y1"])
     iv = mi_atom(["V0"], ["Y2"])
     iuv = mi_atom(["U0"], ["V0"])
-    c1, c2 = const_atom("C1"), const_atom("C2")
-    c12, c21 = const_atom("C12"), const_atom("C21")
-    return _system_r1r2([
+    return _system([
         ({"R1": 1}, _expr([(iu, 1)])),
         ({"R2": 1}, _expr([(iv, 1)])),
         ({"R1": 1, "R2": 1}, _expr([(iu, 1), (iv, 1), (iuv, -1)])),
-        ({"R1": 1, "R2": 1}, _expr([(c1, 1), (c12, 1)])),
-        ({"R1": 1, "R2": 1}, _expr([(c2, 1), (c21, 1)])),
-        ({"R1": 1, "R2": 1}, _expr([(c1, 1), (c2, 1)])),
+        ({"R1": 1, "R2": 1}, _expr([(C1, 1), (C12, 1)])),
+        ({"R1": 1, "R2": 1}, _expr([(C2, 1), (C21, 1)])),
+        ({"R1": 1, "R2": 1}, _expr([(C1, 1), (C2, 1)])),
     ])
 
 
 def corollary2_system() -> ConstraintSystem:
     """Independent-codewords region (rate splitting with private and common
     parts; linear-beamforming-style correlation structure)."""
-    c1, c2 = const_atom("C1"), const_atom("C2")
-    c12, c21 = const_atom("C12"), const_atom("C21")
     iu2 = mi_atom(["U2"], ["Y1"], ["U0", "U1"])
     iu1 = mi_atom(["U1"], ["Y1"], ["U0", "U2"])
     iu_all = mi_atom(["U0", "U1", "U2"], ["Y1"])
@@ -280,17 +275,17 @@ def corollary2_system() -> ConstraintSystem:
     iv_all = mi_atom(["V0", "V1", "V2"], ["Y2"])
     iu12 = mi_atom(["U1", "U2"], ["Y1"], ["U0"])
     iv12 = mi_atom(["V1", "V2"], ["Y2"], ["V0"])
-    caps = [(c1, 1), (c2, 1), (c12, 1), (c21, 1)]
-    return _system_r1r2([
-        ({"R1": 1}, _expr([(c1, 1), (c12, 1), (iu2, 1)])),
-        ({"R1": 1}, _expr([(c2, 1), (c21, 1), (iu1, 1)])),
+    caps = [(C1, 1), (C2, 1), (C12, 1), (C21, 1)]
+    return _system([
+        ({"R1": 1}, _expr([(C1, 1), (C12, 1), (iu2, 1)])),
+        ({"R1": 1}, _expr([(C2, 1), (C21, 1), (iu1, 1)])),
         ({"R1": 1}, _expr([(iu_all, 1)])),
-        ({"R2": 1}, _expr([(c1, 1), (c12, 1), (iv2, 1)])),
-        ({"R2": 1}, _expr([(c2, 1), (c21, 1), (iv1, 1)])),
+        ({"R2": 1}, _expr([(C1, 1), (C12, 1), (iv2, 1)])),
+        ({"R2": 1}, _expr([(C2, 1), (C21, 1), (iv1, 1)])),
         ({"R2": 1}, _expr([(iv_all, 1)])),
-        ({"R1": 1, "R2": 1}, _expr([(c1, 1), (c2, 1)])),
-        ({"R1": 1, "R2": 1}, _expr([(c1, 1), (c12, 1), (iu2, 1), (iv2, 1)])),
-        ({"R1": 1, "R2": 1}, _expr([(c2, 1), (c21, 1), (iu1, 1), (iv1, 1)])),
+        ({"R1": 1, "R2": 1}, _expr([(C1, 1), (C2, 1)])),
+        ({"R1": 1, "R2": 1}, _expr([(C1, 1), (C12, 1), (iu2, 1), (iv2, 1)])),
+        ({"R1": 1, "R2": 1}, _expr([(C2, 1), (C21, 1), (iu1, 1), (iv1, 1)])),
         ({"R1": 1, "R2": 2}, _expr(caps + [(iv12, 1)])),
         ({"R1": 2, "R2": 1}, _expr(caps + [(iu12, 1)])),
         ({"R1": 2, "R2": 2}, _expr(caps + [(iu12, 1), (iv12, 1)])),
@@ -299,8 +294,6 @@ def corollary2_system() -> ConstraintSystem:
 
 def corollary3_system() -> ConstraintSystem:
     """Private-codewords-only region (fully correlated Marton pairs)."""
-    c1, c2 = const_atom("C1"), const_atom("C2")
-    c12, c21 = const_atom("C12"), const_atom("C21")
     u2_u1y1 = mi_atom(["U2"], ["U1", "Y1"])
     u1_u2y1 = mi_atom(["U1"], ["U2", "Y1"])
     v2_v1y2 = mi_atom(["V2"], ["V1", "Y2"])
@@ -324,20 +317,20 @@ def corollary3_system() -> ConstraintSystem:
     u1u2 = mi_atom(["U1"], ["U2"])
     v1v2 = mi_atom(["V1"], ["V2"])
     rows = [
-        ({"R1": 1}, _expr([(c1, 1), (c12, 1), (u2_u1y1, 1), (u2_u1v1, -1)])),
-        ({"R1": 1}, _expr([(c2, 1), (c21, 1), (u1_u2y1, 1), (u1_u2v2, -1)])),
+        ({"R1": 1}, _expr([(C1, 1), (C12, 1), (u2_u1y1, 1), (u2_u1v1, -1)])),
+        ({"R1": 1}, _expr([(C2, 1), (C21, 1), (u1_u2y1, 1), (u1_u2v2, -1)])),
         ({"R1": 1}, _expr([(u12_y1, 1)])),
         ({"R1": 1}, _expr([(u12_y1, 1), (v1_v2y2, 1), (v1_u12, -1)])),
         ({"R1": 1}, _expr([(u12_y1, 1), (v2_v1y2, 1), (v2_u12, -1)])),
-        ({"R2": 1}, _expr([(c1, 1), (c12, 1), (v2_v1y2, 1), (v2_u1v1, -1)])),
-        ({"R2": 1}, _expr([(c2, 1), (c21, 1), (v1_v2y2, 1), (v1_u2v2, -1)])),
+        ({"R2": 1}, _expr([(C1, 1), (C12, 1), (v2_v1y2, 1), (v2_u1v1, -1)])),
+        ({"R2": 1}, _expr([(C2, 1), (C21, 1), (v1_v2y2, 1), (v1_u2v2, -1)])),
         ({"R2": 1}, _expr([(v12_y2, 1)])),
         ({"R2": 1}, _expr([(v12_y2, 1), (u2_u1y1, 1), (u2_v12, -1)])),
         ({"R2": 1}, _expr([(v12_y2, 1), (u1_u2y1, 1), (u1_v12, -1)])),
         ({"R1": 1, "R2": 1}, _expr([(u12_y1, 1), (v12_y2, 1), (u12_v12, -1)])),
-        ({"R1": 1, "R2": 1}, _expr([(c1, 1), (c2, 1), (u1v1_u2v2, -1)])),
+        ({"R1": 1, "R2": 1}, _expr([(C1, 1), (C2, 1), (u1v1_u2v2, -1)])),
     ]
-    base12 = [(c1, 1), (c12, 1), (u1v1_u2v2, -1)]
+    base12 = [(C1, 1), (C12, 1), (u1v1_u2v2, -1)]
     rows += [
         ({"R1": 1, "R2": 1}, _expr(base12 + [(u2_u1y1, 1), (v2_v1y2, 1), (u2v2, -1)])),
         ({"R1": 1, "R2": 1}, _expr(base12 + [(u2_u1y1, 2), (v12_y2, 1),
@@ -345,7 +338,7 @@ def corollary3_system() -> ConstraintSystem:
         ({"R1": 1, "R2": 1}, _expr(base12 + [(u12_y1, 1), (v2_v1y2, 2),
                                              (u1v2, -1), (u2v2, -1), (u1u2, 1)])),
     ]
-    base21 = [(c2, 1), (c21, 1), (u1v1_u2v2, -1)]
+    base21 = [(C2, 1), (C21, 1), (u1v1_u2v2, -1)]
     rows += [
         ({"R1": 1, "R2": 1}, _expr(base21 + [(u1_u2y1, 1), (v1_v2y2, 1), (u1v1, -1)])),
         ({"R1": 1, "R2": 1}, _expr(base21 + [(u1_u2y1, 2), (v12_y2, 1),
@@ -353,7 +346,7 @@ def corollary3_system() -> ConstraintSystem:
         ({"R1": 1, "R2": 1}, _expr(base21 + [(u12_y1, 1), (v1_v2y2, 2),
                                              (u1v1, -1), (u2v1, -1), (u1u2, 1)])),
     ]
-    return _system_r1r2(rows)
+    return _system(rows)
 
 
 _COROLLARY3_SIDE = (
@@ -387,32 +380,30 @@ def corollary4_system() -> ConstraintSystem:
     iu = mi_atom(["U"], ["Y1"])
     iv = mi_atom(["V"], ["Y2"])
     iuv = mi_atom(["U"], ["V"])
-    return _system_r1r2([
+    return _system([
         ({"R1": 1}, _expr([(iu, 1)])),
         ({"R2": 1}, _expr([(iv, 1)])),
         ({"R1": 1, "R2": 1}, _expr([(iu, 1), (iv, 1), (iuv, -1)])),
-        ({"R1": 1, "R2": 1}, _expr([(const_atom("C1"), 1)])),
+        ({"R1": 1, "R2": 1}, _expr([(C1, 1)])),
     ])
 
 
 def corollary5_system() -> ConstraintSystem:
     """Two-BS single-user (diamond) region over R1 only."""
-    c1, c2 = const_atom("C1"), const_atom("C2")
-    c12, c21 = const_atom("C12"), const_atom("C21")
     ix1x2_u = mi_atom(["X1"], ["X2"], ["U"])
     ix2_y1 = mi_atom(["X2"], ["Y1"], ["U", "X1"])
     ix1_y1 = mi_atom(["X1"], ["Y1"], ["U", "X2"])
     ix12_y1 = mi_atom(["X1", "X2"], ["Y1"])
     ix12_y1_u = mi_atom(["X1", "X2"], ["Y1"], ["U"])
-    sys_ = ConstraintSystem(["R1"])
-    sys_.add({"R1": 1}, _expr([(c1, 1), (c2, 1), (ix1x2_u, -1)]))
-    sys_.add({"R1": 1}, _expr([(c1, 1), (c12, 1), (ix2_y1, 1)]))
-    sys_.add({"R1": 1}, _expr([(c2, 1), (c21, 1), (ix1_y1, 1)]))
-    sys_.add({"R1": 1}, _expr([(ix12_y1, 1)]))
     half = Q(1, 2)
-    sys_.add({"R1": 1}, _expr([(c1, half), (c2, half), (c12, half), (c21, half),
-                               (ix12_y1_u, half), (ix1x2_u, -half)]))
-    return sys_
+    return _system([
+        ({"R1": 1}, _expr([(C1, 1), (C2, 1), (ix1x2_u, -1)])),
+        ({"R1": 1}, _expr([(C1, 1), (C12, 1), (ix2_y1, 1)])),
+        ({"R1": 1}, _expr([(C2, 1), (C21, 1), (ix1_y1, 1)])),
+        ({"R1": 1}, _expr([(ix12_y1, 1)])),
+        ({"R1": 1}, _expr([(C1, half), (C2, half), (C12, half), (C21, half),
+                           (ix12_y1_u, half), (ix1x2_u, -half)])),
+    ], variables=("R1",))
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +414,6 @@ def corollary5_system() -> ConstraintSystem:
 def gcomp_theorem2_system() -> ConstraintSystem:
     """Cloud-center compression region over (R1, R2); the min-expressions of
     the closed form are expanded into one constraint per branch."""
-    c1, c2 = const_atom("C1"), const_atom("C2")
-    c12, c21 = const_atom("C12"), const_atom("C21")
     i1 = mi_atom(["U1"], ["Y1"])
     i2 = mi_atom(["U2"], ["Y2"])
     i12 = mi_atom(["U1"], ["U2"])
@@ -440,18 +429,18 @@ def gcomp_theorem2_system() -> ConstraintSystem:
     u2_x0 = mi_atom(["U2"], ["X0"])
     uu_x0 = mi_atom(["U1", "U2"], ["X0"])
     marton = [(i1, 1), (i2, 1), (i12, -1)]
-    caps = [(c1, 1), (c2, 1), (c12, 1), (c21, 1)]
-    return _system_r1r2([
+    caps = [(C1, 1), (C2, 1), (C12, 1), (C21, 1)]
+    return _system([
         ({"R1": 1}, _expr([(i1, 1)])),
-        ({"R1": 1}, _expr([(i1, 1), (c1, 1), (c12, 1), (u1_x01, -1)])),
-        ({"R1": 1}, _expr([(i1, 1), (c2, 1), (c21, 1), (u1_x02, -1)])),
+        ({"R1": 1}, _expr([(i1, 1), (C1, 1), (C12, 1), (u1_x01, -1)])),
+        ({"R1": 1}, _expr([(i1, 1), (C2, 1), (C21, 1), (u1_x02, -1)])),
         ({"R2": 1}, _expr([(i2, 1)])),
-        ({"R2": 1}, _expr([(i2, 1), (c1, 1), (c12, 1), (u2_x01, -1)])),
-        ({"R2": 1}, _expr([(i2, 1), (c2, 1), (c21, 1), (u2_x02, -1)])),
+        ({"R2": 1}, _expr([(i2, 1), (C1, 1), (C12, 1), (u2_x01, -1)])),
+        ({"R2": 1}, _expr([(i2, 1), (C2, 1), (C21, 1), (u2_x02, -1)])),
         ({"R1": 1, "R2": 1}, _expr(marton)),
-        ({"R1": 1, "R2": 1}, _expr(marton + [(c1, 1), (c12, 1), (uu_x01, -1)])),
-        ({"R1": 1, "R2": 1}, _expr(marton + [(c2, 1), (c21, 1), (uu_x02, -1)])),
-        ({"R1": 1, "R2": 1}, _expr(marton + [(c1, 1), (c2, 1), (uu_x012, -1), (x1x2_x0, -1)])),
+        ({"R1": 1, "R2": 1}, _expr(marton + [(C1, 1), (C12, 1), (uu_x01, -1)])),
+        ({"R1": 1, "R2": 1}, _expr(marton + [(C2, 1), (C21, 1), (uu_x02, -1)])),
+        ({"R1": 1, "R2": 1}, _expr(marton + [(C1, 1), (C2, 1), (uu_x012, -1), (x1x2_x0, -1)])),
         ({"R1": 2, "R2": 1}, _expr(marton + caps + [(uu_x012, -1), (x1x2_x0, -1),
                                                     (i1, 1), (u1_x0, -1)])),
         ({"R1": 1, "R2": 2}, _expr(marton + caps + [(uu_x012, -1), (x1x2_x0, -1),
@@ -570,28 +559,33 @@ def _max_bound(rows) -> float:
 
 
 class CompiledRegion:
-    """A region over two rates (R1, R2) compiled once for `max_sum_rate`.
+    """A region over one rate R1, or two rates (R1, R2), compiled once for
+    `max_sum_rate`.
 
-    With s = R1 and t = R1 + R2 a row a1*R1 + a2*R2 <= b reads
-    (a1 - a2)*s + a2*t <= b, and R1, R2 >= 0 add the rows -s <= 0 and
+    With two rates, s = R1 and t = R1 + R2 turn a row a1*R1 + a2*R2 <= b
+    into (a1 - a2)*s + a2*t <= b, and R1, R2 >= 0 add the rows -s <= 0 and
     s - t <= 0 with right-hand side 0.  One Fourier-Motzkin step eliminates
     s: rows free of s carry over as `flat` (d, row), and every row with a
     positive s-coefficient pairs with every row with a negative one as
-    (d, row, weight, row, weight), the weights summing to 1.  Pairs and
-    weights follow from the exact left-hand sides alone, so they are fixed
-    here and an evaluation only combines right-hand sides.  Every row pairs
-    with a quadrant row or carries over, so a NaN or -inf reaches the bounds.
+    (d, row, weight, row, weight), the weights summing to 1.  With one rate,
+    t = R1 and every row is `flat`.  Pairs and weights follow from the
+    exact left-hand sides alone, so they are fixed here and an evaluation
+    only combines right-hand sides.  Every row pairs with a quadrant row or
+    carries over, so a NaN or -inf reaches the bounds.
     """
 
     def __init__(self, system: ConstraintSystem):
-        if len(system.variables) != 2:
-            raise ValueError("max_sum_rate expects a two-variable system")
+        if len(system.variables) not in (1, 2):
+            raise ValueError("max_sum_rate expects a one- or two-rate system")
         if not system.constraints:
             raise ValueError("refusing to maximize over an unconstrained region")
         self.rows = CompiledSystem(system)
-        r1, r2 = system.variables
-        st = [(c.coeff(r1) - c.coeff(r2), c.coeff(r2)) for c in system.constraints]
-        st += [(Q(-1), Q(0)), (Q(1), Q(-1))]
+        if len(system.variables) == 1:
+            st = [(Q(0), c.coeff(system.variables[0])) for c in system.constraints]
+        else:
+            r1, r2 = system.variables
+            st = [(c.coeff(r1) - c.coeff(r2), c.coeff(r2)) for c in system.constraints]
+            st += [(Q(-1), Q(0)), (Q(1), Q(-1))]
         self.flat = [(float(d), i) for i, (c, d) in enumerate(st) if c == 0]
         self.pairs = [(float(wu * du + wl * dl), i, float(wu), j, float(wl))
                       for i, (cu, du) in enumerate(st) if cu > 0
@@ -601,10 +595,10 @@ class CompiledRegion:
 
 def max_sum_rate(region: ConstraintSystem | CompiledRegion,
                  valuation: dict[str, float]) -> float:
-    """Maximum of R1+R2 over a two-variable region intersected with the
-    nonnegative quadrant: one Fourier-Motzkin step (see `CompiledRegion`)
-    leaves bounds on t = R1 + R2, and the largest feasible t is exact up
-    to float rounding.
+    """Maximum of the rate sum over a one- or two-rate region intersected
+    with the nonnegative orthant: one Fourier-Motzkin step (see
+    `CompiledRegion`) leaves bounds on the sum t, and the largest feasible
+    t is exact up to float rounding.
 
     Returns 0.0 when the region is empty within 1e-9, or undefined: a
     right-hand side of inf - inf is NaN.  A right-hand side of -inf empties
@@ -618,15 +612,6 @@ def max_sum_rate(region: ConstraintSystem | CompiledRegion,
     rows = [(d, b[i]) for d, i in region.flat]
     rows += [(d, wu * b[i] + wl * b[j]) for d, i, wu, j, wl in region.pairs]
     return _max_bound(rows)
-
-
-def max_single_rate(system: ConstraintSystem, valuation: dict[str, float]) -> float:
-    """Maximum of the single nonnegative variable of a 1-D region, with the
-    semantics of `max_sum_rate`."""
-    if len(system.variables) != 1:
-        raise ValueError("max_single_rate expects a one-variable system")
-    rows = CompiledSystem(system)
-    return _max_bound(zip(rows.A[:, 0].tolist(), rows.rhs(valuation).tolist()))
 
 
 def region_to_json(system: ConstraintSystem, valuation: dict[str, float] | None = None):

@@ -5,6 +5,7 @@ replaced with its integer-row kernel: every candidate row is rebuilt as a
 `LinearConstraint`, normalised by rescaling, and deduplicated by its head;
 Kohler histories are frozensets of input-row indices.  The property and
 golden tests hold the kernel to this oracle's output text, row for row.
+`key` and `numeric_feasible` compare and decide systems with it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ def normalized(c: LinearConstraint) -> LinearConstraint:
     for f in basis:
         g = gcd(g, abs((f * lcm).numerator))
     return scale(c, Fraction(lcm, g))
+
+
+def key(c: LinearConstraint):
+    """Canonical form under positive rescaling: the left-hand side (or, for
+    pure atom relations, the atom terms) as a primitive integer vector, then
+    the atom terms and the constant."""
+    n = normalized(c)
+    return (n.lhs, n.rhs.terms, n.rhs.const)
 
 
 class Reducer:
@@ -152,3 +161,13 @@ def eliminate_all(system: ConstraintSystem, drop_vars,
         step += 1
         variables, rows = _eliminate(variables, rows, v, max_constraints, step + 1)
     return ConstraintSystem(variables, [c for c, _ in rows])
+
+
+def numeric_feasible(system: ConstraintSystem) -> bool:
+    """Feasibility of a fully-resolved system (no atoms) by eliminating all
+    variables.  Exact rational arithmetic, so the answer is a certificate,
+    not a heuristic."""
+    if any(c.rhs.terms for c in system.constraints):
+        raise ValueError("numeric_feasible needs a resolved system")
+    s = eliminate_all(syntactic_reduce(system), list(system.variables))
+    return all(c.rhs.const >= 0 for c in s.constraints)

@@ -9,9 +9,10 @@ from conftest import rhs_value
 from cranbounds import polytope
 from cranbounds.polytope import (AffineExpr, ConstraintSystem, LinearConstraint,
                                  SystemParseError, eliminate_all, fme_eliminate,
-                                 format_system, is_member, numeric_feasible,
-                                 parse_system, regions_equal_sampled,
-                                 resolve_atoms, syntactic_reduce)
+                                 format_system, is_member, parse_system,
+                                 regions_equal_sampled, resolve_atoms,
+                                 syntactic_reduce)
+from fme_oracle import key, numeric_feasible
 
 
 def system_of(text):
@@ -74,6 +75,69 @@ def test_membership_missing_valuation_entry():
     sys_ = system_of("1*R1 <= 1*C1\n")
     with pytest.raises(KeyError):
         is_member(sys_, {}, {"R1": 0.0})
+
+
+def test_membership_point_must_be_finite():
+    """A 0 * inf in A @ x would make the slack NaN; a NaN coordinate used to
+    drop out of the minimum, so the point read as a member."""
+    sys_ = system_of("1*R1 <= 1*C1\n1*R2 <= 1*C1\n")
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            polytope.min_slack(sys_, {"C1": 1.0}, {"R1": bad, "R2": 0.0})
+        with pytest.raises(ValueError, match="finite"):
+            is_member(sys_, {"C1": 1.0}, {"R1": 0.0, "R2": bad})
+
+
+def min_slack_oracle(system, valuation, point):
+    """`min_slack` as a per-constraint loop: each left-hand side summed in
+    Python from its float coefficients, in the constraint's own order."""
+    worst = np.inf
+    for c, rhs in zip(system.constraints, polytope.CompiledSystem(system).rhs(valuation).tolist()):
+        worst = min(worst, rhs - sum(float(q) * point[k] for k, q in c.lhs))
+    return worst
+
+
+@st.composite
+def slack_cases(draw, integral):
+    """A system over 1-4 rates with rows a.x <= b*C1 + c, a valuation and a
+    point; `integral` keeps every number an integer."""
+    variables = [f"R{i}" for i in range(draw(st.integers(1, 4)))]
+    num = (st.integers(-9, 9) if integral else
+           st.fractions(Fraction(-9), Fraction(9), max_denominator=12))
+    real = (st.integers(-1000, 1000) if integral else
+            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    system = ConstraintSystem(variables)
+    for _ in range(draw(st.integers(0, 6))):
+        system.add({v: draw(num) for v in variables},
+                   AffineExpr.make({"C1": draw(num)}, draw(num)))
+    point = {v: float(draw(real)) for v in variables}
+    return system, {"C1": float(draw(real))}, point
+
+
+@settings(max_examples=300, deadline=None)
+@given(slack_cases(integral=False))
+def test_min_slack_matches_the_per_constraint_loop(case):
+    system, val, point = case
+    A, b = system.numeric(val)
+    x = np.array([point[v] for v in system.variables])
+    scale = 1.0 + max(np.abs(b).max(initial=0.0), (np.abs(A) @ np.abs(x)).max(initial=0.0))
+    got, want = polytope.min_slack(system, val, point), min_slack_oracle(system, val, point)
+    assert got == want if want == np.inf else abs(got - want) <= 1e-12 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(slack_cases(integral=True))
+def test_min_slack_is_exact_on_integers(case):
+    assert polytope.min_slack(*case) == min_slack_oracle(*case)
+
+
+@pytest.mark.parametrize("n_points", [0, -1])
+def test_regions_equal_sampled_needs_a_point(n_points):
+    """0 points used to report agreement after checking nothing, and -1 to
+    fail inside numpy with "negative dimensions"."""
+    a = system_of("1*R1 <= 1*C1\n")
+    with pytest.raises(ValueError, match="n_points"):
+        regions_equal_sampled(a, a, [{"C1": 1.0}], n_points=n_points, seed=0)
 
 
 def test_regions_equal_sampled_identical_and_different():
@@ -192,7 +256,7 @@ def test_parse_format_roundtrip():
     text = "1*R1 + 1*R2 <= 1*C1 + -1/2*Gamma(U0,V0) + 3/2\n-1*R1 <= 0\n"
     sys_ = parse_system(text)
     again = parse_system(format_system(sys_))
-    assert [c.key() for c in sys_.constraints] == [c.key() for c in again.constraints]
+    assert [key(c) for c in sys_.constraints] == [key(c) for c in again.constraints]
 
 
 def test_parse_decimal_and_bare_names():

@@ -167,7 +167,7 @@ def test_corollary5_binary_adder_grid_search():
         val = discrete.atom_valuation(discrete.compose(pmf, adder), atoms,
                                       constants=caps)
         val.update(caps)
-        return regions.max_single_rate(regions.corollary5_system(), val)
+        return regions.max_sum_rate(regions.corollary5_system(), val)
 
     uniform_independent = discrete.JointPmf.make(
         [("U", 2), ("X1", 2), ("X2", 2)],
@@ -192,7 +192,7 @@ def test_corollary5_zero_capacities():
     val = {a: 2.0 for a in regions.corollary5_system().atoms()}
     val.update({"C1": 0.0, "C2": 0.0, "C12": 0.0, "C21": 0.0})
     # first expression pins the rate at C1+C2 - I(X1;X2|U) <= 0
-    assert regions.max_single_rate(regions.corollary5_system(), val) == 0.0
+    assert regions.max_sum_rate(regions.corollary5_system(), val) == 0.0
 
 
 def test_theorem2_zchannel_membership_exact():
@@ -247,7 +247,7 @@ def test_ddf_single_bs_single_user_form():
     assert len(sys_) == 2
     val = {"I(U1;Y1)": 0.8, "Gamma(U1,X1)": 0.5, "C1": 0.3}
     # R1 <= min(I(U1;Y1), I(U1;Y1) + C1 - I(X1;U1))
-    assert regions.max_single_rate(sys_, val) == \
+    assert regions.max_sum_rate(sys_, val) == \
         pytest.approx(min(0.8, 0.8 + 0.3 - 0.5), abs=1e-12)
 
 
@@ -425,7 +425,7 @@ def test_inf_minus_inf_makes_the_region_undefined():
         polytope.is_member(sys_, val, {"R1": 2.9, "R2": 0.0})
     one_d = polytope.ConstraintSystem(["R1"])
     one_d.add({"R1": 1}, polytope.AffineExpr.make({"C1": 1, "I(U;V)": 1, "I(U;Y1)": -1}))
-    assert regions.max_single_rate(one_d, val) == 0.0
+    assert regions.max_sum_rate(one_d, val) == 0.0
 
 
 def test_corollary3_nan_side_condition_is_infeasible():

@@ -1,6 +1,6 @@
-"""The exact sum-rate kernel (`regions.max_sum_rate`, `max_single_rate`)
-against `scipy.optimize.linprog`, plus its semantics for infinite and
-undefined right-hand sides.
+"""The exact sum-rate kernel (`regions.max_sum_rate`, over one- and
+two-rate regions) against `scipy.optimize.linprog`, plus its semantics for
+infinite and undefined right-hand sides.
 
 linprog solves max sum(x) over {A x <= b, x >= 0} directly.  The kernel
 must agree with it to 1e-9 * max(1, value), give 0.0 where linprog finds
@@ -96,7 +96,25 @@ def test_random_two_rate_systems_match_linprog(system, c1):
 @settings(max_examples=200, deadline=None)
 @given(random_systems(("R1",)), st.integers(-2, 4))
 def test_random_one_rate_systems_match_linprog(system, c1):
-    assert_matches_lp(regions.max_single_rate, system, {"C1": c1})
+    assert_matches_lp(regions.max_sum_rate, system, {"C1": c1})
+
+
+def max_single_rate_oracle(system, valuation):
+    """The one-rate maximum as computed before `CompiledRegion` took one-rate
+    systems: `_max_bound` over (coefficient, right-hand side) per row."""
+    rows = CompiledSystem(system)
+    return regions._max_bound(zip(rows.A[:, 0].tolist(), rows.rhs(valuation).tolist()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_systems(("R1",)),
+       st.one_of(st.integers(-2, 4), st.sampled_from([np.inf, -np.inf, np.nan])))
+def test_one_rate_max_sum_rate_equals_the_single_rate_loop(system, c1):
+    """Bit for bit, including 0.0 for an empty region, for a -inf right-hand
+    side and for a NaN one (C1 = NaN), and the same unbounded verdict."""
+    got, want = (kernel_verdict(fn, system, {"C1": c1})
+                 for fn in (regions.max_sum_rate, max_single_rate_oracle))
+    assert repr(got) == repr(want)
 
 
 def test_random_cases_cover_every_verdict():
@@ -139,7 +157,7 @@ def test_inf_atom_leaves_rows_without_it_finite():
     assert not np.isnan(b).any()
     assert regions.max_sum_rate(COR4, val) == 3.0
     single = one_rate((1, {"I(U;Y1)": 1}, 0), (1, {"C1": 1}, 0))
-    assert regions.max_single_rate(single, val) == 3.0
+    assert regions.max_sum_rate(single, val) == 3.0
 
 
 def test_minus_inf_rhs_empties_the_region():
@@ -147,18 +165,18 @@ def test_minus_inf_rhs_empties_the_region():
     val = {"I(U;Y1)": 1.0, "I(V;Y2)": 1.0, "I(U;V)": INF, "C1": 3.0}
     assert regions.max_sum_rate(COR4, val) == 0.0
     single = one_rate((1, {"C1": 1}, 0), (1, {"I(U;V)": -1}, 0))
-    assert regions.max_single_rate(single, val) == 0.0
+    assert regions.max_sum_rate(single, val) == 0.0
     lower = one_rate((1, {"C1": 1}, 0), (-1, {"I(U;V)": -1}, 0))
-    assert regions.max_single_rate(lower, val) == 0.0
+    assert regions.max_sum_rate(lower, val) == 0.0
 
 
 def test_vacuous_inf_row_bounds_nothing():
     val = {"I(U;Y1)": 1.0, "I(V;Y2)": 1.0, "I(U;V)": 0.5, "C1": INF}
     assert regions.max_sum_rate(COR4, val) == 1.5
     single = one_rate((1, {"C1": 1}, 0), (1, {"I(U;Y1)": 1}, 0))
-    assert regions.max_single_rate(single, val) == 1.0
+    assert regions.max_sum_rate(single, val) == 1.0
     with pytest.raises(ValueError, match="unbounded"):
-        regions.max_single_rate(one_rate((1, {"C1": 1}, 0)), val)
+        regions.max_sum_rate(one_rate((1, {"C1": 1}, 0)), val)
     with pytest.raises(ValueError, match="unbounded"):
         regions.max_sum_rate(COR4, {**val, "I(U;Y1)": INF, "I(V;Y2)": INF})
 
@@ -168,7 +186,7 @@ def test_inf_minus_inf_gives_zero():
     assert np.isnan(COR4.numeric(val)[1]).sum() == 1
     assert regions.max_sum_rate(COR4, val) == 0.0
     single = one_rate((1, {"C1": 1}, 0), (1, {"I(U;Y1)": 1, "I(U;V)": -1}, 0))
-    assert regions.max_single_rate(single, val) == 0.0
+    assert regions.max_sum_rate(single, val) == 0.0
 
 
 def test_emptiness_is_tested_with_tol():
@@ -187,14 +205,14 @@ def test_emptiness_is_tested_with_tol():
 def test_errors():
     with pytest.raises(ValueError, match="unconstrained"):
         regions.max_sum_rate(ConstraintSystem(["R1", "R2"]), {})
-    with pytest.raises(ValueError, match="two-variable"):
-        regions.CompiledRegion(one_rate((1, {}, 1)))
-    with pytest.raises(ValueError, match="one-variable"):
-        regions.max_single_rate(COR4, {})
+    three = ConstraintSystem(["R1", "R2", "R3"])
+    three.add({"R1": 1, "R2": 1, "R3": 1}, AffineExpr.constant(1))
+    with pytest.raises(ValueError, match="one- or two-rate"):
+        regions.CompiledRegion(three)
     with pytest.raises(KeyError):
         regions.max_sum_rate(COMPILED["COR4"], {"C1": 1.0})
     with pytest.raises(KeyError):
-        regions.max_single_rate(regions.corollary5_system(), {"C1": 1.0})
+        regions.max_sum_rate(regions.corollary5_system(), {"C1": 1.0})
 
 
 def test_pairing_weights_are_exact():
