@@ -22,7 +22,7 @@ from .polytope import (AffineExpr, CompiledSystem, ConstraintSystem,
                        parse_system, regions_equal_sampled, resolve_atoms,
                        syntactic_reduce)
 from .regions import (SUBSTITUTIONS, CompiledRegion, Substitution,
-                      apply_substitution, caps_valuation, corollary1_system,
+                      apply_substitution, corollary1_system,
                       corollary2_system, corollary3_feasible,
                       corollary3_system, corollary4_system, corollary5_system,
                       cut_capacity, cutset_region, ddf_p1_system,
@@ -31,8 +31,7 @@ from .regions import (SUBSTITUTIONS, CompiledRegion, Substitution,
 from .schemes import (GAUSSIAN_SCHEMES, CompressionParams, DescriptionIParams,
                       DescriptionIIParams, DescriptionIIIParams,
                       OptimizerBudget, SchemeEvaluation, build_joint_cov,
-                      optimize_scheme, rsum_star, scheme_sumrate,
-                      scheme_valuation, sweep_rows)
+                      optimize_scheme, rsum_star, scheme_sumrate, sweep_rows)
 from .verify import ExampleReport, example1_run, example2_run
 
 __version__ = "0.1.0"

@@ -106,9 +106,14 @@ def cmd_region(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _read("config", args.config, json.loads)
+    reference = _read("--rcf-csv", args.rcf_csv, _reference_rows) if args.rcf_csv else []
     rows = sweep_rows(config)
-    if args.rcf_csv:
-        rows.extend(_read("--rcf-csv", args.rcf_csv, lambda t: _reference_rows(t, config)))
+    if reference:
+        t0 = config.get("T", 0.0)  # the first T, now that sweep_rows has checked it
+        t0, star = float(t0[0] if isinstance(t0, list) else t0), rows[0]["rsum_star"]
+        rows.extend({"C": c, "T": t0, "scheme": name, "sum_rate": rate,
+                     "cutset": min(2.0 * c, star), "rsum_star": star}
+                    for c, name, rate in reference)
         rows.sort(key=lambda r: (r["C"], r["T"], r["scheme"]))
     lines = [",".join(CSV_COLUMNS)]
     for r in rows:
@@ -119,12 +124,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _reference_rows(text: str, config: dict) -> list[dict]:
+def _reference_rows(text: str) -> list[tuple[float, str, float]]:
     """External reference curves (e.g. lattice-based schemes evaluated
-    elsewhere) as rows scheme=name at the config's first T; columns
-    C,scheme,sum_rate, with C and sum_rate finite numbers >= 0."""
-    t0 = config.get("T", 0.0)
-    t0 = float(t0[0]) if isinstance(t0, (list, tuple)) else float(t0)
+    elsewhere) as (C, scheme, sum_rate) rows, which the sweep prints at its
+    first T with its own cut-set bound; columns C,scheme,sum_rate, with C and
+    sum_rate finite numbers >= 0."""
     head, *lines = text.splitlines() or [""]
     header = head.strip().split(",")
     idx = {name: i for i, name in enumerate(header)}
@@ -141,8 +145,7 @@ def _reference_rows(text: str, config: dict) -> list[dict]:
         c, rate = float(parts[idx["C"]]), float(parts[idx["sum_rate"]])
         if not (0.0 <= c < math.inf and 0.0 <= rate < math.inf):
             raise ValueError(f"line {n}: C and sum_rate must be finite numbers >= 0")
-        out.append({"C": c, "T": t0, "scheme": parts[idx["scheme"]], "sum_rate": rate,
-                    "cutset": float("nan"), "rsum_star": float("nan")})
+        out.append((c, parts[idx["scheme"]], rate))
     return out
 
 

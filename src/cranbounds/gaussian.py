@@ -10,10 +10,11 @@ log-pseudo-determinants and ranks of principal blocks, with one eigenvalue
 threshold relative to the whole matrix's largest eigenvalue (kept by
 `JointCovariance.make` from its PSD check) so ranks stay consistent across
 blocks.  1x1 and 2x2 blocks have closed forms; larger blocks are grouped by
-size, one stacked eigensolve per size.  `atom_valuation` evaluates the
+size, one stacked eigensolve per size.  `atom_values` evaluates the
 `atoms.AtomPlan` that the discrete back end shares (same cache, same
-clamp-and-constants tail) as kernel, then half a matrix product; the same
-product over ranks flags infinite atoms.  `gauss_mi` and
+clamp) as kernel, then half a matrix product; the same product over ranks
+flags infinite atoms.  `atom_valuation` names those values and adds the
+named constants, as the discrete back end does.  `gauss_mi` and
 `gauss_total_correlation` are single-atom calls into it.
 `schur_conditional` gives conditional covariances via a pseudo-inverse.
 """
@@ -38,6 +39,7 @@ __all__ = [
     "gauss_mi",
     "gauss_total_correlation",
     "capacity_logdet",
+    "atom_values",
     "atom_valuation",
     "subset_logpdets",
 ]
@@ -101,16 +103,9 @@ class JointCovariance:
         unknown = set(names) - set(self.names)
         if unknown:
             raise KeyError(f"unknown components {sorted(unknown)}")
-        offsets = {}
-        pos = 0
-        for n, d in self.components:
-            offsets[n] = (pos, d)
-            pos += d
-        idx: list[int] = []
-        for n in names:
-            start, d = offsets[n]
-            idx.extend(range(start, start + d))
-        return np.asarray(idx, dtype=int)
+        ends = np.cumsum([d for _, d in self.components])
+        offsets = {n: range(e - d, e) for (n, d), e in zip(self.components, ends)}
+        return np.asarray([i for n in names for i in offsets[n]], dtype=int)
 
     def block(self, rows, cols=None) -> np.ndarray:
         r = self.indices(rows)
@@ -189,15 +184,16 @@ def subset_logpdets(cov: JointCovariance, subsets) -> tuple[np.ndarray, np.ndarr
     return logs, ranks
 
 
-def atom_valuation(cov: JointCovariance, atoms, constants=None) -> dict[str, float]:
-    """Evaluate mutual-information and total-correlation atoms on a joint
-    Gaussian law.  Differential-entropy atoms are rejected (not bit-valued).
+def atom_values(cov: JointCovariance, atoms) -> np.ndarray:
+    """Mutual-information and total-correlation atoms on a joint Gaussian
+    law, in the order of `atoms` (a named constant reads 0).
+    Differential-entropy atoms are rejected (not bit-valued).
 
     The atoms are compiled into the shared `atoms.AtomPlan`: every I and
-    Gamma atom is half a signed sum of subset log-pseudo-determinants.  The
-    same signed sum of subset ranks is positive exactly when the
-    pseudo-Schur decomposition falls short of full rank, which signals an
-    almost-sure linear dependence and is reported as an infinite value.
+    Gamma atom is half a signed sum of subset log-pseudo-determinants,
+    clamped at zero.  The same signed sum of subset ranks is positive
+    exactly when the pseudo-Schur decomposition falls short of full rank,
+    which signals an almost-sure linear dependence: an infinite value.
     """
     plan = atom_plan(cov.names, tuple(atoms))
     if H in plan.kinds:
@@ -206,7 +202,13 @@ def atom_valuation(cov: JointCovariance, atoms, constants=None) -> dict[str, flo
     logs, ranks = subset_logpdets(cov, plan.subsets)
     values = 0.5 * (plan.coeffs @ logs)
     values[plan.coeffs @ ranks > 0] = np.inf
-    return plan.valuation(values, constants)
+    return np.maximum(values, 0.0, out=values, where=plan.clamp)
+
+
+def atom_valuation(cov: JointCovariance, atoms, constants=None) -> dict[str, float]:
+    """`atom_values` by name, with the named constants from `constants`."""
+    atoms = tuple(atoms)
+    return atom_plan(cov.names, atoms).valuation(atom_values(cov, atoms), constants)
 
 
 def _single_atom(cov: JointCovariance, spec) -> float:
@@ -311,12 +313,8 @@ class CranNetwork:
         return self.G[np.ix_([u - 1 for u in users], [k - 1 for k in bss])]
 
     def to_json(self) -> str:
-        return json.dumps({
-            "G": self.G.tolist(),
-            "P": self.P,
-            "C": self.C.tolist(),
-            "Ccoop": self.Ccoop.tolist(),
-        })
+        return json.dumps({"G": self.G.tolist(), "P": self.P, "C": self.C.tolist(),
+                           "Ccoop": self.Ccoop.tolist()})
 
     @staticmethod
     def from_json(text: str) -> "CranNetwork":

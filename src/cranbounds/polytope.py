@@ -18,6 +18,7 @@ variables, atoms, constant), and the set of input rows it derives from
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -177,12 +178,17 @@ class CompiledSystem:
         self.coeffs = np.fromiter((q for c in cons for _, q in c.rhs.terms), float)
         self.atom_index = np.fromiter((index[a] for c in cons for a, _ in c.rhs.terms), np.intp)
 
-    def rhs(self, valuation: dict[str, float]) -> np.ndarray:
-        """The right-hand sides under `valuation`, in row order."""
-        try:
-            vals = np.array([valuation[a] for a in self.atoms], dtype=float)
-        except KeyError as exc:
-            raise KeyError(f"valuation missing atom {exc.args[0]!r}") from None
+    def rhs(self, valuation) -> np.ndarray:
+        """The right-hand sides, in row order, under `valuation`: a vector of
+        atom values in the order of `atoms`, or a mapping from atom names."""
+        if isinstance(valuation, Mapping):
+            try:
+                valuation = [valuation[a] for a in self.atoms]
+            except KeyError as exc:
+                raise KeyError(f"valuation missing atom {exc.args[0]!r}") from None
+        vals = np.asarray(valuation, dtype=float)
+        if vals.shape != (len(self.atoms),):
+            raise ValueError(f"want {len(self.atoms)} atom values, got shape {vals.shape}")
         weights = np.concatenate((self.const, self.coeffs * vals[self.atom_index]))
         return np.bincount(self.rows, weights, len(self.const))
 

@@ -32,13 +32,13 @@ __all__ = [
     "corollary3_system",
     "corollary3_side_conditions",
     "corollary3_feasible",
+    "corollary3_gated_system",
     "corollary4_system",
     "corollary5_system",
     "gcomp_theorem2_system",
     "ddf_p1_system",
     "cutset_region",
     "cut_capacity",
-    "caps_valuation",
     "CompiledRegion",
     "max_sum_rate",
     "region_to_json",
@@ -99,8 +99,7 @@ def gds_theorem1_system() -> ConstraintSystem:
       * the three fronthaul/cooperation budget constraints.
     """
     sys_ = ConstraintSystem(list(RATE_VARS))
-    idx = (0, 1, 2)
-    full = (0, 1, 2)
+    idx = full = (0, 1, 2)
     for omega_u in _subsets_lex(idx):
         for omega_v in _subsets_lex(idx):
             if len(omega_u) + len(omega_v) < 2:
@@ -116,20 +115,12 @@ def gds_theorem1_system() -> ConstraintSystem:
                 lhs[f"Rv{j}"] = lhs.get(f"Rv{j}", 0) - 1
             gam = _gamma_or_none([f"U{i}" for i in omega_u] + [f"V{j}" for j in omega_v])
             sys_.add(lhs, _expr([(gam, -1)]))
-    for omega_u in _subsets_lex(idx):
-        if not omega_u:
-            continue
-        comp = [f"U{i}" for i in idx if i not in omega_u]
-        mi = mi_atom([f"U{i}" for i in omega_u], comp + ["Y1"])
-        gam = _gamma_or_none(f"U{i}" for i in omega_u)
-        sys_.add({f"Ru{i}": 1 for i in omega_u}, _expr([(mi, 1), (gam, 1)]))
-    for omega_v in _subsets_lex(idx):
-        if not omega_v:
-            continue
-        comp = [f"V{j}" for j in idx if j not in omega_v]
-        mi = mi_atom([f"V{j}" for j in omega_v], comp + ["Y2"])
-        gam = _gamma_or_none(f"V{j}" for j in omega_v)
-        sys_.add({f"Rv{j}": 1 for j in omega_v}, _expr([(mi, 1), (gam, 1)]))
+    for a, y in (("U", "Y1"), ("V", "Y2")):  # the packing families
+        for omega in _subsets_lex(idx)[1:]:
+            names = [f"{a}{i}" for i in omega]
+            mi = mi_atom(names, [f"{a}{i}" for i in idx if i not in omega] + [y])
+            sys_.add({f"R{a.lower()}{i}": 1 for i in omega},
+                     _expr([(mi, 1), (_gamma_or_none(names), 1)]))
     g01 = gamma_atom(["U0", "V0", "U1", "V1"])
     g02 = gamma_atom(["U0", "V0", "U2", "V2"])
     g0 = gamma_atom(["U0", "V0"])
@@ -365,6 +356,18 @@ def corollary3_side_conditions():
     return _COROLLARY3_SIDE
 
 
+def corollary3_gated_system() -> ConstraintSystem:
+    """`corollary3_system` plus each strict side condition lhs < sum(rhs) as
+    the rate-free row 0 <= sum(rhs) - lhs - 2e-9.  `max_sum_rate` reads a
+    row below -1e-9 as an empty region, so the sum rate is 0.0 exactly where
+    `corollary3_feasible` fails, except at a tie lhs = sum(rhs) - 1e-9,
+    which the row lets pass."""
+    system = corollary3_system()
+    for lhs, rhs in _COROLLARY3_SIDE:
+        system.add({}, _expr([(r, 1) for r in rhs] + [(lhs, -1)], -2 * Q(_TOL)))
+    return system
+
+
 def corollary3_feasible(valuation: dict[str, float]) -> bool:
     """True iff every strict side condition holds with margin 1e-9.  A NaN
     side (inf - inf) fails its comparison, so the scheme is infeasible."""
@@ -479,17 +482,6 @@ def ddf_p1_system(N: int = 2, L: int = 2) -> ConstraintSystem:
     return sys_
 
 
-def caps_valuation(network: CranNetwork) -> dict[str, float]:
-    """Capacity constants of a network as an atom valuation fragment."""
-    out: dict[str, float] = {}
-    for k in range(1, network.N + 1):
-        out[f"C{k}"] = float(network.C[k - 1])
-        for j in range(1, network.N + 1):
-            if j != k:
-                out[f"C{k}{j}"] = float(network.Ccoop[k - 1][j - 1])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Cut-set outer bound (Gaussian)
 # ---------------------------------------------------------------------------
@@ -593,12 +585,12 @@ class CompiledRegion:
                       for wu, wl in [(-cl / (cu - cl), cu / (cu - cl))]]
 
 
-def max_sum_rate(region: ConstraintSystem | CompiledRegion,
-                 valuation: dict[str, float]) -> float:
+def max_sum_rate(region: ConstraintSystem | CompiledRegion, valuation) -> float:
     """Maximum of the rate sum over a one- or two-rate region intersected
     with the nonnegative orthant: one Fourier-Motzkin step (see
     `CompiledRegion`) leaves bounds on the sum t, and the largest feasible
-    t is exact up to float rounding.
+    t is exact up to float rounding.  The valuation is a mapping from atom
+    names, or a vector in the order of the compiled `rows.atoms`.
 
     Returns 0.0 when the region is empty within 1e-9, or undefined: a
     right-hand side of inf - inf is NaN.  A right-hand side of -inf empties
@@ -617,13 +609,8 @@ def max_sum_rate(region: ConstraintSystem | CompiledRegion,
 def region_to_json(system: ConstraintSystem, valuation: dict[str, float] | None = None):
     """JSON-friendly export; adds resolved numeric right-hand sides when a
     valuation is supplied."""
-    rows = []
-    for c in system.constraints:
-        row = {
-            "lhs": {k: float(v) for k, v in c.lhs},
-            "rhs": str(c.rhs),
-        }
-        rows.append(row)
+    rows = [{"lhs": {k: float(v) for k, v in c.lhs}, "rhs": str(c.rhs)}
+            for c in system.constraints]
     if valuation is not None:
         for row, value in zip(rows, CompiledSystem(system).rhs(valuation).tolist()):
             row["rhs_value"] = value

@@ -5,8 +5,10 @@ sources S with covariance `base`, auxiliaries R S, channel inputs X S and
 outputs Y = G X S + Z with unit receiver noise.  A scheme states only its
 source covariance and its rows R and X; one builder forms the joint
 covariance and runs the PSD checks on the covariance parameters and the
-per-BS power check on var(X1), var(X2).  The matching rate region is
-evaluated through the shared atom machinery and its maximum sum rate taken.
+per-BS power check on var(X1), var(X2).  The Gaussian atom values and the
+network's capacities fill one vector in the order of the scheme's compiled
+region, whose maximum sum rate is then taken; GDS-III's side conditions
+are rate-free rows of that region.
 Optimization is seeded multistart plus coordinate pattern search;
 covariances are parameterized through lower-triangular factors so PSD
 holds by construction, and per-BS power is enforced by projection.  The
@@ -23,11 +25,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gaussian
-# unused parse_atom stays importable: bench/tracer.py wraps it by this name
+# unused parse_atom and corollary3_feasible stay importable: bench/tracer.py
+# wraps them by these names
 from .atoms import parse_atom  # noqa: F401
 from .gaussian import CranNetwork, JointCovariance
-from .regions import (CompiledRegion, caps_valuation, corollary3_feasible,
-                      corollary3_side_conditions, make_region, max_sum_rate)
+from .regions import corollary3_feasible  # noqa: F401
+from .regions import (CompiledRegion, corollary1_system, corollary2_system,
+                      corollary3_gated_system, gcomp_theorem2_system, max_sum_rate)
 
 __all__ = [
     "DescriptionIParams",
@@ -38,7 +42,6 @@ __all__ = [
     "OptimizerBudget",
     "GAUSSIAN_SCHEMES",
     "build_joint_cov",
-    "scheme_valuation",
     "scheme_sumrate",
     "optimize_scheme",
     "rsum_star",
@@ -197,39 +200,40 @@ def build_joint_cov(scheme: str, params, network: CranNetwork) -> JointCovarianc
 
 
 @functools.cache
-def _compiled_region(scheme: str) -> CompiledRegion:
-    return CompiledRegion(make_region("GCOMP-T2" if scheme == "GCOMP" else scheme))
+def _compiled(scheme: str):
+    """The scheme's compiled region (GDS-III's with its side conditions as
+    rate-free rows), its Gaussian atoms (every atom of the region but the
+    capacities, in region order), and the positions in the region's atom
+    vector of those atoms and of C1, C2, C12, C21."""
+    region = CompiledRegion({"GDS-I": corollary1_system, "GDS-II": corollary2_system,
+                             "GDS-III": corollary3_gated_system,
+                             "GCOMP": gcomp_theorem2_system}[scheme]())
+    atoms = region.rows.atoms
+    caps = [atoms.index(c) for c in ("C1", "C2", "C12", "C21")]
+    at = [k for k in range(len(atoms)) if k not in caps]
+    return region, tuple(atoms[k] for k in at), np.array(at), np.array(caps)
 
 
-@functools.cache
-def _region_atoms(scheme: str) -> tuple[str, ...]:
-    """Canonical names of the information atoms of a scheme's region."""
-    atoms = set(_compiled_region(scheme).rows.atoms)
-    if scheme == "GDS-III":
-        for lhs, rhs in corollary3_side_conditions():
-            atoms.add(lhs.name)
-            atoms.update(r.name for r in rhs)
-    return tuple(sorted(atoms - {"C1", "C2", "C12", "C21"}))
-
-
-def scheme_valuation(scheme: str, params, network: CranNetwork) -> dict[str, float]:
-    """Capacity-independent information atoms of a scheme instance."""
+def _atom_values(scheme: str, params, network: CranNetwork) -> np.ndarray:
+    """The scheme's Gaussian atoms at `params`, in `_compiled` order."""
     cov = build_joint_cov(scheme, params, network)
-    return gaussian.atom_valuation(cov, _region_atoms(scheme))
+    return gaussian.atom_values(cov, _compiled(scheme)[1])
 
 
-def _sumrate_from_valuation(scheme: str, mi_val: dict[str, float],
-                            network: CranNetwork) -> float:
-    val = mi_val | caps_valuation(network)
-    if scheme == "GDS-III" and not corollary3_feasible(val):
-        return 0.0
-    return max_sum_rate(_compiled_region(scheme), val)
+def _sumrate(scheme: str, values: np.ndarray, network: CranNetwork) -> float:
+    """Maximum R1+R2 of the scheme's region under its Gaussian atom values
+    and the network's capacities."""
+    region, _, at, caps = _compiled(scheme)
+    vector = np.empty(len(region.rows.atoms))
+    vector[at] = values
+    vector[caps] = *network.C, network.Ccoop[0, 1], network.Ccoop[1, 0]
+    return max_sum_rate(region, vector)
 
 
 def scheme_sumrate(scheme: str, params, network: CranNetwork) -> float:
     """Maximum R1+R2 of the scheme's region at the given parameters (0.0 for
-    infeasible private-codeword parameters)."""
-    return _sumrate_from_valuation(scheme, scheme_valuation(scheme, params, network), network)
+    private-codeword parameters that break a side condition)."""
+    return _sumrate(scheme, _atom_values(scheme, params, network), network)
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +527,14 @@ def sweep_rows(config: dict) -> list[dict]:
         nets = [CranNetwork.make(G, P, [C, C], [[0.0, T], [T, 0.0]]) for C in c_grid]
         best = {}
         for si, scheme in enumerate(base_schemes):
-            pool = []  # the scheme's optimised valuations across the C grid
+            pool = []  # the atom values of the scheme's optima across the C grid
             for ci, net in enumerate(nets):
                 sub_seed = np.random.SeedSequence(seed, spawn_key=(ti, si, ci))
                 ev = optimize_scheme(scheme, net,
                                      replace(budget, seed=int(sub_seed.generate_state(1)[0])))
                 if ev.params is not None:
-                    pool.append(scheme_valuation(scheme, ev.params, net))
-            best[scheme] = [max([0.0] + [_sumrate_from_valuation(scheme, v, net) for v in pool])
+                    pool.append(_atom_values(scheme, ev.params, net))
+            best[scheme] = [max([0.0] + [_sumrate(scheme, v, net) for v in pool])
                             for net in nets]
         if "GDS-TS" in schemes:
             best["GDS-TS"] = [max(r) for r in zip(*(best[s] for s in timeshared))]

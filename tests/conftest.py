@@ -114,3 +114,15 @@ def scenario_gcomp(rng, x0_size=2):
     p = discrete.random_joint_pmf(
         rng, [("U1", 2), ("U2", 2), ("X0", x0_size), ("X1", 2), ("X2", 2)])
     return compose_random_channel(p, rng)
+
+
+def caps_valuation(network):
+    """The capacity constants of a network, C1..CN and Ckj for k != j, as
+    an atom valuation fragment."""
+    out = {}
+    for k in range(1, network.N + 1):
+        out[f"C{k}"] = float(network.C[k - 1])
+        for j in range(1, network.N + 1):
+            if j != k:
+                out[f"C{k}{j}"] = float(network.Ccoop[k - 1][j - 1])
+    return out

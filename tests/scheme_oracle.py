@@ -1,17 +1,30 @@
-"""Reference joint covariances of the four Gaussian schemes.
+"""Reference joint covariances of the four Gaussian schemes, and the
+name-keyed path from their atoms to the sum rate.
 
-This is the hand-written construction that `cranbounds.schemes` replaced
-with one linear-Gaussian builder: each scheme spells out its own noise
-columns, output rows and component list, and checks its parameters with
-its own power formula.  The builder test holds `build_joint_cov` to this
-oracle's matrices and to its ValueError outcomes.
+`build_joint_cov` here is the hand-written construction that
+`cranbounds.schemes` replaced with one linear-Gaussian builder: each scheme
+spells out its own noise columns, output rows and component list, and
+checks its parameters with its own power formula.  The builder test holds
+`build_joint_cov` to this oracle's matrices and to its ValueError outcomes.
+
+`scheme_sumrate` is the evaluation that `cranbounds.schemes` replaced with
+one vector in the compiled region's atom order: the atoms as a name-keyed
+valuation, merged with `caps_valuation`, GDS-III gated by
+`corollary3_feasible`, then `max_sum_rate` on the name-keyed valuation.
+`dict_path` installs it in `cranbounds.schemes`, so that a sweep runs on it.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from conftest import caps_valuation
+from cranbounds import gaussian, schemes
 from cranbounds.gaussian import CranNetwork, JointCovariance
+from cranbounds.regions import (CompiledRegion, corollary3_feasible, corollary3_side_conditions,
+                                make_region, max_sum_rate)
 
 
 def _check_psd(m: np.ndarray, what: str, tol: float = 1e-8):
@@ -140,3 +153,45 @@ def build_joint_cov(scheme: str, params, network: CranNetwork) -> JointCovarianc
     comps = [("U1", 2), ("U2", 2), ("X0", 1), ("X1", 1), ("X2", 1),
              ("Y1", 1), ("Y2", 1)]
     return _assemble(comps, rows, base)
+
+
+@functools.cache
+def _region(scheme: str) -> CompiledRegion:
+    return CompiledRegion(make_region("GCOMP-T2" if scheme == "GCOMP" else scheme))
+
+
+@functools.cache
+def region_atoms(scheme: str) -> tuple[str, ...]:
+    """The information atoms of a scheme's region and, for GDS-III, of its
+    side conditions, sorted by name."""
+    atoms = set(_region(scheme).rows.atoms)
+    if scheme == "GDS-III":
+        for lhs, rhs in corollary3_side_conditions():
+            atoms.add(lhs.name)
+            atoms.update(r.name for r in rhs)
+    return tuple(sorted(atoms - {"C1", "C2", "C12", "C21"}))
+
+
+def scheme_valuation(scheme: str, params, network: CranNetwork) -> dict[str, float]:
+    cov = schemes.build_joint_cov(scheme, params, network)
+    return gaussian.atom_valuation(cov, region_atoms(scheme))
+
+
+def sumrate_from_valuation(scheme: str, mi_val: dict[str, float],
+                           network: CranNetwork) -> float:
+    val = mi_val | caps_valuation(network)
+    if scheme == "GDS-III" and not corollary3_feasible(val):
+        return 0.0
+    return max_sum_rate(_region(scheme), val)
+
+
+def scheme_sumrate(scheme: str, params, network: CranNetwork) -> float:
+    return sumrate_from_valuation(scheme, scheme_valuation(scheme, params, network), network)
+
+
+def dict_path(monkeypatch):
+    """Route the objective and the pooled evaluations of `schemes` through
+    this module's name-keyed path."""
+    monkeypatch.setattr(schemes, "scheme_sumrate", scheme_sumrate)
+    monkeypatch.setattr(schemes, "_atom_values", scheme_valuation)
+    monkeypatch.setattr(schemes, "_sumrate", sumrate_from_valuation)

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cranbounds import cli
+from cranbounds import cli, schemes
 from cranbounds.discrete import Channel, JointPmf
+from cranbounds.gaussian import CranNetwork
 from fme_oracle import key
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -242,14 +243,47 @@ def test_sweep_config_type_hole_is_a_usage_error_naming_the_field(tmp_path, caps
 
 
 def test_sweep_merges_reference_csv(tmp_path):
-    cfg = sweep_config(tmp_path)
+    """Reference rows sit at the config's first T with the sweep's own
+    certified bounds: they printed nan in cutset and rsum_star."""
+    cfg = sweep_config(tmp_path, T=[0.5, 0.0])
     ref = tmp_path / "ref.csv"
-    ref.write_text("C,scheme,sum_rate\n0.5,RCF,0.40\n1.0,RCF,0.80\n")
+    ref.write_text("C,scheme,sum_rate\n0.5,RCF,0.40\n1.0,RCF,0.80\n3.0,RCF,1.20\n")
     out = tmp_path / "merged.csv"
     assert run_cli(["sumrate-sweep", str(cfg), "--rcf-csv", str(ref),
                     "-o", str(out)]) == 0
     rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
-    assert sum(1 for r in rows if r[2] == "RCF") == 2
+    star = schemes.rsum_star(CranNetwork.make([[1.0, 0.5], [0.5, 1.0]], 4.0, [0.0, 0.0]))
+    assert {r[5] for r in rows} == {f"{star:.6f}"}
+    reference = [r for r in rows if r[2] == "RCF"]
+    assert [r[:4] for r in reference] == [["0.500000", "0.500000", "RCF", "0.400000"],
+                                          ["1.000000", "0.500000", "RCF", "0.800000"],
+                                          ["3.000000", "0.500000", "RCF", "1.200000"]]
+    assert [r[4] for r in reference] == [f"{min(2 * c, star):.6f}" for c in (0.5, 1.0, 3.0)]
+
+
+def test_malformed_reference_csv_is_rejected_before_the_sweep(tmp_path, capsys, monkeypatch):
+    """A bad --rcf-csv was rejected only after every scheme was optimized."""
+    def no_search(*args):
+        raise AssertionError("optimize_scheme ran before the reference CSV was checked")
+
+    monkeypatch.setattr(schemes, "optimize_scheme", no_search)
+    ref = tmp_path / "ref.csv"
+    ref.write_text("C,scheme,sum_rate\n1.0,RCF,nan\n")
+    out = tmp_path / "out.csv"
+    assert run_cli(["sumrate-sweep", str(sweep_config(tmp_path)), "--rcf-csv", str(ref),
+                    "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --rcf-csv "), err
+    assert not out.exists()
+
+
+def test_sweep_with_reference_csv_matches_golden_output(tmp_path):
+    """The fig4 sweep merged with a reference curve: the sweep rows are the
+    fig4 golden's, and the reference rows carry min(2C, rsum_star)."""
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sumrate-sweep", str(GOLDEN / "sweep_fig4_config.json"),
+                    "--rcf-csv", str(GOLDEN / "rcf_fig4.csv"), "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "sweep_fig4_rcf_seed0.csv").read_bytes()
 
 
 def test_region_with_valuation(tmp_path, capsys):

@@ -88,6 +88,21 @@ def test_membership_point_must_be_finite():
             is_member(sys_, {"C1": 1.0}, {"R1": 0.0, "R2": bad})
 
 
+def test_compiled_rhs_takes_a_vector_in_atom_order():
+    """The mapping form is a lookup into the vector form: the same bits,
+    and the same KeyError for a missing atom; a vector of the wrong length
+    is refused rather than read short."""
+    rows = polytope.CompiledSystem(system_of("1*R1 <= 1*b - 1*a + 2\n1*R1 <= 1/3*a + 1*c\n"))
+    assert rows.atoms == ["a", "b", "c"]
+    val = {"c": 0.1, "a": np.inf, "b": 1.7}
+    assert rows.rhs(val).tolist() == rows.rhs([np.inf, 1.7, 0.1]).tolist() == [-np.inf, np.inf]
+    with pytest.raises(KeyError, match="valuation missing atom 'c'"):
+        rows.rhs({"a": 1.0, "b": 1.0})
+    for bad in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]):
+        with pytest.raises(ValueError, match="want 3 atom values"):
+            rows.rhs(bad)
+
+
 def min_slack_oracle(system, valuation, point):
     """`min_slack` as a per-constraint loop: each left-hand side summed in
     Python from its float coefficients, in the constraint's own order."""

@@ -4,7 +4,7 @@ from itertools import chain, combinations
 import numpy as np
 import pytest
 
-from conftest import rand_caps, scenario_gcomp, scenario_scheme1
+from conftest import caps_valuation, rand_caps, scenario_gcomp, scenario_scheme1
 from cranbounds import discrete, polytope, regions
 from cranbounds.gaussian import (CranNetwork, JointCovariance, capacity_logdet,
                                  schur_conditional)
@@ -255,7 +255,7 @@ def test_ddf_count_and_network_merge():
     assert len(regions.ddf_p1_system(2, 2)) == 12
     net = CranNetwork.make([[1.0, 0.5], [0.5, 1.0]], 4.0, [1.0, 2.0],
                            [[0.0, 0.25], [0.75, 0.0]])
-    caps = regions.caps_valuation(net)
+    caps = caps_valuation(net)
     assert caps == {"C1": 1.0, "C2": 2.0, "C12": 0.25, "C21": 0.75}
     sys_ = regions.ddf_p1_system(2, 2)
     mi_only = {a: 0.5 for a in sys_.atoms() if a not in caps}
@@ -316,7 +316,7 @@ def test_cutset_region_structure_and_power():
 
 def cutset_region_per_cut(network, K):
     """`regions.cutset_region` with K(S | S^c) recomputed for every cut."""
-    caps = regions.caps_valuation(network)
+    caps = caps_valuation(network)
     bss, users = list(range(1, network.N + 1)), list(range(1, network.L + 1))
     sys_ = polytope.ConstraintSystem([f"R{l}" for l in users])
     for s in regions._subsets_lex(bss):
@@ -376,7 +376,7 @@ def test_ddf_inside_cutset_for_gaussian_law():
             [("X1", 1), ("X2", 1), ("U1", 1), ("U2", 1), ("Y1", 1), ("Y2", 1)],
             M @ base @ M.T)
         ddf_sys = regions.ddf_p1_system(2, 2)
-        caps = regions.caps_valuation(net)
+        caps = caps_valuation(net)
         val = gaussian.atom_valuation(
             cov, sorted(a for a in ddf_sys.atoms() if a not in caps))
         val.update(caps)
