@@ -4,8 +4,7 @@ Subcommands: region (export a region's constraints), sumrate-sweep (CSV
 curves over a fronthaul grid), gap-audit (randomized constant-gap check),
 fme (project a text-format inequality system), verify-examples (the two
 benchmark topologies).  Exit codes: 0 all checks pass, 1 verification
-failure, 2 usage error, a Fourier-Motzkin blow-up past --max-constraints or
-scipy missing for the data-sharing check.
+failure, 2 usage error or a Fourier-Motzkin blow-up past --max-constraints.
 """
 
 from __future__ import annotations
@@ -192,10 +191,7 @@ def cmd_verify_examples(args) -> int:
         reports.append(verify.example1_run(bsc, 0.3, samples=args.samples,
                                            seed=args.seed))
     if args.example in (None, 2):
-        try:
-            reports.append(verify.example2_run(samples=args.samples, seed=args.seed))
-        except ImportError as exc:
-            return _fail_usage(f"the data-sharing check needs scipy ({exc})")
+        reports.append(verify.example2_run(samples=args.samples, seed=args.seed))
     payload = [{"example": r.example, "verdict": r.verdict, "values": r.values}
                for r in reports]
     _write_text(args.output, json.dumps(payload, indent=2) + "\n")

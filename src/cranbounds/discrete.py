@@ -7,13 +7,13 @@ its inputs.
 
 Every entropy-based measure goes through one kernel, `subset_entropies`,
 which marginalises the flat probability vector onto many variable subsets
-with a single `np.bincount` over precomputed cell indices.  `atom_valuation`
+with a single `np.bincount` over precomputed cell indices.  `atom_values`
 takes the compiled `atoms.AtomPlan` of its atom list from the cache shared
-with the Gaussian back end (the subsets it needs, a coefficient matrix, a
-clamp mask and the named constants) and evaluates it as kernel, matrix
-product, then the plan's shared tail: clamp at zero, constants.  `entropy`,
-`mutual_info` and `total_correlation` are single-atom calls into the same
-path.
+with the Gaussian back end (the subsets it needs, a coefficient matrix and a
+clamp mask) and evaluates it as kernel, matrix product, clamp at zero, into
+a vector in the order of the list; `atom_valuation` names that vector and
+fills in the named constants.  `entropy`, `mutual_info` and
+`total_correlation` are single-atom calls into the same path.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "mutual_info",
     "total_correlation",
     "blahut_arimoto",
+    "atom_values",
     "atom_valuation",
     "subset_entropies",
     "random_joint_pmf",
@@ -329,14 +330,19 @@ def _plan(variables, atoms) -> AtomPlan:
     return atom_plan(tuple(n for n, _ in variables), tuple(atoms))
 
 
-def atom_valuation(pmf: JointPmf, atoms, constants=None) -> dict[str, float]:
-    """Evaluate a list of atoms (AtomSpec or canonical names) on a pmf.
-
-    Constants (capacities) are looked up in `constants`.  Returns a map
-    from canonical atom name to value in bits.
-    """
+def atom_values(pmf: JointPmf, atoms) -> np.ndarray:
+    """The atoms (AtomSpecs or canonical names) on a pmf, in bits, in the
+    order of `atoms`; I and Gamma atoms are clamped at zero and a named
+    constant reads 0."""
     plan = _plan(pmf.variables, atoms)
-    return plan.valuation(plan.coeffs @ subset_entropies(pmf, plan.subsets), constants)
+    values = plan.coeffs @ subset_entropies(pmf, plan.subsets)
+    return np.maximum(values, 0.0, out=values, where=plan.clamp)
+
+
+def atom_valuation(pmf: JointPmf, atoms, constants=None) -> dict[str, float]:
+    """`atom_values` by canonical name, with the constants from `constants`."""
+    atoms = tuple(atoms)
+    return _plan(pmf.variables, atoms).valuation(atom_values(pmf, atoms), constants)
 
 
 def random_joint_pmf(rng: np.random.Generator, variables) -> JointPmf:

@@ -11,12 +11,12 @@ Each sampled law resolves the data-sharing system to ``A x <= b`` over the
 six auxiliary rates x >= 0.  By Farkas' lemma a vector y >= 0 with
 ``y A >= 0`` and ``y b < 0`` proves that no such x exists: y A x >= 0 for
 every x >= 0, yet y A x <= y b < 0.  The sweep keeps a bank of such
-certificates, each checked once in exact rationals, and a sample that one
-of them proves infeasible with ``y b < -1e-6 * ||y||_1`` never reaches the
-LP.  HiGHS accepts a row violated by up to its primal feasibility tolerance
-of 1e-7, so any x it could accept would give y A x <= y b + 1e-7 ||y||_1 < 0:
-HiGHS also calls every screened sample infeasible, and the verdict is the
-one the LP alone would give.  Every other sample is decided by HiGHS.
+certificates, the duals of `linprog` on infeasible samples, each checked
+once in exact rationals, and a sample that one of them proves infeasible
+with ``y b < -1e-6 * ||y||_1`` never reaches the LP.  The LP calls a sample
+feasible only with an x whose rows hold to within 1e-7, which would give
+y b >= y A x - 1e-7 ||y||_1 > -1e-6 ||y||_1: the LP also calls every
+screened sample infeasible, so the verdict is the one it alone would give.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
 VERDICTS = ("confirmed", "sampled-consistent", "failed")
 U_CAP = 4  # largest alphabet of the sampled auxiliary U1 in example 1
 GDS_SLACK = 1e-6  # example 2 counts a data-sharing law only with slack above this
+CAPS = ("C1", "C2", "C12", "C21")  # the fronthaul capacities of example 2
 
 
 @dataclass
@@ -168,19 +169,58 @@ def random_gds_pmf_zchannel(rng: np.random.Generator) -> JointPmf:
     return JointPmf.make(_GDS_VARS, probs)
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on first call: scipy is needed only
-    by the data-sharing check, so importing the package needs only numpy."""
-    from scipy.optimize import linprog as scipy_linprog
-    return scipy_linprog(*args, **kwargs)
-
-
-_SCREEN_MARGIN = 1e-6  # times ||y||_1; HiGHS's row tolerance is 1e-7
+LP_TOL = 1e-7  # a sample is feasible when some x >= 0 has max(A x - b) <= this
+_PIVOT_TOL = 1e-12  # tableau entries within this of zero neither enter nor pivot
+_MAX_PIVOTS = 1000
+_SCREEN_MARGIN = 1e-6  # times ||y||_1; ten times LP_TOL
 _BANK_CAP = 64  # certificates per membership check
-# Phase-1 duals at or below this are taken as zero; the rest are rounded
+# Dual values at or below this are taken as zero; the rest are rounded
 # to fractions with denominators up to _DUAL_DENOMINATOR.
 _DUAL_ZERO = 1e-9
 _DUAL_DENOMINATOR = 10**6
+
+
+def linprog(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The phase-1 LP  min t  s.t.  A x - t 1 <= b,  x >= 0,  t >= 0, solved
+    through its dual  max -b y  s.t.  y A >= 0,  sum y <= 1,  y >= 0  (feasible
+    at y = 0) by a dense tableau simplex under Bland's rule (Bland 1977).
+    Returns (t, x, y): x from the reduced costs of the slacks of y A >= 0,
+    t = max(0, max(A x - b)), and the dual optimum y, checked to give -b y
+    within 1e-9 (1 + ||b||_inf) of t with y A >= -1e-9.  Raises ValueError
+    for a non-finite b, ArithmeticError past `_MAX_PIVOTS` pivots or when
+    the check fails."""
+    b = np.asarray(b, dtype=float)
+    if not np.isfinite(b).all():
+        raise ValueError("the right-hand side must be finite")
+    m, k = A.shape
+    # rows: -A^T y + s = 0, then 1 y + s = 1; last row: the reduced costs
+    T = np.zeros((k + 2, m + k + 2))
+    T[:-1, :-1] = np.c_[np.r_[-A.T, np.ones((1, m))], np.eye(k + 1)]
+    T[k, -1], T[-1, :m] = 1.0, b
+    basis = np.arange(m, m + k + 1)
+    for _ in range(_MAX_PIVOTS):
+        entering = np.flatnonzero(T[-1, :-1] < -_PIVOT_TOL)
+        if not entering.size:
+            break
+        j = entering[0]
+        rows = np.flatnonzero(T[:-1, j] > _PIVOT_TOL)
+        ratios = T[rows, -1] / T[rows, j]
+        ties = rows[ratios == ratios.min()]
+        r = ties[np.argmin(basis[ties])]
+        pivot = T[r] / T[r, j]
+        T -= np.outer(T[:, j], pivot)
+        T[r] = pivot
+        basis[r] = j
+    else:
+        raise ArithmeticError(f"the phase-1 LP passed {_MAX_PIVOTS} pivots")
+    y = np.zeros(m + k + 1)
+    y[basis] = np.maximum(T[:-1, -1], 0.0)
+    y = y[:m]
+    x = np.maximum(T[-1, m:m + k], 0.0)
+    t = max(0.0, float((A @ x - b).max()))
+    if not (abs(t + b @ y) <= 1e-9 * (1.0 + np.abs(b).max()) and (y @ A).min() >= -1e-9):
+        raise ArithmeticError(f"the phase-1 LP's optima do not check (t = {t!r})")
+    return t, x, y
 
 
 class _GdsMembership:
@@ -196,10 +236,9 @@ class _GdsMembership:
     LP.  A certificate is an integer vector y >= 0 whose y A >= 0 was checked
     in exact rationals on the system's own coefficients; it proves a right-
     hand side b infeasible when y @ b < -1e-6 * ||y||_1.  That margin is ten
-    times HiGHS's row tolerance, so HiGHS would call every screened b
-    infeasible too.  Certificates come from the duals of a phase-1 LP on
-    samples that HiGHS found infeasible, at most `_BANK_CAP` of them per
-    instance.
+    times `LP_TOL`, so the LP would call every screened b infeasible too.
+    Certificates are the dual optima of the LP on samples it found
+    infeasible, at most `_BANK_CAP` of them per instance.
     """
 
     def __init__(self):
@@ -207,23 +246,22 @@ class _GdsMembership:
         assert self.system.variables[:2] == ["R1", "R2"], "rhs shifts these two columns"
         self.aux = self.system.variables[2:]
         self.rows = CompiledSystem(self.system)
+        self.caps = [self.rows.atoms.index(c) for c in CAPS]
         self.A = self.rows.A[:, 2:]
         self.A_exact = [[c.coeff(v) for v in self.aux] for c in self.system.constraints]
         self.certificates = np.zeros((0, len(self.A)))
         self.screened = 0
 
-    def valuation(self, pmf: JointPmf, caps: dict[str, float]) -> dict[str, float]:
-        return discrete.atom_valuation(pmf, self.rows.atoms, constants=caps)
+    def valuation(self, pmf: JointPmf, caps: dict[str, float]) -> np.ndarray:
+        """The atoms of `rows` on `pmf`, in order, with capacities from `caps`."""
+        values = discrete.atom_values(pmf, self.rows.atoms)
+        values[self.caps] = [caps[c] for c in CAPS]
+        return values
 
-    def rhs(self, valuation: dict[str, float], r1: float, r2: float,
+    def rhs(self, valuation: np.ndarray, r1: float, r2: float,
             slack: float = 0.0) -> np.ndarray:
         """Right-hand side b of ``A x <= b`` at the rate pair (r1, r2)."""
         return self.rows.rhs(valuation) - self.rows.A[:, :2] @ np.array([r1, r2]) - slack
-
-    def _feasible(self, b: np.ndarray) -> bool:
-        res = linprog(np.zeros(len(self.aux)), A_ub=self.A, b_ub=b,
-                      bounds=[(0, None)] * len(self.aux), method="highs")
-        return res.status == 0
 
     def screens(self, b: np.ndarray) -> bool:
         """True when a banked certificate proves ``A x <= b`` infeasible."""
@@ -253,29 +291,19 @@ class _GdsMembership:
         self.certificates = np.vstack([self.certificates, cert])
         return True
 
-    def learn(self, b: np.ndarray) -> bool:
-        """Bank a certificate for an infeasible b from the duals of the
-        phase-1 LP  min t  s.t.  A x - t 1 <= b,  x >= 0,  t free."""
-        if len(self.certificates) >= _BANK_CAP:
-            return False
-        n, k = self.A.shape
-        res = linprog(np.r_[np.zeros(k), 1.0], A_ub=np.c_[self.A, -np.ones(n)],
-                      b_ub=b, bounds=[(0, None)] * k + [(None, None)],
-                      method="highs")
-        return res.status == 0 and self.admit(-res.ineqlin.marginals, b)
-
-    def contains_screened(self, valuation: dict[str, float], r1: float, r2: float,
+    def contains_screened(self, valuation: np.ndarray, r1: float, r2: float,
                           slack: float = 0.0) -> bool:
         """Whether (r1, r2) is contained with slack above `slack`: the
-        certificate bank decides the samples it can prove infeasible, the
-        LP the rest, and the bank learns from the LP's misses."""
+        certificate bank decides the samples it can prove infeasible, one
+        LP the rest, and the bank learns from the LP's infeasible duals."""
         b = self.rhs(valuation, r1, r2, slack)
         if self.screens(b):
             self.screened += 1
             return False
-        if self._feasible(b):
+        t, _, y = linprog(self.A, b)
+        if t <= LP_TOL:
             return True
-        self.learn(b)
+        self.admit(y, b)
         return False
 
 

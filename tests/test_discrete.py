@@ -210,6 +210,24 @@ def test_atom_valuation_full_theorem1_set(theorem1):
             assert v >= 0.0
 
 
+def test_atom_values_is_atom_valuation_in_list_order(theorem1):
+    """The vector form holds the named form's values bit for bit, in the
+    order of the atom list, clamped alike; a named constant reads 0."""
+    from conftest import scenario_scheme2
+    pmf = scenario_scheme2(np.random.default_rng(12))
+    atoms = sorted(theorem1.atoms())
+    caps = {"C1": 1.0, "C2": 1.0, "C12": 0.5, "C21": 0.5}
+    named = atom_valuation(pmf, atoms, constants=caps)
+    values = discrete.atom_values(pmf, atoms)
+    assert values.shape == (len(atoms),)
+    for name, v in zip(atoms, values.tolist()):
+        assert v == (0.0 if name in caps else named[name])
+    # an I atom whose raw signed entropy sum rounds below zero is clamped
+    ind = JointPmf.make([("A", 2), ("B", 2)], np.outer([0.5, 0.5], [0.6, 0.4]))
+    assert discrete.subset_entropies(ind, [("A",), ("B",), ("A", "B")]) @ [1, 1, -1] < 0
+    assert discrete.atom_values(ind, ["I(A;B)"]).tolist() == [0.0]
+
+
 def test_json_roundtrip():
     p = random_joint_pmf(np.random.default_rng(12), [("A", 2), ("B", 3)])
     q = JointPmf.from_json(p.to_json())

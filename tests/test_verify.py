@@ -11,12 +11,12 @@ import fme_oracle
 from conftest import rhs_value
 from cranbounds import discrete, verify
 from cranbounds.discrete import Channel
+from lp_oracle import lp_contains
 
 
-def lp_contains(member, valuation, r1, r2, slack=0.0):
-    """The oracle for `contains_screened`: the LP alone, with no
-    certificate bank in front of it."""
-    return member._feasible(member.rhs(valuation, r1, r2, slack))
+def by_name(member, values):
+    """A membership check's atom vector as a valuation by atom name."""
+    return dict(zip(member.rows.atoms, values.tolist()))
 
 
 def test_example1_noiseless_hop_reaches_capacity():
@@ -87,9 +87,9 @@ def test_gds_membership_degenerate_pmf_is_origin_only():
         [("U0", 1), ("V0", 1), ("U1", 1), ("V1", 1), ("U2", 1), ("V2", 1),
          ("Y1", 1), ("Y2", 1)], np.ones(1).reshape(1, 1, 1, 1, 1, 1, 1, 1))
     val = member.valuation(deg, caps)
-    assert lp_contains(member, val, 0.0, 0.0)
-    assert not lp_contains(member, val, 0.05, 0.0)
-    assert not lp_contains(member, val, 0.0, 0.05)
+    for r1, r2, inside in [(0.0, 0.0, True), (0.05, 0.0, False), (0.0, 0.05, False)]:
+        assert member.contains_screened(val, r1, r2) == inside
+        assert lp_contains(member, val, r1, r2) == inside
 
 
 def test_gds_membership_rhs_is_each_row_evaluated_at_the_rate_pair():
@@ -98,24 +98,25 @@ def test_gds_membership_rhs_is_each_row_evaluated_at_the_rate_pair():
     b = member.rhs(val, 0.7, 0.2, slack=1e-6)
     for bi, c in zip(b, member.system.constraints):
         shift = 0.7 * float(c.coeff("R1")) + 0.2 * float(c.coeff("R2"))
-        assert bi == pytest.approx(rhs_value(c.rhs, val) - shift - 1e-6, abs=1e-12)
+        assert bi == pytest.approx(rhs_value(c.rhs, by_name(member, val)) - shift - 1e-6,
+                                   abs=1e-12)
     assert np.array_equal(member.A, [[float(q) for q in row] for row in member.A_exact])
 
 
 def test_gds_membership_lp_agrees_with_exact_projection():
-    """Cross-check the LP feasibility route against the exact rational
-    elimination route on a subsample."""
+    """Cross-check the in-package LP against the exact rational elimination
+    route on a subsample."""
     from cranbounds import polytope
     member = verify._GdsMembership()
     caps = {"C1": 1.0, "C2": 1.0, "C12": 0.0, "C21": 0.0}
     rng = np.random.default_rng(9)
-    checked = 0
+    checked = []
     for _ in range(15):
         pmf = verify.random_gds_pmf_zchannel(rng)
         val = member.valuation(pmf, caps)
-        for r1, r2 in [(1.0, 1.0), (0.3, 0.3), (0.6, 0.2)]:
-            lp = lp_contains(member, val, r1, r2)
-            resolved = polytope.resolve_atoms(member.system, val)
+        for r1, r2 in [(0.0, 0.0), (0.01, 0.005), (1.0, 1.0), (0.3, 0.3), (0.6, 0.2)]:
+            lp = verify.linprog(member.A, member.rhs(val, r1, r2))[0] <= verify.LP_TOL
+            resolved = polytope.resolve_atoms(member.system, by_name(member, val))
             cons = []
             for c in resolved.constraints:
                 lhs = {k: q for k, q in c.lhs if k in member.aux}
@@ -128,25 +129,25 @@ def test_gds_membership_lp_agrees_with_exact_projection():
                 pinned.add({r: -1}, polytope.AffineExpr.constant(0))
             exact = fme_oracle.numeric_feasible(pinned)
             assert lp == exact, (r1, r2)
-            checked += 1
-    assert checked == 45
+            checked.append(lp)
+    assert len(checked) == 75 and 0 < sum(checked) < 75  # both verdicts occur
 
 
 def test_package_imports_without_scipy():
+    """Every module imports, and the data-sharing check runs, with any
+    scipy import raising ImportError."""
     code = (
-        "import sys\n"
+        "import importlib, pkgutil, sys\n"
         "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
         "import cranbounds\n"
+        "for m in pkgutil.iter_modules(cranbounds.__path__):\n"
+        "    importlib.import_module('cranbounds.' + m.name)\n"
         "from cranbounds import verify\n"
-        "print(verify.example1_run(cranbounds.Channel.make([('X1', 2)], [('Y1', 2)],"
-        " [[1.0, 0.0], [0.0, 1.0]]), 0.5, samples=5).verdict)\n"
-        "try:\n"
-        "    verify.linprog([0.0])\n"
-        "except ImportError:\n"
-        "    print('linprog needs scipy')\n")
+        "print(verify.example2_run(samples=20, seed=0).verdict)\n"
+        "print(sorted(n for n, m in sys.modules.items() if n.startswith('scipy') and m))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["confirmed", "linprog needs scipy"]
+    assert proc.stdout.split("\n")[:2] == ["sampled-consistent", "[]"]
 
 
 ZCAPS = {"C1": 1.0, "C2": 1.0, "C12": 0.0, "C21": 0.0}
@@ -215,7 +216,8 @@ def test_bank_refuses_unsound_certificate():
     rng = np.random.default_rng(0)
     val = member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS)
     b = member.rhs(val, 1.0, 1.0, 1e-6)
-    assert member.learn(b)
+    assert not member.contains_screened(val, 1.0, 1.0, 1e-6)
+    assert len(member.certificates) == 1  # learnt from the LP's dual
     good = member.certificates[0]
     nudged = good.copy()
     nudged[cover] += 1e-3
@@ -255,11 +257,22 @@ def test_full_bank_sends_every_sample_to_the_lp(monkeypatch):
     assert len(calls) == 10
 
 
+def test_containment_cut_is_lp_tol():
+    """Raising every row of b by c lowers the LP's t by c, so a slack of
+    f * LP_TOL - t puts the sample at t = f * LP_TOL, either side of the cut."""
+    member = verify._GdsMembership()
+    val = member.valuation(verify.random_gds_pmf_zchannel(np.random.default_rng(0)), ZCAPS)
+    t = verify.linprog(member.A, member.rhs(val, 1.0, 1.0))[0]
+    assert t > 1e-3
+    for f, inside in [(0.5, True), (2.0, False)]:
+        assert member.contains_screened(val, 1.0, 1.0, slack=f * verify.LP_TOL - t) == inside
+
+
 def test_screen_threshold_is_a_millionth_of_the_l1_norm():
     member = verify._GdsMembership()
     rng = np.random.default_rng(0)
     val = member.valuation(verify.random_gds_pmf_zchannel(rng), ZCAPS)
-    assert member.learn(member.rhs(val, 1.0, 1.0))
+    assert not member.contains_screened(val, 1.0, 1.0)
     y = member.certificates[0]
     b = member.rhs(val, 1.0, 1.0)
 
