@@ -14,7 +14,7 @@ every H, I and Gamma atom is a signed sum of the measures of a few variable
 subsets.  Each back end has one kernel for those measures (entropies of a
 pmf, log-pseudo-determinants of a covariance); `atom_plan` caches the
 compiled plan per (variable names, atoms) for both back ends, and
-`AtomPlan.valuation` is their shared tail (clamp, named constants, names).
+`AtomPlan.valuation` is their shared tail (names and named constants).
 """
 
 from __future__ import annotations
@@ -189,9 +189,8 @@ class AtomPlan:
     constants: tuple[str, ...]
 
     def valuation(self, values: np.ndarray, constants=None) -> dict[str, float]:
-        """Name the row values `values` (clamped in place where `clamp`) and
+        """Name the row values `values` (already clamped where `clamp`) and
         fill in the named constants from `constants`."""
-        np.maximum(values, 0.0, out=values, where=self.clamp)
         out = dict(zip(self.names, values.tolist()))
         constants = constants or {}
         for name in self.constants:

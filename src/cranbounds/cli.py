@@ -20,8 +20,9 @@ from . import gapaudit, verify
 from .discrete import Channel, JointPmf, atom_valuation, compose
 from .gaussian import CranNetwork, JointCovariance
 from .polytope import FMEBlowupError, eliminate_all, format_system, parse_system
-from .regions import SCHEME_IDS, cutset_region, make_region, region_to_json
-from .schemes import sweep_rows
+from .regions import (CAPACITIES, MAX_NODES, SCHEME_IDS, cutset_region, make_region,
+                      region_to_json)
+from .schemes import SWEEP_SCHEMES, sweep_rows
 
 CSV_COLUMNS = ("C", "T", "scheme", "sum_rate", "cutset", "rsum_star")
 
@@ -71,7 +72,7 @@ def cmd_region(args) -> int:
         return _fail_usage("--caps needs --pmf: it sets the capacities of a pmf's valuation")
     if args.channel and not args.pmf:
         return _fail_usage("--channel needs --pmf: it is composed onto the pmf")
-    caps = {"C1": 0.0, "C2": 0.0, "C12": 0.0, "C21": 0.0} | given
+    caps = dict.fromkeys(CAPACITIES, 0.0) | given
     if args.scheme == "CUTSET":
         if not args.network:
             return _fail_usage("CUTSET needs --network")
@@ -105,7 +106,10 @@ def cmd_region(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _read("config", args.config, json.loads)
-    reference = _read("--rcf-csv", args.rcf_csv, _reference_rows) if args.rcf_csv else []
+    printed = config.get("schemes", SWEEP_SCHEMES) if isinstance(config, dict) else ()
+    printed = printed if isinstance(printed, (list, tuple)) else ()  # else sweep_rows rejects it
+    reference = (_read("--rcf-csv", args.rcf_csv, lambda text: _reference_rows(text, printed))
+                 if args.rcf_csv else [])
     rows = sweep_rows(config)
     if reference:
         t0 = config.get("T", 0.0)  # the first T, now that sweep_rows has checked it
@@ -123,18 +127,19 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _reference_rows(text: str) -> list[tuple[float, str, float]]:
+def _reference_rows(text: str, printed) -> list[tuple[float, str, float]]:
     """External reference curves (e.g. lattice-based schemes evaluated
     elsewhere) as (C, scheme, sum_rate) rows, which the sweep prints at its
     first T with its own cut-set bound; columns C,scheme,sum_rate, with C and
-    sum_rate finite numbers >= 0."""
+    sum_rate finite numbers >= 0, no scheme in `printed` (the sweep's own)
+    and no (C, scheme) pair twice."""
     head, *lines = text.splitlines() or [""]
     header = head.strip().split(",")
     idx = {name: i for i, name in enumerate(header)}
     for need in ("C", "scheme", "sum_rate"):
         if need not in idx:
             raise ValueError(f"reference CSV missing column {need!r}")
-    out = []
+    out, seen = [], {}
     for n, line in enumerate(lines, start=2):
         if not line.strip():
             continue
@@ -144,7 +149,12 @@ def _reference_rows(text: str) -> list[tuple[float, str, float]]:
         c, rate = float(parts[idx["C"]]), float(parts[idx["sum_rate"]])
         if not (0.0 <= c < math.inf and 0.0 <= rate < math.inf):
             raise ValueError(f"line {n}: C and sum_rate must be finite numbers >= 0")
-        out.append((c, parts[idx["scheme"]], rate))
+        name = parts[idx["scheme"]]
+        if name in printed:
+            raise ValueError(f"line {n}: scheme {name!r} is one the sweep prints")
+        if seen.setdefault((c, name), n) != n:
+            raise ValueError(f"line {n}: C = {c:g} and scheme {name!r} repeat line {seen[c, name]}")
+        out.append((c, name, rate))
     return out
 
 
@@ -155,15 +165,16 @@ def cmd_gap_audit(args) -> int:
     return 0 if report["all_pass"] else 1
 
 
-def _int_at_least(lo: int):
+def _int_in(lo: int, hi: float = math.inf):
     def parse(text: str) -> int:
-        if not text.strip().isdecimal() or int(text) < lo:
-            raise argparse.ArgumentTypeError(f"want an integer of at least {lo}, got {text!r}")
+        if not text.strip().isdecimal() or not lo <= int(text) <= hi:
+            want = f"of at least {lo}" if hi == math.inf else f"from {lo} to {hi}"
+            raise argparse.ArgumentTypeError(f"want an integer {want}, got {text!r}")
         return int(text)
     return parse
 
 
-_positive_int, _seed = _int_at_least(1), _int_at_least(0)
+_positive_int, _seed, _node_count = _int_in(1), _int_in(0), _int_in(1, MAX_NODES)
 
 
 def cmd_fme(args) -> int:
@@ -213,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("region", help="export a rate region as JSON")
     p.add_argument("--scheme", required=True, choices=SCHEME_IDS)
-    p.add_argument("--n", type=_positive_int, default=2)
-    p.add_argument("--l", type=_positive_int, default=2)
+    p.add_argument("--n", type=_node_count, default=2)
+    p.add_argument("--l", type=_node_count, default=2)
     p.add_argument("--valuation", help="JSON file of atom values")
     p.add_argument("--pmf", help="JSON joint pmf to evaluate atoms on")
     p.add_argument("--channel", help="JSON channel composed onto the pmf")
@@ -233,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap-audit", help="randomized constant-gap audit")
     p.add_argument("--instances", type=_positive_int, default=200)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--nmax", type=_positive_int, default=4)
-    p.add_argument("--lmax", type=_positive_int, default=4)
+    p.add_argument("--nmax", type=_node_count, default=4)
+    p.add_argument("--lmax", type=_node_count, default=4)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gap_audit)
 

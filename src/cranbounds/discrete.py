@@ -98,12 +98,6 @@ class JointPmf:
                 return s
         raise KeyError(f"unknown variable {name!r}")
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "variables": [{"name": n, "size": s} for n, s in self.variables],
-            "probs": [float(x) for x in self.probs.reshape(-1)],
-        })
-
     @staticmethod
     def from_json(text: str) -> "JointPmf":
         d = json.loads(text)
@@ -158,13 +152,6 @@ class Channel:
                 y = (y,)
             probs[idx + y] = 1.0
         return Channel.make(inputs, outputs, probs)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "given": [{"name": n, "size": s} for n, s in self.inputs],
-            "variables": [{"name": n, "size": s} for n, s in self.outputs],
-            "probs": [float(x) for x in self.probs.reshape(-1)],
-        })
 
     @staticmethod
     def from_json(text: str) -> "Channel":

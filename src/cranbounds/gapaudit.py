@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .gaussian import CranNetwork, capacity_logdet
-from .regions import _subsets_lex, cut_capacity
+from .regions import MAX_NODES, _subsets_lex, cut_capacity
 
 __all__ = [
     "CutReport",
@@ -80,10 +80,11 @@ def audit(network: CranNetwork) -> dict:
 
 
 def random_network(rng: np.random.Generator, nmax: int = 4, lmax: int = 4) -> CranNetwork:
-    """Random Gaussian instance: N, L up to the caps, gains in [-2, 2],
-    power in [0.1, 100], capacities in [0, 5]."""
-    if min(nmax, lmax) < 1:
-        raise ValueError(f"nmax and lmax must be at least 1, got {nmax} and {lmax}")
+    """Random Gaussian instance: N, L up to the caps (1 to `MAX_NODES`),
+    gains in [-2, 2], power in [0.1, 100], capacities in [0, 5]."""
+    if not (1 <= nmax <= MAX_NODES and 1 <= lmax <= MAX_NODES):
+        raise ValueError(f"nmax and lmax must be at most {MAX_NODES} and at least 1, "
+                         f"got {nmax} and {lmax}")
     N = int(rng.integers(1, nmax + 1))
     L = int(rng.integers(1, lmax + 1))
     G = rng.uniform(-2.0, 2.0, size=(L, N))

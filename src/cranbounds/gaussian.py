@@ -90,7 +90,6 @@ class JointCovariance:
             raise ValueError("covariance matrix is not symmetric")
         m = _sym(m)
         w = check_psd(m, "covariance matrix", 1e-9)
-        m = m.copy()
         m.flags.writeable = False
         return JointCovariance(components, m, max(w.max(initial=0.0), 0.0))
 
@@ -99,12 +98,10 @@ class JointCovariance:
         return tuple(n for n, _ in self.components)
 
     def indices(self, names) -> np.ndarray:
-        names = list(names)
-        unknown = set(names) - set(self.names)
+        names, offsets = list(names), _offsets(self.components)
+        unknown = set(names) - offsets.keys()
         if unknown:
             raise KeyError(f"unknown components {sorted(unknown)}")
-        ends = np.cumsum([d for _, d in self.components])
-        offsets = {n: range(e - d, e) for (n, d), e in zip(self.components, ends)}
         return np.asarray([i for n in names for i in offsets[n]], dtype=int)
 
     def block(self, rows, cols=None) -> np.ndarray:
@@ -133,13 +130,19 @@ def schur_conditional(cov: JointCovariance, s_names, t_names) -> JointCovariance
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _offsets(components) -> dict[str, range]:
+    """The matrix indices of each named component."""
+    ends = np.cumsum([d for _, d in components])
+    return {n: range(e - d, e) for (n, d), e in zip(components, ends)}
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _block_groups(components, subsets):
     """The principal block of every subset of component names, indices taken
     in sorted name order, grouped by size: (k, i) for a 1x1 block at position
     k, (k, i, j) for a 2x2 block, and for each larger size n the positions
     and the (g, n, 1) row and (g, 1, n) column indices of a stack of g."""
-    ends = np.cumsum([d for _, d in components])
-    offsets = {n: range(e - d, e) for (n, d), e in zip(components, ends)}
+    offsets = _offsets(components)
     by_size: dict[int, list] = {}
     for k, s in enumerate(subsets):
         idx = [i for n in sorted(s) for i in offsets[n]]
@@ -311,10 +314,6 @@ class CranNetwork:
         users = sorted(users)
         bss = sorted(bss)
         return self.G[np.ix_([u - 1 for u in users], [k - 1 for k in bss])]
-
-    def to_json(self) -> str:
-        return json.dumps({"G": self.G.tolist(), "P": self.P, "C": self.C.tolist(),
-                           "Ccoop": self.Ccoop.tolist()})
 
     @staticmethod
     def from_json(text: str) -> "CranNetwork":

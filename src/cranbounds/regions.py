@@ -57,7 +57,11 @@ SCHEME_IDS = ("GDS-T1", "GDS-I", "GDS-II", "GDS-III", "COR4", "COR5",
 _TOL = 1e-9
 
 # the fronthaul and cooperation capacities of the 2-BS regions
-C1, C2, C12, C21 = (const_atom(n) for n in ("C1", "C2", "C12", "C21"))
+CAPACITIES = ("C1", "C2", "C12", "C21")
+C1, C2, C12, C21 = map(const_atom, CAPACITIES)
+
+# most BSs or users of a DDF-P1 region: capacity atoms C{k}{j} take one digit per node
+MAX_NODES = 9
 
 
 def _subsets_lex(items):
@@ -463,8 +467,8 @@ def ddf_p1_system(N: int = 2, L: int = 2) -> ConstraintSystem:
     S over base stations and D a nonempty user subset."""
     if N < 1 or L < 1:
         raise ValueError("need N, L >= 1")
-    if N > 9 or L > 9:
-        raise ValueError("capacity atom naming supports at most 9 BSs/users")
+    if N > MAX_NODES or L > MAX_NODES:
+        raise ValueError(f"capacity atom naming supports at most {MAX_NODES} BSs/users")
     sys_ = ConstraintSystem([f"R{l}" for l in range(1, L + 1)])
     bss = list(range(1, N + 1))
     users = list(range(1, L + 1))

@@ -30,7 +30,7 @@ from . import gaussian
 from .atoms import parse_atom  # noqa: F401
 from .gaussian import CranNetwork, JointCovariance
 from .regions import corollary3_feasible  # noqa: F401
-from .regions import (CompiledRegion, corollary1_system, corollary2_system,
+from .regions import (CAPACITIES, CompiledRegion, corollary1_system, corollary2_system,
                       corollary3_gated_system, gcomp_theorem2_system, max_sum_rate)
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "SchemeEvaluation",
     "OptimizerBudget",
     "GAUSSIAN_SCHEMES",
+    "SWEEP_SCHEMES",
     "build_joint_cov",
     "scheme_sumrate",
     "optimize_scheme",
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 GAUSSIAN_SCHEMES = ("GDS-I", "GDS-II", "GDS-III", "GCOMP")
+# the schemes a sweep prints unless its config lists them; GDS-TS is the best
+# of GDS-I, II and III at each point
+SWEEP_SCHEMES = ("GDS-I", "GDS-II", "GDS-III", "GDS-TS", "GCOMP")
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,7 @@ class CompressionParams:
 
 @dataclass(frozen=True)
 class OptimizerBudget:
-    restarts: int = 64
+    restarts: int = 8
     iters: int = 4000  # objective evaluations per restart
     seed: int = 0
 
@@ -202,32 +206,26 @@ def build_joint_cov(scheme: str, params, network: CranNetwork) -> JointCovarianc
 @functools.cache
 def _compiled(scheme: str):
     """The scheme's compiled region (GDS-III's with its side conditions as
-    rate-free rows), its Gaussian atoms (every atom of the region but the
-    capacities, in region order), and the positions in the region's atom
-    vector of those atoms and of C1, C2, C12, C21."""
+    rate-free rows) and the positions of C1, C2, C12, C21 in its atoms."""
     region = CompiledRegion({"GDS-I": corollary1_system, "GDS-II": corollary2_system,
                              "GDS-III": corollary3_gated_system,
                              "GCOMP": gcomp_theorem2_system}[scheme]())
-    atoms = region.rows.atoms
-    caps = [atoms.index(c) for c in ("C1", "C2", "C12", "C21")]
-    at = [k for k in range(len(atoms)) if k not in caps]
-    return region, tuple(atoms[k] for k in at), np.array(at), np.array(caps)
+    return region, np.array([region.rows.atoms.index(c) for c in CAPACITIES])
 
 
 def _atom_values(scheme: str, params, network: CranNetwork) -> np.ndarray:
-    """The scheme's Gaussian atoms at `params`, in `_compiled` order."""
+    """The atoms of the scheme's compiled region at `params`, in order; the
+    capacities read 0."""
     cov = build_joint_cov(scheme, params, network)
-    return gaussian.atom_values(cov, _compiled(scheme)[1])
+    return gaussian.atom_values(cov, _compiled(scheme)[0].rows.atoms)
 
 
 def _sumrate(scheme: str, values: np.ndarray, network: CranNetwork) -> float:
-    """Maximum R1+R2 of the scheme's region under its Gaussian atom values
-    and the network's capacities."""
-    region, _, at, caps = _compiled(scheme)
-    vector = np.empty(len(region.rows.atoms))
-    vector[at] = values
-    vector[caps] = *network.C, network.Ccoop[0, 1], network.Ccoop[1, 0]
-    return max_sum_rate(region, vector)
+    """Maximum R1+R2 of the scheme's region under the atom values `values`,
+    whose capacities are set to the network's in place."""
+    region, caps = _compiled(scheme)
+    values[caps] = *network.C, network.Ccoop[0, 1], network.Ccoop[1, 0]
+    return max_sum_rate(region, values)
 
 
 def scheme_sumrate(scheme: str, params, network: CranNetwork) -> float:
@@ -360,8 +358,7 @@ def _pattern_search(f, x0: np.ndarray, step0: float, min_step: float,
     return x, fx, evals
 
 
-def optimize_scheme(scheme: str, network: CranNetwork,
-                    budget: OptimizerBudget = OptimizerBudget()) -> SchemeEvaluation:
+def optimize_scheme(scheme: str, network: CranNetwork, budget: OptimizerBudget) -> SchemeEvaluation:
     """Best-effort maximization of a scheme's sum rate.
 
     Deterministic given the seed: restart r uses the r-th spawned generator,
@@ -510,13 +507,12 @@ def sweep_rows(config: dict) -> list[dict]:
     P, G = float(config["P"]), G.astype(float)
     c_grid = [float(c) for c in listed("C_grid", None, number, "finite numbers >= 0")]
     t_values = [float(t) for t in listed("T", 0.0, number, "finite numbers >= 0")]
-    schemes = listed("schemes", ["GDS-I", "GDS-II", "GDS-III", "GDS-TS", "GCOMP"],
-                     lambda s: s in GAUSSIAN_SCHEMES + ("GDS-TS",), "scheme names")
+    schemes = listed("schemes", SWEEP_SCHEMES, lambda s: s in SWEEP_SCHEMES, "scheme names")
     seed = int(_check_int(config["seed"], "sweep config seed", 0))
     bcfg = config.get("budget", {})
     if not isinstance(bcfg, dict) or bcfg.keys() - {"restarts", "iters"}:
         raise ValueError(f"sweep config budget must map restarts and iters only, got {bcfg!r}")
-    budget = OptimizerBudget(restarts=bcfg.get("restarts", 8), iters=bcfg.get("iters", 4000))
+    budget = OptimizerBudget(**bcfg)
 
     timeshared = ("GDS-I", "GDS-II", "GDS-III")
     base_schemes = sorted({s for s in schemes if s != "GDS-TS"}

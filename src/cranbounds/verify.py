@@ -12,7 +12,7 @@ six auxiliary rates x >= 0.  By Farkas' lemma a vector y >= 0 with
 ``y A >= 0`` and ``y b < 0`` proves that no such x exists: y A x >= 0 for
 every x >= 0, yet y A x <= y b < 0.  The sweep keeps a bank of such
 certificates, the duals of `linprog` on infeasible samples, each checked
-once in exact rationals, and a sample that one of them proves infeasible
+once in exact integers, and a sample that one of them proves infeasible
 with ``y b < -1e-6 * ||y||_1`` never reaches the LP.  The LP calls a sample
 feasible only with an x whose rows hold to within 1e-7, which would give
 y b >= y A x - 1e-7 ||y||_1 > -1e-6 ||y||_1: the LP also calls every
@@ -30,7 +30,7 @@ import numpy as np
 from . import discrete
 from .discrete import Channel, JointPmf
 from .polytope import CompiledSystem, is_member, min_slack
-from .regions import gcomp_theorem2_system, gds_theorem1_system
+from .regions import CAPACITIES, gcomp_theorem2_system, gds_theorem1_system
 
 __all__ = [
     "ExampleReport",
@@ -43,7 +43,6 @@ __all__ = [
 VERDICTS = ("confirmed", "sampled-consistent", "failed")
 U_CAP = 4  # largest alphabet of the sampled auxiliary U1 in example 1
 GDS_SLACK = 1e-6  # example 2 counts a data-sharing law only with slack above this
-CAPS = ("C1", "C2", "C12", "C21")  # the fronthaul capacities of example 2
 
 
 @dataclass
@@ -234,7 +233,7 @@ class _GdsMembership:
 
     `contains_screened` puts a bank of Farkas certificates in front of the
     LP.  A certificate is an integer vector y >= 0 whose y A >= 0 was checked
-    in exact rationals on the system's own coefficients; it proves a right-
+    in exact integers on the system's own coefficients; it proves a right-
     hand side b infeasible when y @ b < -1e-6 * ||y||_1.  That margin is ten
     times `LP_TOL`, so the LP would call every screened b infeasible too.
     Certificates are the dual optima of the LP on samples it found
@@ -244,18 +243,19 @@ class _GdsMembership:
     def __init__(self):
         self.system = gds_theorem1_system()
         assert self.system.variables[:2] == ["R1", "R2"], "rhs shifts these two columns"
-        self.aux = self.system.variables[2:]
         self.rows = CompiledSystem(self.system)
-        self.caps = [self.rows.atoms.index(c) for c in CAPS]
+        self.caps = [self.rows.atoms.index(c) for c in CAPACITIES]
         self.A = self.rows.A[:, 2:]
-        self.A_exact = [[c.coeff(v) for v in self.aux] for c in self.system.constraints]
+        # entries in {-1, 0, 1}: for |y_i| < 2**53, |y A| < 74 * 2**53 < 2**60 fits int64
+        self.A_int = self.A.astype(np.int64)
+        assert np.array_equal(self.A_int, self.A) and np.abs(self.A_int).max() <= 1
         self.certificates = np.zeros((0, len(self.A)))
         self.screened = 0
 
     def valuation(self, pmf: JointPmf, caps: dict[str, float]) -> np.ndarray:
         """The atoms of `rows` on `pmf`, in order, with capacities from `caps`."""
         values = discrete.atom_values(pmf, self.rows.atoms)
-        values[self.caps] = [caps[c] for c in CAPS]
+        values[self.caps] = [caps[c] for c in CAPACITIES]
         return values
 
     def rhs(self, valuation: np.ndarray, r1: float, r2: float,
@@ -270,7 +270,7 @@ class _GdsMembership:
 
     def admit(self, y: np.ndarray, b: np.ndarray) -> bool:
         """Bank candidate y if, once rounded to coprime integers, it passes
-        y A >= 0 in exact rationals and screens b; returns whether it did."""
+        y A >= 0 in exact integers and screens b; returns whether it did."""
         if len(self.certificates) >= _BANK_CAP:
             return False
         fracs = [Fraction(float(v)).limit_denominator(_DUAL_DENOMINATOR)
@@ -280,12 +280,10 @@ class _GdsMembership:
         common = math.gcd(*ints)
         if common == 0 or max(ints) // common >= 2**53:
             return False
-        ints = [v // common for v in ints]
-        support = [i for i, v in enumerate(ints) if v]
-        for j in range(len(self.aux)):
-            if sum(ints[i] * self.A_exact[i][j] for i in support) < 0:
-                return False
-        cert = np.array(ints, dtype=float)
+        ints = np.array([v // common for v in ints], dtype=np.int64)
+        if (ints @ self.A_int).min() < 0:
+            return False
+        cert = ints.astype(float)
         if not cert @ b < -_SCREEN_MARGIN * cert.sum():
             return False
         self.certificates = np.vstack([self.certificates, cert])

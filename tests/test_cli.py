@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from cranbounds import cli, schemes
-from cranbounds.discrete import Channel, JointPmf
 from cranbounds.gaussian import CranNetwork
 from fme_oracle import key
 
@@ -277,6 +276,37 @@ def test_malformed_reference_csv_is_rejected_before_the_sweep(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config,text,line", [
+    # a scheme the sweep prints: GDS-I at C = 1 came out twice, as 1.000000 and 0.500000
+    ("sweep_fig4_config.json", "C,scheme,sum_rate\n0.5,RCF,0.4\n1.0,GDS-I,0.5\n", 3),
+    # a config without `schemes` prints the default list, GDS-TS included
+    (None, "C,scheme,sum_rate\n2.0,GDS-TS,0.5\n", 2),
+    # the same (C, scheme) pair twice
+    ("sweep_fig4_config.json", "C,scheme,sum_rate\n1.0,RCF,0.8\n0.5,RCF,0.4\n1,RCF,0.9\n", 4),
+], ids=["printed scheme", "default scheme", "repeated pair"])
+def test_reference_row_that_would_print_twice_is_rejected_before_the_sweep(
+        tmp_path, capsys, monkeypatch, config, text, line):
+    """Such a row printed a second CSV row with the same (C, T, scheme), and
+    the run exited 0."""
+    def no_search(*args):
+        raise AssertionError("optimize_scheme ran before the reference CSV was checked")
+
+    monkeypatch.setattr(schemes, "optimize_scheme", no_search)
+    if config is None:
+        cfg = json.loads((GOLDEN / "sweep_fig4_config.json").read_text())
+        del cfg["schemes"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+    ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+    ref.write_text(text)
+    assert run_cli(["sumrate-sweep", str(GOLDEN / config), "--rcf-csv", str(ref),
+                    "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --rcf-csv "), err
+    assert f"line {line}:" in err, err
+    assert not out.exists()
+
+
 def test_sweep_with_reference_csv_matches_golden_output(tmp_path):
     """The fig4 sweep merged with a reference curve: the sweep rows are the
     fig4 golden's, and the reference rows carry min(2C, rsum_star)."""
@@ -314,15 +344,10 @@ def test_region_rejects_a_nonfinite_valuation(tmp_path, capsys, token):
 
 
 def cor4_pmf_args(tmp_path):
-    """`--pmf` and `--channel` arguments of a COR4 law over (U, V, Y1, Y2)."""
-    pmf = JointPmf.make([("U", 2), ("V", 2)], np.full((2, 2), 0.25))
-    ch = Channel.from_map([("U", 2), ("V", 2)], [("Y1", 2), ("Y2", 2)],
-                          lambda u, v: (u, v))
-    ppath = tmp_path / "pmf.json"
-    cpath = tmp_path / "ch.json"
-    ppath.write_text(pmf.to_json())
-    cpath.write_text(ch.to_json())
-    return ["--pmf", str(ppath), "--channel", str(cpath)]
+    """`--pmf` and `--channel` arguments of a COR4 law over (U, V, X1, Y1, Y2),
+    from the committed fixtures."""
+    return ["--pmf", str(GOLDEN / "pmf_uvx1.json"),
+            "--channel", str(GOLDEN / "channel_x1_y1y2.json")]
 
 
 def test_region_from_pmf_and_channel(tmp_path):
@@ -336,10 +361,8 @@ def test_region_from_pmf_and_channel(tmp_path):
 
 
 def test_region_cutset(tmp_path):
-    from cranbounds.gaussian import CranNetwork
-    net = CranNetwork.make([[1.0, 0.5], [0.5, 1.0]], 2.0, [1.0, 1.0])
     npath = tmp_path / "net.json"
-    npath.write_text(net.to_json())
+    npath.write_text('{"G": [[1.0, 0.5], [0.5, 1.0]], "P": 2.0, "C": [1.0, 1.0]}')
     out = tmp_path / "cut.json"
     assert run_cli(["region", "--scheme", "CUTSET", "--network", str(npath),
                     "-o", str(out)]) == 0
@@ -438,6 +461,22 @@ def test_gap_audit_rejects_sizes_below_one(flag, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2 and not out.exists()
     assert f"argument {flag}" in err and repr(value) in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["gap-audit", "--instances", "1", "--nmax", "10"], "--nmax"),
+    (["gap-audit", "--instances", "1", "--lmax", "10"], "--lmax"),
+    (["region", "--scheme", "DDF-P1", "--n", "10"], "--n"),
+    (["region", "--scheme", "DDF-P1", "--l", "10"], "--l"),
+])
+def test_node_counts_above_the_capacity_naming_limit_are_usage_errors(tmp_path, capsys,
+                                                                      argv, flag):
+    """gap-audit took any --nmax and --lmax: it enumerates 2**N BS subsets,
+    so a large one ran out of memory instead of exiting 2."""
+    out = tmp_path / "out.json"
+    assert run_cli([*argv, "-o", str(out)]) == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"argument {flag}: want an integer from 1 to 9" in err, err
 
 
 def test_gap_audit_matches_golden_output(tmp_path):

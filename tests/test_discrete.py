@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from cranbounds.discrete import (Channel, JointPmf, add_deterministic,
                                  random_joint_pmf, total_correlation)
 from cranbounds.atoms import const_atom, gamma_atom, mi_atom
 from cranbounds.verify import zchannel_pmf
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def bern(p, name="X"):
@@ -228,16 +231,15 @@ def test_atom_values_is_atom_valuation_in_list_order(theorem1):
     assert discrete.atom_values(ind, ["I(A;B)"]).tolist() == [0.0]
 
 
-def test_json_roundtrip():
-    p = random_joint_pmf(np.random.default_rng(12), [("A", 2), ("B", 3)])
-    q = JointPmf.from_json(p.to_json())
-    assert q.variables == p.variables
-    assert np.allclose(q.probs, p.probs)
-    ch = Channel.make([("X", 2)], [("Y", 3)],
-                      np.random.default_rng(0).dirichlet(np.ones(3), size=2))
-    ch2 = Channel.from_json(ch.to_json())
-    assert ch2.inputs == ch.inputs and ch2.outputs == ch.outputs
-    assert np.allclose(ch2.probs, ch.probs)
+def test_from_json_reads_the_committed_fixtures():
+    p = JointPmf.from_json((GOLDEN / "pmf_uvx1.json").read_text())
+    assert p.variables == (("U", 2), ("V", 2), ("X1", 2))
+    assert p.probs.tolist() == [[[0.125, 0.0625], [0.0625, 0.25]],
+                                [[0.1875, 0.0625], [0.125, 0.125]]]
+    ch = Channel.from_json((GOLDEN / "channel_x1_y1y2.json").read_text())
+    assert ch.inputs == (("X1", 2),) and ch.outputs == (("Y1", 2), ("Y2", 2))
+    assert ch.probs.tolist() == [[[0.75, 0.125], [0.0625, 0.0625]],
+                                 [[0.0625, 0.125], [0.25, 0.5625]]]
 
 
 def test_state_space_guard():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gap_oracle
-from cranbounds import gapaudit
+from cranbounds import gapaudit, regions
 from cranbounds.gaussian import CranNetwork
 from cranbounds.regions import cut_capacity
 
@@ -153,3 +153,15 @@ def test_random_instances_reject_sizes_below_one():
             gapaudit.audit_random_instances(instances, seed=0)
     with pytest.raises(ValueError, match="at least 1, got 0 and 4"):
         gapaudit.audit_random_instances(3, seed=0, nmax=0)
+
+
+def test_random_instances_reject_sizes_above_the_node_limit():
+    """The audit enumerates 2**N BS subsets: N is bounded like DDF-P1's."""
+    assert regions.MAX_NODES == 9
+    rng = np.random.default_rng(0)
+    for nmax, lmax in [(10, 4), (4, 10)]:
+        with pytest.raises(ValueError, match=f"at most 9 and at least 1, got {nmax} and {lmax}"):
+            gapaudit.random_network(rng, nmax, lmax)
+        with pytest.raises(ValueError, match="at most 9"):
+            gapaudit.audit_random_instances(1, seed=0, nmax=nmax, lmax=lmax)
+    assert gapaudit.random_network(rng, 9, 9).N <= 9

@@ -481,7 +481,7 @@ def test_an_evaluation_solves_the_joint_once_and_one_stack_per_block_size(scheme
     params = space.to_params(space.initial(np.random.default_rng(0), 1))
     cov = schemes.build_joint_cov(scheme, params, net)
     dims = dict(cov.components)
-    plan = atom_plan(cov.names, schemes._compiled(scheme)[1])
+    plan = atom_plan(cov.names, tuple(schemes._compiled(scheme)[0].rows.atoms))
     sizes = {sum(dims[n] for n in s) for s in plan.subsets}
     shapes, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))

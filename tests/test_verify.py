@@ -100,7 +100,8 @@ def test_gds_membership_rhs_is_each_row_evaluated_at_the_rate_pair():
         shift = 0.7 * float(c.coeff("R1")) + 0.2 * float(c.coeff("R2"))
         assert bi == pytest.approx(rhs_value(c.rhs, by_name(member, val)) - shift - 1e-6,
                                    abs=1e-12)
-    assert np.array_equal(member.A, [[float(q) for q in row] for row in member.A_exact])
+    aux = member.system.variables[2:]
+    assert member.A_int.tolist() == [[c.coeff(v) for v in aux] for c in member.system.constraints]
 
 
 def test_gds_membership_lp_agrees_with_exact_projection():
@@ -108,6 +109,7 @@ def test_gds_membership_lp_agrees_with_exact_projection():
     route on a subsample."""
     from cranbounds import polytope
     member = verify._GdsMembership()
+    aux = member.system.variables[2:]
     caps = {"C1": 1.0, "C2": 1.0, "C12": 0.0, "C21": 0.0}
     rng = np.random.default_rng(9)
     checked = []
@@ -119,13 +121,13 @@ def test_gds_membership_lp_agrees_with_exact_projection():
             resolved = polytope.resolve_atoms(member.system, by_name(member, val))
             cons = []
             for c in resolved.constraints:
-                lhs = {k: q for k, q in c.lhs if k in member.aux}
+                lhs = {k: q for k, q in c.lhs if k in aux}
                 shift = sum(float(q) * (r1 if k == "R1" else r2)
                             for k, q in c.lhs if k in ("R1", "R2"))
                 cons.append(polytope.LinearConstraint.make(
                     lhs, polytope.AffineExpr((), c.rhs.const - polytope.Q(shift))))
-            pinned = polytope.ConstraintSystem(list(member.aux), cons)
-            for r in member.aux:
+            pinned = polytope.ConstraintSystem(aux, cons)
+            for r in aux:
                 pinned.add({r: -1}, polytope.AffineExpr.constant(0))
             exact = fme_oracle.numeric_feasible(pinned)
             assert lp == exact, (r1, r2)
@@ -167,7 +169,7 @@ def _banked_member(samples=12, seed=0):
 
 def _exactly_sound(member, y):
     """y A >= 0 over the auxiliary rates, in the system's own rationals."""
-    cols = {v: Fraction(0) for v in member.aux}
+    cols = {v: Fraction(0) for v in member.system.variables[2:]}
     for yi, c in zip(y, member.system.constraints):
         for k, q in c.lhs:
             if k in cols:
@@ -224,6 +226,28 @@ def test_bank_refuses_unsound_certificate():
     assert not member.admit(nudged, b)
     assert not member.admit(good, -b)  # sound, but proves nothing about -b
     assert len(member.certificates) == 1
+
+
+def test_bank_refuses_a_certificate_that_float_arithmetic_would_pass():
+    """Entries near 2**52: summed in floats in row order, the Ru0 column of
+    y A reads 0, since -(2**53 + 1) rounds to -2**53; its exact value is -1."""
+    member = verify._GdsMembership()
+    rows = [dict(c.lhs) for c in member.system.constraints]
+    y = np.zeros(len(rows))
+    for lhs, v in [({"Ru0": -1, "Rv1": -1}, 2**52), ({"Ru0": -1, "Rv2": -1}, 2**52 + 1),
+                   ({"Ru0": 1}, 2**52), ({"Ru0": 1, "Ru2": 1}, 2**52),
+                   ({"Rv1": 1}, 2**52), ({"Rv2": 1}, 2**52 + 1)]:
+        y[rows.index(lhs)] = v
+    support = np.flatnonzero(y)
+    exact = [sum(int(y[i]) * int(member.A[i, j]) for i in support) for j in range(6)]
+    in_floats = [sum(float(y[i]) * member.A[i, j] for i in support) for j in range(6)]
+    assert exact == [-1, 0, 2**52, 0, 0, 0] and min(in_floats) == 0.0
+    b = -np.ones(len(rows))  # y screens b, so only y A >= 0 can refuse it
+    assert not member.admit(y, b)
+    assert len(member.certificates) == 0
+    y[rows.index({"Ru0": 1})] += 1  # now y A >= 0 exactly
+    assert member.admit(y, b)
+    assert member.certificates.tolist() == [y.tolist()]
 
 
 def test_example2_run_matches_lp_only_loop():

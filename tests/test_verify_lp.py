@@ -19,6 +19,7 @@ from lp_oracle import highs_feasible
 ZCAPS = {"C1": 1.0, "C2": 1.0, "C12": 0.0, "C21": 0.0}
 MEMBER = verify._GdsMembership()
 A = MEMBER.A
+AUX = MEMBER.system.variables[2:]
 
 
 def solve_checked(b):
@@ -37,11 +38,11 @@ def solve_checked(b):
 
 def exact_feasible(b):
     """Feasibility of ``A x <= b``, x >= 0 with b read exactly as rationals."""
-    rows = [LinearConstraint.make({v: q for v, q in zip(MEMBER.aux, coeffs) if q},
+    rows = [LinearConstraint.make({v: int(q) for v, q in zip(AUX, coeffs) if q},
                                   AffineExpr.constant(Fraction(float(bi))))
-            for coeffs, bi in zip(MEMBER.A_exact, b)]
-    rows += [LinearConstraint.make({v: -1}, AffineExpr.constant(0)) for v in MEMBER.aux]
-    return fme_oracle.numeric_feasible(ConstraintSystem(list(MEMBER.aux), rows))
+            for coeffs, bi in zip(MEMBER.A_int, b)]
+    rows += [LinearConstraint.make({v: -1}, AffineExpr.constant(0)) for v in AUX]
+    return fme_oracle.numeric_feasible(ConstraintSystem(AUX, rows))
 
 
 def sample_b(seed, r1, r2, slack):
