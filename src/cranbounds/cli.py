@@ -66,7 +66,17 @@ def _parse_caps(text: str) -> dict[str, float]:
     return caps
 
 
+# the optional flags `region` reads: CUTSET's network and covariance, or atom values
+_REGION_FLAGS = {"CUTSET": ("--network", "--cov"),
+                 "symbolic": ("--n", "--l", "--valuation", "--pmf", "--channel", "--caps")}
+
+
 def cmd_region(args) -> int:
+    reads = _REGION_FLAGS["CUTSET" if args.scheme == "CUTSET" else "symbolic"]
+    for flag in (f for flags in _REGION_FLAGS.values() for f in flags if f not in reads):
+        if getattr(args, flag[2:]) is not None:
+            return _fail_usage(f"{flag} does not apply to {args.scheme}, which reads "
+                               f"only {', '.join(reads)}")
     given = _parse_caps(args.caps or "")
     if given and not args.pmf:
         return _fail_usage("--caps needs --pmf: it sets the capacities of a pmf's valuation")
@@ -84,7 +94,7 @@ def cmd_region(args) -> int:
         cov = JointCovariance.make([(f"X{k}", 1) for k in range(1, net.N + 1)], K)
         system, valuation = cutset_region(net, cov), {}
     else:
-        system, valuation = make_region(args.scheme, args.n, args.l), None
+        system, valuation = make_region(args.scheme, args.n or 2, args.l or 2), None
         if args.valuation:
             valuation = _read("--valuation", args.valuation, lambda t: {
                 str(k): float(v) for k, v in json.loads(t).items()})
@@ -224,10 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("region", help="export a rate region as JSON")
     p.add_argument("--scheme", required=True, choices=SCHEME_IDS)
-    p.add_argument("--n", type=_node_count, default=2)
-    p.add_argument("--l", type=_node_count, default=2)
-    p.add_argument("--valuation", help="JSON file of atom values")
-    p.add_argument("--pmf", help="JSON joint pmf to evaluate atoms on")
+    p.add_argument("--n", type=_node_count, help="BSs (DDF-P1; 2 if not given)")
+    p.add_argument("--l", type=_node_count, help="users (DDF-P1; 2 if not given)")
+    values = p.add_mutually_exclusive_group()  # each gives the atom values
+    values.add_argument("--valuation", help="JSON file of atom values")
+    values.add_argument("--pmf", help="JSON joint pmf to evaluate atoms on")
     p.add_argument("--channel", help="JSON channel composed onto the pmf")
     p.add_argument("--caps", help="capacity constants, e.g. C1=1,C2=1,C12=0,C21=0")
     p.add_argument("--network", help="JSON network (CUTSET only)")

@@ -101,6 +101,8 @@ class JointPmf:
     @staticmethod
     def from_json(text: str) -> "JointPmf":
         d = json.loads(text)
+        if unknown := sorted(d.keys() - {"variables", "probs"}):
+            raise ValueError(f"unknown keys {unknown}")
         variables = [(v["name"], v["size"]) for v in d["variables"]]
         return JointPmf.make(variables, np.asarray(d["probs"]))
 
@@ -156,6 +158,8 @@ class Channel:
     @staticmethod
     def from_json(text: str) -> "Channel":
         d = json.loads(text)
+        if unknown := sorted(d.keys() - {"given", "variables", "probs"}):
+            raise ValueError(f"unknown keys {unknown}")
         inputs = [(v["name"], v["size"]) for v in d["given"]]
         outputs = [(v["name"], v["size"]) for v in d["variables"]]
         return Channel.make(inputs, outputs, np.asarray(d["probs"]))

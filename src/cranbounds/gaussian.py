@@ -318,4 +318,6 @@ class CranNetwork:
     @staticmethod
     def from_json(text: str) -> "CranNetwork":
         d = json.loads(text)
+        if unknown := sorted(d.keys() - {"G", "P", "C", "Ccoop"}):
+            raise ValueError(f"unknown keys {unknown}")
         return CranNetwork.make(d["G"], d["P"], d["C"], d.get("Ccoop"))

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import discrete
 from .discrete import Channel, JointPmf
-from .polytope import CompiledSystem, is_member, min_slack
+from .polytope import CompiledSystem, min_slack
 from .regions import CAPACITIES, gcomp_theorem2_system, gds_theorem1_system
 
 __all__ = [
@@ -317,8 +317,8 @@ def example2_run(samples: int = 10_000, seed: int = 0) -> ExampleReport:
     witness = zchannel_pmf()
     val = discrete.atom_valuation(witness, sorted(t2.atoms()), constants=caps)
     point = {"R1": 1.0, "R2": 1.0}
-    part_a = is_member(t2, val, point, tol=0.0)
     part_a_slack = min_slack(t2, val, point)
+    part_a = part_a_slack >= 0.0  # is_member with tol = 0
 
     member = _GdsMembership()
     rng = np.random.default_rng(seed)

@@ -161,9 +161,9 @@ def test_criterion_6_gap_audit():
         net = gapaudit.random_network(rng)
         rep = gapaudit.audit(net)
         all_pass &= rep["pass"]
-        for r in rep["reports"]:
-            if abs(r.gap - gapaudit.cut_gap_formula(len(r.S), len(r.D))) > 1e-9:
-                formula_ok = False
+        formula = [[gapaudit.cut_gap_formula(len(s), len(d)) for d in rep["D"]] for s in rep["S"]]
+        if np.any(np.abs(rep["outer"] - rep["inner"] - formula) > 1e-9):
+            formula_ok = False
         if rep["max_gap"] > worst_gap:
             worst_gap, worst_bound = rep["max_gap"], rep["bound"]
     elapsed = time.monotonic() - t0

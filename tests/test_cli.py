@@ -404,6 +404,55 @@ def test_region_channel_without_pmf_is_a_usage_error(tmp_path, capsys):
         "error: --channel needs --pmf: it is composed onto the pmf\n")
 
 
+_NET3, _PMF = str(GOLDEN / "net3.json"), str(GOLDEN / "pmf_uvx1.json")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--scheme", "CUTSET", "--network", _NET3, "--n", "2", "--l", "5"],
+     "error: --n does not apply to CUTSET, which reads only --network, --cov"),
+    (["--scheme", "GDS-I", "--network", _NET3], "error: --network does not apply to GDS-I"),
+    (["--scheme", "GDS-I", "--cov", "k.json"], "error: --cov does not apply to GDS-I"),
+    (["--scheme", "CUTSET", "--network", _NET3, "--pmf", _PMF], "error: --pmf does not apply"),
+    (["--scheme", "CUTSET", "--network", _NET3, "--valuation", "v.json"],
+     "error: --valuation does not apply"),
+    (["--scheme", "COR4", "--valuation", "v.json", "--pmf", _PMF],
+     "argument --pmf: not allowed with argument --valuation"),
+])
+def test_region_flag_that_the_scheme_does_not_read_is_a_usage_error(tmp_path, capsys,
+                                                                    monkeypatch, args, message):
+    """Each of these exited 0 and ignored the flag; the refusal comes before
+    any file is read (k.json does not exist)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "v.json").write_text('{"I(U;Y1)": 1.0, "I(V;Y2)": 0.5, "I(U;V)": 0.25, "C1": 2.0}')
+    out = tmp_path / "region.json"
+    assert run_cli(["region", *args, "-o", str(out)]) == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err, err
+
+
+@pytest.mark.parametrize("flag,fixture,key", [
+    ("--network", "net3.json", "Ccop"),
+    ("--pmf", "pmf_uvx1.json", "note"),
+    ("--channel", "channel_x1_y1y2.json", "note"),
+])
+def test_input_file_with_an_unknown_key_is_a_usage_error_naming_it(tmp_path, capsys,
+                                                                   flag, fixture, key):
+    """A network file with `Ccoop` misspelt `Ccop` exited 0 with every
+    cooperation capacity read as 0."""
+    text = (GOLDEN / fixture).read_text()
+    path = tmp_path / fixture
+    path.write_text(text.replace('"Ccoop"', '"Ccop"') if key == "Ccop"
+                    else text.replace("{", '{"note": 1, ', 1))
+    argv = {"--network": ["--scheme", "CUTSET", "--network", str(path)],
+            "--pmf": ["--scheme", "COR4", "--pmf", str(path)],
+            "--channel": ["--scheme", "COR4", "--pmf", _PMF, "--channel", str(path)]}[flag]
+    out = tmp_path / "region.json"
+    assert run_cli(["region", *argv, "-o", str(out)]) == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag} "), err
+    assert f"unknown keys ['{key}']" in err, err
+
+
 @pytest.mark.parametrize("args,golden", [
     (["--scheme", "DDF-P1", "--n", "3", "--l", "2"], "region_ddf_p1_n3_l2.json"),
     (["--scheme", "CUTSET", "--network", str(GOLDEN / "net3.json")], "region_cutset_net3.json"),
@@ -436,6 +485,13 @@ def test_verify_examples_samples_below_one_is_a_usage_error(tmp_path, capsys, ex
     err = capsys.readouterr().err
     assert rc == 2 and not out.exists()
     assert "argument --samples" in err and repr(samples) in err
+
+
+def test_verify_example1_matches_golden_output(tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(["verify-examples", "--example", "1", "--samples", "1000",
+                    "--seed", "0", "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "verify_example1_seed0.json").read_bytes()
 
 
 def test_verify_example2_matches_golden_output(tmp_path):

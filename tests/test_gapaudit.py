@@ -11,10 +11,17 @@ def net22(P=4.0, C=(1.0, 2.0), T=((0.0, 0.5), (0.25, 0.0))):
     return CranNetwork.make([[1.0, 0.5], [-0.5, 1.0]], P, list(C), T)
 
 
+def cuts(rep):
+    """The audit's grid as (S, D, inner, outer) tuples in (S, D) order."""
+    return [(s, d, rep["inner"][i, j], rep["outer"][i, j])
+            for i, s in enumerate(rep["S"]) for j, d in enumerate(rep["D"])]
+
+
 def cut(net, d, s):
-    """(inner, outer) relaxed values of the cut (S, D), from the audit's reports."""
-    (r,) = [r for r in gapaudit.audit(net)["reports"] if (r.S, r.D) == (tuple(s), tuple(d))]
-    return r.inner, r.outer
+    """(inner, outer) relaxed values of the cut (S, D), from the audit's grid."""
+    rep = gapaudit.audit(net)
+    i, j = rep["S"].index(tuple(s)), rep["D"].index(tuple(d))
+    return rep["inner"][i, j], rep["outer"][i, j]
 
 
 def test_empty_bs_cut_equals_fronthaul_sum_on_both_sides():
@@ -56,18 +63,25 @@ def test_gap_bound_values():
     assert gapaudit.gap_bound(4, 1) == pytest.approx(0.5 + 1.0, abs=1e-12)
 
 
+def test_gap_bound_is_the_gap_of_the_full_cut():
+    for N in range(1, 10):
+        for L in range(1, 10):
+            assert gapaudit.gap_bound(N, L) == gapaudit.cut_gap_formula(N, L)
+
+
 def test_audit_reports_every_cut_and_matches_formula():
     net = net22()
     rep = gapaudit.audit(net)
-    assert len(rep["reports"]) == 4 * 3
-    for r in rep["reports"]:
-        assert r.gap == pytest.approx(
-            gapaudit.cut_gap_formula(len(r.S), len(r.D)), abs=1e-9)
-        assert r.inner <= r.outer + 1e-9
+    assert rep["inner"].shape == rep["outer"].shape == (4, 3)
+    # lexicographic order, the empty S first and no empty D
+    assert rep["S"] == [(), (1,), (1, 2), (2,)]
+    assert rep["D"] == [(1,), (1, 2), (2,)]
+    for s, d, inner, outer in cuts(rep):
+        assert outer - inner == pytest.approx(
+            gapaudit.cut_gap_formula(len(s), len(d)), abs=1e-9)
+        assert inner <= outer + 1e-9
     assert rep["pass"]
-    # deterministic ordering: S then D, lexicographic
-    keys = [(r.S, r.D) for r in rep["reports"]]
-    assert keys == sorted(keys)
+    assert rep["max_gap"] == (rep["outer"] - rep["inner"]).max()
 
 
 def test_randomized_audit_smoke():
@@ -80,7 +94,7 @@ def test_randomized_audit_smoke():
 
 def test_audit_takes_one_logdet_per_user_subset_size(monkeypatch):
     """One stacked capacity_logdet per user-subset size |D| covers every cut
-    (L calls per network), and the reports keep the per-cut 2-D formula's
+    (L calls per network), and the grid keeps the per-cut 2-D formula's
     values exactly."""
     rng = np.random.default_rng(11)
     nets = [gapaudit.random_network(rng) for _ in range(12)] + [net22()]
@@ -97,15 +111,15 @@ def test_audit_takes_one_logdet_per_user_subset_size(monkeypatch):
         rep = gapaudit.audit(net)
         assert len(calls) == net.L
         expect = []
-        for r in rep["reports"]:
-            base = cut_capacity(net, r.S)
-            if not r.S:
+        for s, d, _, _ in cuts(rep):
+            base = cut_capacity(net, s)
+            if not s:
                 expect.append((base, base))
                 continue
-            sig = logdet(net.G_cut(r.D, r.S), net.P * np.eye(len(r.S)))
-            slack = 0.5 * min(len(r.S), len(r.D) * np.log2(len(r.S)))
-            expect.append((base + sig - len(r.D) / 2.0, base + sig + slack))
-        assert [(r.inner, r.outer) for r in rep["reports"]] == expect
+            sig = logdet(net.G_cut(d, s), net.P * np.eye(len(s)))
+            slack = 0.5 * min(len(s), len(d) * np.log2(len(s)))
+            expect.append((base + sig - len(d) / 2.0, base + sig + slack))
+        assert [(inner, outer) for _, _, inner, outer in cuts(rep)] == expect
         assert rep["max_gap"] == max(o - i for i, o in expect)
 
 
@@ -129,11 +143,11 @@ def oracle_networks():
 def test_batched_audit_equals_per_cut_oracle_bit_for_bit(net):
     got, want = gapaudit.audit(net), gap_oracle.audit(net)
 
-    def bits(rep):
-        return ([(r.S, r.D, float(r.inner).hex(), float(r.outer).hex()) for r in rep["reports"]],
+    def bits(cut_list, rep):
+        return ([(s, d, float(inner).hex(), float(outer).hex()) for s, d, inner, outer in cut_list],
                 float(rep["max_gap"]).hex(), rep["pass"])
 
-    assert bits(got) == bits(want)
+    assert bits(cuts(got), got) == bits(want["cuts"], want)
     assert got["bound"] == want["bound"]
 
 
