@@ -53,10 +53,13 @@ def _read(flag: str, path: str, parse):
 
 
 def _parse_caps(text: str) -> dict[str, float]:
-    """--caps NAME=VALUE,... with every VALUE a finite number >= 0."""
+    """--caps NAME=VALUE,... with every VALUE a finite number >= 0 and no
+    NAME twice."""
     caps = {}
     for item in filter(str.strip, text.split(",")):
         name, eq, value = (x.strip() for x in item.partition("="))
+        if name in caps:
+            raise ValueError(f"--caps names {name!r} twice")
         try:
             caps[name] = float(value)
         except ValueError:

@@ -65,6 +65,15 @@ def _check_axes(variables):
         raise ValueError(f"state space {cells} exceeds guard {MAX_CELLS}")
 
 
+def _json_axes(d: dict, key: str) -> list[tuple[str, int]]:
+    """The (name, size) pairs of the JSON entries under `key`, each of which
+    may hold no key but "name" and "size"."""
+    for v in d[key]:
+        if unknown := sorted(v.keys() - {"name", "size"}):
+            raise ValueError(f"unknown keys {unknown} in a {key!r} entry")
+    return [(v["name"], v["size"]) for v in d[key]]
+
+
 @dataclass(frozen=True)
 class JointPmf:
     """Joint distribution over named finite-alphabet variables."""
@@ -103,8 +112,7 @@ class JointPmf:
         d = json.loads(text)
         if unknown := sorted(d.keys() - {"variables", "probs"}):
             raise ValueError(f"unknown keys {unknown}")
-        variables = [(v["name"], v["size"]) for v in d["variables"]]
-        return JointPmf.make(variables, np.asarray(d["probs"]))
+        return JointPmf.make(_json_axes(d, "variables"), np.asarray(d["probs"]))
 
 
 @dataclass(frozen=True)
@@ -160,9 +168,8 @@ class Channel:
         d = json.loads(text)
         if unknown := sorted(d.keys() - {"given", "variables", "probs"}):
             raise ValueError(f"unknown keys {unknown}")
-        inputs = [(v["name"], v["size"]) for v in d["given"]]
-        outputs = [(v["name"], v["size"]) for v in d["variables"]]
-        return Channel.make(inputs, outputs, np.asarray(d["probs"]))
+        return Channel.make(_json_axes(d, "given"), _json_axes(d, "variables"),
+                            np.asarray(d["probs"]))
 
 
 def marginalize(pmf: JointPmf, keep) -> JointPmf:

@@ -530,11 +530,15 @@ def _parse_terms(text: str, lineno: int, offset: int):
 
 
 def parse_system(text: str, variables=None) -> ConstraintSystem:
-    """Parse the text form.  If `variables` is None the variable set is the
-    union of all left-hand-side names, ordered by first appearance."""
+    """Parse the text form.  If `variables` is None, a `# variables: ...`
+    comment before the first constraint, as `format_system` writes, sets the
+    variables and their order; without one the variable set is the union of
+    all left-hand-side names, ordered by first appearance."""
     constraints = []
     seen_vars: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if variables is None and not constraints and raw.startswith("# variables:"):
+            variables = raw.split(":", 1)[1].split()
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue

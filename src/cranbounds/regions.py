@@ -17,8 +17,8 @@ import numpy as np
 
 from .atoms import GAMMA, AtomSpec, const_atom, gamma_atom, mi_atom, parse_atom, rewrite_atom
 from .gaussian import CranNetwork, JointCovariance, capacity_logdet, schur_conditional
-from .polytope import (AffineExpr, CompiledSystem, ConstraintSystem,
-                       eliminate_all, resolve_atoms, syntactic_reduce)
+from .polytope import (AffineExpr, CompiledSystem, ConstraintSystem, LinearConstraint,
+                       eliminate_all, parse_system, resolve_atoms, syntactic_reduce)
 
 __all__ = [
     "SCHEME_IDS",
@@ -236,112 +236,70 @@ def gds_project(system: ConstraintSystem, substitution: str | Substitution,
 # ---------------------------------------------------------------------------
 
 
-def _system(rows, variables=("R1", "R2")) -> ConstraintSystem:
-    sys_ = ConstraintSystem(list(variables))
-    for lhs, expr in rows:
-        sys_.add(lhs, expr)
-    return sys_
+def _region(text: str, variables=("R1", "R2")) -> ConstraintSystem:
+    """The system of `text`, in the `fme` text format, with every atom
+    renamed to its canonical name: the rows below spell atoms as the paper
+    writes them, e.g. I(U2;U1,Y1) for the canonical I(U1,Y1;U2)."""
+    system = parse_system(text, variables)
+    return ConstraintSystem(system.variables, [
+        LinearConstraint(c.lhs, _expr([(parse_atom(a), q) for a, q in c.rhs.terms], c.rhs.const))
+        for c in system.constraints])
 
 
 def corollary1_system() -> ConstraintSystem:
     """Common-codewords-only region: Marton-style bounds plus the three
     fronthaul budget combinations."""
-    iu = mi_atom(["U0"], ["Y1"])
-    iv = mi_atom(["V0"], ["Y2"])
-    iuv = mi_atom(["U0"], ["V0"])
-    return _system([
-        ({"R1": 1}, _expr([(iu, 1)])),
-        ({"R2": 1}, _expr([(iv, 1)])),
-        ({"R1": 1, "R2": 1}, _expr([(iu, 1), (iv, 1), (iuv, -1)])),
-        ({"R1": 1, "R2": 1}, _expr([(C1, 1), (C12, 1)])),
-        ({"R1": 1, "R2": 1}, _expr([(C2, 1), (C21, 1)])),
-        ({"R1": 1, "R2": 1}, _expr([(C1, 1), (C2, 1)])),
-    ])
+    return _region("""
+        R1 <= I(U0;Y1)
+        R2 <= I(V0;Y2)
+        R1 + R2 <= I(U0;Y1) + I(V0;Y2) - I(U0;V0)
+        R1 + R2 <= C1 + C12
+        R1 + R2 <= C2 + C21
+        R1 + R2 <= C1 + C2
+    """)
 
 
 def corollary2_system() -> ConstraintSystem:
     """Independent-codewords region (rate splitting with private and common
     parts; linear-beamforming-style correlation structure)."""
-    iu2 = mi_atom(["U2"], ["Y1"], ["U0", "U1"])
-    iu1 = mi_atom(["U1"], ["Y1"], ["U0", "U2"])
-    iu_all = mi_atom(["U0", "U1", "U2"], ["Y1"])
-    iv2 = mi_atom(["V2"], ["Y2"], ["V0", "V1"])
-    iv1 = mi_atom(["V1"], ["Y2"], ["V0", "V2"])
-    iv_all = mi_atom(["V0", "V1", "V2"], ["Y2"])
-    iu12 = mi_atom(["U1", "U2"], ["Y1"], ["U0"])
-    iv12 = mi_atom(["V1", "V2"], ["Y2"], ["V0"])
-    caps = [(C1, 1), (C2, 1), (C12, 1), (C21, 1)]
-    return _system([
-        ({"R1": 1}, _expr([(C1, 1), (C12, 1), (iu2, 1)])),
-        ({"R1": 1}, _expr([(C2, 1), (C21, 1), (iu1, 1)])),
-        ({"R1": 1}, _expr([(iu_all, 1)])),
-        ({"R2": 1}, _expr([(C1, 1), (C12, 1), (iv2, 1)])),
-        ({"R2": 1}, _expr([(C2, 1), (C21, 1), (iv1, 1)])),
-        ({"R2": 1}, _expr([(iv_all, 1)])),
-        ({"R1": 1, "R2": 1}, _expr([(C1, 1), (C2, 1)])),
-        ({"R1": 1, "R2": 1}, _expr([(C1, 1), (C12, 1), (iu2, 1), (iv2, 1)])),
-        ({"R1": 1, "R2": 1}, _expr([(C2, 1), (C21, 1), (iu1, 1), (iv1, 1)])),
-        ({"R1": 1, "R2": 2}, _expr(caps + [(iv12, 1)])),
-        ({"R1": 2, "R2": 1}, _expr(caps + [(iu12, 1)])),
-        ({"R1": 2, "R2": 2}, _expr(caps + [(iu12, 1), (iv12, 1)])),
-    ])
+    return _region("""
+        R1 <= C1 + C12 + I(U2;Y1|U0,U1)
+        R1 <= C2 + C21 + I(U1;Y1|U0,U2)
+        R1 <= I(U0,U1,U2;Y1)
+        R2 <= C1 + C12 + I(V2;Y2|V0,V1)
+        R2 <= C2 + C21 + I(V1;Y2|V0,V2)
+        R2 <= I(V0,V1,V2;Y2)
+        R1 + R2 <= C1 + C2
+        R1 + R2 <= C1 + C12 + I(U2;Y1|U0,U1) + I(V2;Y2|V0,V1)
+        R1 + R2 <= C2 + C21 + I(U1;Y1|U0,U2) + I(V1;Y2|V0,V2)
+        R1 + 2*R2 <= C1 + C2 + C12 + C21 + I(V1,V2;Y2|V0)
+        2*R1 + R2 <= C1 + C2 + C12 + C21 + I(U1,U2;Y1|U0)
+        2*R1 + 2*R2 <= C1 + C2 + C12 + C21 + I(U1,U2;Y1|U0) + I(V1,V2;Y2|V0)
+    """)
 
 
 def corollary3_system() -> ConstraintSystem:
     """Private-codewords-only region (fully correlated Marton pairs)."""
-    u2_u1y1 = mi_atom(["U2"], ["U1", "Y1"])
-    u1_u2y1 = mi_atom(["U1"], ["U2", "Y1"])
-    v2_v1y2 = mi_atom(["V2"], ["V1", "Y2"])
-    v1_v2y2 = mi_atom(["V1"], ["V2", "Y2"])
-    u12_y1 = mi_atom(["U1", "U2"], ["Y1"])
-    v12_y2 = mi_atom(["V1", "V2"], ["Y2"])
-    u2_u1v1 = mi_atom(["U2"], ["U1", "V1"])
-    u1_u2v2 = mi_atom(["U1"], ["U2", "V2"])
-    v2_u1v1 = mi_atom(["V2"], ["U1", "V1"])
-    v1_u2v2 = mi_atom(["V1"], ["U2", "V2"])
-    v1_u12 = mi_atom(["V1"], ["U1", "U2"])
-    v2_u12 = mi_atom(["V2"], ["U1", "U2"])
-    u2_v12 = mi_atom(["U2"], ["V1", "V2"])
-    u1_v12 = mi_atom(["U1"], ["V1", "V2"])
-    u12_v12 = mi_atom(["U1", "U2"], ["V1", "V2"])
-    u1v1_u2v2 = mi_atom(["U1", "V1"], ["U2", "V2"])
-    u1v1 = mi_atom(["U1"], ["V1"])
-    u2v2 = mi_atom(["U2"], ["V2"])
-    u1v2 = mi_atom(["U1"], ["V2"])
-    u2v1 = mi_atom(["U2"], ["V1"])
-    u1u2 = mi_atom(["U1"], ["U2"])
-    v1v2 = mi_atom(["V1"], ["V2"])
-    rows = [
-        ({"R1": 1}, _expr([(C1, 1), (C12, 1), (u2_u1y1, 1), (u2_u1v1, -1)])),
-        ({"R1": 1}, _expr([(C2, 1), (C21, 1), (u1_u2y1, 1), (u1_u2v2, -1)])),
-        ({"R1": 1}, _expr([(u12_y1, 1)])),
-        ({"R1": 1}, _expr([(u12_y1, 1), (v1_v2y2, 1), (v1_u12, -1)])),
-        ({"R1": 1}, _expr([(u12_y1, 1), (v2_v1y2, 1), (v2_u12, -1)])),
-        ({"R2": 1}, _expr([(C1, 1), (C12, 1), (v2_v1y2, 1), (v2_u1v1, -1)])),
-        ({"R2": 1}, _expr([(C2, 1), (C21, 1), (v1_v2y2, 1), (v1_u2v2, -1)])),
-        ({"R2": 1}, _expr([(v12_y2, 1)])),
-        ({"R2": 1}, _expr([(v12_y2, 1), (u2_u1y1, 1), (u2_v12, -1)])),
-        ({"R2": 1}, _expr([(v12_y2, 1), (u1_u2y1, 1), (u1_v12, -1)])),
-        ({"R1": 1, "R2": 1}, _expr([(u12_y1, 1), (v12_y2, 1), (u12_v12, -1)])),
-        ({"R1": 1, "R2": 1}, _expr([(C1, 1), (C2, 1), (u1v1_u2v2, -1)])),
-    ]
-    base12 = [(C1, 1), (C12, 1), (u1v1_u2v2, -1)]
-    rows += [
-        ({"R1": 1, "R2": 1}, _expr(base12 + [(u2_u1y1, 1), (v2_v1y2, 1), (u2v2, -1)])),
-        ({"R1": 1, "R2": 1}, _expr(base12 + [(u2_u1y1, 2), (v12_y2, 1),
-                                             (u2v1, -1), (u2v2, -1), (v1v2, 1)])),
-        ({"R1": 1, "R2": 1}, _expr(base12 + [(u12_y1, 1), (v2_v1y2, 2),
-                                             (u1v2, -1), (u2v2, -1), (u1u2, 1)])),
-    ]
-    base21 = [(C2, 1), (C21, 1), (u1v1_u2v2, -1)]
-    rows += [
-        ({"R1": 1, "R2": 1}, _expr(base21 + [(u1_u2y1, 1), (v1_v2y2, 1), (u1v1, -1)])),
-        ({"R1": 1, "R2": 1}, _expr(base21 + [(u1_u2y1, 2), (v12_y2, 1),
-                                             (u1v1, -1), (u1v2, -1), (v1v2, 1)])),
-        ({"R1": 1, "R2": 1}, _expr(base21 + [(u12_y1, 1), (v1_v2y2, 2),
-                                             (u1v1, -1), (u2v1, -1), (u1u2, 1)])),
-    ]
-    return _system(rows)
+    return _region("""
+        R1 <= C1 + C12 + I(U2;U1,Y1) - I(U2;U1,V1)
+        R1 <= C2 + C21 + I(U1;U2,Y1) - I(U1;U2,V2)
+        R1 <= I(U1,U2;Y1)
+        R1 <= I(U1,U2;Y1) + I(V1;V2,Y2) - I(V1;U1,U2)
+        R1 <= I(U1,U2;Y1) + I(V2;V1,Y2) - I(V2;U1,U2)
+        R2 <= C1 + C12 + I(V2;V1,Y2) - I(V2;U1,V1)
+        R2 <= C2 + C21 + I(V1;V2,Y2) - I(V1;U2,V2)
+        R2 <= I(V1,V2;Y2)
+        R2 <= I(V1,V2;Y2) + I(U2;U1,Y1) - I(U2;V1,V2)
+        R2 <= I(V1,V2;Y2) + I(U1;U2,Y1) - I(U1;V1,V2)
+        R1 + R2 <= I(U1,U2;Y1) + I(V1,V2;Y2) - I(U1,U2;V1,V2)
+        R1 + R2 <= C1 + C2 - I(U1,V1;U2,V2)
+        R1 + R2 <= C1 + C12 - I(U1,V1;U2,V2) + I(U2;U1,Y1) + I(V2;V1,Y2) - I(U2;V2)
+        R1 + R2 <= C1 + C12 - I(U1,V1;U2,V2) + 2*I(U2;U1,Y1) + I(V1,V2;Y2) - I(U2;V1) - I(U2;V2) + I(V1;V2)
+        R1 + R2 <= C1 + C12 - I(U1,V1;U2,V2) + I(U1,U2;Y1) + 2*I(V2;V1,Y2) - I(U1;V2) - I(U2;V2) + I(U1;U2)
+        R1 + R2 <= C2 + C21 - I(U1,V1;U2,V2) + I(U1;U2,Y1) + I(V1;V2,Y2) - I(U1;V1)
+        R1 + R2 <= C2 + C21 - I(U1,V1;U2,V2) + 2*I(U1;U2,Y1) + I(V1,V2;Y2) - I(U1;V1) - I(U1;V2) + I(V1;V2)
+        R1 + R2 <= C2 + C21 - I(U1,V1;U2,V2) + I(U1,U2;Y1) + 2*I(V1;V2,Y2) - I(U1;V1) - I(U2;V1) + I(U1;U2)
+    """)
 
 
 _COROLLARY3_SIDE = (
@@ -384,33 +342,23 @@ def corollary3_feasible(valuation: dict[str, float]) -> bool:
 def corollary4_system() -> ConstraintSystem:
     """Single-BS two-user region: Marton's inner bound plus the fronthaul
     sum constraint."""
-    iu = mi_atom(["U"], ["Y1"])
-    iv = mi_atom(["V"], ["Y2"])
-    iuv = mi_atom(["U"], ["V"])
-    return _system([
-        ({"R1": 1}, _expr([(iu, 1)])),
-        ({"R2": 1}, _expr([(iv, 1)])),
-        ({"R1": 1, "R2": 1}, _expr([(iu, 1), (iv, 1), (iuv, -1)])),
-        ({"R1": 1, "R2": 1}, _expr([(C1, 1)])),
-    ])
+    return _region("""
+        R1 <= I(U;Y1)
+        R2 <= I(V;Y2)
+        R1 + R2 <= I(U;Y1) + I(V;Y2) - I(U;V)
+        R1 + R2 <= C1
+    """)
 
 
 def corollary5_system() -> ConstraintSystem:
     """Two-BS single-user (diamond) region over R1 only."""
-    ix1x2_u = mi_atom(["X1"], ["X2"], ["U"])
-    ix2_y1 = mi_atom(["X2"], ["Y1"], ["U", "X1"])
-    ix1_y1 = mi_atom(["X1"], ["Y1"], ["U", "X2"])
-    ix12_y1 = mi_atom(["X1", "X2"], ["Y1"])
-    ix12_y1_u = mi_atom(["X1", "X2"], ["Y1"], ["U"])
-    half = Q(1, 2)
-    return _system([
-        ({"R1": 1}, _expr([(C1, 1), (C2, 1), (ix1x2_u, -1)])),
-        ({"R1": 1}, _expr([(C1, 1), (C12, 1), (ix2_y1, 1)])),
-        ({"R1": 1}, _expr([(C2, 1), (C21, 1), (ix1_y1, 1)])),
-        ({"R1": 1}, _expr([(ix12_y1, 1)])),
-        ({"R1": 1}, _expr([(C1, half), (C2, half), (C12, half), (C21, half),
-                           (ix12_y1_u, half), (ix1x2_u, -half)])),
-    ], variables=("R1",))
+    return _region("""
+        R1 <= C1 + C2 - I(X1;X2|U)
+        R1 <= C1 + C12 + I(X2;Y1|U,X1)
+        R1 <= C2 + C21 + I(X1;Y1|U,X2)
+        R1 <= I(X1,X2;Y1)
+        R1 <= 1/2*C1 + 1/2*C2 + 1/2*C12 + 1/2*C21 + 1/2*I(X1,X2;Y1|U) - 1/2*I(X1;X2|U)
+    """, variables=("R1",))
 
 
 # ---------------------------------------------------------------------------
@@ -421,40 +369,21 @@ def corollary5_system() -> ConstraintSystem:
 def gcomp_theorem2_system() -> ConstraintSystem:
     """Cloud-center compression region over (R1, R2); the min-expressions of
     the closed form are expanded into one constraint per branch."""
-    i1 = mi_atom(["U1"], ["Y1"])
-    i2 = mi_atom(["U2"], ["Y2"])
-    i12 = mi_atom(["U1"], ["U2"])
-    u1_x01 = mi_atom(["U1"], ["X0", "X1"])
-    u1_x02 = mi_atom(["U1"], ["X0", "X2"])
-    u2_x01 = mi_atom(["U2"], ["X0", "X1"])
-    u2_x02 = mi_atom(["U2"], ["X0", "X2"])
-    uu_x01 = mi_atom(["U1", "U2"], ["X0", "X1"])
-    uu_x02 = mi_atom(["U1", "U2"], ["X0", "X2"])
-    uu_x012 = mi_atom(["U1", "U2"], ["X0", "X1", "X2"])
-    x1x2_x0 = mi_atom(["X1"], ["X2"], ["X0"])
-    u1_x0 = mi_atom(["U1"], ["X0"])
-    u2_x0 = mi_atom(["U2"], ["X0"])
-    uu_x0 = mi_atom(["U1", "U2"], ["X0"])
-    marton = [(i1, 1), (i2, 1), (i12, -1)]
-    caps = [(C1, 1), (C2, 1), (C12, 1), (C21, 1)]
-    return _system([
-        ({"R1": 1}, _expr([(i1, 1)])),
-        ({"R1": 1}, _expr([(i1, 1), (C1, 1), (C12, 1), (u1_x01, -1)])),
-        ({"R1": 1}, _expr([(i1, 1), (C2, 1), (C21, 1), (u1_x02, -1)])),
-        ({"R2": 1}, _expr([(i2, 1)])),
-        ({"R2": 1}, _expr([(i2, 1), (C1, 1), (C12, 1), (u2_x01, -1)])),
-        ({"R2": 1}, _expr([(i2, 1), (C2, 1), (C21, 1), (u2_x02, -1)])),
-        ({"R1": 1, "R2": 1}, _expr(marton)),
-        ({"R1": 1, "R2": 1}, _expr(marton + [(C1, 1), (C12, 1), (uu_x01, -1)])),
-        ({"R1": 1, "R2": 1}, _expr(marton + [(C2, 1), (C21, 1), (uu_x02, -1)])),
-        ({"R1": 1, "R2": 1}, _expr(marton + [(C1, 1), (C2, 1), (uu_x012, -1), (x1x2_x0, -1)])),
-        ({"R1": 2, "R2": 1}, _expr(marton + caps + [(uu_x012, -1), (x1x2_x0, -1),
-                                                    (i1, 1), (u1_x0, -1)])),
-        ({"R1": 1, "R2": 2}, _expr(marton + caps + [(uu_x012, -1), (x1x2_x0, -1),
-                                                    (i2, 1), (u2_x0, -1)])),
-        ({"R1": 2, "R2": 2}, _expr(marton + marton + caps + [(uu_x012, -1), (x1x2_x0, -1),
-                                                             (uu_x0, -1)])),
-    ])
+    return _region("""
+        R1 <= I(U1;Y1)
+        R1 <= I(U1;Y1) + C1 + C12 - I(U1;X0,X1)
+        R1 <= I(U1;Y1) + C2 + C21 - I(U1;X0,X2)
+        R2 <= I(U2;Y2)
+        R2 <= I(U2;Y2) + C1 + C12 - I(U2;X0,X1)
+        R2 <= I(U2;Y2) + C2 + C21 - I(U2;X0,X2)
+        R1 + R2 <= I(U1;Y1) + I(U2;Y2) - I(U1;U2)
+        R1 + R2 <= I(U1;Y1) + I(U2;Y2) - I(U1;U2) + C1 + C12 - I(U1,U2;X0,X1)
+        R1 + R2 <= I(U1;Y1) + I(U2;Y2) - I(U1;U2) + C2 + C21 - I(U1,U2;X0,X2)
+        R1 + R2 <= I(U1;Y1) + I(U2;Y2) - I(U1;U2) + C1 + C2 - I(U1,U2;X0,X1,X2) - I(X1;X2|X0)
+        2*R1 + R2 <= 2*I(U1;Y1) + I(U2;Y2) - I(U1;U2) + C1 + C2 + C12 + C21 - I(U1,U2;X0,X1,X2) - I(X1;X2|X0) - I(U1;X0)
+        R1 + 2*R2 <= I(U1;Y1) + 2*I(U2;Y2) - I(U1;U2) + C1 + C2 + C12 + C21 - I(U1,U2;X0,X1,X2) - I(X1;X2|X0) - I(U2;X0)
+        2*R1 + 2*R2 <= 2*I(U1;Y1) + 2*I(U2;Y2) - 2*I(U1;U2) + C1 + C2 + C12 + C21 - I(U1,U2;X0,X1,X2) - I(X1;X2|X0) - I(U1,U2;X0)
+    """)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,16 @@ def test_fme_cor4_output_is_byte_identical(tmp_path):
                     "-e", "Ru1,Rv1", "-o", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "fme_cor4_ru1_rv1.txt").read_bytes()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "fca8ceaae5c9ea976e1bdc2c56fd6ea3fcd539719b09f06a1faa44cd94c47f0a")
+        "b431feb580e3a613b011ae1221a6f8e0e46754a285af9156906680d818906857")
+
+
+def test_fme_of_its_own_output_is_a_fixed_point(tmp_path):
+    """With nothing to eliminate, `fme` reproduces its input byte for byte,
+    `# variables:` line included; it used to reorder the variables by first
+    appearance, printing R2 R1 here."""
+    out = tmp_path / "again.txt"
+    assert run_cli(["fme", "-i", str(GOLDEN / "fme_cor4_ru1_rv1.txt"), "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "fme_cor4_ru1_rv1.txt").read_bytes()
 
 
 @pytest.mark.parametrize("line,reading", [
@@ -451,6 +460,35 @@ def test_input_file_with_an_unknown_key_is_a_usage_error_naming_it(tmp_path, cap
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {flag} "), err
     assert f"unknown keys ['{key}']" in err, err
+
+
+@pytest.mark.parametrize("flag,fixture,entries", [
+    ("--pmf", "pmf_uvx1.json", "variables"),
+    ("--channel", "channel_x1_y1y2.json", "given"),
+    ("--channel", "channel_x1_y1y2.json", "variables"),
+])
+def test_variable_entry_with_an_unknown_key_is_a_usage_error_naming_it(tmp_path, capsys,
+                                                                       flag, fixture, entries):
+    """A pmf whose first variable entry carried `"label": "x"` exited 0."""
+    d = json.loads((GOLDEN / fixture).read_text())
+    d[entries][0]["label"] = "x"
+    path = tmp_path / fixture
+    path.write_text(json.dumps(d))
+    inputs = {"--pmf": ["--pmf", str(path)], "--channel": ["--pmf", _PMF, "--channel", str(path)]}
+    out = tmp_path / "region.json"
+    assert run_cli(["region", "--scheme", "COR4", *inputs[flag], "--caps", "C1=0.5",
+                    "-o", str(out)]) == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag} "), err
+    assert f"unknown keys ['label'] in a '{entries}' entry" in err, err
+
+
+def test_region_repeated_caps_name_is_a_usage_error(tmp_path, capsys):
+    """`--caps C1=0.5,C1=3` exited 0 and used the last value."""
+    out = tmp_path / "region.json"
+    assert run_cli(["region", "--scheme", "COR4", *cor4_pmf_args(tmp_path),
+                    "--caps", "C1=0.5,C1=3", "-o", str(out)]) == 2 and not out.exists()
+    assert capsys.readouterr().err == "error: --caps names 'C1' twice\n"
 
 
 @pytest.mark.parametrize("args,golden", [

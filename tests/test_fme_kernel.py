@@ -155,10 +155,20 @@ def test_projection_points_lift(case, values, seed):
 @settings(max_examples=200, deadline=None)
 @given(systems())
 def test_parse_format_roundtrip_generated(system):
+    """The `# variables:` line that `format_system` writes sets the variables
+    and their order, unused ones included."""
     text = format_system(system)
-    again = parse_system(text, variables=system.variables)
-    assert again.constraints == system.constraints
+    again = parse_system(text)
+    assert again == system
     assert format_system(again) == text
+
+
+@pytest.mark.parametrize("scheme", [s for s in regions.SCHEME_IDS if s != "CUTSET"])
+def test_parse_format_roundtrip_regions(scheme):
+    """Before the `# variables:` line was read, GDS-T1's rates came back in
+    first-appearance order, Rv0 Rv1 R2 Rv2 Ru0 Ru1 R1 Ru2."""
+    system = regions.make_region(scheme)
+    assert parse_system(format_system(system)) == system
 
 
 names = st.sets(st.sampled_from(["U0", "U1", "V0", "V2", "X1", "Y1", "Y2"]),

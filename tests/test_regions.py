@@ -1,14 +1,18 @@
 from fractions import Fraction
 from itertools import chain, combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import caps_valuation, rand_caps, scenario_gcomp, scenario_scheme1
 from cranbounds import discrete, polytope, regions
+from cranbounds.atoms import parse_atom
 from cranbounds.gaussian import (CranNetwork, JointCovariance, capacity_logdet,
                                  schur_conditional)
 from cranbounds.verify import zchannel_pmf
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def subsets(items):
@@ -193,6 +197,29 @@ def test_corollary5_zero_capacities():
     val.update({"C1": 0.0, "C2": 0.0, "C12": 0.0, "C21": 0.0})
     # first expression pins the rate at C1+C2 - I(X1;X2|U) <= 0
     assert regions.max_sum_rate(regions.corollary5_system(), val) == 0.0
+
+
+EXPLICIT = ("corollary1_system", "corollary2_system", "corollary3_system",
+            "corollary3_gated_system", "corollary4_system", "corollary5_system",
+            "gcomp_theorem2_system")
+
+
+def test_explicit_regions_match_golden_text():
+    """Each explicit region's `format_system` text, under `## <function>`,
+    as recorded when the regions were still built from AtomSpec pairs."""
+    text = "".join(f"## {name}\n" + polytope.format_system(getattr(regions, name)())
+                   for name in EXPLICIT)
+    assert text.encode() == (GOLDEN / "regions_explicit.txt").read_bytes()
+
+
+@pytest.mark.parametrize("scheme", [s for s in regions.SCHEME_IDS if s != "CUTSET"]
+                         + ["COR3-gated"])
+def test_region_atoms_are_canonical(scheme):
+    """Valuations are keyed by canonical names, so a row spelt otherwise
+    would miss its atom's value."""
+    system = (regions.corollary3_gated_system() if scheme == "COR3-gated"
+              else regions.make_region(scheme))
+    assert system.atoms() and all(parse_atom(a).name == a for a in system.atoms())
 
 
 def test_theorem2_zchannel_membership_exact():
