@@ -141,35 +141,6 @@ def parse_atom(name: str) -> AtomSpec:
     return const_atom(name)
 
 
-def rewrite_atom(spec: AtomSpec, drop=(), rename=None) -> AtomSpec | None:
-    """Rewrite an atom after some variables degenerate to constants.
-
-    `drop` lists variables that became deterministic (alphabet size one);
-    they are removed from every group.  `rename` maps old names to new ones.
-    Returns None when the atom collapses to the value zero: an entropy or
-    total correlation over fewer than one/two variables, or a mutual
-    information with an empty side.
-    """
-    rename = rename or {}
-    drop = set(drop)
-
-    def conv(group):
-        return _grp(rename.get(v, v) for v in group if v not in drop)
-
-    if spec.kind == CONST:
-        return spec
-    gs = [conv(g) for g in spec.groups]
-    if spec.kind == H:
-        return h_atom(gs[0]) if gs[0] else None
-    if spec.kind == GAMMA:
-        return gamma_atom(gs[0]) if len(gs[0]) >= 2 else None
-    a, b = gs[0], gs[1]
-    cond = gs[2] if len(gs) == 3 else ()
-    if not a or not b:
-        return None
-    return mi_atom(a, b, cond)
-
-
 @dataclass(frozen=True)
 class AtomPlan:
     """An atom list compiled into a linear map over subset measures.

@@ -136,7 +136,7 @@ def cmd_sweep(args) -> int:
         lines.append(",".join([
             f"{r['C']:.6f}", f"{r['T']:.6f}", r["scheme"],
             f"{r['sum_rate']:.6f}", f"{r['cutset']:.6f}", f"{r['rsum_star']:.6f}"]))
-    _write_text(args.output or config.get("out"), "\n".join(lines) + "\n")
+    _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
 

@@ -365,28 +365,49 @@ def eliminate_all(system: ConstraintSystem, drop_vars,
     return cols.system([v for v in system.variables if v not in dropped], rows)
 
 
+def substitute_atoms(system: ConstraintSystem, f, variables=None) -> ConstraintSystem:
+    """The system with each right-hand atom a replaced by f(a).
+
+    f runs once per distinct atom, in first-use order: rows in order, then
+    the terms of each row in order.  It returns a new atom name (the
+    coefficients of equal names merge), an exact number (added to the
+    constant with the atom's coefficient) or None (the term drops).  With
+    `variables` the system is over those, and left-hand terms outside them
+    drop, which sets those rates to 0."""
+    image: dict[str, object] = {}
+    out = ConstraintSystem(list(system.variables if variables is None else variables))
+    keep = set(out.variables)
+    for c in system.constraints:
+        terms: dict[str, Fraction] = {}
+        const = c.rhs.const
+        for name, q in c.rhs.terms:
+            if name not in image:
+                image[name] = f(name)
+            new = image[name]
+            if isinstance(new, str):
+                terms[new] = terms.get(new, ZERO) + q
+            elif new is not None:
+                const += q * new
+        lhs = tuple(t for t in c.lhs if t[0] in keep)
+        out.constraints.append(LinearConstraint(lhs, AffineExpr.make(terms, const)))
+    return out
+
+
 def resolve_atoms(system: ConstraintSystem, valuation: dict[str, float]) -> ConstraintSystem:
     """Substitute exact rational values for the system's atoms, leaving
     constraints with pure-constant right-hand sides.  Floats convert to
     Fractions exactly, so projection after resolution is still exact
     arithmetic.  Atoms the system does not use are ignored; a used one that
     is ±inf or NaN has no rational value and raises ValueError."""
-    vals: dict[str, Fraction] = {}
-    out = ConstraintSystem(list(system.variables))
-    for c in system.constraints:
-        const = c.rhs.const
-        for name, q in c.rhs.terms:
-            if name not in vals:
-                try:
-                    vals[name] = Q(valuation[name])
-                except KeyError:
-                    raise KeyError(f"valuation missing atom {name!r}") from None
-                except (OverflowError, ValueError):
-                    raise ValueError(f"atom {name!r} is {valuation[name]}, "
-                                     "which has no exact rational value") from None
-            const += q * vals[name]
-        out.constraints.append(LinearConstraint(c.lhs, AffineExpr((), const)))
-    return out
+    def value(name):
+        try:
+            return Q(valuation[name])
+        except KeyError:
+            raise KeyError(f"valuation missing atom {name!r}") from None
+        except (OverflowError, ValueError):
+            raise ValueError(f"atom {name!r} is {valuation[name]}, "
+                             "which has no exact rational value") from None
+    return substitute_atoms(system, value)
 
 
 def _defined_rhs(system: ConstraintSystem, rows: CompiledSystem,
@@ -498,10 +519,11 @@ class SystemParseError(ValueError):
         super().__init__(message + where)
 
 
-def _parse_terms(text: str, lineno: int, offset: int):
+def _parse_terms(text: str, lineno: int, offset: int, known=None):
     """Read `text` as `_TERM` matches, each starting where the last ended;
-    every term after the first needs a sign of its own.  Columns in errors
-    count from 1 at `offset` characters before `text`."""
+    every term after the first needs a sign of its own.  With `known`, a
+    name outside it is an error.  Columns in errors count from 1 at
+    `offset` characters before `text`."""
     terms: dict[str, Fraction] = {}
     const, pos = ZERO, 0
     while (m := _TERM.match(text, pos)) and (pos == 0 or m["signs"].strip()):
@@ -512,10 +534,13 @@ def _parse_terms(text: str, lineno: int, offset: int):
                                    offset + m.start("q") + 1) from None
         q = -q if m["signs"].count("-") % 2 else q
         name = m["qname"] or m["name"]
-        if name:
+        if not name:
+            const += q
+        elif known is None or name in known:
             terms[name] = terms.get(name, ZERO) + q
         else:
-            const += q
+            raise SystemParseError(f"undeclared variable {name!r}", lineno,
+                                   offset + m.start("qname" if m["qname"] else "name") + 1)
         pos = m.end()
     bad = _SIGNS.match(text, pos).end()
     if bad < len(text):
@@ -533,19 +558,22 @@ def parse_system(text: str, variables=None) -> ConstraintSystem:
     """Parse the text form.  If `variables` is None, a `# variables: ...`
     comment before the first constraint, as `format_system` writes, sets the
     variables and their order; without one the variable set is the union of
-    all left-hand-side names, ordered by first appearance."""
+    all left-hand-side names, ordered by first appearance.  A left-hand
+    name outside declared variables is an error."""
     constraints = []
     seen_vars: list[str] = []
+    known = None if variables is None else set(variables)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if variables is None and not constraints and raw.startswith("# variables:"):
+        if known is None and not constraints and raw.startswith("# variables:"):
             variables = raw.split(":", 1)[1].split()
+            known = set(variables)
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
         if "<=" not in line:
             raise SystemParseError("expected '<='", lineno, len(line) + 1)
         left, right = line.split("<=", 1)
-        lhs_terms, lhs_const = _parse_terms(left, lineno, 0)
+        lhs_terms, lhs_const = _parse_terms(left, lineno, 0, known)
         rhs_terms, rhs_const = _parse_terms(right, lineno, len(left) + 2)
         for v in lhs_terms:
             if v not in seen_vars:

@@ -15,10 +15,10 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .atoms import GAMMA, AtomSpec, const_atom, gamma_atom, mi_atom, parse_atom, rewrite_atom
+from .atoms import CONST, GAMMA, H, gamma_atom, h_atom, mi_atom, parse_atom
 from .gaussian import CranNetwork, JointCovariance, capacity_logdet, schur_conditional
-from .polytope import (AffineExpr, CompiledSystem, ConstraintSystem, LinearConstraint,
-                       eliminate_all, parse_system, resolve_atoms, syntactic_reduce)
+from .polytope import (AffineExpr, CompiledSystem, ConstraintSystem, eliminate_all,
+                       parse_system, resolve_atoms, substitute_atoms, syntactic_reduce)
 
 __all__ = [
     "SCHEME_IDS",
@@ -58,7 +58,6 @@ _TOL = 1e-9
 
 # the fronthaul and cooperation capacities of the 2-BS regions
 CAPACITIES = ("C1", "C2", "C12", "C21")
-C1, C2, C12, C21 = map(const_atom, CAPACITIES)
 
 # most BSs or users of a DDF-P1 region: capacity atoms C{k}{j} take one digit per node
 MAX_NODES = 9
@@ -69,22 +68,6 @@ def _subsets_lex(items):
     items = sorted(items)
     subs = chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
     return sorted(subs)
-
-
-def _expr(pairs=None, const=0) -> AffineExpr:
-    """Affine expression from (AtomSpec-or-None, coeff) pairs; None terms vanish."""
-    terms: dict[str, Fraction] = {}
-    for spec, coeff in (pairs or []):
-        if spec is None:
-            continue
-        name = spec.name if isinstance(spec, AtomSpec) else str(spec)
-        terms[name] = terms.get(name, Q(0)) + Q(coeff)
-    return AffineExpr.make(terms, const)
-
-
-def _gamma_or_none(names) -> AtomSpec | None:
-    names = sorted(set(names))
-    return gamma_atom(names) if len(names) >= 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -108,30 +91,22 @@ def gds_theorem1_system() -> ConstraintSystem:
         for omega_v in _subsets_lex(idx):
             if len(omega_u) + len(omega_v) < 2:
                 continue
-            lhs: dict[str, int] = {}
-            if omega_u == full:
-                lhs["R1"] = 1
-            if omega_v == full:
-                lhs["R2"] = 1
-            for i in omega_u:
-                lhs[f"Ru{i}"] = lhs.get(f"Ru{i}", 0) - 1
-            for j in omega_v:
-                lhs[f"Rv{j}"] = lhs.get(f"Rv{j}", 0) - 1
-            gam = _gamma_or_none([f"U{i}" for i in omega_u] + [f"V{j}" for j in omega_v])
-            sys_.add(lhs, _expr([(gam, -1)]))
+            lhs = {f"Ru{i}": -1 for i in omega_u} | {f"Rv{j}": -1 for j in omega_v}
+            lhs |= {r: 1 for r, side in (("R1", omega_u), ("R2", omega_v)) if side == full}
+            aux = [f"U{i}" for i in omega_u] + [f"V{j}" for j in omega_v]
+            sys_.add(lhs, AffineExpr.make({gamma_atom(aux).name: -1}))
     for a, y in (("U", "Y1"), ("V", "Y2")):  # the packing families
         for omega in _subsets_lex(idx)[1:]:
             names = [f"{a}{i}" for i in omega]
-            mi = mi_atom(names, [f"{a}{i}" for i in idx if i not in omega] + [y])
-            sys_.add({f"R{a.lower()}{i}": 1 for i in omega},
-                     _expr([(mi, 1), (_gamma_or_none(names), 1)]))
-    g01 = gamma_atom(["U0", "V0", "U1", "V1"])
-    g02 = gamma_atom(["U0", "V0", "U2", "V2"])
-    g0 = gamma_atom(["U0", "V0"])
-    sys_.add({"Ru0": 1, "Ru1": 1, "Rv0": 1, "Rv1": 1}, _expr([(C1, 1), (C12, 1), (g01, 1)]))
-    sys_.add({"Ru0": 1, "Ru2": 1, "Rv0": 1, "Rv2": 1}, _expr([(C2, 1), (C21, 1), (g02, 1)]))
-    sys_.add({f"Ru{i}": 1 for i in idx} | {f"Rv{j}": 1 for j in idx},
-             _expr([(C1, 1), (C2, 1), (g01, 1), (g02, 1), (g0, -1)]))
+            terms = {mi_atom(names, [f"{a}{i}" for i in idx if i not in omega] + [y]).name: 1}
+            if len(names) > 1:
+                terms[gamma_atom(names).name] = 1
+            sys_.add({f"R{a.lower()}{i}": 1 for i in omega}, AffineExpr.make(terms))
+    sys_.constraints += _region("""
+        Ru0 + Ru1 + Rv0 + Rv1 <= C1 + C12 + Gamma(U0,V0,U1,V1)
+        Ru0 + Ru2 + Rv0 + Rv2 <= C2 + C21 + Gamma(U0,V0,U2,V2)
+        Ru0 + Ru1 + Ru2 + Rv0 + Rv1 + Rv2 <= C1 + C2 + Gamma(U0,V0,U1,V1) + Gamma(U0,V0,U2,V2) - Gamma(U0,V0)
+    """, RATE_VARS).constraints
     return sys_
 
 
@@ -185,29 +160,26 @@ SUBSTITUTIONS = {sub.name: sub for sub in (
 
 
 def apply_substitution(system: ConstraintSystem, sub: Substitution) -> ConstraintSystem:
-    """Specialize a symbolic system: zero rates, rewrite or drop atoms."""
+    """Specialize a symbolic system: zero rates, rewrite or drop atoms.
+
+    Degenerate variables leave every atom before the renames apply.  A
+    total correlation left with fewer than two variables is zero, and so
+    is an entropy or a side of a mutual information left empty."""
     rename = dict(sub.rename)
-    dropped_rates = set(sub.zero_rates)
-    keep_vars = [v for v in system.variables if v not in dropped_rates]
-    out = ConstraintSystem(keep_vars)
-    for c in system.constraints:
-        lhs = {k: q for k, q in c.lhs if k not in dropped_rates}
-        terms: dict[str, Fraction] = {}
-        for name, q in c.rhs.terms:
-            spec = parse_atom(name)
-            if spec.kind == "const":
-                if spec.const_name in sub.zero_consts:
-                    continue
-                terms[name] = terms.get(name, Q(0)) + q
-                continue
-            if sub.zero_gamma and spec.kind == GAMMA:
-                continue
-            new = rewrite_atom(spec, drop=sub.degenerate, rename=rename)
-            if new is None:
-                continue
-            terms[new.name] = terms.get(new.name, Q(0)) + q
-        out.add(lhs, AffineExpr.make(terms, c.rhs.const))
-    return syntactic_reduce(out)
+
+    def rule(name):
+        spec = parse_atom(name)
+        if spec.kind == CONST:
+            return None if spec.const_name in sub.zero_consts else name
+        if sub.zero_gamma and spec.kind == GAMMA:
+            return None
+        sides = [[rename.get(v, v) for v in g if v not in sub.degenerate] for g in spec.groups]
+        if not all(sides[:2]) or spec.kind == GAMMA and len(set(sides[0])) < 2:
+            return None
+        return {H: h_atom, GAMMA: gamma_atom}.get(spec.kind, mi_atom)(*sides).name
+
+    kept = [v for v in system.variables if v not in sub.zero_rates]
+    return syntactic_reduce(substitute_atoms(system, rule, kept))
 
 
 def gds_project(system: ConstraintSystem, substitution: str | Substitution,
@@ -240,10 +212,7 @@ def _region(text: str, variables=("R1", "R2")) -> ConstraintSystem:
     """The system of `text`, in the `fme` text format, with every atom
     renamed to its canonical name: the rows below spell atoms as the paper
     writes them, e.g. I(U2;U1,Y1) for the canonical I(U1,Y1;U2)."""
-    system = parse_system(text, variables)
-    return ConstraintSystem(system.variables, [
-        LinearConstraint(c.lhs, _expr([(parse_atom(a), q) for a, q in c.rhs.terms], c.rhs.const))
-        for c in system.constraints])
+    return substitute_atoms(parse_system(text, variables), lambda a: parse_atom(a).name)
 
 
 def corollary1_system() -> ConstraintSystem:
@@ -326,7 +295,7 @@ def corollary3_gated_system() -> ConstraintSystem:
     which the row lets pass."""
     system = corollary3_system()
     for lhs, rhs in _COROLLARY3_SIDE:
-        system.add({}, _expr([(r, 1) for r in rhs] + [(lhs, -1)], -2 * Q(_TOL)))
+        system.add({}, AffineExpr.make({r.name: 1 for r in rhs} | {lhs.name: -1}, -2 * Q(_TOL)))
     return system
 
 
@@ -406,12 +375,12 @@ def ddf_p1_system(N: int = 2, L: int = 2) -> ConstraintSystem:
         for d in _subsets_lex(users):
             if not d:
                 continue
-            pairs = [(mi_atom([f"U{l}"], [f"Y{l}"]), 1) for l in d]
-            pairs += [(const_atom(f"C{k}"), 1) for k in s_c]
-            pairs += [(const_atom(f"C{k}{j}"), 1) for j in s for k in s_c]
-            gam = _gamma_or_none([f"X{k}" for k in s_c] + [f"U{l}" for l in d])
-            pairs.append((gam, -1))
-            sys_.add({f"R{l}": 1 for l in d}, _expr(pairs))
+            terms = {mi_atom([f"U{l}"], [f"Y{l}"]).name: 1 for l in d}
+            terms |= {f"C{k}": 1 for k in s_c} | {f"C{k}{j}": 1 for j in s for k in s_c}
+            aux = [f"X{k}" for k in s_c] + [f"U{l}" for l in d]
+            if len(aux) > 1:
+                terms[gamma_atom(aux).name] = -1
+            sys_.add({f"R{l}": 1 for l in d}, AffineExpr.make(terms))
     return sys_
 
 

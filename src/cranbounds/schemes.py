@@ -462,9 +462,9 @@ def sweep_rows(config: dict) -> list[dict]:
     """Evaluate schemes over a fronthaul-capacity grid.
 
     Config keys: P, G (a 2x2 matrix of finite numbers), C_grid, T (scalar
-    or list), schemes, seed (an integer >= 0), budget {restarts, iters},
-    each an integer of at least 1, and out; P, G, C_grid and seed are
-    required, and any other key is an error.  C_grid, T and schemes are
+    or list), schemes, seed (an integer >= 0) and budget {restarts, iters},
+    each an integer of at least 1; P, G, C_grid and seed are required, and
+    any other key is an error.  C_grid, T and schemes are
     nonempty lists without repeats, P and the capacities finite and
     nonnegative.  Within one (scheme, T) pair the refined parameters found
     at every grid point are shared: each C reports the best sum rate over
@@ -475,7 +475,7 @@ def sweep_rows(config: dict) -> list[dict]:
     """
     if not isinstance(config, dict):
         raise ValueError(f"sweep config must be an object, got {config!r}")
-    unknown = sorted(set(config) - {"P", "G", "C_grid", "T", "schemes", "seed", "budget", "out"})
+    unknown = sorted(set(config) - {"P", "G", "C_grid", "T", "schemes", "seed", "budget"})
     if unknown:
         raise ValueError(f"sweep config has unknown fields {unknown}")
     missing = [k for k in ("P", "G", "C_grid", "seed") if k not in config]

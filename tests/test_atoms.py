@@ -43,21 +43,3 @@ def test_parse_rejects_garbage():
 def test_disjointness_enforced():
     with pytest.raises(ValueError):
         atoms.mi_atom(["U0"], ["U0", "Y1"])
-
-
-def test_rewrite_drops_degenerate_variables():
-    g = atoms.gamma_atom(["U0", "V0", "U1", "V1"])
-    assert atoms.rewrite_atom(g, drop={"U1", "V1"}).name == "Gamma(U0,V0)"
-    assert atoms.rewrite_atom(g, drop={"U0", "U1", "V1"}) is None
-
-
-def test_rewrite_mi_empty_side_vanishes():
-    m = atoms.mi_atom(["U0"], ["U1", "Y1"])
-    assert atoms.rewrite_atom(m, drop={"U0"}) is None
-    assert atoms.rewrite_atom(m, drop={"U1"}).name == "I(U0;Y1)"
-
-
-def test_rewrite_rename():
-    m = atoms.mi_atom(["U1"], ["U0", "U2", "Y1"])
-    out = atoms.rewrite_atom(m, rename={"U0": "U", "U1": "X1", "U2": "X2"})
-    assert out.name == atoms.mi_atom(["X1"], ["U", "X2", "Y1"]).name

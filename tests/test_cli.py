@@ -86,6 +86,13 @@ def test_fme_of_its_own_output_is_a_fixed_point(tmp_path):
     assert out.read_bytes() == (GOLDEN / "fme_cor4_ru1_rv1.txt").read_bytes()
 
 
+def test_fme_undeclared_variable_is_a_usage_error_at_its_column(tmp_path, capsys):
+    src = tmp_path / "sys.txt"
+    src.write_text("# variables: x\n1*x <= 1*a\n1*y <= 1*b\n")
+    assert run_cli(["fme", "-i", str(src)]) == 2
+    assert "undeclared variable 'y' (line 3, column 3)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line,reading", [
     # numbers with an exponent; each was read as an atom (1e, 2.5E) plus a
     # separate term, e.g. "1*R1 <= 1*1e - 6*C1", with exit 0
@@ -240,6 +247,10 @@ def test_sweep_config_list_is_a_usage_error_naming_the_field(tmp_path, capsys, k
     ({"G": [[1, 0.5, 0], [0.5, 1, 0]]}, "sweep config G"),  # "cannot reshape array ..."
     ({"G": [[1.0, "x"], [0.5, 1.0]]}, "sweep config G"),    # "could not convert string ..."
     ({"G": [[1.0, float("nan")], [0.5, 1.0]]}, "sweep config G"),  # named no field
+    ({"out": "x.csv"}, "unknown fields ['out']"),   # -o won; without it, wrote x.csv
+    ({"out": ["x.csv"]}, "unknown fields ['out']"),  # without -o, TypeError traceback
+    ({"out": True}, "unknown fields ['out']"),      # without -o, wrote to and closed fd 1
+    ({"out": 3}, "unknown fields ['out']"),         # without -o, bad file descriptor
 ])
 def test_sweep_config_type_hole_is_a_usage_error_naming_the_field(tmp_path, capsys,
                                                                   overrides, field):
@@ -496,6 +507,7 @@ def test_region_repeated_caps_name_is_a_usage_error(tmp_path, capsys):
     (["--scheme", "CUTSET", "--network", str(GOLDEN / "net3.json")], "region_cutset_net3.json"),
     (["--scheme", "COR4", "--pmf", str(GOLDEN / "pmf_uvx1.json"), "--channel",
       str(GOLDEN / "channel_x1_y1y2.json"), "--caps", "C1=0.5"], "region_cor4_pmf.json"),
+    (["--scheme", "GDS-T1"], "region_gds_t1.json"),
 ])
 def test_region_matches_golden_output(tmp_path, args, golden):
     out = tmp_path / "region.json"

@@ -267,6 +267,12 @@ def test_resolve_atoms_converts_only_the_atoms_it_uses():
         resolve_atoms(sys_, {"b": 1.0})
 
 
+def test_resolve_atoms_names_the_first_missing_atom_in_row_order():
+    sys_ = system_of("1*x <= 1*b\n1*x <= 1*a\n")
+    with pytest.raises(KeyError, match="'b'"):
+        resolve_atoms(sys_, {})
+
+
 def test_parse_format_roundtrip():
     text = "1*R1 + 1*R2 <= 1*C1 + -1/2*Gamma(U0,V0) + 3/2\n-1*R1 <= 0\n"
     sys_ = parse_system(text)
@@ -301,6 +307,17 @@ def test_parse_error_reports_location():
     with pytest.raises(SystemParseError) as exc:
         parse_system("1*x <= 1* \n")
     assert exc.value.line == 1 and exc.value.column is not None
+
+
+@pytest.mark.parametrize("text,variables,line,column", [
+    ("# variables: x\n1*x <= 1*a\n1*y <= 1*b\n", None, 3, 3),
+    ("x + 2*y <= 1\n", ["x"], 1, 7),
+    ("x <= 1\n\n  y - x <= a\n", ["x"], 3, 3),
+])
+def test_undeclared_variable_is_a_parse_error_at_its_column(text, variables, line, column):
+    with pytest.raises(SystemParseError, match="undeclared variable 'y'") as exc:
+        parse_system(text, variables)
+    assert (exc.value.line, exc.value.column) == (line, column)
 
 
 def test_comments_and_blank_lines():

@@ -106,6 +106,42 @@ def test_substitution_drops_a_user_rate_only_with_all_three_auxiliaries():
     assert "R2" not in regions.Substitution("v", degenerate=frozenset({"V0", "V1"})).zero_rates
 
 
+def substituted_rhs(row, sub):
+    """The right-hand atoms of the one-row system `R1 <= row` under `sub`."""
+    system = regions.apply_substitution(polytope.parse_system(f"R1 <= {row}", ["R1"]), sub)
+    return dict(system.constraints[0].rhs.terms)
+
+
+@pytest.mark.parametrize("row,degenerate,want", [
+    ("Gamma(U0,U1,V0,V1)", {"U1", "V1"}, {"Gamma(U0,V0)": 1}),
+    ("Gamma(U0,U1,V0,V1)", {"U0", "U1", "V1"}, {}),  # one variable left: zero
+    ("I(U0;U1,Y1)", {"U0"}, {}),                      # an empty side: zero
+    ("I(U0;U1,Y1)", {"U1"}, {"I(U0;Y1)": 1}),
+    ("H(U0,U1)", {"U1"}, {"H(U0)": 1}),
+    ("H(U0,U1)", {"U0", "U1"}, {}),                   # empty: zero
+    ("C1 + 2*I(U0;U1) - I(U0;U1,V1)", {"V1"}, {"C1": 1, "I(U0;U1)": 1}),  # equal names merge
+])
+def test_substitution_drops_degenerate_variables(row, degenerate, want):
+    assert substituted_rhs(row, regions.Substitution("t", frozenset(degenerate))) == want
+
+
+def test_substitution_renames_after_dropping():
+    sub = regions.Substitution("t", frozenset({"V0"}),
+                               rename=(("U0", "U"), ("U1", "X1"), ("U2", "X2")))
+    assert substituted_rhs("I(U1;U0,U2,V0,Y1)", sub) == {"I(U,X2,Y1;X1)": 1}
+
+
+def test_substitutions_match_golden_text(theorem1, projections):
+    """`format_system` of Theorem 1, of each specialisation and of each
+    symbolic projection, as recorded before the atom rewrites shared one pass."""
+    parts = [("gds_theorem1_system", theorem1)]
+    parts += [(f"apply_substitution {name}", regions.apply_substitution(theorem1, sub))
+              for name, sub in regions.SUBSTITUTIONS.items()]
+    parts += [(f"gds_project {name}", proj) for name, proj in projections.items()]
+    text = "".join(f"## {name}\n" + polytope.format_system(s) for name, s in parts)
+    assert text.encode() == (GOLDEN / "substitutions.txt").read_bytes()
+
+
 def test_substitution_unknown_name(theorem1):
     with pytest.raises(KeyError):
         regions.gds_project(theorem1, "scheme-X")
