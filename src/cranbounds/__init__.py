@@ -12,7 +12,8 @@ from .discrete import (Channel, JointPmf, add_deterministic, blahut_arimoto,
                        compose, entropy, marginalize, mutual_info,
                        random_joint_pmf, total_correlation)
 from .discrete import atom_valuation as discrete_atom_valuation
-from .gapaudit import audit, audit_random_instances, cut_gap_formula, gap_bound
+from .gapaudit import (audit, audit_random_instances, cut_capacity, cut_gap_formula,
+                       cutset_region, gap_bound)
 from .gaussian import (CranNetwork, JointCovariance, capacity_logdet, gauss_mi,
                        gauss_total_correlation, schur_conditional)
 from .gaussian import atom_valuation as gaussian_atom_valuation
@@ -21,13 +22,11 @@ from .polytope import (AffineExpr, CompiledSystem, ConstraintSystem,
                        fme_eliminate, format_system, is_member, min_slack,
                        parse_system, regions_equal_sampled, resolve_atoms,
                        syntactic_reduce)
-from .regions import (SUBSTITUTIONS, CompiledRegion, Substitution,
-                      apply_substitution, corollary1_system,
-                      corollary2_system, corollary3_feasible,
-                      corollary3_system, corollary4_system, corollary5_system,
-                      cut_capacity, cutset_region, ddf_p1_system,
-                      gcomp_theorem2_system, gds_project, gds_theorem1_system,
-                      make_region, max_sum_rate, region_to_json)
+from .regions import (SUBSTITUTIONS, CompiledRegion, Substitution, apply_substitution,
+                      corollary1_system, corollary2_system, corollary3_feasible,
+                      corollary3_system, corollary4_system, corollary5_system, ddf_p1_system,
+                      gcomp_theorem2_system, gds_project, gds_theorem1_system, make_region,
+                      max_sum_rate, region_to_json)
 from .schemes import (GAUSSIAN_SCHEMES, CompressionParams, DescriptionIParams,
                       DescriptionIIParams, DescriptionIIIParams,
                       OptimizerBudget, SchemeEvaluation, build_joint_cov,

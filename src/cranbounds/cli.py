@@ -20,8 +20,7 @@ from . import gapaudit, verify
 from .discrete import Channel, JointPmf, atom_valuation, compose
 from .gaussian import CranNetwork, JointCovariance
 from .polytope import FMEBlowupError, eliminate_all, format_system, parse_system
-from .regions import (CAPACITIES, MAX_NODES, SCHEME_IDS, cutset_region, make_region,
-                      region_to_json)
+from .regions import CAPACITIES, MAX_NODES, SCHEME_IDS, make_region, region_to_json
 from .schemes import SWEEP_SCHEMES, sweep_rows
 
 CSV_COLUMNS = ("C", "T", "scheme", "sum_rate", "cutset", "rsum_star")
@@ -48,7 +47,7 @@ def _read(flag: str, path: str, parse):
         with open(path) as fh:
             text = fh.read()
         return parse(text)
-    except (OSError, ValueError, TypeError, KeyError, AttributeError, IndexError) as exc:
+    except (OSError, ValueError, TypeError, LookupError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{flag} {path}: {type(exc).__name__}: {exc}") from None
 
 
@@ -67,6 +66,14 @@ def _parse_caps(text: str) -> dict[str, float]:
         if not (eq and 0.0 <= caps[name] < math.inf):
             raise ValueError(f"--caps wants NAME=VALUE with VALUE finite and >= 0, got {item!r}")
     return caps
+
+
+def _parse_valuation(text: str) -> dict[str, float]:
+    """A JSON object of atom values, each a JSON number (a bool or a string is not)."""
+    values = json.loads(text)
+    if bad := sorted(k for k, v in values.items() if type(v) not in (int, float)):
+        raise ValueError(f"atom values must be JSON numbers: {bad}")
+    return {k: float(v) for k, v in values.items()}
 
 
 # the optional flags `region` reads: CUTSET's network and covariance, or atom values
@@ -90,17 +97,14 @@ def cmd_region(args) -> int:
         if not args.network:
             return _fail_usage("CUTSET needs --network")
         net = _read("--network", args.network, CranNetwork.from_json)
-        if args.cov:
-            K = _read("--cov", args.cov, lambda t: np.asarray(json.loads(t), dtype=float))
-        else:
-            K = net.P * np.eye(net.N)
-        cov = JointCovariance.make([(f"X{k}", 1) for k in range(1, net.N + 1)], K)
-        system, valuation = cutset_region(net, cov), {}
+        names = [(f"X{k}", 1) for k in range(1, net.N + 1)]
+        cov = (_read("--cov", args.cov, lambda t: JointCovariance.make(names, json.loads(t)))
+               if args.cov else JointCovariance.make(names, net.P * np.eye(net.N)))
+        system, valuation = gapaudit.cutset_region(net, cov), {}
     else:
         system, valuation = make_region(args.scheme, args.n or 2, args.l or 2), None
         if args.valuation:
-            valuation = _read("--valuation", args.valuation, lambda t: {
-                str(k): float(v) for k, v in json.loads(t).items()})
+            valuation = _read("--valuation", args.valuation, _parse_valuation)
         elif args.pmf:
             pmf = _read("--pmf", args.pmf, JointPmf.from_json)
             if args.channel:

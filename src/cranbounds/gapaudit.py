@@ -1,28 +1,63 @@
-"""Constant-gap audit: relaxed decode-forward inner bound versus relaxed
-cut-set outer bound, cut by cut, for N-BS L-user Gaussian networks.
-
-Both relaxed bounds share their fronthaul/cooperation and log-det terms and
-differ only by an additive slack, so the per-cut gap has a closed form; the
-audit checks every cut of randomized instances against the power-independent
-bound L/2 + min(N, L log2 N)/2.  `audit` takes all log-dets of one |D| in one
-stacked `capacity_logdet` call: G(D, :) with the columns outside S zeroed, K = P I.
-It returns every cut's inner and outer value as two arrays indexed by (S, D).
+"""Gaussian cut bounds over the cut grid `regions.cuts`: the cut-set region
+of an input covariance, and the constant-gap audit of the relaxed
+decode-forward inner bound against the relaxed cut-set outer bound.  Both
+take each cut's capacity term from `cut_capacity`.  The relaxed bounds
+differ only by an additive slack, so each cut's gap has a closed form; the
+worst is checked against L/2 + min(N, L log2 N)/2.  `audit` takes all
+log-dets of one |D| in one stacked `capacity_logdet` call (G(D, :) with the
+columns outside S zeroed, K = P I) and returns each cut's inner and outer
+value in two arrays indexed by (S, D).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from .gaussian import CranNetwork, capacity_logdet
-from .regions import MAX_NODES, _subsets_lex, cut_capacity
+from .gaussian import CranNetwork, JointCovariance, capacity_logdet, schur_conditional
+from .polytope import AffineExpr, ConstraintSystem
+from .regions import MAX_NODES, cuts
 
 __all__ = [
+    "cut_capacity",
+    "cutset_region",
     "cut_gap_formula",
     "gap_bound",
     "audit",
     "random_network",
     "audit_random_instances",
 ]
+
+
+def cut_capacity(network: CranNetwork, s) -> float:
+    """Capacity term of BS cut S: the fronthaul into every BS outside S plus
+    every cooperation link from a BS in S into one outside it."""
+    s_c = [k for k in range(1, network.N + 1) if k not in s]
+    total = sum(float(network.C[k - 1]) for k in s_c)
+    return total + sum(float(network.Ccoop[k - 1][j - 1]) for j in s for k in s_c)
+
+
+def cutset_region(network: CranNetwork, K: JointCovariance) -> ConstraintSystem:
+    """Cut-set bound for a Gaussian input law: one numeric constraint per
+    (S, D) cut, R(D) <= cut_capacity(S) + (1/2) log2 det(I + G(D, S) K(S | S^c) G(D, S)^T)."""
+    S, D = cuts(network.N, network.L)
+    names = [f"X{k}" for k in range(1, network.N + 1)]
+    if set(K.names) != set(names) or K.matrix.shape != (network.N, network.N):
+        raise ValueError(f"K must cover scalar components {names}")
+    if np.any(np.diag(K.block(names)) > network.P + 1e-9):
+        raise ValueError("input covariance violates the per-BS power constraint")
+    sys_ = ConstraintSystem([f"R{l}" for l in range(1, network.L + 1)])
+    for s in S:
+        cap_term = cut_capacity(network, s)
+        if s:  # K(S | S^c) depends on S alone
+            rest = [f"X{k}" for k in range(1, network.N + 1) if k not in s]
+            k_cond = schur_conditional(K, [f"X{k}" for k in s], rest).matrix
+        for d in D:
+            signal = (capacity_logdet(network.G[np.ix_(np.subtract(d, 1), np.subtract(s, 1))],
+                                      k_cond) if s else 0.0)
+            sys_.add({f"R{l}": 1 for l in d}, AffineExpr.constant(Fraction(cap_term + signal)))
+    return sys_
 
 
 def cut_gap_formula(n_s: int, n_d: int) -> float:
@@ -40,10 +75,8 @@ def gap_bound(N: int, L: int) -> float:
 def audit(network: CranNetwork) -> dict:
     """Evaluate every (S, nonempty D) cut; passes iff the inner bound never
     exceeds the outer and the worst gap respects the closed-form bound.
-    `inner` and `outer` have shape (len(S), len(D)), S the BS subsets and D
-    the nonempty user subsets, each in lexicographic order (the empty S first)."""
-    S = _subsets_lex(range(1, network.N + 1))
-    D = _subsets_lex(range(1, network.L + 1))[1:]
+    `inner` and `outer` have shape (len(S), len(D)) over `S, D = regions.cuts(N, L)`."""
+    S, D = cuts(network.N, network.L)
     shared = np.repeat([[cut_capacity(network, s)] for s in S], len(D), axis=1)
     mask = np.array([[k in s for k in range(1, network.N + 1)] for s in S[1:]], float)
     for l in range(1, network.L + 1):

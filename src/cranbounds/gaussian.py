@@ -86,6 +86,8 @@ class JointCovariance:
             raise ValueError(f"duplicate component names in {names}")
         dim = sum(d for _, d in components)
         m = np.asarray(matrix, dtype=float).reshape(dim, dim)
+        if not np.isfinite(m).all():
+            raise ValueError("covariance entries must be finite")
         if np.max(np.abs(m - m.T), initial=0.0) > 1e-10 * max(1.0, np.abs(m).max(initial=1.0)):
             raise ValueError("covariance matrix is not symmetric")
         m = _sym(m)
@@ -250,8 +252,8 @@ def capacity_logdet(g_sub: np.ndarray, k_sub: np.ndarray):
     w, v = np.linalg.eigh(_sym(k))
     k = (v * np.clip(w, 0.0, None)) @ v.T
     sign, logdet = np.linalg.slogdet(np.eye(g.shape[-2]) + g @ k @ np.swapaxes(g, -1, -2))
-    if np.any(sign <= 0):
-        raise ValueError("I + G K G^T is numerically singular")
+    if not (np.all(sign > 0) and np.isfinite(logdet).all()):  # NaN in G or K fails too
+        raise ValueError("I + G K G^T is numerically singular or not finite")
     bits = np.where(logdet > 0.0, logdet / np.log(2.0) * 0.5, 0.0)
     return float(bits) if g.ndim == 2 else bits
 
@@ -309,11 +311,6 @@ class CranNetwork:
         """2x2 instance with unit direct gains, C1=C2=C and C12=C21=T."""
         return CranNetwork.make([[1.0, g12], [g21, 1.0]], P, [C, C],
                                 [[0.0, T], [T, 0.0]])
-
-    def G_cut(self, users, bss) -> np.ndarray:
-        users = sorted(users)
-        bss = sorted(bss)
-        return self.G[np.ix_([u - 1 for u in users], [k - 1 for k in bss])]
 
     @staticmethod
     def from_json(text: str) -> "CranNetwork":

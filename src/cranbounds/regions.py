@@ -1,10 +1,11 @@
-"""Constraint-system generators for every rate region and bound in scope.
+"""Constraint-system generators for every symbolic rate region in scope.
 
 All generators emit symbolic systems: rate variables on the left, exact
 rational combinations of information atoms on the right.  A system becomes
 a concrete region only when paired with an atom valuation (from a discrete
 pmf, a Gaussian covariance, or by hand), which keeps one generator usable
-for both channel families.
+for both channel families.  `cuts` is the (S, D) cut grid that DDF-P1 and
+the Gaussian cut bounds of `gapaudit` walk.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from itertools import chain, combinations
 import numpy as np
 
 from .atoms import CONST, GAMMA, H, gamma_atom, h_atom, mi_atom, parse_atom
-from .gaussian import CranNetwork, JointCovariance, capacity_logdet, schur_conditional
 from .polytope import (AffineExpr, CompiledSystem, ConstraintSystem, eliminate_all,
                        parse_system, resolve_atoms, substitute_atoms, syntactic_reduce)
 
@@ -36,9 +36,8 @@ __all__ = [
     "corollary4_system",
     "corollary5_system",
     "gcomp_theorem2_system",
+    "cuts",
     "ddf_p1_system",
-    "cutset_region",
-    "cut_capacity",
     "CompiledRegion",
     "max_sum_rate",
     "region_to_json",
@@ -59,7 +58,7 @@ _TOL = 1e-9
 # the fronthaul and cooperation capacities of the 2-BS regions
 CAPACITIES = ("C1", "C2", "C12", "C21")
 
-# most BSs or users of a DDF-P1 region: capacity atoms C{k}{j} take one digit per node
+# most BSs or users of a cut grid: capacity atoms C{k}{j} take one digit per node
 MAX_NODES = 9
 
 
@@ -360,63 +359,30 @@ def gcomp_theorem2_system() -> ConstraintSystem:
 # ---------------------------------------------------------------------------
 
 
-def ddf_p1_system(N: int = 2, L: int = 2) -> ConstraintSystem:
-    """Refined decode-forward region: one constraint per cut (S, D),
-    S over base stations and D a nonempty user subset."""
+def cuts(N: int, L: int) -> tuple[list[tuple], list[tuple]]:
+    """The cut grid of N BSs and L users, 1 <= N, L <= MAX_NODES: the BS subsets S
+    and the nonempty user subsets D as sorted tuples, each lexicographic (the empty S first)."""
     if N < 1 or L < 1:
-        raise ValueError("need N, L >= 1")
+        raise ValueError(f"need N, L >= 1, got N = {N}, L = {L}")
     if N > MAX_NODES or L > MAX_NODES:
-        raise ValueError(f"capacity atom naming supports at most {MAX_NODES} BSs/users")
+        raise ValueError(f"capacity atom naming supports at most {MAX_NODES} BSs/users, "
+                         f"got N = {N}, L = {L}")
+    return _subsets_lex(range(1, N + 1)), _subsets_lex(range(1, L + 1))[1:]
+
+
+def ddf_p1_system(N: int = 2, L: int = 2) -> ConstraintSystem:
+    """Refined decode-forward region: one constraint per cut (S, D) of `cuts`."""
+    S, D = cuts(N, L)
     sys_ = ConstraintSystem([f"R{l}" for l in range(1, L + 1)])
-    bss = list(range(1, N + 1))
-    users = list(range(1, L + 1))
-    for s in _subsets_lex(bss):
-        s_c = [k for k in bss if k not in s]
-        for d in _subsets_lex(users):
-            if not d:
-                continue
+    for s in S:
+        s_c = [k for k in range(1, N + 1) if k not in s]
+        for d in D:
             terms = {mi_atom([f"U{l}"], [f"Y{l}"]).name: 1 for l in d}
             terms |= {f"C{k}": 1 for k in s_c} | {f"C{k}{j}": 1 for j in s for k in s_c}
             aux = [f"X{k}" for k in s_c] + [f"U{l}" for l in d]
             if len(aux) > 1:
                 terms[gamma_atom(aux).name] = -1
             sys_.add({f"R{l}": 1 for l in d}, AffineExpr.make(terms))
-    return sys_
-
-
-# ---------------------------------------------------------------------------
-# Cut-set outer bound (Gaussian)
-# ---------------------------------------------------------------------------
-
-
-def cut_capacity(network: CranNetwork, s) -> float:
-    """Capacity term of BS cut S: the fronthaul into every BS outside S plus
-    every cooperation link from a BS in S into one outside it."""
-    s_c = [k for k in range(1, network.N + 1) if k not in s]
-    total = sum(float(network.C[k - 1]) for k in s_c)
-    return total + sum(float(network.Ccoop[k - 1][j - 1]) for j in s for k in s_c)
-
-
-def cutset_region(network: CranNetwork, K: JointCovariance) -> ConstraintSystem:
-    """Cut-set bound for a Gaussian input law: one numeric constraint per
-    (S, nonempty D) pair."""
-    names = [f"X{k}" for k in range(1, network.N + 1)]
-    if set(K.names) != set(names) or K.matrix.shape != (network.N, network.N):
-        raise ValueError(f"K must cover scalar components {names}")
-    diag = np.diag(K.block(names))
-    if np.any(diag > network.P + 1e-9):
-        raise ValueError("input covariance violates the per-BS power constraint")
-    bss = list(range(1, network.N + 1))
-    users = list(range(1, network.L + 1))
-    sys_ = ConstraintSystem([f"R{l}" for l in users])
-    for s in _subsets_lex(bss):
-        s_c = [k for k in bss if k not in s]
-        cap_term = cut_capacity(network, s)
-        if s:  # K(S | S^c) depends on S alone
-            k_cond = schur_conditional(K, [f"X{k}" for k in s], [f"X{k}" for k in s_c]).matrix
-        for d in _subsets_lex(users)[1:]:
-            signal = capacity_logdet(network.G_cut(d, s), k_cond) if s else 0.0
-            sys_.add({f"R{l}": 1 for l in d}, AffineExpr.constant(Q(cap_term + signal)))
     return sys_
 
 
@@ -528,7 +494,7 @@ def make_region(scheme: str, N: int = 2, L: int = 2) -> ConstraintSystem:
     if scheme == "DDF-P1":
         return ddf_p1_system(N, L)
     if scheme == "CUTSET":
-        raise ValueError(f"{scheme} requires a network instance; use cutset_region")
+        raise ValueError(f"{scheme} requires a network instance; use gapaudit.cutset_region")
     if (N, L) != (2, 2):
         raise ValueError(f"{scheme} is fixed to the 2-BS 2-user shape")
     return {"GDS-T1": gds_theorem1_system, "GDS-I": corollary1_system,

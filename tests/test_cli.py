@@ -349,8 +349,10 @@ def test_region_with_valuation(tmp_path, capsys):
     assert all("rhs_value" in c for c in payload["constraints"])
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "true", '"0.5"'])
 def test_region_rejects_a_nonfinite_valuation(tmp_path, capsys, token):
+    """A value must be a finite JSON number: `true` and `"0.5"` read as 1.0
+    and 0.5 and exited 0."""
     vpath = tmp_path / "val.json"
     vpath.write_text('{"I(U0;Y1)": %s, "I(V0;Y2)": 2.0, "I(U0;V0)": 0.0, "C1": 1.0, '
                      '"C2": 1.0, "C12": 0.0, "C21": 0.0}' % token)
@@ -388,6 +390,18 @@ def test_region_cutset(tmp_path):
                     "-o", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert len(payload["constraints"]) == 12
+
+
+@pytest.mark.parametrize("N,L", [(12, 1), (1, 12)])
+def test_region_cutset_network_above_the_node_limit_is_a_usage_error(tmp_path, capsys, N, L):
+    """`--network` had no size bound: 12 BSs took 1.4 s for 4,096 rows, and
+    the work doubles with every BS."""
+    npath, out = tmp_path / "net.json", tmp_path / "cut.json"
+    npath.write_text(json.dumps({"G": np.ones((L, N)).tolist(), "P": 1.0, "C": [0.0] * N}))
+    rc = run_cli(["region", "--scheme", "CUTSET", "--network", str(npath), "-o", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: capacity atom naming supports at most 9 BSs/users, got N = {N}, L = {L}\n")
 
 
 def test_region_ddf_shape(tmp_path):
@@ -505,6 +519,8 @@ def test_region_repeated_caps_name_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("args,golden", [
     (["--scheme", "DDF-P1", "--n", "3", "--l", "2"], "region_ddf_p1_n3_l2.json"),
     (["--scheme", "CUTSET", "--network", str(GOLDEN / "net3.json")], "region_cutset_net3.json"),
+    (["--scheme", "CUTSET", "--network", str(GOLDEN / "net3.json"), "--cov",
+      str(GOLDEN / "cov_net3.json")], "region_cutset_net3.json"),
     (["--scheme", "COR4", "--pmf", str(GOLDEN / "pmf_uvx1.json"), "--channel",
       str(GOLDEN / "channel_x1_y1y2.json"), "--caps", "C1=0.5"], "region_cor4_pmf.json"),
     (["--scheme", "GDS-T1"], "region_gds_t1.json"),
@@ -703,6 +719,10 @@ _COR4 = ("region", "--scheme", "COR4")
 _CUTSET = ("region", "--scheme", "CUTSET")
 
 
+def _cov(tmp_path, text):
+    return [*_CUTSET, "--network", str(GOLDEN / "net3.json"), *_file_flag("--cov")(tmp_path, text)]
+
+
 def _rcf(tmp_path, text):
     return ["sumrate-sweep", str(sweep_config(tmp_path)), *_file_flag("--rcf-csv")(tmp_path, text)]
 
@@ -712,14 +732,16 @@ def _rcf(tmp_path, text):
 MALFORMED_FILES = {
     "--valuation list": (_file_flag(*_COR4, "--valuation"), "[1, 2]", "--valuation"),
     "--valuation list value": (_file_flag(*_COR4, "--valuation"), '{"C1": [1]}', "--valuation"),
+    "--valuation huge int": (_file_flag(*_COR4, "--valuation"), '{"C1": 1%s}' % ("0" * 400),
+                             "--valuation"),
     "--pmf list": (_file_flag(*_COR4, "--pmf"), "[1]", "--pmf"),
     "--channel list": ((lambda tmp_path, text: [
         *_COR4, "--pmf", str(GOLDEN / "pmf_uvx1.json"), *_file_flag("--channel")(tmp_path, text)]),
         "[1]", "--channel"),
     "--network list": (_file_flag(*_CUTSET, "--network"), "[1]", "--network"),
-    "--cov object": ((lambda tmp_path, text: [
-        *_CUTSET, "--network", str(GOLDEN / "net3.json"), *_file_flag("--cov")(tmp_path, text)]),
-        '{"K": 1}', "--cov"),
+    "--cov object": (_cov, '{"K": 1}', "--cov"),
+    # exited 0: every cut through BS 1 lost its signal term
+    "--cov nan": (_cov, "[[NaN, 0, 0], [0, 10, 0], [0, 0, 10]]", "--cov"),
     "--rcf-csv short row": (_rcf, "C,scheme,sum_rate\n1.0,RCF\n", "--rcf-csv"),
     "--rcf-csv nan": (_rcf, "C,scheme,sum_rate\n1.0,RCF,nan\n", "--rcf-csv"),
     "fme --input missing": ((lambda tmp_path, text: ["fme", "-i", str(tmp_path / "none.txt")]),

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import gap_oracle
+from conftest import caps_valuation
 from cranbounds import gapaudit, regions
-from cranbounds.gaussian import CranNetwork
-from cranbounds.regions import cut_capacity
+from cranbounds.gapaudit import cut_capacity
+from cranbounds.gaussian import CranNetwork, JointCovariance
 
 
 def net22(P=4.0, C=(1.0, 2.0), T=((0.0, 0.5), (0.25, 0.0))):
@@ -110,15 +111,7 @@ def test_audit_takes_one_logdet_per_user_subset_size(monkeypatch):
         calls.clear()
         rep = gapaudit.audit(net)
         assert len(calls) == net.L
-        expect = []
-        for s, d, _, _ in cuts(rep):
-            base = cut_capacity(net, s)
-            if not s:
-                expect.append((base, base))
-                continue
-            sig = logdet(net.G_cut(d, s), net.P * np.eye(len(s)))
-            slack = 0.5 * min(len(s), len(d) * np.log2(len(s)))
-            expect.append((base + sig - len(d) / 2.0, base + sig + slack))
+        expect = [gap_oracle.relaxed_bounds(net, d, s) for s, d, _, _ in cuts(rep)]
         assert [(inner, outer) for _, _, inner, outer in cuts(rep)] == expect
         assert rep["max_gap"] == max(o - i for i, o in expect)
 
@@ -179,3 +172,57 @@ def test_random_instances_reject_sizes_above_the_node_limit():
         with pytest.raises(ValueError, match="at most 9"):
             gapaudit.audit_random_instances(1, seed=0, nmax=nmax, lmax=lmax)
     assert gapaudit.random_network(rng, 9, 9).N <= 9
+
+
+def test_audit_and_cutset_region_refuse_networks_above_the_node_limit():
+    """Both walk `regions.cuts`, which bounds N and L like DDF-P1's."""
+    for G in (np.ones((1, 10)), np.ones((10, 1))):
+        net = CranNetwork.make(G, 1.0, np.zeros(G.shape[1]))
+        K = JointCovariance.make([(f"X{k}", 1) for k in range(1, net.N + 1)], np.eye(net.N))
+        message = f"at most 9 BSs/users, got N = {net.N}, L = {net.L}"
+        with pytest.raises(ValueError, match=message):
+            gapaudit.audit(net)
+        with pytest.raises(ValueError, match=message):
+            gapaudit.cutset_region(net, K)
+
+
+def criterion6_networks():
+    """The 200 random networks of acceptance criterion 6."""
+    rng = np.random.default_rng(1006)
+    return [gapaudit.random_network(rng) for _ in range(200)]
+
+
+def test_cutset_rows_at_k_equal_p_i_give_the_audit_grid_bit_for_bit():
+    """The cut-set region at K = P I, reshaped to the (S, D) grid and put
+    through the audit's two relaxations, is the audit's inner and outer."""
+    for net in criterion6_networks() + oracle_networks():
+        rep = gapaudit.audit(net)
+        K = JointCovariance.make([(f"X{k}", 1) for k in range(1, net.N + 1)],
+                                 net.P * np.eye(net.N))
+        rows = gapaudit.cutset_region(net, K).constraints
+        shared = np.array([float(c.rhs.const) for c in rows]).reshape(rep["inner"].shape)
+        n_s = np.array([len(s) for s in rep["S"]])[:, None]
+        n_d = np.array([len(d) for d in rep["D"]])
+        inner = shared - (n_s > 0) * n_d / 2.0
+        outer = shared + 0.5 * np.minimum(n_s, n_d * np.log2(np.maximum(n_s, 1)))
+        assert inner.tobytes() == rep["inner"].tobytes()
+        assert outer.tobytes() == rep["outer"].tobytes()
+
+
+@pytest.mark.parametrize("N,L", [(1, 1), (1, 3), (2, 2), (3, 2), (4, 3), (5, 1)])
+def test_ddf_capacity_atoms_equal_cut_capacity(N, L):
+    """Each DDF-P1 row's capacity atoms, valued by the network's capacities,
+    sum to the cut capacity of its BS cut S; the rows follow `regions.cuts`.
+    Capacities are multiples of 1/8, so every sum is exact."""
+    rng = np.random.default_rng(N * 10 + L)
+    T = rng.integers(0, 40, size=(N, N)) / 8.0
+    np.fill_diagonal(T, 0.0)
+    net = CranNetwork.make(np.ones((L, N)), 1.0, rng.integers(0, 40, size=N) / 8.0, T)
+    caps = caps_valuation(net)
+    S, D = regions.cuts(N, L)
+    rows = regions.ddf_p1_system(N, L).constraints
+    assert len(rows) == len(S) * len(D)
+    for (s, d), c in zip([(s, d) for s in S for d in D], rows):
+        assert dict(c.lhs) == {f"R{l}": 1 for l in d}
+        value = sum(float(q) * caps[a] for a, q in c.rhs.terms if a in caps)
+        assert value == cut_capacity(net, s)

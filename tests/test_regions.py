@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gap_oracle
 from conftest import caps_valuation, rand_caps, scenario_gcomp, scenario_scheme1
-from cranbounds import discrete, polytope, regions
+from cranbounds import discrete, gapaudit, polytope, regions
 from cranbounds.atoms import parse_atom
-from cranbounds.gaussian import (CranNetwork, JointCovariance, capacity_logdet,
-                                 schur_conditional)
+from cranbounds.gaussian import CranNetwork, JointCovariance
 from cranbounds.verify import zchannel_pmf
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -365,37 +365,16 @@ def test_projected_region_is_downward_closed_and_contains_origin(theorem1, proje
 def test_cutset_region_structure_and_power():
     net = CranNetwork.make([[1.0, 0.5], [0.5, 1.0]], 2.0, [1.0, 1.0])
     K = JointCovariance.make([("X1", 1), ("X2", 1)], 2.0 * np.eye(2))
-    sys_ = regions.cutset_region(net, K)
+    sys_ = gapaudit.cutset_region(net, K)
     assert len(sys_) == 4 * 3
     # P = 0 forces all rates to zero through the S = {1,2} cuts
     net0 = CranNetwork.make([[1.0, 0.5], [0.5, 1.0]], 0.0, [1.0, 1.0])
     K0 = JointCovariance.make([("X1", 1), ("X2", 1)], np.zeros((2, 2)))
-    sys0 = regions.cutset_region(net0, K0)
+    sys0 = gapaudit.cutset_region(net0, K0)
     assert polytope.is_member(sys0, {}, {"R1": 0.0, "R2": 0.0})
     assert not polytope.is_member(sys0, {}, {"R1": 0.01, "R2": 0.0})
     with pytest.raises(ValueError):
-        regions.cutset_region(net0, K)  # power violated
-
-
-def cutset_region_per_cut(network, K):
-    """`regions.cutset_region` with K(S | S^c) recomputed for every cut."""
-    caps = caps_valuation(network)
-    bss, users = list(range(1, network.N + 1)), list(range(1, network.L + 1))
-    sys_ = polytope.ConstraintSystem([f"R{l}" for l in users])
-    for s in regions._subsets_lex(bss):
-        s_c = [k for k in bss if k not in s]
-        cap_term = sum(caps[f"C{k}"] for k in s_c)
-        cap_term += sum(caps[f"C{k}{j}"] for j in s for k in s_c)
-        for d in regions._subsets_lex(users):
-            if not d:
-                continue
-            signal = 0.0
-            if s:
-                k_cond = schur_conditional(K, [f"X{k}" for k in s], [f"X{k}" for k in s_c])
-                signal = capacity_logdet(network.G_cut(d, s), k_cond.matrix)
-            sys_.add({f"R{l}": 1 for l in d},
-                     polytope.AffineExpr.constant(Fraction(cap_term + signal)))
-    return sys_
+        gapaudit.cutset_region(net0, K)  # power violated
 
 
 def test_cutset_region_matches_per_cut_schur_complements():
@@ -410,8 +389,8 @@ def test_cutset_region_matches_per_cut_schur_complements():
                                rng.uniform(0.0, 5.0, size=3), rng.uniform(0.0, 5.0, size=(3, 3))
                                * (1.0 - np.eye(3)))
         cov = JointCovariance.make(names, K)
-        assert (polytope.format_system(regions.cutset_region(net, cov))
-                == polytope.format_system(cutset_region_per_cut(net, cov)))
+        assert (polytope.format_system(gapaudit.cutset_region(net, cov))
+                == polytope.format_system(gap_oracle.cutset_region(net, cov)))
 
 
 def test_ddf_inside_cutset_for_gaussian_law():
@@ -444,7 +423,7 @@ def test_ddf_inside_cutset_for_gaussian_law():
             cov, sorted(a for a in ddf_sys.atoms() if a not in caps))
         val.update(caps)
         K = JointCovariance.make([("X1", 1), ("X2", 1)], P * np.eye(2))
-        cut_sys = regions.cutset_region(net, K)
+        cut_sys = gapaudit.cutset_region(net, K)
         pts = rng.uniform(0, 6.0, size=(400, 2))
         for r1, r2 in pts:
             pt = {"R1": r1, "R2": r2}
@@ -463,6 +442,21 @@ def test_region_spec_validation():
         regions.make_region("DDF-P1", N=0)
     assert len(regions.make_region("DDF-P1", N=3, L=2)) == 8 * 3
     assert len(regions.make_region("GDS-T1")) == 57 + 14 + 3
+
+
+def test_cuts_grid_and_node_bounds():
+    S, D = regions.cuts(2, 2)
+    assert S == [(), (1,), (1, 2), (2,)] and D == [(1,), (1, 2), (2,)]
+    assert regions.cuts(1, 1) == ([(), (1,)], [(1,)])
+    S, D = regions.cuts(9, 9)
+    assert (len(S), len(D)) == (512, 511)
+    assert S == sorted(S) and D == sorted(D) and all(list(s) == sorted(s) for s in S)
+    for N, L in [(0, 1), (1, 0), (-2, 3)]:
+        with pytest.raises(ValueError, match=f"need N, L >= 1, got N = {N}, L = {L}"):
+            regions.cuts(N, L)
+    for N, L in [(10, 1), (1, 10), (12, 12)]:
+        with pytest.raises(ValueError, match=f"at most 9 BSs/users, got N = {N}, L = {L}"):
+            regions.cuts(N, L)
 
 
 def test_region_to_json():
