@@ -20,7 +20,7 @@ from . import gapaudit, verify
 from .discrete import Channel, JointPmf, atom_valuation, compose
 from .gaussian import CranNetwork, JointCovariance
 from .polytope import FMEBlowupError, eliminate_all, format_system, parse_system
-from .regions import CAPACITIES, MAX_NODES, SCHEME_IDS, make_region, region_to_json
+from .regions import CAPACITIES, MAX_NODES, SCHEME_IDS, cuts, make_region, region_to_json
 from .schemes import SWEEP_SCHEMES, sweep_rows
 
 CSV_COLUMNS = ("C", "T", "scheme", "sum_rate", "cutset", "rsum_star")
@@ -97,6 +97,7 @@ def cmd_region(args) -> int:
         if not args.network:
             return _fail_usage("CUTSET needs --network")
         net = _read("--network", args.network, CranNetwork.from_json)
+        cuts(net.N, net.L)  # the node bound, before --cov is read or K = P I built
         names = [(f"X{k}", 1) for k in range(1, net.N + 1)]
         cov = (_read("--cov", args.cov, lambda t: JointCovariance.make(names, json.loads(t)))
                if args.cov else JointCovariance.make(names, net.P * np.eye(net.N)))

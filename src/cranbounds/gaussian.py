@@ -7,16 +7,16 @@ variables.
 
 Every information atom goes through one kernel, `subset_logpdets`: the
 log-pseudo-determinants and ranks of principal blocks, with one eigenvalue
-threshold relative to the whole matrix's largest eigenvalue (kept by
-`JointCovariance.make` from its PSD check) so ranks stay consistent across
-blocks.  1x1 and 2x2 blocks have closed forms; larger blocks are grouped by
-size, one stacked eigensolve per size.  `atom_values` evaluates the
-`atoms.AtomPlan` that the discrete back end shares (same cache, same
-clamp) as kernel, then half a matrix product; the same product over ranks
-flags infinite atoms.  `atom_valuation` names those values and adds the
-named constants, as the discrete back end does.  `gauss_mi` and
-`gauss_total_correlation` are single-atom calls into it.
-`schur_conditional` gives conditional covariances via a pseudo-inverse.
+cut relative to the whole matrix's largest eigenvalue (kept by
+`JointCovariance.make` from its PSD test), so ranks agree across blocks.
+1x1 and 2x2 blocks have closed forms, larger ones one stacked eigensolve
+per size, and the spectra under 8 wide one padded reduction.  `check_psd`,
+the one PSD test, reads the two ends of a spectrum, a 2x2's in closed form.
+`atom_values` evaluates the `atoms.AtomPlan` the discrete back end shares
+(same cache, same clamp) as kernel, then half a matrix product; the same
+product over ranks flags infinite atoms.  `atom_valuation` names them and
+adds named constants.  `gauss_mi` and `gauss_total_correlation` are
+single-atom calls; `schur_conditional` conditions via a pseudo-inverse.
 """
 
 from __future__ import annotations
@@ -51,13 +51,24 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def check_psd(m: np.ndarray, what: str, tol: float) -> np.ndarray:
-    """Eigenvalues of the symmetric part of m; raise ValueError naming `what`
-    if one lies below -tol * max(1, largest |eigenvalue|)."""
-    w = np.linalg.eigvalsh(_sym(m))
-    if w.min(initial=0.0) < -tol * max(1.0, abs(w).max(initial=1.0)):
-        raise ValueError(f"{what} is not PSD (min eigenvalue {w.min()})")
-    return w
+def check_psd(m: np.ndarray, what: str, tol: float) -> float:
+    """Largest eigenvalue of the symmetric part of m, floored at 0; raise
+    ValueError naming `what` if the smallest lies below -tol * max(1, largest
+    |eigenvalue|).  A 2x2 takes the closed form h +- r in floats."""
+    if m.shape != (2, 2):
+        return _psd_top(np.linalg.eigvalsh(_sym(m)), what, tol)
+    (a, b), (c, d) = m.tolist()
+    h, off = 0.5 * (a + d), 0.5 * (b + c)
+    r = math.sqrt((0.5 * (a - d)) ** 2 + off * off)
+    return _psd_top((h - r, h + r), what, tol)
+
+
+def _psd_top(w, what: str, tol: float) -> float:
+    """`check_psd`'s test and result on the ascending spectrum w."""
+    lo, hi = (float(w[0]), float(w[-1])) if len(w) else (0.0, 0.0)
+    if lo < -tol * max(1.0, -lo, hi):
+        raise ValueError(f"{what} is not PSD (min eigenvalue {lo})")
+    return max(hi, 0.0)
 
 
 def _pinv_psd(m: np.ndarray) -> np.ndarray:
@@ -88,12 +99,12 @@ class JointCovariance:
         m = np.asarray(matrix, dtype=float).reshape(dim, dim)
         if not np.isfinite(m).all():
             raise ValueError("covariance entries must be finite")
-        if np.max(np.abs(m - m.T), initial=0.0) > 1e-10 * max(1.0, np.abs(m).max(initial=1.0)):
+        if (m != m.T).any() and np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
             raise ValueError("covariance matrix is not symmetric")
         m = _sym(m)
-        w = check_psd(m, "covariance matrix", 1e-9)
+        top = _psd_top(np.linalg.eigvalsh(m), "covariance matrix", 1e-9)
         m.flags.writeable = False
-        return JointCovariance(components, m, max(w.max(initial=0.0), 0.0))
+        return JointCovariance(components, m, top)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -142,16 +153,18 @@ def _offsets(components) -> dict[str, range]:
 def _block_groups(components, subsets):
     """The principal block of every subset of component names, indices taken
     in sorted name order, grouped by size: (k, i) for a 1x1 block at position
-    k, (k, i, j) for a 2x2 block, and for each larger size n the positions
-    and the (g, n, 1) row and (g, 1, n) column indices of a stack of g."""
+    k, (k, i, j) for a 2x2 block, for each larger size n the positions and
+    the (g, n, 1) row and (g, 1, n) column indices of a stack of g, and the
+    positions of all stacks under 8 wide, in stack order."""
     offsets = _offsets(components)
     by_size: dict[int, list] = {}
     for k, s in enumerate(subsets):
         idx = [i for n in sorted(s) for i in offsets[n]]
         by_size.setdefault(len(idx), []).append((k, *idx))
-    arrays = (np.array(g, dtype=np.intp) for n, g in by_size.items() if n > 2)
+    arrays = [np.array(g, dtype=np.intp) for n, g in by_size.items() if n > 2]
     stacks = tuple((a[:, 0], a[:, 1:, None], a[:, None, 1:]) for a in arrays)
-    return tuple(by_size.get(1, ())), tuple(by_size.get(2, ())), stacks
+    narrow = np.array([k for a in arrays if a.shape[1] < 9 for k in a[:, 0]], dtype=np.intp)
+    return tuple(by_size.get(1, ())), tuple(by_size.get(2, ())), stacks, narrow
 
 
 def subset_logpdets(cov: JointCovariance, subsets) -> tuple[np.ndarray, np.ndarray]:
@@ -161,28 +174,35 @@ def subset_logpdets(cov: JointCovariance, subsets) -> tuple[np.ndarray, np.ndarr
     The one measure kernel of this module.  Eigenvalues at or below one cut,
     relative to the whole matrix's largest, are dropped, so ranks are
     consistent across subsets.  1x1 and 2x2 blocks have closed forms; the
-    larger blocks of one size go through one stacked eigensolve.
+    larger blocks of one size go through one stacked eigensolve.  Spectra
+    under 8 wide share one reduction, padded to 7 with -1, never above the
+    cut: the padding adds log2(1) = 0 and no rank.
     """
     m = cov.matrix
     cut = _EIG_REL_TOL * cov.top_eigenvalue
     logs, ranks = [0.0] * len(subsets), [0] * len(subsets)
-    singles, pairs, stacks = _block_groups(cov.components, tuple(subsets))
+    singles, pairs, stacks, narrow = _block_groups(cov.components, tuple(subsets))
     rows = m.tolist()
     for k, i in singles:
         if rows[i][i] > cut:
             logs[k], ranks[k] = math.log2(rows[i][i]), 1
-    for k, i, j in pairs:
-        # closed-form symmetric 2x2 eigenvalues
+    for k, i, j in pairs:  # closed-form symmetric 2x2 eigenvalues
         a, d, off = rows[i][i], rows[j][j], rows[i][j]
-        h = 0.5 * (a + d)
-        r = math.sqrt(max(0.0, (0.5 * (a - d)) ** 2 + off * off))
+        h, r = 0.5 * (a + d), math.sqrt(max(0.0, (0.5 * (a - d)) ** 2 + off * off))
         for w in (h - r, h + r):
             if w > cut:
                 logs[k] += math.log2(w)
                 ranks[k] += 1
     logs, ranks = np.array(logs), np.array(ranks, dtype=float)
+    spectra, at = [(narrow, np.full((len(narrow), 7), -1.0))], 0
     for ks, r, c in stacks:
         w = np.linalg.eigvalsh(m[r, c])
+        if w.shape[1] < 8:
+            spectra[0][1][at:at + len(w), :w.shape[1]] = w
+            at += len(w)
+        else:  # numpy's pairwise sum would add the padding in another order
+            spectra.append((ks, w))
+    for ks, w in spectra:
         kept = w > cut
         logs[ks] = np.log2(np.where(kept, w, 1.0)).sum(axis=1)
         ranks[ks] = kept.sum(axis=1)

@@ -365,7 +365,7 @@ def cuts(N: int, L: int) -> tuple[list[tuple], list[tuple]]:
     if N < 1 or L < 1:
         raise ValueError(f"need N, L >= 1, got N = {N}, L = {L}")
     if N > MAX_NODES or L > MAX_NODES:
-        raise ValueError(f"capacity atom naming supports at most {MAX_NODES} BSs/users, "
+        raise ValueError(f"a cut grid supports at most {MAX_NODES} BSs and {MAX_NODES} users, "
                          f"got N = {N}, L = {L}")
     return _subsets_lex(range(1, N + 1)), _subsets_lex(range(1, L + 1))[1:]
 

@@ -93,11 +93,6 @@ class CompressionParams:
     Kw: np.ndarray
     x0cov: np.ndarray  # covariance of X0 with (S1, S2, W), length 6
 
-    def base_cov(self) -> np.ndarray:
-        base = _blockdiag(self.K1, self.K2, self.Kw, np.ones((1, 1)))
-        base[6, 0:6] = base[0:6, 6] = self.x0cov
-        return base
-
 
 @dataclass(frozen=True)
 class OptimizerBudget:
@@ -160,9 +155,11 @@ def _joint(network: CranNetwork, base, comps, R, X, psd=()) -> JointCovariance:
     M[:k, :n] = R
     M[k:k + 2, :n] = X
     M[k + 2:, :n] = [g @ X for g in network.G]
-    M[k + 2:, n:] = np.eye(2)
-    cov = M @ _blockdiag(base, np.eye(2)) @ M.T
-    if np.any(np.diag(cov)[k:k + 2] > network.P + 1e-6):
+    B = np.zeros((n + 2, n + 2))  # blockdiag(base, I)
+    B[:n, :n] = base
+    M[k + 2, n] = M[k + 3, n + 1] = B[n, n] = B[n + 1, n + 1] = 1.0
+    cov = M @ B @ M.T
+    if cov[k, k] > network.P + 1e-6 or cov[k + 1, k + 1] > network.P + 1e-6:
         raise ValueError("per-BS power violated: var(X1) or var(X2) > P")
     return JointCovariance.make([*comps, ("X1", 1), ("X2", 1), ("Y1", 1), ("Y2", 1)], cov)
 
@@ -185,7 +182,8 @@ def build_joint_cov(scheme: str, params, network: CranNetwork) -> JointCovarianc
     K1, K2 = params.K1, params.K2
     psd = (("K1", K1, 1e-8), ("K2", K2, 1e-8))
     if scheme == "GCOMP":  # U1 = S1, U2 = S2 + A S1, X0; X = S1 + S2 + W
-        base = params.base_cov()
+        base = _blockdiag(K1, K2, params.Kw, np.ones((1, 1)))  # of (S1, S2, W, X0)
+        base[6, 0:6] = base[0:6, 6] = params.x0cov
         R = np.eye(7)[[0, 1, 2, 3, 6]]
         R[2:4, 0:2] = _dpc_precoder(K2, g2, params.Kw)
         psd += (("Kw", params.Kw, 1e-8), ("joint (S1,S2,W,X0) covariance", base, 1e-6))
@@ -248,8 +246,7 @@ def _vec_to_psd(vec) -> np.ndarray:
 def _scale_to_power(mats, P: float):
     """Jointly rescale summand covariances so the diagonal of their sum is
     within the power budget (diagonal congruence scaling keeps PSD)."""
-    total = sum(mats)
-    d = np.diag(total)
+    d = np.diag(sum(mats))
     scale = np.sqrt(np.minimum(1.0, P / np.maximum(d, 1e-300)))
     D = np.diag(scale)
     return [D @ m @ D for m in mats]
@@ -292,8 +289,7 @@ class _SchemeSpace:
                 b *= np.sqrt(self.P / nb)
             return DescriptionIIParams(a, b)
         if self.scheme == "GDS-III":
-            K1 = _vec_to_psd(x[0:3])
-            K2 = _vec_to_psd(x[3:6])
+            K1, K2 = _vec_to_psd(x[0:3]), _vec_to_psd(x[3:6])
             A = x[6:10].reshape(2, 2)
             ia = np.eye(2) + A
             d = np.diag(ia @ K1 @ ia.T + K2)
@@ -302,14 +298,12 @@ class _SchemeSpace:
                 s = self.P / worst
                 K1, K2 = s * K1, s * K2
             return DescriptionIIIParams(K1, K2, A)
-        K1, K2, Kw = (_vec_to_psd(x[0:3]), _vec_to_psd(x[3:6]), _vec_to_psd(x[6:9]))
-        K1, K2, Kw = _scale_to_power([K1, K2, Kw], self.P)
-        c = x[9:15].copy()
+        K1, K2, Kw = _scale_to_power([_vec_to_psd(x[i:i + 3]) for i in (0, 3, 6)], self.P)
         base = _blockdiag(K1, K2, Kw)
         # X0 has unit variance; keep the joint PSD by shrinking c if needed
         w, v = np.linalg.eigh(base)
         inv = np.where(w > 1e-12, 1.0 / np.where(w > 1e-12, w, 1.0), 0.0)
-        onto = v @ (inv * (v.T @ c))
+        onto = v @ (inv * (v.T @ x[9:15]))
         # zero out components of c outside the range of the base covariance
         c = base @ onto
         q = float(c @ onto)

@@ -401,7 +401,19 @@ def test_region_cutset_network_above_the_node_limit_is_a_usage_error(tmp_path, c
     rc = run_cli(["region", "--scheme", "CUTSET", "--network", str(npath), "-o", str(out)])
     assert rc == 2 and not out.exists()
     assert capsys.readouterr().err == (
-        f"error: capacity atom naming supports at most 9 BSs/users, got N = {N}, L = {L}\n")
+        f"error: a cut grid supports at most 9 BSs and 9 users, got N = {N}, L = {L}\n")
+
+
+def test_region_cutset_checks_the_node_bound_before_reading_cov(tmp_path, capsys):
+    """A 1,500-BS network spent 0.24 s, mostly eigendecomposing K = P I, before
+    the node bound refused it; now the bound comes right after --network."""
+    npath, out = tmp_path / "net.json", tmp_path / "cut.json"
+    npath.write_text(json.dumps({"G": np.ones((1, 12)).tolist(), "P": 1.0, "C": [0.0] * 12}))
+    rc = run_cli(["region", "--scheme", "CUTSET", "--network", str(npath),
+                  "--cov", str(tmp_path / "missing.json"), "-o", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == (
+        "error: a cut grid supports at most 9 BSs and 9 users, got N = 12, L = 1\n")
 
 
 def test_region_ddf_shape(tmp_path):

@@ -179,7 +179,7 @@ def test_audit_and_cutset_region_refuse_networks_above_the_node_limit():
     for G in (np.ones((1, 10)), np.ones((10, 1))):
         net = CranNetwork.make(G, 1.0, np.zeros(G.shape[1]))
         K = JointCovariance.make([(f"X{k}", 1) for k in range(1, net.N + 1)], np.eye(net.N))
-        message = f"at most 9 BSs/users, got N = {net.N}, L = {net.L}"
+        message = f"at most 9 BSs and 9 users, got N = {net.N}, L = {net.L}"
         with pytest.raises(ValueError, match=message):
             gapaudit.audit(net)
         with pytest.raises(ValueError, match=message):

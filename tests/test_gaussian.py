@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -236,3 +236,45 @@ def test_stacked_capacity_logdet_sizes_and_shape_errors():
         capacity_logdet(np.ones((4, 2, 3)), np.eye(2))
     with pytest.raises(ValueError, match="does not match"):
         capacity_logdet(np.ones((4, 2, 3)), np.ones((3, 2)))
+
+
+@st.composite
+def psd_check_case(draw):
+    """A 2x2 matrix, arbitrary (possibly asymmetric) or A A^T shifted by a
+    small multiple of I, so that both verdicts come up, and a tolerance."""
+    a = draw(hnp.arrays(float, (2, 2), elements=st.floats(-3.0, 3.0, allow_nan=False)))
+    if draw(st.booleans()):
+        a = a @ a.T + draw(st.floats(-1e-5, 1e-5)) * np.eye(2)
+    return a, draw(st.sampled_from([1e-9, 1e-8, 1e-6]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(psd_check_case())
+def test_closed_form_2x2_psd_check_agrees_with_eigvalsh(case):
+    """Away from the threshold, the 2x2 closed form gives the verdict (and the
+    largest eigenvalue) of an eigensolve of the symmetric part."""
+    m, tol = case
+    w = np.linalg.eigvalsh(0.5 * (m + m.T))
+    scale = max(1.0, abs(w).max())
+    assume(abs(w[0] + tol * scale) > 1e-12 * scale)
+    if w[0] < -tol * scale:
+        with pytest.raises(ValueError, match="^M is not PSD"):
+            gaussian.check_psd(m, "M", tol)
+    else:
+        top = gaussian.check_psd(m, "M", tol)
+        assert type(top) is float and top == pytest.approx(max(w[1], 0.0), rel=1e-12, abs=1e-12)
+
+
+def test_psd_check_exact_cases():
+    assert gaussian.check_psd(np.array([[1.0, 1.0], [1.0, 1.0]]), "M", 1e-8) == 2.0
+    with pytest.raises(ValueError, match=r"^M is not PSD \(min eigenvalue -1.0\)$"):
+        gaussian.check_psd(np.array([[1.0, 2.0], [2.0, 1.0]]), "M", 1e-8)
+    # the symmetric part is checked, not one triangle; 2x2 and, padded, 3x3
+    ok, bad = np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[1.0, 4.0], [0.0, 1.0]])
+    for pad in (0, 1):
+        for m in (np.pad(ok, (0, pad)), np.pad(ok, (0, pad)).T):
+            assert gaussian.check_psd(m, "M", 1e-8) == pytest.approx(2.0, rel=1e-15)
+        for m in (np.pad(bad, (0, pad)), np.pad(bad, (0, pad)).T):
+            with pytest.raises(ValueError, match="^M is not PSD"):
+                gaussian.check_psd(m, "M", 1e-8)
+    assert gaussian.check_psd(np.zeros((0, 0)), "M", 1e-8) == 0.0

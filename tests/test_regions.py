@@ -455,7 +455,7 @@ def test_cuts_grid_and_node_bounds():
         with pytest.raises(ValueError, match=f"need N, L >= 1, got N = {N}, L = {L}"):
             regions.cuts(N, L)
     for N, L in [(10, 1), (1, 10), (12, 12)]:
-        with pytest.raises(ValueError, match=f"at most 9 BSs/users, got N = {N}, L = {L}"):
+        with pytest.raises(ValueError, match=f"a cut grid supports at most 9 BSs and 9 users, got N = {N}, L = {L}"):
             regions.cuts(N, L)
 
 

@@ -37,6 +37,20 @@ def test_param_validation():
                         sym_net(P=10.0))
 
 
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("scheme", ["GDS-I", "GDS-III", "GCOMP"])
+def test_non_finite_k1_is_a_value_error(scheme, v):
+    """A NaN or infinite K1 slips through the 2x2 closed-form PSD test (its
+    comparisons read NaN, or -inf against -inf); building the joint still
+    ends in a ValueError, as it did through the eigensolve."""
+    K2, A = 0.5 * np.eye(2), np.zeros((2, 2))
+    for K1 in (np.array([[v, 0.0], [0.0, 1.0]]), np.array([[1.0, v], [v, 1.0]])):
+        params = {"GDS-I": DescriptionIParams(K1, K2), "GDS-III": DescriptionIIIParams(K1, K2, A),
+                  "GCOMP": CompressionParams(K1, K2, K2, np.zeros(6))}[scheme]
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            build_joint_cov(scheme, params, sym_net())
+
+
 def test_desc1_zero_second_description():
     net = sym_net(P=4.0)
     p = DescriptionIParams(2.0 * np.eye(2), np.zeros((2, 2)))
@@ -474,7 +488,8 @@ def test_objective_memo_changes_no_result(scheme, monkeypatch):
 
 @pytest.mark.parametrize("scheme", schemes.GAUSSIAN_SCHEMES)
 def test_an_evaluation_solves_the_joint_once_and_one_stack_per_block_size(scheme, monkeypatch):
-    """The eigenvalue cut reuses the joint's PSD-check spectrum, and the
+    """The eigenvalue cut reuses the joint's PSD-check spectrum, the 2x2
+    parameter checks take the closed form, with no eigensolve, and the
     blocks above 2x2 take one stacked eigensolve per size."""
     net = sym_net()
     space = schemes._SchemeSpace(scheme, net)
@@ -487,6 +502,6 @@ def test_an_evaluation_solves_the_joint_once_and_one_stack_per_block_size(scheme
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
     schemes.scheme_sumrate(scheme, params, net)
     n = cov.matrix.shape[0]
-    parameters = {"GDS-II": [], "GCOMP": [(2, 2)] * 3 + [(7, 7)]}.get(scheme, [(2, 2)] * 2)
+    parameters = [(7, 7)] if scheme == "GCOMP" else []
     assert [s for s in shapes if len(s) == 2] == parameters + [(n, n)]
     assert sorted(s[1] for s in shapes if len(s) == 3) == sorted(k for k in sizes if k > 2)
