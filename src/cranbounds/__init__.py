@@ -17,16 +17,15 @@ from .gapaudit import (audit, audit_random_instances, cut_capacity, cut_gap_form
 from .gaussian import (CranNetwork, JointCovariance, capacity_logdet, gauss_mi,
                        gauss_total_correlation, schur_conditional)
 from .gaussian import atom_valuation as gaussian_atom_valuation
-from .polytope import (AffineExpr, CompiledSystem, ConstraintSystem,
+from .polytope import (AffineExpr, CompiledRegion, CompiledSystem, ConstraintSystem,
                        FMEBlowupError, LinearConstraint, eliminate_all,
-                       fme_eliminate, format_system, is_member, min_slack,
-                       parse_system, regions_equal_sampled, resolve_atoms,
+                       fme_eliminate, format_system, is_member, max_sum_rate, min_slack,
+                       parse_system, region_to_json, regions_equal_sampled, resolve_atoms,
                        syntactic_reduce)
-from .regions import (SUBSTITUTIONS, CompiledRegion, Substitution, apply_substitution,
+from .regions import (SUBSTITUTIONS, Substitution, apply_substitution,
                       corollary1_system, corollary2_system, corollary3_feasible,
                       corollary3_system, corollary4_system, corollary5_system, ddf_p1_system,
-                      gcomp_theorem2_system, gds_project, gds_theorem1_system, make_region,
-                      max_sum_rate, region_to_json)
+                      gcomp_theorem2_system, gds_project, gds_theorem1_system, make_region)
 from .schemes import (GAUSSIAN_SCHEMES, CompressionParams, DescriptionIParams,
                       DescriptionIIParams, DescriptionIIIParams,
                       OptimizerBudget, SchemeEvaluation, build_joint_cov,

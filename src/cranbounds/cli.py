@@ -5,6 +5,8 @@ curves over a fronthaul grid), gap-audit (randomized constant-gap check),
 fme (project a text-format inequality system), verify-examples (the two
 benchmark topologies).  Exit codes: 0 all checks pass, 1 verification
 failure, 2 usage error or a Fourier-Motzkin blow-up past --max-constraints.
+This is the one module that reads input files; an error a file's content
+causes, while read or used, is a usage error that names the file's flag.
 """
 
 from __future__ import annotations
@@ -13,22 +15,18 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import gapaudit, verify
 from .discrete import Channel, JointPmf, atom_valuation, compose
 from .gaussian import CranNetwork, JointCovariance
-from .polytope import FMEBlowupError, eliminate_all, format_system, parse_system
-from .regions import CAPACITIES, MAX_NODES, SCHEME_IDS, cuts, make_region, region_to_json
+from .polytope import FMEBlowupError, eliminate_all, format_system, parse_system, region_to_json
+from .regions import CAPACITIES, MAX_NODES, SCHEME_IDS, cuts, make_region
 from .schemes import SWEEP_SCHEMES, sweep_rows
 
 CSV_COLUMNS = ("C", "T", "scheme", "sum_rate", "cutset", "rsum_star")
-
-
-def _fail_usage(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
 
 
 def _write_text(path: str | None, text: str):
@@ -39,16 +37,68 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-def _read(flag: str, path: str, parse):
-    """`parse` of the text of the file at `path`, which is closed before
-    `parse` runs; a file that cannot be read or parsed is a usage error
-    naming `flag`."""
+def _naming(flag: str, path: str, fn):
+    """fn(), where an error it raises, a float overflow or invalid operation
+    included, becomes a usage error naming `flag` and the file at `path`."""
     try:
-        with open(path) as fh:
-            text = fh.read()
-        return parse(text)
-    except (OSError, ValueError, TypeError, LookupError, AttributeError, OverflowError) as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return fn()
+    except (OSError, ValueError, TypeError, LookupError, AttributeError, ArithmeticError,
+            RecursionError) as exc:  # RecursionError: a deeply nested file
         raise ValueError(f"{flag} {path}: {type(exc).__name__}: {exc}") from None
+
+
+def _read(flag: str, path: str, parse):
+    """`parse` of the text of the file at `path`, closed before `parse` runs, under `_naming`."""
+    return _naming(flag, path, lambda: parse(Path(path).read_text()))
+
+
+def _numbers(value, what: str, nested: bool = True):
+    """`value` once checked to be a finite JSON number (an int or a float,
+    not a bool or a string) or, if `nested`, lists of them to any depth; else
+    ValueError naming `what`.  The number rule of every JSON input file, whose
+    objects hold only their reader's keys, sizes integers and names strings."""
+    if nested and isinstance(value, list):
+        for v in value:
+            _numbers(v, what)
+    elif type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{what} holds {value!r}, not a finite JSON number")
+    return value
+
+
+def _object(value: dict, keys, where: str = "") -> dict:
+    if unknown := sorted(value.keys() - keys):
+        raise ValueError(f"unknown keys {unknown}{where}")
+    return value
+
+
+def _axes(d: dict, key: str) -> list[tuple[str, int]]:
+    """The (name, size) pairs of the entries under `key`."""
+    axes = [_object(v, {"name", "size"}, f" in a {key!r} entry") for v in d[key]]
+    if bad := [v for v in axes if type(v["name"]) is not str or type(v["size"]) is not int]:
+        raise ValueError(f"a {key!r} entry wants a string name and an integer size, got {bad[0]}")
+    return [(v["name"], v["size"]) for v in axes]
+
+
+def _network(text: str) -> CranNetwork:
+    d = _object(json.loads(text), {"G", "P", "C", "Ccoop"})
+    return CranNetwork.make(*(_numbers(d[k], k) for k in ("G", "P", "C")),
+                            _numbers(d["Ccoop"], "Ccoop") if "Ccoop" in d else None)
+
+
+def _pmf(text: str) -> JointPmf:
+    d = _object(json.loads(text), {"variables", "probs"})
+    return JointPmf.make(_axes(d, "variables"), _numbers(d["probs"], "probs"))
+
+
+def _channel(text: str) -> Channel:
+    d = _object(json.loads(text), {"given", "variables", "probs"})
+    return Channel.make(_axes(d, "given"), _axes(d, "variables"), _numbers(d["probs"], "probs"))
+
+
+def _valuation(text: str) -> dict[str, float]:
+    return {k: float(_numbers(v, f"atom {k!r}", nested=False))
+            for k, v in json.loads(text).items()}
 
 
 def _parse_caps(text: str) -> dict[str, float]:
@@ -68,14 +118,6 @@ def _parse_caps(text: str) -> dict[str, float]:
     return caps
 
 
-def _parse_valuation(text: str) -> dict[str, float]:
-    """A JSON object of atom values, each a JSON number (a bool or a string is not)."""
-    values = json.loads(text)
-    if bad := sorted(k for k, v in values.items() if type(v) not in (int, float)):
-        raise ValueError(f"atom values must be JSON numbers: {bad}")
-    return {k: float(v) for k, v in values.items()}
-
-
 # the optional flags `region` reads: CUTSET's network and covariance, or atom values
 _REGION_FLAGS = {"CUTSET": ("--network", "--cov"),
                  "symbolic": ("--n", "--l", "--valuation", "--pmf", "--channel", "--caps")}
@@ -85,40 +127,45 @@ def cmd_region(args) -> int:
     reads = _REGION_FLAGS["CUTSET" if args.scheme == "CUTSET" else "symbolic"]
     for flag in (f for flags in _REGION_FLAGS.values() for f in flags if f not in reads):
         if getattr(args, flag[2:]) is not None:
-            return _fail_usage(f"{flag} does not apply to {args.scheme}, which reads "
-                               f"only {', '.join(reads)}")
+            raise ValueError(f"{flag} does not apply to {args.scheme}, which reads "
+                             f"only {', '.join(reads)}")
     given = _parse_caps(args.caps or "")
     if given and not args.pmf:
-        return _fail_usage("--caps needs --pmf: it sets the capacities of a pmf's valuation")
+        raise ValueError("--caps needs --pmf: it sets the capacities of a pmf's valuation")
     if args.channel and not args.pmf:
-        return _fail_usage("--channel needs --pmf: it is composed onto the pmf")
+        raise ValueError("--channel needs --pmf: it is composed onto the pmf")
     caps = dict.fromkeys(CAPACITIES, 0.0) | given
+
+    def export(system, valuation) -> str:  # run under the name of the last file read
+        return json.dumps(region_to_json(system, valuation), indent=2, allow_nan=False) + "\n"
+
     if args.scheme == "CUTSET":
         if not args.network:
-            return _fail_usage("CUTSET needs --network")
-        net = _read("--network", args.network, CranNetwork.from_json)
+            raise ValueError("CUTSET needs --network")
+        net = _read("--network", args.network, _network)
         cuts(net.N, net.L)  # the node bound, before --cov is read or K = P I built
         names = [(f"X{k}", 1) for k in range(1, net.N + 1)]
-        cov = (_read("--cov", args.cov, lambda t: JointCovariance.make(names, json.loads(t)))
-               if args.cov else JointCovariance.make(names, net.P * np.eye(net.N)))
-        system, valuation = gapaudit.cutset_region(net, cov), {}
+        cov = (_read("--cov", args.cov, lambda t: _numbers(json.loads(t), "the covariance"))
+               if args.cov else net.P * np.eye(net.N))
+        last = ("--cov", args.cov) if args.cov else ("--network", args.network)
+        text = _naming(*last, lambda: export(gapaudit.cutset_region(
+            net, JointCovariance.make(names, cov)), {}))
     else:
-        system, valuation = make_region(args.scheme, args.n or 2, args.l or 2), None
+        system = make_region(args.scheme, args.n or 2, args.l or 2)
+        atoms = sorted(system.atoms())
+        if unused := sorted(given.keys() - system.atoms()):
+            raise ValueError(f"--caps names {unused}, which {args.scheme} does not use")
         if args.valuation:
-            valuation = _read("--valuation", args.valuation, _parse_valuation)
+            text = _read("--valuation", args.valuation, lambda t: export(system, _valuation(t)))
         elif args.pmf:
-            pmf = _read("--pmf", args.pmf, JointPmf.from_json)
+            law = _read("--pmf", args.pmf, _pmf)
+            last = ("--channel", args.channel) if args.channel else ("--pmf", args.pmf)
             if args.channel:
-                pmf = compose(pmf, _read("--channel", args.channel, Channel.from_json))
-            valuation = atom_valuation(pmf, sorted(system.atoms()), constants=caps)
-    unused = sorted(given.keys() - system.atoms())
-    if unused:
-        return _fail_usage(f"--caps names {unused}, which {args.scheme} does not use")
-    bad = sorted(k for k, v in (valuation or {}).items() if not np.isfinite(v))
-    if bad:
-        return _fail_usage(f"valuation values must be finite numbers: {bad}")
-    payload = region_to_json(system, valuation)
-    _write_text(args.output, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+                law = _read(*last, lambda t: compose(law, _channel(t)))
+            text = _naming(*last, lambda: export(system, atom_valuation(law, atoms, caps)))
+        else:
+            text = export(system, None)
+    _write_text(args.output, text)
     return 0
 
 
@@ -202,7 +249,7 @@ def cmd_fme(args) -> int:
         drop.extend(v.strip() for v in item.split(",") if v.strip())
     unknown = [v for v in drop if v not in system.variables]
     if unknown:
-        return _fail_usage(f"unknown variables to eliminate: {unknown}")
+        raise ValueError(f"unknown variables to eliminate: {unknown}")
     projected = eliminate_all(system, drop, max_constraints=args.max_constraints)
     _write_text(args.output, format_system(projected))
     return 0

@@ -1,9 +1,9 @@
 """Finite-alphabet joint distributions and discrete information measures.
 
-Joint pmfs are dense numpy tensors with named axes.  All logarithms are
-base two and 0*log(0) is taken as 0.  Distributions are treated as
-immutable after construction; every measure below is a pure function of
-its inputs.
+Joint pmfs are dense numpy tensors with named axes, built by `make` (the
+`cli` reads pmf and channel files).  All logarithms are base two and
+0*log(0) is taken as 0.  Distributions are immutable after construction;
+every measure below is a pure function of its inputs.
 
 Every entropy-based measure goes through one kernel, `subset_entropies`,
 which marginalises the flat probability vector onto many variable subsets
@@ -19,7 +19,6 @@ fills in the named constants.  `entropy`, `mutual_info` and
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,15 +64,6 @@ def _check_axes(variables):
         raise ValueError(f"state space {cells} exceeds guard {MAX_CELLS}")
 
 
-def _json_axes(d: dict, key: str) -> list[tuple[str, int]]:
-    """The (name, size) pairs of the JSON entries under `key`, each of which
-    may hold no key but "name" and "size"."""
-    for v in d[key]:
-        if unknown := sorted(v.keys() - {"name", "size"}):
-            raise ValueError(f"unknown keys {unknown} in a {key!r} entry")
-    return [(v["name"], v["size"]) for v in d[key]]
-
-
 @dataclass(frozen=True)
 class JointPmf:
     """Joint distribution over named finite-alphabet variables."""
@@ -106,13 +96,6 @@ class JointPmf:
             if n == name:
                 return s
         raise KeyError(f"unknown variable {name!r}")
-
-    @staticmethod
-    def from_json(text: str) -> "JointPmf":
-        d = json.loads(text)
-        if unknown := sorted(d.keys() - {"variables", "probs"}):
-            raise ValueError(f"unknown keys {unknown}")
-        return JointPmf.make(_json_axes(d, "variables"), np.asarray(d["probs"]))
 
 
 @dataclass(frozen=True)
@@ -162,14 +145,6 @@ class Channel:
                 y = (y,)
             probs[idx + y] = 1.0
         return Channel.make(inputs, outputs, probs)
-
-    @staticmethod
-    def from_json(text: str) -> "Channel":
-        d = json.loads(text)
-        if unknown := sorted(d.keys() - {"given", "variables", "probs"}):
-            raise ValueError(f"unknown keys {unknown}")
-        return Channel.make(_json_axes(d, "given"), _json_axes(d, "variables"),
-                            np.asarray(d["probs"]))
 
 
 def marginalize(pmf: JointPmf, keep) -> JointPmf:

@@ -3,7 +3,7 @@
 Covariances are stored over named components, each of which may be a
 vector (dimension >= 1).  Zero-variance components (degenerate auxiliaries
 such as a switched-off cloud center) are legal and behave like absent
-variables.
+variables.  `CranNetwork.make` builds a network (the `cli` reads its file).
 
 Every information atom goes through one kernel, `subset_logpdets`: the
 log-pseudo-determinants and ranks of principal blocks, with one eigenvalue
@@ -22,7 +22,6 @@ single-atom calls; `schur_conditional` conditions via a pseudo-inverse.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -269,10 +268,12 @@ def capacity_logdet(g_sub: np.ndarray, k_sub: np.ndarray):
     k = np.asarray(k_sub, dtype=float)
     if k.shape != (g.shape[-1], g.shape[-1]):
         raise ValueError(f"K shape {k.shape} does not match G columns {g.shape[-1]}")
+    if not (np.isfinite(g).all() and np.isfinite(k).all()):
+        raise ValueError("G or K is not finite")
     w, v = np.linalg.eigh(_sym(k))
     k = (v * np.clip(w, 0.0, None)) @ v.T
     sign, logdet = np.linalg.slogdet(np.eye(g.shape[-2]) + g @ k @ np.swapaxes(g, -1, -2))
-    if not (np.all(sign > 0) and np.isfinite(logdet).all()):  # NaN in G or K fails too
+    if not (np.all(sign > 0) and np.isfinite(logdet).all()):  # an overflow fails too
         raise ValueError("I + G K G^T is numerically singular or not finite")
     bits = np.where(logdet > 0.0, logdet / np.log(2.0) * 0.5, 0.0)
     return float(bits) if g.ndim == 2 else bits
@@ -331,10 +332,3 @@ class CranNetwork:
         """2x2 instance with unit direct gains, C1=C2=C and C12=C21=T."""
         return CranNetwork.make([[1.0, g12], [g21, 1.0]], P, [C, C],
                                 [[0.0, T], [T, 0.0]])
-
-    @staticmethod
-    def from_json(text: str) -> "CranNetwork":
-        d = json.loads(text)
-        if unknown := sorted(d.keys() - {"G", "P", "C", "Ccoop"}):
-            raise ValueError(f"unknown keys {unknown}")
-        return CranNetwork.make(d["G"], d["P"], d["C"], d.get("Ccoop"))

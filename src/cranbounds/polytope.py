@@ -5,8 +5,10 @@ rational combination of rate variables and the right side is an exact
 rational affine expression in named atoms (information quantities and
 capacity constants).  All regions are kept in closure (non-strict) form.
 Atoms stay symbolic through Fourier-Motzkin projection; they are resolved
-to floats only when membership of a concrete point is tested against an
-atom valuation.
+to floats only when a system is evaluated against an atom valuation, which
+this module alone does: `CompiledSystem` rows, membership (`min_slack`),
+the exact sum rate (`max_sum_rate`) and the JSON export (`region_to_json`),
+all within one slack `TOL`.
 
 Fourier-Motzkin elimination runs on exact integer rows: a constraint is
 scaled to a primitive tuple of Python ints over one column order (rate
@@ -31,12 +33,15 @@ __all__ = [
     "LinearConstraint",
     "ConstraintSystem",
     "CompiledSystem",
+    "CompiledRegion",
     "FMEBlowupError",
     "fme_eliminate",
     "syntactic_reduce",
     "is_member",
     "min_slack",
     "regions_equal_sampled",
+    "max_sum_rate",
+    "region_to_json",
     "parse_system",
     "format_system",
     "SystemParseError",
@@ -46,6 +51,7 @@ Q = Fraction
 ZERO = Fraction(0)
 
 DEFAULT_FME_CAP = 100_000
+TOL = 1e-9  # slack within which a point is a member and a region nonempty
 
 
 class FMEBlowupError(RuntimeError):
@@ -439,7 +445,7 @@ def min_slack(system: ConstraintSystem, valuation: dict[str, float],
 
 
 def is_member(system: ConstraintSystem, valuation: dict[str, float],
-              point: dict[str, float], tol: float = 1e-9) -> bool:
+              point: dict[str, float], tol: float = TOL) -> bool:
     """True iff every constraint holds with slack >= -tol."""
     return min_slack(system, valuation, point) >= -tol
 
@@ -474,7 +480,7 @@ def regions_equal_sampled(sys_a: ConstraintSystem, sys_b: ConstraintSystem,
         bs = [_defined_rhs(s, rows, val) for s, rows in compiled]
         hi = max([1.0] + [abs(x) for b in bs for x in b[np.isfinite(b)].tolist()])
         pts = rng.uniform(0.0, hi + 0.5, size=(n_points, len(order)))
-        in_a, in_b = (np.all(pts @ rows.A.T <= b + 1e-9, axis=1)
+        in_a, in_b = (np.all(pts @ rows.A.T <= b + TOL, axis=1)
                       for (_, rows), b in zip(compiled, bs))
         checked += len(pts)
         diff = np.nonzero(in_a != in_b)[0]
@@ -490,6 +496,100 @@ def regions_equal_sampled(sys_a: ConstraintSystem, sys_b: ConstraintSystem,
             if len(witnesses) >= 10:
                 break
     return {"agree": agree, "points_checked": checked, "witnesses": witnesses}
+
+
+def _max_bound(rows) -> float:
+    """Largest t >= 0 with d*t <= e for every (d, e) in `rows`.
+
+    0.0 when no t satisfies every row within 1e-9, or when some e is -inf
+    (a row no point meets) or NaN (inf - inf, an undefined region); raises
+    ValueError when no row bounds t above."""
+    lo, hi = 0.0, np.inf
+    for d, e in rows:
+        if not e > -np.inf:
+            return 0.0
+        if d > 0.0:
+            v = e / d
+            if v < hi:
+                hi = v
+        elif d < 0.0:
+            v = e / d
+            if v > lo:
+                lo = v
+        elif e < -TOL:
+            return 0.0
+    if lo > hi + TOL:
+        return 0.0
+    if hi == np.inf:
+        raise ValueError("region is unbounded")
+    return hi if hi > 0.0 else 0.0
+
+
+class CompiledRegion:
+    """A region over one rate R1, or two rates (R1, R2), compiled once for
+    `max_sum_rate`.
+
+    With two rates, s = R1 and t = R1 + R2 turn a row a1*R1 + a2*R2 <= b
+    into (a1 - a2)*s + a2*t <= b, and R1, R2 >= 0 add the rows -s <= 0 and
+    s - t <= 0 with right-hand side 0.  One Fourier-Motzkin step eliminates
+    s: rows free of s carry over as `flat` (d, row), and every row with a
+    positive s-coefficient pairs with every row with a negative one as
+    (d, row, weight, row, weight), the weights summing to 1.  With one rate,
+    t = R1 and every row is `flat`.  Pairs and weights follow from the
+    exact left-hand sides alone, so they are fixed here and an evaluation
+    only combines right-hand sides.  Every row pairs with a quadrant row or
+    carries over, so a NaN or -inf reaches the bounds.
+    """
+
+    def __init__(self, system: ConstraintSystem):
+        if len(system.variables) not in (1, 2):
+            raise ValueError("max_sum_rate expects a one- or two-rate system")
+        if not system.constraints:
+            raise ValueError("refusing to maximize over an unconstrained region")
+        self.rows = CompiledSystem(system)
+        if len(system.variables) == 1:
+            st = [(Q(0), c.coeff(system.variables[0])) for c in system.constraints]
+        else:
+            r1, r2 = system.variables
+            st = [(c.coeff(r1) - c.coeff(r2), c.coeff(r2)) for c in system.constraints]
+            st += [(Q(-1), Q(0)), (Q(1), Q(-1))]
+        self.flat = [(float(d), i) for i, (c, d) in enumerate(st) if c == 0]
+        self.pairs = [(float(wu * du + wl * dl), i, float(wu), j, float(wl))
+                      for i, (cu, du) in enumerate(st) if cu > 0
+                      for j, (cl, dl) in enumerate(st) if cl < 0
+                      for wu, wl in [(-cl / (cu - cl), cu / (cu - cl))]]
+
+
+def max_sum_rate(region: ConstraintSystem | CompiledRegion, valuation) -> float:
+    """Maximum of the rate sum over a one- or two-rate region intersected
+    with the nonnegative orthant: one Fourier-Motzkin step (see
+    `CompiledRegion`) leaves bounds on the sum t, and the largest feasible
+    t is exact up to float rounding.  The valuation is a mapping from atom
+    names, or a vector in the order of the compiled `rows.atoms`.
+
+    Returns 0.0 when the region is empty within 1e-9, or undefined: a
+    right-hand side of inf - inf is NaN.  A right-hand side of -inf empties
+    the region, one of +inf bounds nothing.  Raises ValueError when the
+    region is unbounded in the sum direction, and KeyError when the
+    valuation misses an atom of the region.
+    """
+    if not isinstance(region, CompiledRegion):
+        region = CompiledRegion(region)
+    b = region.rows.rhs(valuation).tolist() + [0.0, 0.0]
+    rows = [(d, b[i]) for d, i in region.flat]
+    rows += [(d, wu * b[i] + wl * b[j]) for d, i, wu, j, wl in region.pairs]
+    return _max_bound(rows)
+
+
+def region_to_json(system: ConstraintSystem, valuation: dict[str, float] | None = None):
+    """JSON-friendly export; adds resolved numeric right-hand sides when a
+    valuation is supplied."""
+    rows = [{"lhs": {k: float(v) for k, v in c.lhs}, "rhs": str(c.rhs)}
+            for c in system.constraints]
+    if valuation is not None:
+        for row, value in zip(rows, CompiledSystem(system).rhs(valuation).tolist()):
+            row["rhs_value"] = value
+    return {"variables": list(system.variables), "constraints": rows}
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,21 @@
 """Constraint-system generators for every symbolic rate region in scope.
 
 All generators emit symbolic systems: rate variables on the left, exact
-rational combinations of information atoms on the right.  A system becomes
-a concrete region only when paired with an atom valuation (from a discrete
-pmf, a Gaussian covariance, or by hand), which keeps one generator usable
-for both channel families.  `cuts` is the (S, D) cut grid that DDF-P1 and
-the Gaussian cut bounds of `gapaudit` walk.
+rational combinations of information atoms on the right.  This module only
+writes systems; `polytope` evaluates them against an atom valuation (from a
+discrete pmf, a Gaussian covariance, or by hand), which keeps one generator
+usable for both channel families.  `cuts` is the (S, D) cut grid that
+DDF-P1 and the Gaussian cut bounds of `gapaudit` walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations
 
-import numpy as np
-
 from .atoms import CONST, GAMMA, H, gamma_atom, h_atom, mi_atom, parse_atom
-from .polytope import (AffineExpr, CompiledSystem, ConstraintSystem, eliminate_all,
-                       parse_system, resolve_atoms, substitute_atoms, syntactic_reduce)
+from .polytope import (TOL, AffineExpr, ConstraintSystem, eliminate_all, parse_system,
+                       resolve_atoms, substitute_atoms, syntactic_reduce)
 
 __all__ = [
     "SCHEME_IDS",
@@ -38,22 +35,13 @@ __all__ = [
     "gcomp_theorem2_system",
     "cuts",
     "ddf_p1_system",
-    "CompiledRegion",
-    "max_sum_rate",
-    "region_to_json",
     "make_region",
 ]
-
-Q = Fraction
 
 RATE_VARS = ("R1", "R2", "Ru0", "Ru1", "Ru2", "Rv0", "Rv1", "Rv2")
 
 SCHEME_IDS = ("GDS-T1", "GDS-I", "GDS-II", "GDS-III", "COR4", "COR5",
               "GCOMP-T2", "DDF-P1", "CUTSET")
-
-
-# slack within which a region counts as nonempty, and a side condition as met
-_TOL = 1e-9
 
 # the fronthaul and cooperation capacities of the 2-BS regions
 CAPACITIES = ("C1", "C2", "C12", "C21")
@@ -294,7 +282,7 @@ def corollary3_gated_system() -> ConstraintSystem:
     which the row lets pass."""
     system = corollary3_system()
     for lhs, rhs in _COROLLARY3_SIDE:
-        system.add({}, AffineExpr.make({r.name: 1 for r in rhs} | {lhs.name: -1}, -2 * Q(_TOL)))
+        system.add({}, AffineExpr.make({r.name: 1 for r in rhs} | {lhs.name: -1}, -2 * TOL))
     return system
 
 
@@ -302,7 +290,7 @@ def corollary3_feasible(valuation: dict[str, float]) -> bool:
     """True iff every strict side condition holds with margin 1e-9.  A NaN
     side (inf - inf) fails its comparison, so the scheme is infeasible."""
     for lhs, rhs in _COROLLARY3_SIDE:
-        if not valuation[lhs.name] < sum(valuation[r.name] for r in rhs) - _TOL:
+        if not valuation[lhs.name] < sum(valuation[r.name] for r in rhs) - TOL:
             return False
     return True
 
@@ -384,105 +372,6 @@ def ddf_p1_system(N: int = 2, L: int = 2) -> ConstraintSystem:
                 terms[gamma_atom(aux).name] = -1
             sys_.add({f"R{l}": 1 for l in d}, AffineExpr.make(terms))
     return sys_
-
-
-# ---------------------------------------------------------------------------
-# Region utilities
-# ---------------------------------------------------------------------------
-
-
-def _max_bound(rows) -> float:
-    """Largest t >= 0 with d*t <= e for every (d, e) in `rows`.
-
-    0.0 when no t satisfies every row within 1e-9, or when some e is -inf
-    (a row no point meets) or NaN (inf - inf, an undefined region); raises
-    ValueError when no row bounds t above."""
-    lo, hi = 0.0, np.inf
-    for d, e in rows:
-        if not e > -np.inf:
-            return 0.0
-        if d > 0.0:
-            v = e / d
-            if v < hi:
-                hi = v
-        elif d < 0.0:
-            v = e / d
-            if v > lo:
-                lo = v
-        elif e < -_TOL:
-            return 0.0
-    if lo > hi + _TOL:
-        return 0.0
-    if hi == np.inf:
-        raise ValueError("region is unbounded")
-    return hi if hi > 0.0 else 0.0
-
-
-class CompiledRegion:
-    """A region over one rate R1, or two rates (R1, R2), compiled once for
-    `max_sum_rate`.
-
-    With two rates, s = R1 and t = R1 + R2 turn a row a1*R1 + a2*R2 <= b
-    into (a1 - a2)*s + a2*t <= b, and R1, R2 >= 0 add the rows -s <= 0 and
-    s - t <= 0 with right-hand side 0.  One Fourier-Motzkin step eliminates
-    s: rows free of s carry over as `flat` (d, row), and every row with a
-    positive s-coefficient pairs with every row with a negative one as
-    (d, row, weight, row, weight), the weights summing to 1.  With one rate,
-    t = R1 and every row is `flat`.  Pairs and weights follow from the
-    exact left-hand sides alone, so they are fixed here and an evaluation
-    only combines right-hand sides.  Every row pairs with a quadrant row or
-    carries over, so a NaN or -inf reaches the bounds.
-    """
-
-    def __init__(self, system: ConstraintSystem):
-        if len(system.variables) not in (1, 2):
-            raise ValueError("max_sum_rate expects a one- or two-rate system")
-        if not system.constraints:
-            raise ValueError("refusing to maximize over an unconstrained region")
-        self.rows = CompiledSystem(system)
-        if len(system.variables) == 1:
-            st = [(Q(0), c.coeff(system.variables[0])) for c in system.constraints]
-        else:
-            r1, r2 = system.variables
-            st = [(c.coeff(r1) - c.coeff(r2), c.coeff(r2)) for c in system.constraints]
-            st += [(Q(-1), Q(0)), (Q(1), Q(-1))]
-        self.flat = [(float(d), i) for i, (c, d) in enumerate(st) if c == 0]
-        self.pairs = [(float(wu * du + wl * dl), i, float(wu), j, float(wl))
-                      for i, (cu, du) in enumerate(st) if cu > 0
-                      for j, (cl, dl) in enumerate(st) if cl < 0
-                      for wu, wl in [(-cl / (cu - cl), cu / (cu - cl))]]
-
-
-def max_sum_rate(region: ConstraintSystem | CompiledRegion, valuation) -> float:
-    """Maximum of the rate sum over a one- or two-rate region intersected
-    with the nonnegative orthant: one Fourier-Motzkin step (see
-    `CompiledRegion`) leaves bounds on the sum t, and the largest feasible
-    t is exact up to float rounding.  The valuation is a mapping from atom
-    names, or a vector in the order of the compiled `rows.atoms`.
-
-    Returns 0.0 when the region is empty within 1e-9, or undefined: a
-    right-hand side of inf - inf is NaN.  A right-hand side of -inf empties
-    the region, one of +inf bounds nothing.  Raises ValueError when the
-    region is unbounded in the sum direction, and KeyError when the
-    valuation misses an atom of the region.
-    """
-    if not isinstance(region, CompiledRegion):
-        region = CompiledRegion(region)
-    b = region.rows.rhs(valuation).tolist() + [0.0, 0.0]
-    rows = [(d, b[i]) for d, i in region.flat]
-    rows += [(d, wu * b[i] + wl * b[j]) for d, i, wu, j, wl in region.pairs]
-    return _max_bound(rows)
-
-
-def region_to_json(system: ConstraintSystem, valuation: dict[str, float] | None = None):
-    """JSON-friendly export; adds resolved numeric right-hand sides when a
-    valuation is supplied."""
-    rows = [{"lhs": {k: float(v) for k, v in c.lhs}, "rhs": str(c.rhs)}
-            for c in system.constraints]
-    if valuation is not None:
-        for row, value in zip(rows, CompiledSystem(system).rhs(valuation).tolist()):
-            row["rhs_value"] = value
-    return {"variables": list(system.variables), "constraints": rows}
 
 
 def make_region(scheme: str, N: int = 2, L: int = 2) -> ConstraintSystem:

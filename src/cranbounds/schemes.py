@@ -29,9 +29,10 @@ from . import gaussian
 # wraps them by these names
 from .atoms import parse_atom  # noqa: F401
 from .gaussian import CranNetwork, JointCovariance
+from .polytope import CompiledRegion, max_sum_rate
 from .regions import corollary3_feasible  # noqa: F401
-from .regions import (CAPACITIES, CompiledRegion, corollary1_system, corollary2_system,
-                      corollary3_gated_system, gcomp_theorem2_system, max_sum_rate)
+from .regions import (CAPACITIES, corollary1_system, corollary2_system,
+                      corollary3_gated_system, gcomp_theorem2_system)
 
 __all__ = [
     "DescriptionIParams",

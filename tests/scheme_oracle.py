@@ -23,8 +23,8 @@ import numpy as np
 from conftest import caps_valuation
 from cranbounds import gaussian, schemes
 from cranbounds.gaussian import CranNetwork, JointCovariance
-from cranbounds.regions import (CompiledRegion, corollary3_feasible, corollary3_side_conditions,
-                                make_region, max_sum_rate)
+from cranbounds.polytope import CompiledRegion, max_sum_rate
+from cranbounds.regions import corollary3_feasible, corollary3_side_conditions, make_region
 
 
 def _check_psd(m: np.ndarray, what: str, tol: float = 1e-8):

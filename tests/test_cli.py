@@ -1,14 +1,19 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cranbounds import cli, schemes
 from cranbounds.gaussian import CranNetwork
@@ -739,6 +744,36 @@ def _rcf(tmp_path, text):
     return ["sumrate-sweep", str(sweep_config(tmp_path)), *_file_flag("--rcf-csv")(tmp_path, text)]
 
 
+def _pmf(tmp_path, text):
+    return [*_COR4, "--channel", str(GOLDEN / "channel_x1_y1y2.json"), "--caps", "C1=0.5",
+            *_file_flag("--pmf")(tmp_path, text)]
+
+
+def _channel(tmp_path, text):
+    return [*_COR4, "--pmf", str(GOLDEN / "pmf_uvx1.json"), "--caps", "C1=0.5",
+            *_file_flag("--channel")(tmp_path, text)]
+
+
+def _golden(fixture):
+    return json.loads((GOLDEN / fixture).read_text())
+
+
+def _edited(doc, *edits):
+    """A copy of the JSON value `doc` with each (key, ..., value) edit made."""
+    doc = json.loads(json.dumps(doc))
+    for *path, key, value in edits:
+        node = doc
+        for k in path:
+            node = node[k]
+        node[key] = value
+    return doc
+
+
+def _golden_with(fixture, *edits):
+    """The JSON text of a golden file with each (key, ..., value) edit made."""
+    return json.dumps(_edited(_golden(fixture), *edits))
+
+
 # (argv builder, file text, flag named); each case exited 1 with a
 # traceback, or 0 with a non-result, before every file went through one reader
 MALFORMED_FILES = {
@@ -760,9 +795,37 @@ MALFORMED_FILES = {
                             "", "--input"),
     "sweep config not JSON": ((lambda tmp_path, text: ["sumrate-sweep", *_file_flag()(tmp_path, text)]),
                               "{P: 1}", "config"),
+    # exited 0: a number may not be a string or a bool, a size must be an
+    # integer and a name a string; each was converted, 2.9 truncated to 2
+    "--network string power": (_file_flag(*_CUTSET, "--network"),
+                               '{"G": [[1.0]], "P": "10", "C": [1.0]}', "--network"),
+    "--cov string and bool": (_cov, '[["10", 0, 0], [0, true, 0], [0, 0, 10]]', "--cov"),
+    "--pmf fractional size, string probability": (
+        _pmf, _golden_with("pmf_uvx1.json", ("variables", 0, "size", 2.9), ("probs", 0, "0.125")),
+        "--pmf"),
+    "--pmf string probability": (_pmf, _golden_with("pmf_uvx1.json", ("probs", 0, "0.125")),
+                                 "--pmf"),
+    "--pmf number name": (_pmf, _golden_with("pmf_uvx1.json", ("variables", 1, "name", 7)),
+                          "--pmf"),
+    "--channel fractional size": (
+        _channel, _golden_with("channel_x1_y1y2.json", ("given", 0, "size", 2.0)), "--channel"),
+    "--network bool capacity": (_file_flag(*_CUTSET, "--network"),
+                                _golden_with("net3.json", ("C", 1, True)), "--network"),
+    # each parsed, then failed unnamed: a KeyError, or a numpy warning and a
+    # LinAlgError or the log-det error
+    "--valuation missing atom": (_file_flag(*_COR4, "--valuation"), '{"C1": 1}', "--valuation"),
+    "--pmf missing variable": (_file_flag(*_COR4, "--pmf"),
+                               _golden_with("pmf_uvx1.json", ("variables", 0, "name", "Q")),
+                               "--pmf"),
+    "--network overflowing gain": (_file_flag(*_CUTSET, "--network"),
+                                   _golden_with("net3.json", ("G", 0, 0, 1e200)), "--network"),
+    "--network largest power": (_file_flag(*_CUTSET, "--network"),
+                                _golden_with("net3.json", ("P", 1.7976931348623157e308)),
+                                "--network"),
 }
 
 
+@pytest.mark.filterwarnings("error")  # a warning prints a second stderr line
 @pytest.mark.parametrize("name", MALFORMED_FILES)
 def test_malformed_input_file_is_a_usage_error_naming_its_flag(tmp_path, capsys, name):
     argv, text, flag = MALFORMED_FILES[name]
@@ -771,6 +834,84 @@ def test_malformed_input_file_is_a_usage_error_naming_its_flag(tmp_path, capsys,
     err = capsys.readouterr().err
     assert rc == 2 and not out.exists(), err
     assert err.count("\n") == 1 and err.startswith(f"error: {flag} "), err
+
+
+# the flag of every JSON input file, and a command that reads the file given as its last
+# argument; `--pmf` alone, so that its file is the last one read
+JSON_INPUTS = {
+    "--network": _file_flag(*_CUTSET, "--network"),
+    "--cov": _cov,
+    "--pmf": _file_flag(*_COR4, "--caps", "C1=0.5", "--pmf"),
+    "--channel": _channel,
+    "--valuation": _file_flag(*_COR4, "--valuation"),
+    "config": lambda tmp_path, text: ["sumrate-sweep", *_file_flag()(tmp_path, text)],
+}
+
+
+@pytest.mark.parametrize("flag", JSON_INPUTS)
+def test_deeply_nested_json_file_is_a_usage_error_naming_its_flag(tmp_path, capsys, flag):
+    """A file of 100,000 '[' exited 1, the code of a verification failure,
+    with a RecursionError traceback."""
+    out = tmp_path / "out"
+    rc = run_cli([*JSON_INPUTS[flag](tmp_path, "[" * 100_000 + "\n"), "-o", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and not out.exists(), err
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag} "), err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=10)
+
+
+def _leaf_paths(node, path=()):
+    """The key path of every leaf of a JSON value."""
+    if not isinstance(node, (dict, list)):
+        return [path]
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    return [p for k, v in items for p in _leaf_paths(v, path + (k,))]
+
+
+# a valid file for each flag of JSON_INPUTS that names an input of `region`;
+# the --pmf one is the golden pmf with the golden channel composed on
+_VALID = {
+    "--network": _golden("net3.json"),
+    "--cov": _golden("cov_net3.json"),
+    "--pmf": {"variables": [{"name": n, "size": 2} for n in ("U", "V", "X1", "Y1", "Y2")],
+              "probs": (np.reshape(_golden("pmf_uvx1.json")["probs"], (4, 2, 1))
+                        * np.reshape(_golden("channel_x1_y1y2.json")["probs"], (1, 2, 4))
+                        ).ravel().tolist()},
+    "--channel": _golden("channel_x1_y1y2.json"),
+    "--valuation": {"I(U;Y1)": 1.0, "I(V;Y2)": 0.5, "I(U;V)": 0.25, "C1": 2.0},
+}
+
+
+@st.composite
+def _region_input(draw):
+    """A flag and a file for it: any JSON value, or a valid file with one
+    leaf replaced by one."""
+    flag = draw(st.sampled_from(sorted(_VALID)))
+    value = draw(JSON_VALUES)
+    if draw(st.booleans()):
+        value = _edited(_VALID[flag], (*draw(st.sampled_from(_leaf_paths(_VALID[flag]))), value))
+    return flag, json.dumps(value)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_region_input())
+def test_any_json_input_exits_0_or_is_a_usage_error_naming_its_flag(case):
+    """Whatever JSON a `region` input file holds, the command succeeds or
+    prints one line that names the file's flag and exits 2."""
+    flag, text = case
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = run_cli([*JSON_INPUTS[flag](Path(tmp), text), "-o", str(Path(tmp) / "out")])
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith(f"error: {flag} "), (
+            err.getvalue())
 
 
 def test_reading_input_files_leaves_none_open(tmp_path):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cranbounds import discrete
+from cranbounds import cli, discrete
 from cranbounds.discrete import (Channel, JointPmf, add_deterministic,
                                  atom_valuation, blahut_arimoto, compose,
                                  entropy, marginalize, mutual_info,
@@ -232,11 +232,11 @@ def test_atom_values_is_atom_valuation_in_list_order(theorem1):
 
 
 def test_from_json_reads_the_committed_fixtures():
-    p = JointPmf.from_json((GOLDEN / "pmf_uvx1.json").read_text())
+    p = cli._pmf((GOLDEN / "pmf_uvx1.json").read_text())
     assert p.variables == (("U", 2), ("V", 2), ("X1", 2))
     assert p.probs.tolist() == [[[0.125, 0.0625], [0.0625, 0.25]],
                                 [[0.1875, 0.0625], [0.125, 0.125]]]
-    ch = Channel.from_json((GOLDEN / "channel_x1_y1y2.json").read_text())
+    ch = cli._channel((GOLDEN / "channel_x1_y1y2.json").read_text())
     assert ch.inputs == (("X1", 2),) and ch.outputs == (("Y1", 2), ("Y2", 2))
     assert ch.probs.tolist() == [[[0.75, 0.125], [0.0625, 0.0625]],
                                  [[0.0625, 0.125], [0.25, 0.5625]]]

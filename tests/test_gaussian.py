@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cranbounds import gaussian
+from cranbounds import cli, gaussian
 from cranbounds.atoms import gamma_atom, mi_atom
 from cranbounds.gaussian import (CranNetwork, JointCovariance, capacity_logdet,
                                  gauss_mi, gauss_total_correlation,
@@ -129,9 +129,12 @@ def test_covariance_rejects_non_finite_entries(matrix):
     (np.stack([np.eye(2), [[1.0, 0.0], [0.0, NAN]]]), np.eye(2)),
 ])
 def test_capacity_logdet_rejects_non_finite_inputs(g, k):
-    """slogdet gave a NaN log or sign, which passed `sign <= 0`: each read 0.0 bits."""
-    with pytest.raises(ValueError, match="not finite"):
-        capacity_logdet(np.asarray(g), np.asarray(k))
+    """slogdet gave a NaN log or sign, which passed `sign <= 0`: each read 0.0 bits.
+    The input is rejected before any linear algebra, which warned on it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            capacity_logdet(np.asarray(g), np.asarray(k))
 
 
 def test_sylvester_identity():
@@ -182,12 +185,12 @@ def test_network_container():
     net = CranNetwork.make([[1.0, 0.5], [-0.5, 1.0]], 10.0, [1.0, 2.0],
                            [[0.0, 0.3], [0.4, 0.0]])
     assert net.N == 2 and net.L == 2
-    again = CranNetwork.from_json('{"G": [[1.0, 0.5], [-0.5, 1.0]], "P": 10.0, '
-                                  '"C": [1.0, 2.0], "Ccoop": [[0.0, 0.3], [0.4, 0.0]]}')
+    again = cli._network('{"G": [[1.0, 0.5], [-0.5, 1.0]], "P": 10.0, '
+                         '"C": [1.0, 2.0], "Ccoop": [[0.0, 0.3], [0.4, 0.0]]}')
     for name in ("G", "C", "Ccoop"):
         assert np.array_equal(getattr(again, name), getattr(net, name)), name
     assert again.P == net.P
-    assert np.array_equal(CranNetwork.from_json('{"G": [[1.0]], "P": 1.0, "C": [1.0]}').Ccoop,
+    assert np.array_equal(cli._network('{"G": [[1.0]], "P": 1.0, "C": [1.0]}').Ccoop,
                           [[0.0]])
     with pytest.raises(ValueError):
         CranNetwork.make([[1.0]], -1.0, [1.0])

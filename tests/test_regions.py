@@ -151,16 +151,16 @@ def test_corollary1_min_example():
     val = {"I(U0;Y1)": 2.0, "I(V0;Y2)": 2.0, "I(U0;V0)": 0.0,
            "C1": 1.0, "C2": 1.0, "C12": 0.0, "C21": 0.0}
     sys_ = regions.corollary1_system()
-    assert regions.max_sum_rate(sys_, val) == pytest.approx(1.0, abs=1e-6)
+    assert polytope.max_sum_rate(sys_, val) == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(KeyError):
-        regions.max_sum_rate(sys_, {"C1": 1.0})
+        polytope.max_sum_rate(sys_, {"C1": 1.0})
 
 
 def test_corollary2_zero_mi_collapses():
     val = {a: 0.0 for a in regions.corollary2_system().atoms()}
     val.update({"C1": 1.0, "C2": 1.0, "C12": 0.0, "C21": 0.0})
     sys_ = regions.corollary2_system()
-    assert regions.max_sum_rate(sys_, val) == 0.0
+    assert polytope.max_sum_rate(sys_, val) == 0.0
     assert polytope.is_member(sys_, val, {"R1": 0.0, "R2": 0.0})
     assert not polytope.is_member(sys_, val, {"R1": 0.01, "R2": 0.0})
 
@@ -186,7 +186,7 @@ def test_corollary4_structure():
     assert len(sys_) == 4
     assert sys_.atoms() == {"I(U;Y1)", "I(V;Y2)", "I(U;V)", "C1"}
     val = {"I(U;Y1)": 1.0, "I(V;Y2)": 1.0, "I(U;V)": 1.0, "C1": 0.7}
-    assert regions.max_sum_rate(regions.corollary4_system(), val) == \
+    assert polytope.max_sum_rate(regions.corollary4_system(), val) == \
         pytest.approx(0.7, abs=1e-6)
 
 
@@ -207,7 +207,7 @@ def test_corollary5_binary_adder_grid_search():
         val = discrete.atom_valuation(discrete.compose(pmf, adder), atoms,
                                       constants=caps)
         val.update(caps)
-        return regions.max_sum_rate(regions.corollary5_system(), val)
+        return polytope.max_sum_rate(regions.corollary5_system(), val)
 
     uniform_independent = discrete.JointPmf.make(
         [("U", 2), ("X1", 2), ("X2", 2)],
@@ -232,7 +232,7 @@ def test_corollary5_zero_capacities():
     val = {a: 2.0 for a in regions.corollary5_system().atoms()}
     val.update({"C1": 0.0, "C2": 0.0, "C12": 0.0, "C21": 0.0})
     # first expression pins the rate at C1+C2 - I(X1;X2|U) <= 0
-    assert regions.max_sum_rate(regions.corollary5_system(), val) == 0.0
+    assert polytope.max_sum_rate(regions.corollary5_system(), val) == 0.0
 
 
 EXPLICIT = ("corollary1_system", "corollary2_system", "corollary3_system",
@@ -310,7 +310,7 @@ def test_ddf_single_bs_single_user_form():
     assert len(sys_) == 2
     val = {"I(U1;Y1)": 0.8, "Gamma(U1,X1)": 0.5, "C1": 0.3}
     # R1 <= min(I(U1;Y1), I(U1;Y1) + C1 - I(X1;U1))
-    assert regions.max_sum_rate(sys_, val) == \
+    assert polytope.max_sum_rate(sys_, val) == \
         pytest.approx(min(0.8, 0.8 + 0.3 - 0.5), abs=1e-12)
 
 
@@ -462,7 +462,7 @@ def test_cuts_grid_and_node_bounds():
 def test_region_to_json():
     sys_ = regions.corollary4_system()
     val = {"I(U;Y1)": 1.0, "I(V;Y2)": 0.5, "I(U;V)": 0.25, "C1": 2.0}
-    payload = regions.region_to_json(sys_, val)
+    payload = polytope.region_to_json(sys_, val)
     assert payload["variables"] == ["R1", "R2"]
     assert len(payload["constraints"]) == 4
     sums = [c for c in payload["constraints"] if c["lhs"] == {"R1": 1.0, "R2": 1.0}]
@@ -475,14 +475,14 @@ def test_inf_minus_inf_makes_the_region_undefined():
     val = {"I(U;Y1)": np.inf, "I(V;Y2)": 1.0, "I(U;V)": np.inf, "C1": 3.0}
     _, b = sys_.numeric(val)
     assert np.isnan(b).sum() == 1
-    assert regions.max_sum_rate(sys_, val) == 0.0
+    assert polytope.max_sum_rate(sys_, val) == 0.0
     with pytest.raises(ValueError):
         polytope.min_slack(sys_, val, {"R1": 2.9, "R2": 0.0})
     with pytest.raises(ValueError):
         polytope.is_member(sys_, val, {"R1": 2.9, "R2": 0.0})
     one_d = polytope.ConstraintSystem(["R1"])
     one_d.add({"R1": 1}, polytope.AffineExpr.make({"C1": 1, "I(U;V)": 1, "I(U;Y1)": -1}))
-    assert regions.max_sum_rate(one_d, val) == 0.0
+    assert polytope.max_sum_rate(one_d, val) == 0.0
 
 
 def test_corollary3_nan_side_condition_is_infeasible():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import scheme_oracle
 from cranbounds import regions, schemes
 from cranbounds.gaussian import CranNetwork
-from cranbounds.regions import CompiledRegion, max_sum_rate
+from cranbounds.polytope import CompiledRegion, max_sum_rate
 from cranbounds.schemes import (GAUSSIAN_SCHEMES, CompressionParams, DescriptionIIIParams,
                                 DescriptionIParams, DescriptionIIParams, _SchemeSpace,
                                 scheme_sumrate, sweep_rows)

@@ -1,4 +1,4 @@
-"""The exact sum-rate kernel (`regions.max_sum_rate`, over one- and
+"""The exact sum-rate kernel (`polytope.max_sum_rate`, over one- and
 two-rate regions) against `scipy.optimize.linprog`, plus its semantics for
 infinite and undefined right-hand sides.
 
@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cranbounds import regions
+from cranbounds import polytope, regions
 from cranbounds.polytope import AffineExpr, CompiledSystem, ConstraintSystem
 
 SCHEMES = ("GDS-I", "GDS-II", "GDS-III", "GCOMP-T2", "COR4")
 SYSTEMS = {s: regions.make_region(s) for s in SCHEMES}
-COMPILED = {s: regions.CompiledRegion(sys_) for s, sys_ in SYSTEMS.items()}
+COMPILED = {s: polytope.CompiledRegion(sys_) for s, sys_ in SYSTEMS.items()}
 
 
 def lp_verdict(A, b):
@@ -69,8 +69,8 @@ def test_scheme_regions_match_linprog(scheme, data):
     atoms = sorted(system.atoms())
     valuation = dict(zip(atoms, data.draw(st.lists(atom_values, min_size=len(atoms),
                                                    max_size=len(atoms)))))
-    assert_matches_lp(regions.max_sum_rate, system, valuation, COMPILED[scheme])
-    assert_matches_lp(regions.max_sum_rate, system, valuation)
+    assert_matches_lp(polytope.max_sum_rate, system, valuation, COMPILED[scheme])
+    assert_matches_lp(polytope.max_sum_rate, system, valuation)
 
 
 small_ints = st.integers(-3, 3)
@@ -90,20 +90,20 @@ def random_systems(draw, variables):
 @settings(max_examples=400, deadline=None)
 @given(random_systems(("R1", "R2")), st.integers(-2, 4))
 def test_random_two_rate_systems_match_linprog(system, c1):
-    assert_matches_lp(regions.max_sum_rate, system, {"C1": c1})
+    assert_matches_lp(polytope.max_sum_rate, system, {"C1": c1})
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_systems(("R1",)), st.integers(-2, 4))
 def test_random_one_rate_systems_match_linprog(system, c1):
-    assert_matches_lp(regions.max_sum_rate, system, {"C1": c1})
+    assert_matches_lp(polytope.max_sum_rate, system, {"C1": c1})
 
 
 def max_single_rate_oracle(system, valuation):
     """The one-rate maximum as computed before `CompiledRegion` took one-rate
     systems: `_max_bound` over (coefficient, right-hand side) per row."""
     rows = CompiledSystem(system)
-    return regions._max_bound(zip(rows.A[:, 0].tolist(), rows.rhs(valuation).tolist()))
+    return polytope._max_bound(zip(rows.A[:, 0].tolist(), rows.rhs(valuation).tolist()))
 
 
 @settings(max_examples=400, deadline=None)
@@ -113,7 +113,7 @@ def test_one_rate_max_sum_rate_equals_the_single_rate_loop(system, c1):
     """Bit for bit, including 0.0 for an empty region, for a -inf right-hand
     side and for a NaN one (C1 = NaN), and the same unbounded verdict."""
     got, want = (kernel_verdict(fn, system, {"C1": c1})
-                 for fn in (regions.max_sum_rate, max_single_rate_oracle))
+                 for fn in (polytope.max_sum_rate, max_single_rate_oracle))
     assert repr(got) == repr(want)
 
 
@@ -155,64 +155,64 @@ def test_inf_atom_leaves_rows_without_it_finite():
     assert CompiledSystem(COR4).rhs(val).tolist() == [INF, 1.0, INF, 3.0]
     _, b = COR4.numeric(val)
     assert not np.isnan(b).any()
-    assert regions.max_sum_rate(COR4, val) == 3.0
+    assert polytope.max_sum_rate(COR4, val) == 3.0
     single = one_rate((1, {"I(U;Y1)": 1}, 0), (1, {"C1": 1}, 0))
-    assert regions.max_sum_rate(single, val) == 3.0
+    assert polytope.max_sum_rate(single, val) == 3.0
 
 
 def test_minus_inf_rhs_empties_the_region():
     # I(U;V) = inf makes the Marton sum bound -inf: no point meets it
     val = {"I(U;Y1)": 1.0, "I(V;Y2)": 1.0, "I(U;V)": INF, "C1": 3.0}
-    assert regions.max_sum_rate(COR4, val) == 0.0
+    assert polytope.max_sum_rate(COR4, val) == 0.0
     single = one_rate((1, {"C1": 1}, 0), (1, {"I(U;V)": -1}, 0))
-    assert regions.max_sum_rate(single, val) == 0.0
+    assert polytope.max_sum_rate(single, val) == 0.0
     lower = one_rate((1, {"C1": 1}, 0), (-1, {"I(U;V)": -1}, 0))
-    assert regions.max_sum_rate(lower, val) == 0.0
+    assert polytope.max_sum_rate(lower, val) == 0.0
 
 
 def test_vacuous_inf_row_bounds_nothing():
     val = {"I(U;Y1)": 1.0, "I(V;Y2)": 1.0, "I(U;V)": 0.5, "C1": INF}
-    assert regions.max_sum_rate(COR4, val) == 1.5
+    assert polytope.max_sum_rate(COR4, val) == 1.5
     single = one_rate((1, {"C1": 1}, 0), (1, {"I(U;Y1)": 1}, 0))
-    assert regions.max_sum_rate(single, val) == 1.0
+    assert polytope.max_sum_rate(single, val) == 1.0
     with pytest.raises(ValueError, match="unbounded"):
-        regions.max_sum_rate(one_rate((1, {"C1": 1}, 0)), val)
+        polytope.max_sum_rate(one_rate((1, {"C1": 1}, 0)), val)
     with pytest.raises(ValueError, match="unbounded"):
-        regions.max_sum_rate(COR4, {**val, "I(U;Y1)": INF, "I(V;Y2)": INF})
+        polytope.max_sum_rate(COR4, {**val, "I(U;Y1)": INF, "I(V;Y2)": INF})
 
 
 def test_inf_minus_inf_gives_zero():
     val = {"I(U;Y1)": INF, "I(V;Y2)": 1.0, "I(U;V)": INF, "C1": 3.0}
     assert np.isnan(COR4.numeric(val)[1]).sum() == 1
-    assert regions.max_sum_rate(COR4, val) == 0.0
+    assert polytope.max_sum_rate(COR4, val) == 0.0
     single = one_rate((1, {"C1": 1}, 0), (1, {"I(U;Y1)": 1, "I(U;V)": -1}, 0))
-    assert regions.max_sum_rate(single, val) == 0.0
+    assert polytope.max_sum_rate(single, val) == 0.0
 
 
 def test_emptiness_is_tested_with_tol():
     system = ConstraintSystem(["R1", "R2"])
     system.add({"R1": 1, "R2": 1}, AffineExpr.make({"C1": 1}))
     system.add({"R1": -1}, AffineExpr.make({"C1": 1}))
-    assert regions.max_sum_rate(system, {"C1": -1e-12}) == 0.0
-    assert regions.max_sum_rate(system, {"C1": -1.0}) == 0.0
+    assert polytope.max_sum_rate(system, {"C1": -1e-12}) == 0.0
+    assert polytope.max_sum_rate(system, {"C1": -1.0}) == 0.0
     # away from the origin: R1 + R2 >= 1 and R1 + R2 <= 2
     band = ConstraintSystem(["R1", "R2"])
     band.add({"R1": -1, "R2": -1}, AffineExpr.constant(-1))
     band.add({"R1": 1, "R2": 1}, AffineExpr.constant(2))
-    assert regions.max_sum_rate(band, {}) == 2.0
+    assert polytope.max_sum_rate(band, {}) == 2.0
 
 
 def test_errors():
     with pytest.raises(ValueError, match="unconstrained"):
-        regions.max_sum_rate(ConstraintSystem(["R1", "R2"]), {})
+        polytope.max_sum_rate(ConstraintSystem(["R1", "R2"]), {})
     three = ConstraintSystem(["R1", "R2", "R3"])
     three.add({"R1": 1, "R2": 1, "R3": 1}, AffineExpr.constant(1))
     with pytest.raises(ValueError, match="one- or two-rate"):
-        regions.CompiledRegion(three)
+        polytope.CompiledRegion(three)
     with pytest.raises(KeyError):
-        regions.max_sum_rate(COMPILED["COR4"], {"C1": 1.0})
+        polytope.max_sum_rate(COMPILED["COR4"], {"C1": 1.0})
     with pytest.raises(KeyError):
-        regions.max_sum_rate(regions.corollary5_system(), {"C1": 1.0})
+        polytope.max_sum_rate(regions.corollary5_system(), {"C1": 1.0})
 
 
 def test_pairing_weights_are_exact():
@@ -220,6 +220,6 @@ def test_pairing_weights_are_exact():
     system = ConstraintSystem(["R1", "R2"])
     system.add({"R1": Fraction(1, 3)}, AffineExpr.constant(1))
     system.add({"R2": 2}, AffineExpr.constant(1))
-    region = regions.CompiledRegion(system)
+    region = polytope.CompiledRegion(system)
     assert (2 / 7, 0, 6 / 7, 1, 1 / 7) in region.pairs
-    assert regions.max_sum_rate(region, {}) == pytest.approx(3.5, abs=1e-15)
+    assert polytope.max_sum_rate(region, {}) == pytest.approx(3.5, abs=1e-15)
