@@ -11,7 +11,8 @@ cut relative to the whole matrix's largest eigenvalue (kept by
 `JointCovariance.make` from its PSD test), so ranks agree across blocks.
 1x1 and 2x2 blocks have closed forms, larger ones one stacked eigensolve
 per size, and the spectra under 8 wide one padded reduction.  `check_psd`,
-the one PSD test, reads the two ends of a spectrum, a 2x2's in closed form.
+the one PSD test, rejects a non-finite entry, then reads the two ends of a
+spectrum, a 2x2's in closed form.
 `atom_values` evaluates the `atoms.AtomPlan` the discrete back end shares
 (same cache, same clamp) as kernel, then half a matrix product; the same
 product over ranks flags infinite atoms.  `atom_valuation` names them and
@@ -53,10 +54,14 @@ def _sym(m: np.ndarray) -> np.ndarray:
 def check_psd(m: np.ndarray, what: str, tol: float) -> float:
     """Largest eigenvalue of the symmetric part of m, floored at 0; raise
     ValueError naming `what` if the smallest lies below -tol * max(1, largest
-    |eigenvalue|).  A 2x2 takes the closed form h +- r in floats."""
+    |eigenvalue|), or if an entry is not finite.  A 2x2 takes the closed
+    form h +- r in floats."""
+    entries = m.ravel().tolist()
+    if not all(map(math.isfinite, entries)):
+        raise ValueError(f"{what} is not finite")
     if m.shape != (2, 2):
         return _psd_top(np.linalg.eigvalsh(_sym(m)), what, tol)
-    (a, b), (c, d) = m.tolist()
+    a, b, c, d = entries
     h, off = 0.5 * (a + d), 0.5 * (b + c)
     r = math.sqrt((0.5 * (a - d)) ** 2 + off * off)
     return _psd_top((h - r, h + r), what, tol)

@@ -1,11 +1,13 @@
 """Gaussian auxiliary constructions, sum-rate optimization, and sweeps.
 
 Every scheme is one linear-Gaussian construction: independent Gaussian
-sources S with covariance `base`, auxiliaries R S, channel inputs X S and
-outputs Y = G X S + Z with unit receiver noise.  A scheme states only its
-source covariance and its rows R and X; one builder forms the joint
-covariance and runs the PSD checks on the covariance parameters and the
-per-BS power check on var(X1), var(X2).  The Gaussian atom values and the
+sources S with covariance `base`, auxiliaries and channel inputs W S and
+outputs Y = G X S + Z with unit receiver noise.  One table, `_SCHEMES`,
+holds each scheme's region, restart-0 start and constant row template W;
+`build_joint_cov` states only what varies (`base`, the precoder in W, the
+PSD list), then forms the joint covariance, runs the finiteness and PSD
+checks on the covariance parameters and the per-BS power check on var(X1),
+var(X2).  The Gaussian atom values and the
 network's capacities fill one vector in the order of the scheme's compiled
 region, whose maximum sum rate is then taken; GDS-III's side conditions
 are rate-free rows of that region.
@@ -50,7 +52,21 @@ __all__ = [
     "sweep_rows",
 ]
 
-GAUSSIAN_SCHEMES = ("GDS-I", "GDS-II", "GDS-III", "GCOMP")
+# each Gaussian scheme's region, restart-0 point per unit sqrt(P) (half the
+# power to each description, GCOMP's W at 0.01 P; one entry per parameter) and
+# row template W over its sources: the auxiliaries U = S1, V = S2 (and GCOMP's
+# X0), then X1, X2
+_DS_ROWS = np.vstack([np.eye(4), np.eye(2, 4) + np.eye(2, 4, 2)])  # X = S1 + S2
+_SCHEMES = {
+    "GDS-I": (corollary1_system, np.r_[0.5, 0, 0.5, 0.5, 0, 0.5], _DS_ROWS),
+    "GDS-II": (corollary2_system, np.full(8, 0.5), np.eye(8, 6)),
+    "GDS-III": (corollary3_gated_system, np.r_[0.5, 0, 0.5, 0.5, 0, 0.5, [0] * 4], _DS_ROWS),
+    "GCOMP": (gcomp_theorem2_system, np.r_[0.5, 0, 0.5, 0.5, 0, 0.5, 0.1, 0, 0.1, [0] * 6],
+              np.vstack([np.eye(7)[[0, 1, 2, 3, 6]],
+                         np.eye(2, 7) + np.eye(2, 7, 2) + np.eye(2, 7, 4)])),  # X = S1 + S2 + W
+}
+GAUSSIAN_SCHEMES = tuple(_SCHEMES)
+_I2 = np.eye(2)
 # the schemes a sweep prints unless its config lists them; GDS-TS is the best
 # of GDS-I, II and III at each point
 SWEEP_SCHEMES = ("GDS-I", "GDS-II", "GDS-III", "GDS-TS", "GCOMP")
@@ -141,21 +157,42 @@ def _blockdiag(*blocks) -> np.ndarray:
     return out
 
 
-def _joint(network: CranNetwork, base, comps, R, X, psd=()) -> JointCovariance:
-    """Joint covariance of the auxiliaries R S, the inputs X S and the
-    outputs G X S + Z, for sources S ~ `base` and unit receiver noise Z.
-
-    The components are `comps` (the auxiliaries, in the row order of R),
-    then X1, X2, Y1, Y2.  Every (name, matrix, tol) in `psd` is checked
-    first; per-BS power is checked on the joint's own var(X1), var(X2).
-    """
+def build_joint_cov(scheme: str, params, network: CranNetwork) -> JointCovariance:
+    """Joint covariance of the auxiliaries, X1, X2, Y1 and Y2 for one scheme
+    instance: the rows W S (auxiliaries, then X1, X2) and the outputs
+    G X S + Z, for sources S ~ `base` and unit receiver noise Z.  Raises
+    ValueError for a non-finite or non-PSD covariance parameter (checked
+    first) or a per-BS power var(Xk) above P."""
+    if network.G.shape != (2, 2):
+        raise ValueError("Gaussian scheme constructions are 2-BS 2-user")
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown Gaussian scheme {scheme!r}")
+    W, g2, psd = _SCHEMES[scheme][2].copy(), network.G[1], ()
+    if scheme == "GDS-II":  # the auxiliaries are the unit sources; X rows (a, b)
+        base, comps = W[:6], [(n, 1) for n in ("U0", "V0", "U1", "V1", "U2", "V2")]
+        W[6, :4], W[7, [0, 1, 4, 5]] = params.a, params.b
+    elif scheme == "GCOMP":  # U1 = S1, U2 = S2 + A S1, X0; X = S1 + S2 + W
+        base = _blockdiag(params.K1, params.K2, params.Kw, [[1.0]])  # of (S1, S2, W, X0)
+        base[6, 0:6] = base[0:6, 6] = params.x0cov
+        comps = [("U1", 2), ("U2", 2), ("X0", 1)]
+        W[2:4, 0:2] = _dpc_precoder(params.K2, g2, params.Kw)
+        psd = (("Kw", params.Kw, 1e-8), ("joint (S1,S2,W,X0) covariance", base, 1e-6))
+    elif scheme == "GDS-I":  # U0 = S1, V0 = S2 + A S1; X = S1 + S2
+        base, comps = _blockdiag(params.K1, params.K2), [("U0", 2), ("V0", 2)]
+        W[2:4, 0:2] = _dpc_precoder(params.K2, g2)
+    else:  # GDS-III: (U1, U2) = S1, (V1, V2) = S2 + A S1; X = U + V = (I+A) S1 + S2
+        base = _blockdiag(params.K1, params.K2)
+        comps = [(n, 1) for n in ("U1", "U2", "V1", "V2")]
+        W[2:4, 0:2] = params.A
+        W[4:6, 0:2] += params.A
+    if scheme != "GDS-II":
+        psd = (("K1", params.K1, 1e-8), ("K2", params.K2, 1e-8), *psd)
     for name, m, tol in psd:
         gaussian.check_psd(m, name, tol)
-    n, k = base.shape[0], R.shape[0]
-    M = np.zeros((k + 4, n + 2))  # rows R, X, G X; columns S, Z
-    M[:k, :n] = R
-    M[k:k + 2, :n] = X
-    M[k + 2:, :n] = [g @ X for g in network.G]
+    n, k = base.shape[0], W.shape[0] - 2
+    M = np.zeros((k + 4, n + 2))  # rows W, G X; columns S, Z
+    M[:k + 2, :n] = W
+    M[k + 2:, :n] = [g @ W[k:] for g in network.G]
     B = np.zeros((n + 2, n + 2))  # blockdiag(base, I)
     B[:n, :n] = base
     M[k + 2, n] = M[k + 3, n + 1] = B[n, n] = B[n + 1, n + 1] = 1.0
@@ -165,50 +202,11 @@ def _joint(network: CranNetwork, base, comps, R, X, psd=()) -> JointCovariance:
     return JointCovariance.make([*comps, ("X1", 1), ("X2", 1), ("Y1", 1), ("Y2", 1)], cov)
 
 
-def build_joint_cov(scheme: str, params, network: CranNetwork) -> JointCovariance:
-    """Joint covariance over auxiliaries, channel inputs, and outputs for one
-    scheme instance; receiver noises are independent with unit variance.
-    Raises ValueError for a non-PSD covariance parameter or a per-BS power
-    above P."""
-    if network.G.shape != (2, 2):
-        raise ValueError("Gaussian scheme constructions are 2-BS 2-user")
-    g2 = network.G[1]
-    if scheme == "GDS-II":  # unit sources U0 V0 U1 V1 U2 V2; X rows (a, b)
-        a, b = params.a, params.b
-        X = np.array([[a[0], a[1], a[2], a[3], 0, 0], [b[0], b[1], 0, 0, b[2], b[3]]])
-        comps = [(n, 1) for n in ("U0", "V0", "U1", "V1", "U2", "V2")]
-        return _joint(network, np.eye(6), comps, np.eye(6), X)
-    if scheme not in GAUSSIAN_SCHEMES:
-        raise ValueError(f"unknown Gaussian scheme {scheme!r}")
-    K1, K2 = params.K1, params.K2
-    psd = (("K1", K1, 1e-8), ("K2", K2, 1e-8))
-    if scheme == "GCOMP":  # U1 = S1, U2 = S2 + A S1, X0; X = S1 + S2 + W
-        base = _blockdiag(K1, K2, params.Kw, np.ones((1, 1)))  # of (S1, S2, W, X0)
-        base[6, 0:6] = base[0:6, 6] = params.x0cov
-        R = np.eye(7)[[0, 1, 2, 3, 6]]
-        R[2:4, 0:2] = _dpc_precoder(K2, g2, params.Kw)
-        psd += (("Kw", params.Kw, 1e-8), ("joint (S1,S2,W,X0) covariance", base, 1e-6))
-        return _joint(network, base, [("U1", 2), ("U2", 2), ("X0", 1)], R,
-                      np.eye(2, 7) + np.eye(2, 7, 2) + np.eye(2, 7, 4), psd)
-    # sources (S1, S2); R = [[I, 0], [A, I]]
-    R = np.eye(4)
-    if scheme == "GDS-I":  # U0 = S1, V0 = S2 + A S1; X = S1 + S2
-        R[2:, 0:2] = _dpc_precoder(K2, g2)
-        return _joint(network, _blockdiag(K1, K2), [("U0", 2), ("V0", 2)], R,
-                      np.eye(2, 4) + np.eye(2, 4, 2), psd)
-    # GDS-III: (U1, U2) = S1, (V1, V2) = S2 + A S1; X = U + V = (I+A) S1 + S2
-    R[2:, 0:2] = params.A
-    comps = [(n, 1) for n in ("U1", "U2", "V1", "V2")]
-    return _joint(network, _blockdiag(K1, K2), comps, R, R[:2] + R[2:], psd)
-
-
 @functools.cache
 def _compiled(scheme: str):
     """The scheme's compiled region (GDS-III's with its side conditions as
     rate-free rows) and the positions of C1, C2, C12, C21 in its atoms."""
-    region = CompiledRegion({"GDS-I": corollary1_system, "GDS-II": corollary2_system,
-                             "GDS-III": corollary3_gated_system,
-                             "GCOMP": gcomp_theorem2_system}[scheme]())
+    region = CompiledRegion(_SCHEMES[scheme][0]())
     return region, np.array([region.rows.atoms.index(c) for c in CAPACITIES])
 
 
@@ -260,21 +258,13 @@ class _SchemeSpace:
         self.scheme = scheme
         self.network = network
         self.P = network.P
-        self.nparams = {"GDS-I": 6, "GDS-II": 8, "GDS-III": 10, "GCOMP": 15}[scheme]
+        self.nparams = len(_SCHEMES[scheme][1])
         self.memo: dict[bytes, float] = {}
 
     def initial(self, rng: np.random.Generator, restart: int) -> np.ndarray:
         s = np.sqrt(max(self.P, 1e-12))
         if restart == 0:
-            # balanced deterministic start: half power per description
-            x = np.zeros(self.nparams)
-            if self.scheme == "GDS-II":
-                x[:] = s / 2.0
-            else:
-                x[[0, 2, 3, 5]] = s / 2.0   # diagonals of the first two factors
-                if self.scheme == "GCOMP":
-                    x[[6, 8]] = 0.1 * s
-            return x
+            return _SCHEMES[self.scheme][1] * s
         return rng.normal(0.0, 0.5 * s, size=self.nparams)
 
     def to_params(self, x: np.ndarray):
@@ -292,7 +282,7 @@ class _SchemeSpace:
         if self.scheme == "GDS-III":
             K1, K2 = _vec_to_psd(x[0:3]), _vec_to_psd(x[3:6])
             A = x[6:10].reshape(2, 2)
-            ia = np.eye(2) + A
+            ia = _I2 + A
             d = np.diag(ia @ K1 @ ia.T + K2)
             worst = d.max(initial=0.0)
             if worst > self.P:
@@ -319,7 +309,7 @@ class _SchemeSpace:
         if key not in self.memo:
             try:
                 self.memo[key] = scheme_sumrate(self.scheme, self.to_params(x), self.network)
-            except (ValueError, np.linalg.LinAlgError):
+            except ValueError:  # LinAlgError included
                 self.memo[key] = -np.inf
         return self.memo[key]
 

@@ -1,9 +1,12 @@
 """Module boundaries, read from the package source with `ast`: `regions`
 only writes symbolic systems, `polytope` evaluates them under one slack
-tolerance, and `cli` is the one module that reads input files."""
+tolerance, `cli` is the one module that reads input files, and `schemes`
+states each Gaussian scheme once, in one table."""
 
 import ast
 from pathlib import Path
+
+from cranbounds import schemes
 
 SRC = Path(__file__).parent.parent / "src" / "cranbounds"
 TREES = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
@@ -62,3 +65,15 @@ def test_one_slack_tolerance_for_emptiness_membership_and_side_conditions():
         names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
         literals = [n.value for n in ast.walk(fn) if isinstance(n, ast.Constant)]
         assert "TOL" in names and 1e-9 not in literals, fn.name
+
+
+def test_each_gaussian_scheme_is_stated_once():
+    """One table entry per scheme and one joint builder: the optimizer space
+    and the region cache read the table and name no scheme."""
+    defs = top_level(TREES["schemes"])
+    assert "_joint" not in defs
+    space = {f.name: f for f in defs["_SchemeSpace"].body if isinstance(f, ast.FunctionDef)}
+    for fn in (space["__init__"], space["initial"], defs["_compiled"]):
+        literals = {n.value for n in ast.walk(fn) if isinstance(n, ast.Constant)}
+        assert not literals & {*schemes.SWEEP_SCHEMES}, fn.name
+    assert schemes.GAUSSIAN_SCHEMES == tuple(schemes._SCHEMES)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -281,3 +282,12 @@ def test_psd_check_exact_cases():
             with pytest.raises(ValueError, match="^M is not PSD"):
                 gaussian.check_psd(m, "M", 1e-8)
     assert gaussian.check_psd(np.zeros((0, 0)), "M", 1e-8) == 0.0
+
+
+@pytest.mark.parametrize("m", [[[1.0, math.nan], [math.nan, 1.0]], [[math.inf, 0.0], [0.0, 1.0]],
+                               [[-math.inf, 0.0], [0.0, 1.0]], np.full((3, 3), math.nan)])
+def test_psd_check_rejects_non_finite_entries(m):
+    """A 2x2's closed form would read NaN or infinity as PSD and a larger
+    matrix fail in the eigensolver unnamed; both are named first."""
+    with pytest.raises(ValueError, match="^M is not finite$"):
+        gaussian.check_psd(np.array(m), "M", 1e-8)

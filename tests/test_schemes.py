@@ -40,15 +40,33 @@ def test_param_validation():
 @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("scheme", ["GDS-I", "GDS-III", "GCOMP"])
 def test_non_finite_k1_is_a_value_error(scheme, v):
-    """A NaN or infinite K1 slips through the 2x2 closed-form PSD test (its
-    comparisons read NaN, or -inf against -inf); building the joint still
-    ends in a ValueError, as it did through the eigensolve."""
+    """A NaN or infinite K1 is named by the PSD check before its 2x2 closed
+    form (whose comparisons would pass NaN) or an eigensolve runs: one
+    message for every scheme and any GCOMP X0 correlation."""
     K2, A = 0.5 * np.eye(2), np.zeros((2, 2))
     for K1 in (np.array([[v, 0.0], [0.0, 1.0]]), np.array([[1.0, v], [v, 1.0]])):
-        params = {"GDS-I": DescriptionIParams(K1, K2), "GDS-III": DescriptionIIIParams(K1, K2, A),
-                  "GCOMP": CompressionParams(K1, K2, K2, np.zeros(6))}[scheme]
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            build_joint_cov(scheme, params, sym_net())
+        params = {"GDS-I": [DescriptionIParams(K1, K2)],
+                  "GDS-III": [DescriptionIIIParams(K1, K2, A)],
+                  "GCOMP": [CompressionParams(K1, K2, K2, c)
+                            for c in (np.zeros(6), np.full(6, 0.1))]}[scheme]
+        for p in params:
+            with pytest.raises(ValueError, match="^K1 is not finite$"):
+                build_joint_cov(scheme, p, sym_net())
+
+
+@pytest.mark.parametrize("scheme", schemes.GAUSSIAN_SCHEMES)
+def test_an_evaluation_builds_no_constant_matrix(scheme, monkeypatch):
+    """A scheme's 0/1 row template is built once, at import: scoring a point
+    (restart 0 and two random restarts, the region compiled first) calls no
+    `np.eye`."""
+    space = schemes._SchemeSpace(scheme, sym_net())
+    schemes._compiled(scheme)
+    rng = np.random.default_rng(26)
+    xs = [space.initial(rng, r) for r in range(3)]
+    eye, calls = np.eye, []
+    monkeypatch.setattr(np, "eye", lambda *a, **k: calls.append(a) or eye(*a, **k))
+    values = [space.objective(x) for x in xs]
+    assert calls == [] and np.isfinite(values).all()
 
 
 def test_desc1_zero_second_description():
