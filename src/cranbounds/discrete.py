@@ -191,9 +191,11 @@ def add_deterministic(pmf: JointPmf, name: str, size: int, args, func) -> JointP
     return compose(pmf, ch)
 
 
-def _marginal_index(variables, subsets) -> tuple[np.ndarray, np.ndarray]:
+def _marginal_index(variables, subsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map every (subset, flat cell) pair to its cell in the concatenated
-    marginals of `subsets`; also return where each marginal starts."""
+    marginals of `subsets`; also return where each marginal starts and a
+    weights scratch.  Both stay writeable: `np.bincount` copies a read-only
+    array, and a temporary of that size can cost fresh pages on every call."""
     axis = {n: i for i, (n, _) in enumerate(variables)}
     shape = tuple(s for _, s in variables)
     parts, starts, offset = [], [], 0
@@ -211,17 +213,18 @@ def _marginal_index(variables, subsets) -> tuple[np.ndarray, np.ndarray]:
         starts.append(offset)
         offset += stride
     index, starts = np.concatenate(parts), np.array(starts, dtype=np.intp)
-    index.flags.writeable = starts.flags.writeable = False
-    return index, starts
+    starts.flags.writeable = False
+    return index, starts, np.empty(index.size)
 
 
 _cached_marginal_index = functools.lru_cache(maxsize=_CACHE_SIZE)(_marginal_index)
 
 
-def _entropies(flat: np.ndarray, index: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _entropies(flat: np.ndarray, index: np.ndarray, starts: np.ndarray,
+               weights: np.ndarray) -> np.ndarray:
     """Entropies of the marginals that `index` sums `flat` into."""
-    reps = index.size // flat.size
-    marg = np.bincount(index, weights=flat if reps == 1 else np.tile(flat, reps))
+    weights.reshape(-1, flat.size)[:] = flat
+    marg = np.bincount(index, weights=weights)
     plogp = np.zeros_like(marg)
     np.log2(marg, out=plogp, where=marg > 0)
     plogp *= marg

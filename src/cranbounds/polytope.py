@@ -12,8 +12,9 @@ all within one slack `TOL`.
 
 Fourier-Motzkin elimination runs on exact integer rows: a constraint is
 scaled to a primitive tuple of Python ints over one column order (rate
-variables, atoms, constant), and the set of input rows it derives from
-(Kohler's redundancy rule) is an int bitmask.  Rows become
+variables, atoms, constant), its constant over the lcm of all the system's
+constant denominators, and the set of input rows it derives from (Kohler's
+redundancy rule) is an int bitmask.  Rows become
 `LinearConstraint`s again only when a projection is returned.
 """
 
@@ -202,39 +203,40 @@ class CompiledSystem:
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin kernel.  A row is a tuple of ints over the columns of a
 # `_Columns` -- rate variables, atoms, then the constant -- standing for
-# ``sum row[:nv]*vars <= sum row[nv:-1]*atoms + row[-1]``.
+# ``sum row[:nv]*vars <= sum row[nv:-1]*atoms + row[-1]/den``.
 # ---------------------------------------------------------------------------
 
 
 class _Columns:
-    """The fixed column order of one system's integer rows."""
+    """One system's column order for integer rows, and `den`, the lcm of its
+    constants' denominators: a row (h, c) stands for h·x <= c/den."""
 
     def __init__(self, system: ConstraintSystem):
         self.variables, self.atoms = list(system.variables), sorted(system.atoms())
         self.nv = len(self.variables)
         self.col = {v: i for i, v in enumerate(self.variables)}
         self.atom_col = {a: self.nv + i for i, a in enumerate(self.atoms)}
+        self.den = lcm(*(c.rhs.const.denominator for c in system.constraints))
 
     def row(self, c: LinearConstraint) -> tuple[int, ...]:
-        """`c` scaled to a primitive integer row."""
-        fr = [ZERO] * (self.nv + len(self.atoms)) + [c.rhs.const]
-        for k, q in c.lhs:
-            fr[self.col[k]] = q
-        for k, q in c.rhs.terms:
-            fr[self.atom_col[k]] = q
-        m = lcm(*(f.denominator for f in fr))
-        ints = [f.numerator * (m // f.denominator) for f in fr]
+        """`c` scaled to a primitive integer row over `den`, from its nonzero entries."""
+        ent = [(self.col[k], q) for k, q in c.lhs] + [(self.atom_col[k], q) for k, q in c.rhs.terms]
+        m, c0 = lcm(*(q.denominator for _, q in ent)), c.rhs.const
+        ints = [0] * (self.nv + len(self.atoms)) + [c0.numerator * (self.den // c0.denominator) * m]
+        for i, q in ent:
+            ints[i] = q.numerator * (m // q.denominator)
         g = gcd(*ints)
         return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
     def constraint(self, row) -> LinearConstraint:
         """Back to a constraint, scaled so its left-hand side (else its atom
-        terms, else its constant) is a primitive integer vector."""
+        terms) is a primitive integer vector; a constant row reads 0 <= ±1 or 0."""
         nv = self.nv
-        g = gcd(*row[:nv]) or gcd(*row[nv:-1]) or abs(row[-1]) or 1
+        g = gcd(*row[:nv]) or gcd(*row[nv:-1])
         lhs = sorted((self.variables[i], Q(x, g)) for i, x in enumerate(row[:nv]) if x)
         terms = sorted((self.atoms[i], Q(x, g)) for i, x in enumerate(row[nv:-1]) if x)
-        return LinearConstraint(tuple(lhs), AffineExpr(tuple(terms), Q(row[-1], g)))
+        rhs = AffineExpr(tuple(terms), Q(row[-1], g * self.den or abs(row[-1]) or 1))
+        return LinearConstraint(tuple(lhs), rhs)
 
     def system(self, variables, rows) -> ConstraintSystem:
         return ConstraintSystem(variables, [self.constraint(r) for r, _, _ in rows])

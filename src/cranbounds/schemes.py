@@ -169,6 +169,9 @@ def build_joint_cov(scheme: str, params, network: CranNetwork) -> JointCovarianc
         raise ValueError(f"unknown Gaussian scheme {scheme!r}")
     W, g2, psd = _SCHEMES[scheme][2].copy(), network.G[1], ()
     if scheme == "GDS-II":  # the auxiliaries are the unit sources; X rows (a, b)
+        for name, v in (("a", params.a), ("b", params.b)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} is not finite")
         base, comps = W[:6], [(n, 1) for n in ("U0", "V0", "U1", "V1", "U2", "V2")]
         W[6, :4], W[7, [0, 1, 4, 5]] = params.a, params.b
     elif scheme == "GCOMP":  # U1 = S1, U2 = S2 + A S1, X0; X = S1 + S2 + W

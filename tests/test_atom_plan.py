@@ -9,6 +9,7 @@ were compiled into one linear map over subset measures.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,26 @@ def test_subset_entropies_beyond_the_batch_budget():
     got = discrete.subset_entropies(pmf, subsets)
     want = [oracle_entropy(pmf, set(s)) for s in subsets]
     assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_cached_subset_entropies_allocate_nothing_index_sized():
+    """A repeated call on a cached index tiles the pmf into the entry's own
+    scratch and hands `np.bincount` a writeable index, so it allocates no
+    temporary as large as the index (188 KB here).  Such a temporary can cost
+    fresh pages from the allocator on every call, which made the Z-network
+    check about 1.5 times slower or not, depending on unrelated allocations."""
+    names = [f"X{i}" for i in range(8)]
+    pmf = discrete.random_joint_pmf(np.random.default_rng(4), [(n, 2) for n in names])
+    subsets = [s for k in (1, 2, 3) for s in itertools.combinations(names, k)]
+    first = discrete.subset_entropies(pmf, subsets)
+    tracemalloc.start()
+    try:
+        again = discrete.subset_entropies(pmf, subsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(first, again)
+    assert peak < pmf.probs.size * len(subsets) * 8 // 4
 
 
 def test_plan_is_read_only():

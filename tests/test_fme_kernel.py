@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import fme_oracle
 from conftest import rand_caps, scenario_scheme2
-from cranbounds import discrete, regions
+from cranbounds import discrete, polytope, regions
 from cranbounds.atoms import const_atom, gamma_atom, h_atom, mi_atom, parse_atom
 from cranbounds.polytope import (AffineExpr, ConstraintSystem, FMEBlowupError,
                                  LinearConstraint, eliminate_all, fme_eliminate,
@@ -33,28 +33,39 @@ coefficients = st.one_of(
     st.fractions(min_value=-3, max_value=3, max_denominator=3))
 
 
+# exact values of finite floats: subnormals, huge magnitudes and 0 mixed in
+# one system, so the kernel's common constant denominator reaches 2^1074
+float_constants = st.one_of(
+    st.sampled_from([0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False)).map(Fraction)
+
+
 @st.composite
-def rows(draw, variables, kinds=ROW_KINDS):
+def rows(draw, variables, kinds=ROW_KINDS, constants=None):
+    """A row of the given kind; with `constants`, its constant comes from
+    there, and an "infeasible" row is ``0 <= c`` for any drawn c."""
     kind = draw(st.sampled_from(kinds))
     lhs = {} if kind != "general" else {v: draw(coefficients) for v in variables}
-    if kind == "infeasible":
+    if kind == "infeasible" and constants is None:
         # 0 <= -c with c > 0
         return LinearConstraint.make({}, AffineExpr.constant(
             -draw(st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4))))
-    terms = {a: draw(coefficients) for a in draw(st.sets(st.sampled_from(ATOMS), max_size=2))}
-    return LinearConstraint.make(lhs, AffineExpr.make(terms, draw(coefficients)))
+    terms = {} if kind == "infeasible" else {
+        a: draw(coefficients) for a in draw(st.sets(st.sampled_from(ATOMS), max_size=2))}
+    const = draw(coefficients if constants is None else constants)
+    return LinearConstraint.make(lhs, AffineExpr.make(terms, const))
 
 
 @st.composite
-def systems(draw, kinds=ROW_KINDS):
+def systems(draw, kinds=ROW_KINDS, constants=None):
     variables = list(VARS[:draw(st.integers(3, 5))])
-    cons = draw(st.lists(rows(variables, kinds), min_size=2, max_size=9))
+    cons = draw(st.lists(rows(variables, kinds, constants), min_size=2, max_size=9))
     return ConstraintSystem(variables, cons)
 
 
 @st.composite
-def eliminations(draw, kinds=ROW_KINDS):
-    system = draw(systems(kinds))
+def eliminations(draw, kinds=ROW_KINDS, constants=None):
+    system = draw(systems(kinds, constants))
     drop = draw(st.permutations(system.variables))[:draw(st.integers(1, len(system.variables)))]
     return system, drop
 
@@ -108,6 +119,16 @@ def test_fme_eliminate_matches_oracle(system, data, cap):
 @settings(max_examples=200, deadline=None)
 @given(systems())
 def test_syntactic_reduce_matches_oracle(system):
+    assert format_system(syntactic_reduce(system)) == format_system(
+        fme_oracle.syntactic_reduce(system))
+
+
+@settings(max_examples=300, deadline=None)
+@given(eliminations(constants=float_constants), st.sampled_from([2, 4, 100_000]))
+def test_float_constants_match_oracle(case, cap):
+    system, drop = case
+    assert (outcome(eliminate_all, system, drop, max_constraints=cap)
+            == outcome(fme_oracle.eliminate_all, system, drop, max_constraints=cap))
     assert format_system(syntactic_reduce(system)) == format_system(
         fme_oracle.syntactic_reduce(system))
 
@@ -260,3 +281,26 @@ def test_scheme2_valuation_projection_digest(theorem1, seed):
     valuation = {k: round(v, 6) for k, v in valuation.items()}
     proj = regions.gds_project(theorem1, "scheme-II", valuation=valuation)
     assert _digest(proj) == SCHEME2_DIGESTS[seed]
+
+
+def test_valuation_projection_heads_stay_small(theorem1, monkeypatch):
+    """A per-valuation projection puts every constant over one common
+    denominator, so the rows that FME pairs keep the small integers of their
+    own coefficients in their heads.  Scaling a whole row by the lcm of all
+    its denominators made its head entries about 2^52, the denominator of a
+    float atom."""
+    rng = np.random.default_rng(11)
+    caps = rand_caps(rng)
+    valuation = discrete.atom_valuation(scenario_scheme2(rng), sorted(theorem1.atoms()),
+                                        constants=caps)
+    seen, eliminate = [], polytope._eliminate_column
+
+    def spy(rows, *args):
+        rows = list(rows)
+        seen.extend(row for row, _, _ in rows)
+        return eliminate(rows, *args)
+
+    monkeypatch.setattr(polytope, "_eliminate_column", spy)
+    regions.gds_project(theorem1, "scheme-II", valuation=valuation)
+    assert seen and max(abs(row[-1]) for row in seen) > 2**40  # float constants
+    assert max(abs(x) for row in seen for x in row[:-1]) < 2**16

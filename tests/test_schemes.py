@@ -54,6 +54,19 @@ def test_non_finite_k1_is_a_value_error(scheme, v):
                 build_joint_cov(scheme, p, sym_net())
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_non_finite_gds2_coefficients_are_named(name, v):
+    """A NaN or infinite GDS-II coefficient is named before M B M^T runs,
+    where inf * 0 would warn and the covariance check would name no
+    parameter."""
+    bad = np.array([v, 0.0, 0.0, 0.0])
+    a, b = (bad, np.zeros(4)) if name == "a" else (np.zeros(4), bad)
+    with pytest.raises(ValueError, match=f"^{name} is not finite$"):
+        build_joint_cov("GDS-II", DescriptionIIParams(a, b), sym_net())
+
+
 @pytest.mark.parametrize("scheme", schemes.GAUSSIAN_SCHEMES)
 def test_an_evaluation_builds_no_constant_matrix(scheme, monkeypatch):
     """A scheme's 0/1 row template is built once, at import: scoring a point
