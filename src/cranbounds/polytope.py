@@ -10,12 +10,12 @@ this module alone does: `CompiledSystem` rows, membership (`min_slack`),
 the exact sum rate (`max_sum_rate`) and the JSON export (`region_to_json`),
 all within one slack `TOL`.
 
-Fourier-Motzkin elimination runs on exact integer rows: a constraint is
-scaled to a primitive tuple of Python ints over one column order (rate
-variables, atoms, constant), its constant over the lcm of all the system's
-constant denominators, and the set of input rows it derives from (Kohler's
-redundancy rule) is an int bitmask.  Rows become
-`LinearConstraint`s again only when a projection is returned.
+Fourier-Motzkin elimination runs on exact integer rows over one column
+order (sorted rate variables, then sorted atoms), every constant over the
+lcm of the system's constant denominators.  A step holds the heads in an
+int64 matrix (of Python ints once a product could reach 2^63), constants as
+Python ints and, in uint64 bit words, the input rows each row derives from
+(Kohler's rule).  Rows become `LinearConstraint`s again only at the end.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, compress
 from math import gcd, lcm
 
 import numpy as np
@@ -168,7 +169,8 @@ class CompiledSystem:
     with one entry per row for its constant, then one per atom term (row,
     coefficient, index into `atoms`).  An atom absent from a row never
     touches it, so an infinite atom cannot make 0*inf = NaN, and every row
-    sums its constant, then its atom terms in order."""
+    sums its constant, then its atom terms in order.  A float is taken as
+    q.numerator / q.denominator: float(q), without its `numbers.Rational` call."""
 
     def __init__(self, system: ConstraintSystem):
         cons, n = system.constraints, len(system.constraints)
@@ -176,13 +178,14 @@ class CompiledSystem:
         self.A = np.zeros((n, len(system.variables)))
         for i, c in enumerate(cons):
             for k, q in c.lhs:
-                self.A[i, col[k]] = float(q)
+                self.A[i, col[k]] = q.numerator / q.denominator
         self.atoms = sorted(system.atoms())
         index = {a: k for k, a in enumerate(self.atoms)}
         self.rows = np.fromiter(chain(range(n), (i for i, c in enumerate(cons)
                                                  for _ in c.rhs.terms)), np.intp)
-        self.const = np.fromiter((c.rhs.const for c in cons), float, n)
-        self.coeffs = np.fromiter((q for c in cons for _, q in c.rhs.terms), float)
+        qs = [c.rhs.const for c in cons] + [q for c in cons for _, q in c.rhs.terms]
+        values = np.fromiter((q.numerator / q.denominator for q in qs), float, len(qs))
+        self.const, self.coeffs = values[:n], values[n:]
         self.atom_index = np.fromiter((index[a] for c in cons for a, _ in c.rhs.terms), np.intp)
 
     def rhs(self, valuation) -> np.ndarray:
@@ -201,107 +204,133 @@ class CompiledSystem:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin kernel.  A row is a tuple of ints over the columns of a
-# `_Columns` -- rate variables, atoms, then the constant -- standing for
-# ``sum row[:nv]*vars <= sum row[nv:-1]*atoms + row[-1]/den``.
+# Fourier-Motzkin kernel.  A row is a head of ints over the columns of a
+# `_Columns` -- rate variables, then atoms -- and a constant c, standing for
+# ``sum head[:nv]*vars <= sum head[nv:]*atoms + c/den``.
 # ---------------------------------------------------------------------------
+
+_BLOCK = 2048  # entries of one temporary: 16 KiB in int64, far below glibc's mmap threshold
 
 
 class _Columns:
-    """One system's column order for integer rows, and `den`, the lcm of its
-    constants' denominators: a row (h, c) stands for h·x <= c/den."""
+    """One system's columns, its sorted rate variables then sorted atoms, and
+    `den`, the lcm of its constant denominators: a row (h, c) means h·x <= c/den."""
 
     def __init__(self, system: ConstraintSystem):
-        self.variables, self.atoms = list(system.variables), sorted(system.atoms())
-        self.nv = len(self.variables)
-        self.col = {v: i for i, v in enumerate(self.variables)}
-        self.atom_col = {a: self.nv + i for i, a in enumerate(self.atoms)}
+        variables, atoms = sorted(system.variables), sorted(system.atoms())
+        self.names, self.nv = variables + atoms, len(variables)
+        self.col = {v: i for i, v in enumerate(variables)}
+        self.atom_col = {a: self.nv + i for i, a in enumerate(atoms)}
         self.den = lcm(*(c.rhs.const.denominator for c in system.constraints))
+        self.q = lru_cache(maxsize=None)(Q)  # one Fraction per (value, gcd)
 
-    def row(self, c: LinearConstraint) -> tuple[int, ...]:
-        """`c` scaled to a primitive integer row over `den`, from its nonzero entries."""
-        ent = [(self.col[k], q) for k, q in c.lhs] + [(self.atom_col[k], q) for k, q in c.rhs.terms]
-        m, c0 = lcm(*(q.denominator for _, q in ent)), c.rhs.const
-        ints = [0] * (self.nv + len(self.atoms)) + [c0.numerator * (self.den // c0.denominator) * m]
-        for i, q in ent:
-            ints[i] = q.numerator * (m // q.denominator)
-        g = gcd(*ints)
-        return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+    def rows(self, system: ConstraintSystem):
+        """(heads, constants, histories) of the system's rows, each scaled to
+        integers over `den` from its nonzero entries, row i with history bit i."""
+        n = len(system.constraints)
+        rows = np.zeros((n, len(self.names) + 1), object)
+        for row, c in zip(rows, system.constraints):
+            m = lcm(*(q.denominator for _, q in chain(c.lhs, c.rhs.terms)))
+            row[-1] = c.rhs.const.numerator * (self.den // c.rhs.const.denominator) * m
+            for col, terms in ((self.col, c.lhs), (self.atom_col, c.rhs.terms)):
+                for k, q in terms:
+                    row[col[k]] = q.numerator * (m // q.denominator)
+        hists, i = np.zeros((n, -(-n // 64)), np.uint64), np.arange(n)
+        hists[i, i // 64] = np.uint64(1) << (i % 64).astype(np.uint64)
+        return _fit(rows[:, :-1]), rows[:, -1], hists
 
-    def constraint(self, row) -> LinearConstraint:
-        """Back to a constraint, scaled so its left-hand side (else its atom
+    def system(self, variables, heads, consts) -> ConstraintSystem:
+        """Rows as constraints, scaled so the left-hand side (else the atom
         terms) is a primitive integer vector; a constant row reads 0 <= ±1 or 0."""
-        nv = self.nv
-        g = gcd(*row[:nv]) or gcd(*row[nv:-1])
-        lhs = sorted((self.variables[i], Q(x, g)) for i, x in enumerate(row[:nv]) if x)
-        terms = sorted((self.atoms[i], Q(x, g)) for i, x in enumerate(row[nv:-1]) if x)
-        rhs = AffineExpr(tuple(terms), Q(row[-1], g * self.den or abs(row[-1]) or 1))
-        return LinearConstraint(tuple(lhs), rhs)
+        nv, q, out = self.nv, self.q, []
+        for head, c in zip(heads.tolist(), consts.tolist()):
+            g = gcd(*head[:nv]) or gcd(*head[nv:])
+            terms = [(name, q(x, g)) for name, x in compress(zip(self.names, head), head)]
+            k = nv - head[:nv].count(0)
+            rhs = AffineExpr(tuple(terms[k:]), Q(c, g * self.den or abs(c) or 1))
+            out.append(LinearConstraint(tuple(terms[:k]), rhs))
+        return ConstraintSystem(variables, out)
 
-    def system(self, variables, rows) -> ConstraintSystem:
-        return ConstraintSystem(variables, [self.constraint(r) for r, _, _ in rows])
+
+def _fit(heads, factor: int = 1):
+    """`heads` as int64 while `factor` times its largest entry stays below 2^63, else as
+    Python ints; with factor max a + max b, no ``b*up + a*lo`` of a step can wrap."""
+    big = int(np.abs(heads).max(initial=0)) * factor >= 2**63
+    return heads.astype(object if big else np.int64, copy=False)
 
 
 class _Reducer:
-    """Rows deduplicated by head, the non-constant part divided by its gcd,
-    in first-insertion order.  Per head the tighter constant wins (compared
-    by cross-multiplication); on a tie the newer row wins unless its
-    history has more bits.  Tautologies ``0 <= c`` with c >= 0 are dropped.
-    """
+    """Rows keyed by head divided by its gcd (int64 keys as bytes, which hash
+    fastest), in first-insertion order.  Per key the tighter constant wins
+    (compared by cross-multiplication); on a tie the newer row wins unless
+    its history has more bits.  Tautologies ``0 <= c`` with c >= 0 drop.  A
+    kept row (c, g, history, bits) has head g·key and gcd(c, g) = 1, so it
+    is one primitive row whatever its scale came in.  More than `cap` raise."""
 
-    def __init__(self):
-        self.best: dict[tuple, tuple] = {}  # head -> (row, history, gcd of head)
+    def __init__(self, var=None, cap=float("inf")):
+        self.best, self.var, self.cap = {}, var, cap
 
-    def add(self, row: tuple, hist: int = 0):
-        head = row[:-1]
-        g = gcd(*head)
-        if g == 0:
-            if row[-1] >= 0:
-                return
-            g, row = 1, head + (-1,)
-        elif g > 1:
-            head = tuple(x // g for x in head)
-        old = self.best.get(head)
-        if old is not None:
-            d = row[-1] * old[2] - old[0][-1] * g
-            if d > 0 or (d == 0 and hist.bit_count() > old[1].bit_count()):
-                return
-        h = gcd(g, row[-1])
-        if h > 1:
-            row, g = tuple(x // h for x in row), g // h
-        self.best[head] = (row, hist, g)
+    def extend(self, heads, consts, hists):
+        gs, best = np.gcd.reduce(heads, axis=1), self.best
+        self.shape = heads.shape[1], hists.shape[1]
+        keys = heads // np.maximum(gs, 1)[:, None]
+        self.tuples = keys.dtype == object or not keys.shape[1]
+        keys = (map(tuple, keys.tolist()) if self.tuples else
+                keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist())
+        for key, c, g, hist, n in zip(keys, consts.tolist(), gs.tolist(), hists.tolist(),
+                                      np.bitwise_count(hists).sum(axis=1).tolist()):
+            if g == 0:
+                if c >= 0:
+                    continue
+                g, c = 1, -1
+            old = best.get(key)
+            if old is not None:
+                d = c * old[1] - old[0] * g
+                if d > 0 or (d == 0 and n > old[3]):
+                    continue
+            h = gcd(g, c)
+            best[key] = (c // h, g // h, hist, n)
+        if len(best) > self.cap:
+            raise FMEBlowupError(f"eliminating {self.var!r} produced more than "
+                                 f"{self.cap} distinct constraints")
 
-
-def _eliminate_column(rows, j: int, var: str, max_constraints: int, max_history: int):
-    """One Fourier-Motzkin step on column j of (row, history, _) triples.
-
-    Every upper row (positive in column j) combines with every lower row
-    as ``b*up + a*lo``, where a and -b are their column-j entries; rows
-    without column j carry over first.  A pairing whose joint history has
-    more than `max_history` bits is skipped before its row is built.
-    """
-    out = _Reducer()
-    uppers, lowers = [], []
-    for row, hist, _ in rows:
-        a = row[j]
-        if a > 0:
-            uppers.append((row, hist, a))
-        elif a < 0:
-            lowers.append((row, hist, -a))
+    def rows(self):
+        """(heads, constants, histories) of the kept rows, in order."""
+        (width, words), kept = self.shape, list(self.best.values())
+        if self.tuples:
+            keys = np.array(list(self.best), object).reshape(len(kept), width)
         else:
-            out.add(row, hist)
-    best = out.best
-    for up, hu, a in uppers:
-        for lo, hl, b in lowers:
-            hist = hu | hl
-            if hist.bit_count() > max_history:
-                continue
-            out.add(tuple(b * x + a * y for x, y in zip(up, lo)), hist)
-            if len(best) > max_constraints:
-                raise FMEBlowupError(
-                    f"eliminating {var!r} produced more than "
-                    f"{max_constraints} distinct constraints")
-    return out.best.values()
+            keys = np.frombuffer(b"".join(self.best), np.int64).reshape(len(kept), width)
+        return (keys * np.array([r[1] for r in kept], keys.dtype)[:, None],
+                np.array([r[0] for r in kept], object),
+                np.array([r[2] for r in kept], np.uint64).reshape(len(kept), words))
+
+
+def _eliminate_column(heads, consts, hists, j: int, var: str, max_constraints: int,
+                      max_history: int) -> _Reducer:
+    """One Fourier-Motzkin step on column j, with heads that `_fit` it.
+
+    Rows free of column j carry over, then each upper row (positive there)
+    meets each lower row, upper-major, as ``b*up + a*lo`` with a and -b
+    their column-j entries, unless their joint history has more than
+    `max_history` bits.  Uppers go in blocks and kept pairings in chunks of
+    at most `_BLOCK` entries.  Rows are never removed, so the cap checked
+    after each chunk raises exactly when a check after each row would."""
+    col = heads[:, j]
+    up, lo, rest = np.flatnonzero(col > 0), np.flatnonzero(col < 0), np.flatnonzero(col == 0)
+    out, hl = _Reducer(var, max_constraints), hists[lo]
+    out.extend(heads[rest], consts[rest], hists[rest])
+    words = hists.shape[1]
+    size, chunk = _BLOCK // max(len(lo) * words, 1) or 1, _BLOCK // max(heads.shape[1], words) or 1
+    for s in range(0, len(up), size):
+        iu, il = np.nonzero(np.bitwise_count(hists[up[s:s + size], None, :] | hl).sum(axis=2)
+                            <= max_history)
+        for t in range(0, len(iu), chunk):
+            u, l = up[s + iu[t:t + chunk]], lo[il[t:t + chunk]]
+            a, b = col[u], -col[l]
+            out.extend(b[:, None] * heads[u] + a[:, None] * heads[l],
+                       b * consts[u] + a * consts[l], hists[u] | hists[l])
+    return out
 
 
 def syntactic_reduce(system: ConstraintSystem) -> ConstraintSystem:
@@ -313,9 +342,8 @@ def syntactic_reduce(system: ConstraintSystem) -> ConstraintSystem:
     redundancy is visible without knowing atom values are removed.
     """
     cols, red = _Columns(system), _Reducer()
-    for c in system.constraints:
-        red.add(cols.row(c))
-    return cols.system(list(system.variables), red.best.values())
+    red.extend(*cols.rows(system))
+    return cols.system(list(system.variables), *red.rows()[:2])
 
 
 def fme_eliminate(system: ConstraintSystem, var: str,
@@ -352,25 +380,17 @@ def eliminate_all(system: ConstraintSystem, drop_vars,
         raise ValueError(f"max_constraints must be at least 1, got {max_constraints}")
     if not remaining:
         return ConstraintSystem(list(system.variables), list(system.constraints))
-    dropped = set(remaining)
-    cols = _Columns(system)
-    # input rows enter unreduced, each with its own history bit
-    rows = [(cols.row(c), 1 << i, None) for i, c in enumerate(system.constraints)]
-    step = 0
-    while remaining:
-        if len(remaining) > 1:
-            def cost(v):
-                j = cols.col[v]
-                nu = sum(1 for row, _, _ in rows if row[j] > 0)
-                nl = sum(1 for row, _, _ in rows if row[j] < 0)
-                return nu * nl - nu - nl
-            v = min(remaining, key=cost)
-        else:
-            v = remaining[0]
+    dropped, cols = set(remaining), _Columns(system)
+    heads, consts, hists = cols.rows(system)
+    for step in range(1, len(dropped) + 1):
+        cost = (heads > 0).sum(0) * (heads < 0).sum(0) - (heads != 0).sum(0)
+        v = min(remaining, key=lambda v: cost[cols.col[v]])
         remaining.remove(v)
-        step += 1
-        rows = _eliminate_column(rows, cols.col[v], v, max_constraints, step + 1)
-    return cols.system([v for v in system.variables if v not in dropped], rows)
+        col = heads[:, cols.col[v]]
+        heads = _fit(heads, max(int(col.max(initial=0)) - int(col.min(initial=0)), 1))
+        out = _eliminate_column(heads, consts, hists, cols.col[v], v, max_constraints, step + 1)
+        heads, consts, hists = out.rows()
+    return cols.system([v for v in system.variables if v not in dropped], heads, consts)
 
 
 def substitute_atoms(system: ConstraintSystem, f, variables=None) -> ConstraintSystem:
@@ -667,7 +687,12 @@ def parse_system(text: str, variables=None) -> ConstraintSystem:
     known = None if variables is None else set(variables)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if known is None and not constraints and raw.startswith("# variables:"):
-            variables = raw.split(":", 1)[1].split()
+            variables = []
+            for m in re.finditer(r"\S+", raw[12:]):
+                if m[0] in variables or not re.fullmatch(_NAME, m[0]):
+                    raise SystemParseError(f"{'repeated' if m[0] in variables else 'bad'} variable "
+                                           f"name {m[0]!r}", lineno, m.start() + 13)
+                variables.append(m[0])
             known = set(variables)
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():

@@ -96,7 +96,16 @@ def _sum(a, b) -> dict[str, Fraction]:
     return out
 
 
+def _check_cap(red: Reducer, var, max_constraints):
+    if len(red) > max_constraints:
+        raise FMEBlowupError(
+            f"eliminating {var!r} produced more than "
+            f"{max_constraints} distinct constraints")
+
+
 def _eliminate(variables, rows, var, max_constraints, max_history):
+    """One step; the cap is checked after the carried-over rows and after
+    every pairing."""
     uppers, lowers, rest = [], [], []
     for c, hist in rows:
         a = c.coeff(var)
@@ -109,6 +118,7 @@ def _eliminate(variables, rows, var, max_constraints, max_history):
     red = Reducer()
     for c, hist in rest:
         red.add(c, hist)
+    _check_cap(red, var, max_constraints)
     for up, hu in uppers:
         for lo, hl in lowers:
             # up: var + u(x) <= e_u ; lo: -var + l(x) <= e_l  =>  u+l <= e_u+e_l
@@ -120,10 +130,7 @@ def _eliminate(variables, rows, var, max_constraints, max_history):
             red.add(LinearConstraint.make(_sum(up.lhs, lo.lhs),
                                           AffineExpr.make(_sum(up.rhs.terms, lo.rhs.terms),
                                                           up.rhs.const + lo.rhs.const)), hist)
-            if len(red) > max_constraints:
-                raise FMEBlowupError(
-                    f"eliminating {var!r} produced more than "
-                    f"{max_constraints} distinct constraints")
+            _check_cap(red, var, max_constraints)
     return [v for v in variables if v != var], red.rows()
 
 

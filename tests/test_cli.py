@@ -135,6 +135,29 @@ def test_fme_repeated_variable_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out.txt").exists()
 
 
+@pytest.mark.parametrize("header,drop", [("# variables: x x y", "x"),
+                                         ("# variables: x, y", "y")])
+def test_fme_malformed_variables_line_is_a_usage_error(tmp_path, capsys, header, drop):
+    """Each exited 0: the first ignored the repeat, the second printed
+    `# variables: x,`."""
+    src, out = tmp_path / "sys.txt", tmp_path / "out.txt"
+    src.write_text(header + "\n1*y <= 1\n")
+    assert run_cli(["fme", "-i", str(src), "-e", drop, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: --input {src}: ") and "(line 1, column" in err
+    assert not out.exists()
+
+
+def test_fme_cap_counts_rows_carried_over(tmp_path, capsys):
+    """Three rows free of x exceed a cap of 2 though no pairing runs; the
+    cap used to be checked only after a pairing, so this exited 0."""
+    src = tmp_path / "sys.txt"
+    src.write_text("1*y <= 1\n-1*y <= 0\n1*y <= 1*a\n1*x + 1*y <= 2\n1*x <= 1\n")
+    assert run_cli(["fme", "-i", str(src), "-e", "x", "--max-constraints", "2"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: eliminating 'x' produced more than 2 distinct constraints"]
+
+
 @pytest.mark.parametrize("cap", ["0", "-5", "x"])
 def test_fme_cap_below_one_is_a_usage_error(tmp_path, capsys, cap):
     rc = run_cli(["fme", "-i", str(GOLDEN / "cor4_input.txt"), "-e", "Ru1",

@@ -2,12 +2,13 @@
 `fme_oracle.py`, plus properties of projections and of the text formats.
 
 The kernel must reproduce the oracle's `format_system` text exactly, row
-for row and in the same order, including which pairing raises
+for row and in the same order, including which elimination step raises
 `FMEBlowupError` under a small cap.  Golden digests hold the projections of
 the data-sharing system byte for byte.
 """
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -243,6 +244,98 @@ def test_nothing_to_eliminate_returns_the_system_as_given():
     assert format_system(eliminate_all(system, [])) == format_system(system)
 
 
+def test_cap_counts_rows_carried_over():
+    """Three rows free of x exceed a cap of 2 before any pairing runs; the
+    cap used to be checked only after a pairing, so this returned 3 rows."""
+    system = parse_system("1*y <= 1\n-1*y <= 0\n1*y <= 1*a\n1*x + 1*y <= 2\n1*x <= 1\n")
+    for fme in (fme_eliminate, fme_oracle.fme_eliminate):
+        with pytest.raises(FMEBlowupError, match="more than 2 distinct"):
+            fme(system, "x", max_constraints=2)
+
+
+# ---------------------------------------------------------------------------
+# The kernel's edge cases and its two head dtypes
+# ---------------------------------------------------------------------------
+
+def _pruned_system(k: int) -> ConstraintSystem:
+    """2k uppers and 2k lowers in x.  The pairings of the first k of each
+    have y = +1 and of the last k y = -1, so when y goes next every
+    (upper, lower) pairing joins four input rows and Kohler's rule prunes
+    all of them; the mixed pairings carry over."""
+    rows = [LinearConstraint.make({"x": sx, "y": sy, "z": 1, "w": w}, AffineExpr.constant(w))
+            for sx in (1, -1) for i in range(2 * k)
+            for sy, w in [((1 if i < k else -1), (i + 1) * (1 if sx > 0 else 4 * k))]]
+    return ConstraintSystem(["x", "y", "z", "w"], rows)
+
+
+@pytest.mark.parametrize("system,drop", [
+    (ConstraintSystem(["x", "y"]), ["x"]),
+    (ConstraintSystem(["x", "y"]), ["x", "y"]),
+    (parse_system("1*x + 1*y <= 1\n2*x <= 1*a\n-1*y <= 0\n"), ["x"]),  # no lowers
+    (parse_system("-1*x + 1*y <= 1\n-2*x <= 1*a\n1*y <= 3\n"), ["x", "y"]),  # no uppers
+    (_pruned_system(3), ["x", "y"]),
+])
+def test_edge_cases_match_oracle(system, drop):
+    assert outcome(eliminate_all, system, drop) == outcome(fme_oracle.eliminate_all, system, drop)
+
+
+def test_every_pairing_pruned(monkeypatch):
+    seen, eliminate = [], polytope._eliminate_column
+
+    def spy(heads, consts, hists, j, var, cap, max_history):
+        seen.append((var, int((heads[:, j] > 0).sum() * (heads[:, j] < 0).sum())))
+        return eliminate(heads, consts, hists, j, var, cap, max_history)
+
+    monkeypatch.setattr(polytope, "_eliminate_column", spy)
+    out = eliminate_all(_pruned_system(3), ["x", "y"])
+    assert seen == [("x", 36), ("y", 81)]
+    assert len(out) == 18  # the mixed pairings of step 1, nothing from step 2
+
+
+def test_pruned_step_keeps_every_temporary_small():
+    """One step of 400 x 400 pairings, all pruned by Kohler's rule, traces a
+    peak below 128 KiB: the uppers go in blocks, so no temporary reaches
+    glibc's default mmap threshold (one (400, 400) uint64 array is 1.25 MiB)."""
+    n = 400
+    heads = np.array([[1, i] for i in range(n)] + [[-1, i] for i in range(n)], np.int64)
+    hists = np.array([[0b0011]] * n + [[0b1100]] * n, np.uint64)  # 4 bits per pairing
+    consts = np.arange(2 * n).astype(object)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = polytope._eliminate_column(heads, consts, hists, 0, "x", 10, 3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert not out.best
+    assert peak < 128 * 1024, peak
+
+
+def test_heads_past_int64_take_python_ints(monkeypatch):
+    """Heads near 2^40 make products near 2^81: such a step runs on Python
+    ints, where int64 would wrap, and matches the oracle."""
+    rng = np.random.default_rng(7)
+    variables = ["x", "y", "z", "w"]
+    rows = [LinearConstraint.make({v: int(rng.integers(-2**40, 2**40)) for v in variables},
+                                  AffineExpr.make({"C1": 1}, int(rng.integers(-9, 9))))
+            for _ in range(8)]
+    system = ConstraintSystem(variables, rows)
+    steps, eliminate = [], polytope._eliminate_column
+
+    def spy(heads, consts, hists, j, *args):
+        steps.append((heads, j))
+        return eliminate(heads, consts, hists, j, *args)
+
+    monkeypatch.setattr(polytope, "_eliminate_column", spy)
+    assert (outcome(eliminate_all, system, variables[:3])
+            == outcome(fme_oracle.eliminate_all, system, variables[:3]))
+    assert len(steps) == 3 and all(h.dtype == object for h, _ in steps)
+    for heads, j in steps:
+        up, lo = heads[heads[:, j] > 0].tolist(), heads[heads[:, j] < 0].tolist()
+        assert max(abs(-b[j] * x + a[j] * y) for a in up for b in lo
+                   for x, y in zip(a, b)) >= 2**63  # what int64 would wrap
+
+
 # ---------------------------------------------------------------------------
 # Golden digests: sha256 of the format_system text of each projection.
 # ---------------------------------------------------------------------------
@@ -293,14 +386,15 @@ def test_valuation_projection_heads_stay_small(theorem1, monkeypatch):
     caps = rand_caps(rng)
     valuation = discrete.atom_valuation(scenario_scheme2(rng), sorted(theorem1.atoms()),
                                         constants=caps)
-    seen, eliminate = [], polytope._eliminate_column
+    heads, consts, eliminate = [], [], polytope._eliminate_column
 
-    def spy(rows, *args):
-        rows = list(rows)
-        seen.extend(row for row, _, _ in rows)
-        return eliminate(rows, *args)
+    def spy(h, c, *args):
+        heads.append(h)
+        consts.extend(c)
+        return eliminate(h, c, *args)
 
     monkeypatch.setattr(polytope, "_eliminate_column", spy)
     regions.gds_project(theorem1, "scheme-II", valuation=valuation)
-    assert seen and max(abs(row[-1]) for row in seen) > 2**40  # float constants
-    assert max(abs(x) for row in seen for x in row[:-1]) < 2**16
+    assert heads and max(abs(c) for c in consts) > 2**40  # float constants
+    assert all(h.dtype == np.int64 for h in heads)
+    assert max(int(np.abs(h).max()) for h in heads) < 2**16

@@ -320,6 +320,18 @@ def test_undeclared_variable_is_a_parse_error_at_its_column(text, variables, lin
     assert (exc.value.line, exc.value.column) == (line, column)
 
 
+@pytest.mark.parametrize("line,message,column", [
+    ("# variables: x x y", "repeated variable name 'x'", 16),
+    ("# variables: x, y", "bad variable name 'x,'", 14),
+])
+def test_malformed_variables_line_is_a_parse_error_at_its_column(line, message, column):
+    """Both lines were accepted: the first declared x twice, the second a
+    variable 'x,' that no constraint can use."""
+    with pytest.raises(SystemParseError, match=message) as exc:
+        parse_system(line + "\n1*y <= 1\n")
+    assert (exc.value.line, exc.value.column) == (1, column)
+
+
 def test_comments_and_blank_lines():
     sys_ = parse_system("# heading\n\n1*x <= 1*a  # trailing\n")
     assert len(sys_) == 1
