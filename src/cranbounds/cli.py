@@ -73,10 +73,9 @@ def _object(value: dict, keys, where: str = "") -> dict:
 
 
 def _axes(d: dict, key: str) -> list[tuple[str, int]]:
-    """The (name, size) pairs of the entries under `key`."""
+    """The (name, size) pairs of the entries under `key`, as read: `make`
+    rejects a name that is not a string and a size that is not an integer."""
     axes = [_object(v, {"name", "size"}, f" in a {key!r} entry") for v in d[key]]
-    if bad := [v for v in axes if type(v["name"]) is not str or type(v["size"]) is not int]:
-        raise ValueError(f"a {key!r} entry wants a string name and an integer size, got {bad[0]}")
     return [(v["name"], v["size"]) for v in axes]
 
 

@@ -1,7 +1,8 @@
 """Finite-alphabet joint distributions and discrete information measures.
 
-Joint pmfs are dense numpy tensors with named axes, built by `make` (the
-`cli` reads pmf and channel files).  All logarithms are base two and
+Joint pmfs are dense numpy tensors with named axes, built by `make`, which
+shares one check of axes and probabilities with `Channel.make` (the `cli`
+reads pmf and channel files).  All logarithms are base two and
 0*log(0) is taken as 0.  Distributions are immutable after construction;
 every measure below is a pure function of its inputs.
 
@@ -19,12 +20,13 @@ fills in the named constants.  `entropy`, `mutual_info` and
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # unused parse_atom stays importable: bench/tracer.py wraps it by this name
-from .atoms import AtomPlan, atom_plan, gamma_atom, mi_atom, parse_atom  # noqa: F401
+from .atoms import PLAN_CACHE_SIZE, atom_plan, gamma_atom, mi_atom, parse_atom  # noqa: F401
 
 __all__ = [
     "JointPmf",
@@ -43,25 +45,35 @@ __all__ = [
 ]
 
 MAX_CELLS = 10_000_000
-_SUM_TOL = 1e-12
 # Largest (subset, cell) index one bincount call marginalises (2 MB); above
 # it each subset gets its own uncached index, so memory stays O(cells).
 _INDEX_BUDGET = 1 << 18
-# Entries kept by the marginal-index cache.
-_CACHE_SIZE = 32
 
 
-def _check_axes(variables):
-    names = [n for n, _ in variables]
+def _law(axes, probs, what: str):
+    """The one constructor check: `axes` as a tuple of (string name, integer
+    size >= 1, not a bool) pairs, no name twice, at most MAX_CELLS cells, and
+    a read-only float copy of `probs` in their shape, none negative or NaN
+    (None for None); else ValueError, naming `what` for a bad pair or entry."""
+    axes = tuple(axes)
+    if bad := [(n, s) for n, s in axes if not isinstance(n, str)
+               or type(s) is not int and not isinstance(s, np.integer)]:  # bool is not int
+        raise ValueError(f"{what} axes want string names and integer sizes, got {bad[0]!r}")
+    axes = tuple((str(n), int(s)) for n, s in axes)
+    names, shape = [n for n, _ in axes], tuple(s for _, s in axes)
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names in {names}")
-    cells = 1
-    for _, size in variables:
-        if size < 1:
-            raise ValueError("alphabet sizes must be >= 1")
-        cells *= size
-    if cells > MAX_CELLS:
-        raise ValueError(f"state space {cells} exceeds guard {MAX_CELLS}")
+    if min(shape, default=1) < 1:
+        raise ValueError("alphabet sizes must be >= 1")
+    if math.prod(shape) > MAX_CELLS:
+        raise ValueError(f"state space {math.prod(shape)} exceeds guard {MAX_CELLS}")
+    if probs is None:
+        return axes, None
+    p = np.array(probs, dtype=float, order="C").reshape(shape)
+    if not p.min() >= 0:  # also false for NaN
+        raise ValueError(f"{what} probabilities must be nonnegative numbers")
+    p.flags.writeable = False
+    return axes, p
 
 
 @dataclass(frozen=True)
@@ -73,18 +85,10 @@ class JointPmf:
 
     @staticmethod
     def make(variables, probs) -> "JointPmf":
-        variables = tuple((str(n), int(s)) for n, s in variables)
-        _check_axes(variables)
-        probs = np.asarray(probs, dtype=float)
-        shape = tuple(s for _, s in variables)
-        probs = probs.reshape(shape)
-        if not probs.min() >= 0:  # also false for NaN
-            raise ValueError("probabilities must be nonnegative numbers")
-        total = probs.sum()
-        if abs(total - 1.0) > max(_SUM_TOL, 1e-12 * probs.size):
+        variables, p = _law(variables, probs, "pmf")
+        total = p.sum()
+        if abs(total - 1.0) > 1e-12 * p.size:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        p = probs.copy()
-        p.flags.writeable = False
         return JointPmf(variables, p)
 
     @property
@@ -112,39 +116,28 @@ class Channel:
 
     @staticmethod
     def make(inputs, outputs, probs) -> "Channel":
-        inputs = tuple((str(n), int(s)) for n, s in inputs)
-        outputs = tuple((str(n), int(s)) for n, s in outputs)
-        _check_axes(inputs + outputs)
+        inputs, outputs = tuple(inputs), tuple(outputs)
         if not outputs:
             raise ValueError("channel needs at least one output")
-        probs = np.asarray(probs, dtype=float)
-        shape = tuple(s for _, s in inputs) + tuple(s for _, s in outputs)
-        probs = probs.reshape(shape)
-        if not probs.min() >= 0:  # also false for NaN
-            raise ValueError("channel probabilities must be nonnegative numbers")
-        out_axes = tuple(range(len(inputs), len(inputs) + len(outputs)))
-        sums = probs.sum(axis=out_axes)
+        axes, p = _law(inputs + outputs, probs, "channel")
+        k = len(inputs)
+        sums = p.sum(axis=tuple(range(k, len(axes))))
         if np.max(np.abs(sums - 1.0)) > 1e-12:
             raise ValueError("conditional slices must sum to 1")
-        p = probs.copy()
-        p.flags.writeable = False
-        return Channel(inputs, outputs, p)
+        return Channel(axes[:k], axes[k:], p)
 
     @staticmethod
     def from_map(inputs, outputs, func) -> "Channel":
         """Deterministic channel: func maps an input index tuple to an output
         index tuple (or a single index when there is one output)."""
-        inputs = tuple((str(n), int(s)) for n, s in inputs)
-        outputs = tuple((str(n), int(s)) for n, s in outputs)
-        shape_in = tuple(s for _, s in inputs)
-        shape_out = tuple(s for _, s in outputs)
-        probs = np.zeros(shape_in + shape_out)
-        for idx in np.ndindex(*shape_in) if shape_in else [()]:
+        inputs = tuple(inputs)
+        axes, _ = _law(inputs + tuple(outputs), None, "channel")
+        shape, k = tuple(s for _, s in axes), len(inputs)
+        probs = np.zeros(shape)
+        for idx in np.ndindex(*shape[:k]):
             y = func(*idx)
-            if not isinstance(y, tuple):
-                y = (y,)
-            probs[idx + y] = 1.0
-        return Channel.make(inputs, outputs, probs)
+            probs[idx + (y if isinstance(y, tuple) else (y,))] = 1.0
+        return Channel.make(axes[:k], axes[k:], probs)
 
 
 def marginalize(pmf: JointPmf, keep) -> JointPmf:
@@ -186,8 +179,7 @@ def compose(pmf: JointPmf, channel: Channel) -> JointPmf:
 
 def add_deterministic(pmf: JointPmf, name: str, size: int, args, func) -> JointPmf:
     """Extend a pmf with `name` = func(values of `args`)."""
-    ch = Channel.from_map([(a, pmf.size_of(a)) for a in args], [(name, size)],
-                          lambda *idx: func(*idx))
+    ch = Channel.from_map([(a, pmf.size_of(a)) for a in args], [(name, size)], func)
     return compose(pmf, ch)
 
 
@@ -217,7 +209,7 @@ def _marginal_index(variables, subsets) -> tuple[np.ndarray, np.ndarray, np.ndar
     return index, starts, np.empty(index.size)
 
 
-_cached_marginal_index = functools.lru_cache(maxsize=_CACHE_SIZE)(_marginal_index)
+_cached_marginal_index = functools.lru_cache(maxsize=PLAN_CACHE_SIZE)(_marginal_index)
 
 
 def _entropies(flat: np.ndarray, index: np.ndarray, starts: np.ndarray,
@@ -278,8 +270,6 @@ def blahut_arimoto(channel: Channel, tol: float = 1e-10):
         raise ValueError("blahut_arimoto expects a single-input single-output channel")
     W = channel.probs  # (|X|, |Y|)
     m = W.shape[0]
-    if m < 1 or W.shape[1] < 1:
-        raise ValueError("degenerate channel")
     r = np.full(m, 1.0 / m)
     logW = np.where(W > 0, np.log2(np.where(W > 0, W, 1.0)), 0.0)
     last_low = -np.inf
@@ -301,16 +291,11 @@ def blahut_arimoto(channel: Channel, tol: float = 1e-10):
     raise RuntimeError("Blahut-Arimoto did not converge in 10,000 iterations")
 
 
-def _plan(variables, atoms) -> AtomPlan:
-    """The shared compiled plan of `atoms` over (name, size) `variables`."""
-    return atom_plan(tuple(n for n, _ in variables), tuple(atoms))
-
-
 def atom_values(pmf: JointPmf, atoms) -> np.ndarray:
     """The atoms (AtomSpecs or canonical names) on a pmf, in bits, in the
     order of `atoms`; I and Gamma atoms are clamped at zero and a named
     constant reads 0."""
-    plan = _plan(pmf.variables, atoms)
+    plan = atom_plan(pmf.names, tuple(atoms))
     values = plan.coeffs @ subset_entropies(pmf, plan.subsets)
     return np.maximum(values, 0.0, out=values, where=plan.clamp)
 
@@ -318,12 +303,11 @@ def atom_values(pmf: JointPmf, atoms) -> np.ndarray:
 def atom_valuation(pmf: JointPmf, atoms, constants=None) -> dict[str, float]:
     """`atom_values` by canonical name, with the constants from `constants`."""
     atoms = tuple(atoms)
-    return _plan(pmf.variables, atoms).valuation(atom_values(pmf, atoms), constants)
+    return atom_plan(pmf.names, atoms).valuation(atom_values(pmf, atoms), constants)
 
 
 def random_joint_pmf(rng: np.random.Generator, variables) -> JointPmf:
     """Random joint pmf over the given variables, from the flat Dirichlet law."""
-    variables = [(str(n), int(s)) for n, s in variables]
-    cells = int(np.prod([s for _, s in variables]))
-    probs = rng.dirichlet(np.ones(cells))
-    return JointPmf.make(variables, probs.reshape([s for _, s in variables]))
+    variables, _ = _law(variables, None, "pmf")
+    probs = rng.dirichlet(np.ones(math.prod(s for _, s in variables)))
+    return JointPmf.make(variables, probs)

@@ -80,7 +80,8 @@ def _pinv_psd(m: np.ndarray) -> np.ndarray:
     if m.size == 0:
         return m
     w, v = np.linalg.eigh(_sym(m))
-    cut = _EIG_REL_TOL * max(w.max(initial=0.0), 0.0)
+    # an eigenvalue whose reciprocal would overflow counts as zero
+    cut = max(_EIG_REL_TOL * w.max(initial=0.0), 1.0 / np.finfo(float).max)
     inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
     return (v * inv) @ v.T
 
@@ -103,9 +104,10 @@ class JointCovariance:
         m = np.asarray(matrix, dtype=float).reshape(dim, dim)
         if not np.isfinite(m).all():
             raise ValueError("covariance entries must be finite")
-        if (m != m.T).any() and np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
+        asymmetric = (m != m.T).any()
+        if asymmetric and np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
             raise ValueError("covariance matrix is not symmetric")
-        m = _sym(m)
+        m = _sym(m) if asymmetric else m.copy()  # here _sym(m) is m, but m + m.T may overflow
         top = _psd_top(np.linalg.eigvalsh(m), "covariance matrix", 1e-9)
         m.flags.writeable = False
         return JointCovariance(components, m, top)

@@ -131,16 +131,15 @@ def example1_run(channel: Channel, c1: float, samples: int = 4000,
 
 
 def zchannel_pmf() -> JointPmf:
-    """The compression witness: U1, U2 iid uniform bits, X0 degenerate,
-    X1 = U1, X2 = U1 xor U2, deterministic outputs."""
-    base = JointPmf.make([("U1", 2), ("U2", 2)], np.full((2, 2), 0.25))
-    p = JointPmf.make([("U1", 2), ("U2", 2), ("X0", 1)],
-                      base.probs.reshape(2, 2, 1))
-    p = discrete.add_deterministic(p, "X1", 2, ["U1"], lambda a: a)
-    p = discrete.add_deterministic(p, "X2", 2, ["U1", "U2"], lambda a, b: a ^ b)
-    p = discrete.add_deterministic(p, "Y1", 2, ["X1"], lambda a: a)
-    p = discrete.add_deterministic(p, "Y2", 2, ["X1", "X2"], lambda a, b: a ^ b)
-    return p
+    """The compression witness over (U1, U2, X0, X1, X2, Y1, Y2): U1, U2 iid
+    uniform bits, X0 degenerate, X1 = U1, X2 = U1 xor U2, Y1 = X1 and
+    Y2 = X1 xor X2."""
+    u1, u2 = np.indices((2, 2)).reshape(2, 4)
+    x1, x2 = u1, u1 ^ u2
+    probs = np.zeros((2,) * 6)  # X0, of size 1, adds no cell
+    probs[u1, u2, x1, x2, x1, x1 ^ x2] = 0.25
+    return JointPmf.make([("U1", 2), ("U2", 2), ("X0", 1)]
+                         + [(n, 2) for n in ("X1", "X2", "Y1", "Y2")], probs)
 
 
 _GDS_VARS = [(n, 2) for n in ("U0", "V0", "U1", "V1", "U2", "V2", "Y1", "Y2")]

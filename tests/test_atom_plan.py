@@ -166,7 +166,7 @@ def test_cached_subset_entropies_allocate_nothing_index_sized():
 
 def test_plan_is_read_only():
     pmf = JointPmf.make([("A", 2), ("B", 2)], np.full((2, 2), 0.25))
-    plan = discrete._plan(pmf.variables, ("I(A;B)", "H(A)"))
+    plan = atom_plan(pmf.names, ("I(A;B)", "H(A)"))
     assert not plan.coeffs.flags.writeable and not plan.clamp.flags.writeable
     assert plan.subsets == (("A",), ("B",), ("A", "B"))
 
@@ -184,6 +184,23 @@ def old_random_gds_pmf_zchannel(rng):
     p = discrete.add_deterministic(p, "Y1", 2, ["X1"], lambda a: a)
     p = discrete.add_deterministic(p, "Y2", 2, ["X1", "X2"], lambda a, b: a ^ b)
     return discrete.marginalize(p, ["U0", "V0", "U1", "V1", "U2", "V2", "Y1", "Y2"])
+
+
+def old_zchannel_pmf():
+    """The witness before it was built by index arithmetic: one deterministic
+    channel per derived variable."""
+    base = JointPmf.make([("U1", 2), ("U2", 2)], np.full((2, 2), 0.25))
+    p = JointPmf.make([("U1", 2), ("U2", 2), ("X0", 1)], base.probs.reshape(2, 2, 1))
+    p = discrete.add_deterministic(p, "X1", 2, ["U1"], lambda a: a)
+    p = discrete.add_deterministic(p, "X2", 2, ["U1", "U2"], lambda a, b: a ^ b)
+    p = discrete.add_deterministic(p, "Y1", 2, ["X1"], lambda a: a)
+    return discrete.add_deterministic(p, "Y2", 2, ["X1", "X2"], lambda a, b: a ^ b)
+
+
+def test_zchannel_witness_is_bit_identical():
+    old, new = old_zchannel_pmf(), verify.zchannel_pmf()
+    assert new.variables == old.variables
+    assert new.probs.shape == old.probs.shape and new.probs.tobytes() == old.probs.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -383,4 +400,8 @@ def test_gaussian_and_discrete_share_one_plan_cache():
     atoms = ("I(A;B)", "Gamma(A,B)")
     pmf = JointPmf.make([("A", 2), ("B", 2)], np.full((2, 2), 0.25))
     cov = JointCovariance.make([("A", 1), ("B", 1)], np.eye(2))
-    assert discrete._plan(pmf.variables, atoms) is atom_plan(cov.names, atoms)
+    discrete.atom_values(pmf, atoms)
+    before = atom_plan.cache_info()
+    gaussian.atom_values(cov, atoms)  # finds the plan the discrete call compiled
+    after = atom_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)

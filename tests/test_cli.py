@@ -948,3 +948,12 @@ def test_reading_input_files_leaves_none_open(tmp_path):
                         "-o", str(tmp_path / "proj.txt")]) == 0
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_cutset_region_with_a_subnormal_variance(tmp_path):
+    """Exited 2 with an overflow in the pseudo-inverse of the 5e-324 block."""
+    out = tmp_path / "out.json"
+    rc = run_cli([*_cov(tmp_path, "[[5e-324, 0, 0], [0, 10, 0], [0, 0, 10]]"), "-o", str(out)])
+    rows = json.loads(out.read_text())["constraints"]
+    assert rc == 0 and len(rows) == 24
+    assert all(math.isfinite(r["rhs_value"]) for r in rows)

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -253,3 +254,47 @@ def test_nan_probabilities_are_rejected():
         JointPmf.make([("A", 2), ("B", 2)], [np.nan, 0.5, 0.25, 0.25])
     with pytest.raises(ValueError):
         Channel.make([("X", 2)], [("Y", 2)], [[np.nan, 1.0], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("axis, probs", [
+    (("X", 2.9), [0.5, 0.5]),  # was truncated to size 2
+    (("X", 2.0), [0.5, 0.5]),
+    (("X", True), [1.0]),  # was read as size 1
+    (("X", np.True_), [1.0]),
+    ((3, 2), [0.5, 0.5]),  # was renamed "3"
+    ((None, 2), [0.5, 0.5]),
+])
+def test_axes_want_string_names_and_integer_sizes(axis, probs):
+    """The rule of the pmf and channel files binds library calls too."""
+    with pytest.raises(ValueError, match=re.escape(repr(axis))):
+        JointPmf.make([axis], probs)
+    with pytest.raises(ValueError, match=re.escape(repr(axis))):
+        Channel.make([("W", 1)], [axis], [probs])
+    with pytest.raises(ValueError, match=re.escape(repr(axis))):
+        Channel.from_map([axis], [("Y", 1)], lambda x: 0)
+    with pytest.raises(ValueError, match=re.escape(repr(axis))):
+        random_joint_pmf(np.random.default_rng(0), [axis])
+
+
+def test_numpy_integer_sizes_and_string_names_are_accepted():
+    p = JointPmf.make([(np.str_("X"), np.int64(2))], [0.5, 0.5])
+    assert p.variables == (("X", 2),)
+    assert type(p.variables[0][0]) is str and type(p.variables[0][1]) is int
+    ch = Channel.make([("X", np.int32(2))], [("Y", np.uint8(1))], [[1.0], [1.0]])
+    assert ch.inputs == (("X", 2),) and ch.outputs == (("Y", 1),)
+
+
+@pytest.mark.parametrize("build", [
+    lambda probs: JointPmf.make([("A", 2), ("B", 2)], probs),
+    lambda probs: Channel.make([("A", 2)], [("B", 2)], 2 * probs),
+])
+def test_laws_hold_read_only_copies(build):
+    probs = np.full((2, 2), 0.25)
+    law = build(probs)
+    before = law.probs.copy()
+    assert not law.probs.flags.writeable
+    with pytest.raises(ValueError):
+        law.probs[0, 0] = 1.0
+    probs[0, 0] = 9.0  # the caller's array stays its own and writeable
+    assert np.array_equal(law.probs, before)
+    assert law.probs.flags.c_contiguous

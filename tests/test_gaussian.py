@@ -291,3 +291,26 @@ def test_psd_check_rejects_non_finite_entries(m):
     matrix fail in the eigensolver unnamed; both are named first."""
     with pytest.raises(ValueError, match="^M is not finite$"):
         gaussian.check_psd(np.array(m), "M", 1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_symmetric_covariance_is_copied_not_symmetrised():
+    """(m + m.T) / 2 of a symmetric m near the largest float overflowed."""
+    m = 1.797e308 * np.eye(2)
+    c = JointCovariance.make([("X1", 1), ("X2", 1)], m)
+    assert np.array_equal(c.matrix, m) and c.top_eigenvalue == 1.797e308
+    m[0, 0] = 1.0
+    assert c.matrix[0, 0] == 1.797e308 and not c.matrix.flags.writeable
+    asym = np.array([[2.0, 1.0], [1.0 + 2**-52, 2.0]])
+    c = JointCovariance.make([("X1", 1), ("X2", 1)], asym)
+    assert c.matrix[0, 1] == c.matrix[1, 0] == 0.5 * (2.0 + 2**-52)
+
+
+@pytest.mark.filterwarnings("error")
+def test_conditioning_on_a_subnormal_variance_treats_it_as_zero():
+    """1 / 5e-324 overflows: the pseudo-inverse now drops such an eigenvalue."""
+    c = cov2([("A", 1), ("B", 1)], [[10.0, 0.0], [0.0, 5e-324]])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):  # as the cli runs
+        out = schur_conditional(c, ["A"], ["B"])
+        assert gaussian._pinv_psd(np.array([[5e-324]])).tolist() == [[0.0]]
+    assert out.matrix.tolist() == [[10.0]]

@@ -536,3 +536,15 @@ def test_an_evaluation_solves_the_joint_once_and_one_stack_per_block_size(scheme
     parameters = [(7, 7)] if scheme == "GCOMP" else []
     assert [s for s in shapes if len(s) == 2] == parameters + [(n, n)]
     assert sorted(s[1] for s in shapes if len(s) == 3) == sorted(k for k in sizes if k > 2)
+
+
+@pytest.mark.xfail(strict=True, reason="the rank cut, relative to the whole joint's top "
+                   "eigenvalue, reads I(U0,U1,U2;Y1) and its conditional forms as infinite")
+def test_gds2_sum_rate_at_high_snr_is_finite_information():
+    """Y1 - Z1 is a function of (U0, U1, U2), so I(U0,U1,U2;Y1) is
+    1/2 log2 var(Y1) = 1/2 log2(1.75e6 + 1); the kernel returns the cut-set
+    value 2C = 16 instead."""
+    a = np.array([math.sqrt(5e5), 0.0, math.sqrt(5e5), 0.0])
+    rate = scheme_sumrate("GDS-II", DescriptionIIParams(a, a.copy()),
+                          CranNetwork.symmetric(1e6, 0.5, 0.5, 8))
+    assert rate == pytest.approx(0.5 * math.log2(1.75e6 + 1), abs=1e-3)
