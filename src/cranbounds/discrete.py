@@ -53,8 +53,8 @@ _INDEX_BUDGET = 1 << 18
 def _law(axes, probs, what: str):
     """The one constructor check: `axes` as a tuple of (string name, integer
     size >= 1, not a bool) pairs, no name twice, at most MAX_CELLS cells, and
-    a read-only float copy of `probs` in their shape, none negative or NaN
-    (None for None); else ValueError, naming `what` for a bad pair or entry."""
+    a read-only float copy of `probs` in their shape, none a string, a bool, negative
+    or NaN (None for None); else ValueError, naming `what` for a bad pair or entry."""
     axes = tuple(axes)
     if bad := [(n, s) for n, s in axes if not isinstance(n, str)
                or type(s) is not int and not isinstance(s, np.integer)]:  # bool is not int
@@ -69,6 +69,9 @@ def _law(axes, probs, what: str):
         raise ValueError(f"state space {math.prod(shape)} exceeds guard {MAX_CELLS}")
     if probs is None:
         return axes, None
+    if not (isinstance(probs, np.ndarray) and probs.dtype.kind in "fiu") and any(
+            isinstance(x, (bool, np.bool_, str, bytes)) for x in np.asarray(probs, object).flat):
+        raise ValueError(f"{what} probabilities must be numbers, not strings or bools")
     p = np.array(probs, dtype=float, order="C").reshape(shape)
     if not p.min() >= 0:  # also false for NaN
         raise ValueError(f"{what} probabilities must be nonnegative numbers")
@@ -136,7 +139,10 @@ class Channel:
         probs = np.zeros(shape)
         for idx in np.ndindex(*shape[:k]):
             y = func(*idx)
-            probs[idx + (y if isinstance(y, tuple) else (y,))] = 1.0
+            y = y if isinstance(y, tuple) else (y,)
+            if not all(0 <= i < s for i, s in zip(y, shape[k:])):
+                raise ValueError(f"channel output {y} for input {idx} is outside {shape[k:]}")
+            probs[idx + y] = 1.0
         return Channel.make(axes[:k], axes[k:], probs)
 
 

@@ -1,16 +1,16 @@
 """Gaussian cut bounds over the cut grid `regions.cuts`: the cut-set region
 of an input covariance, and the constant-gap audit of the relaxed
-decode-forward inner bound against the relaxed cut-set outer bound.  Both
-take each cut's capacity term from `cut_capacity`.  The relaxed bounds
-differ only by an additive slack, so each cut's gap has a closed form; the
-worst is checked against L/2 + min(N, L log2 N)/2.  `audit` takes all
-log-dets of one |D| in one stacked `capacity_logdet` call (G(D, :) with the
-columns outside S zeroed, K = P I) and returns each cut's inner and outer
-value in two arrays indexed by (S, D).
+decode-forward inner bound against the relaxed cut-set outer bound, each
+cut's capacity term from `cut_capacity`.  The relaxed bounds differ only by
+an additive slack, so each cut's gap has a closed form; the worst is checked
+against L/2 + min(N, L log2 N)/2.  `audit` reads all that depends on (N, L)
+alone from one cached plan, then takes the log-dets of each |D| in one stacked
+`capacity_logdet` call (G(D, :) with the columns outside S zeroed, K = P I).
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -30,12 +30,20 @@ __all__ = [
 ]
 
 
+def _links(N: int, s) -> tuple[tuple, tuple]:
+    """0-based indices of the BSs outside S, and of the links from S into them in flat `Ccoop`."""
+    out = tuple(k for k in range(N) if k + 1 not in s)
+    return out, tuple(k * N + j - 1 for j in s for k in out)
+
+
+def _capacity(c: list, t: list, out: tuple, coop: tuple) -> float:
+    return sum(c[k] for k in out) + sum(t[i] for i in coop)
+
+
 def cut_capacity(network: CranNetwork, s) -> float:
     """Capacity term of BS cut S: the fronthaul into every BS outside S plus
     every cooperation link from a BS in S into one outside it."""
-    s_c = [k for k in range(1, network.N + 1) if k not in s]
-    total = sum(float(network.C[k - 1]) for k in s_c)
-    return total + sum(float(network.Ccoop[k - 1][j - 1]) for j in s for k in s_c)
+    return _capacity(network.C.tolist(), network.Ccoop.ravel().tolist(), *_links(network.N, s))
 
 
 def cutset_region(network: CranNetwork, K: JointCovariance) -> ConstraintSystem:
@@ -72,25 +80,35 @@ def gap_bound(N: int, L: int) -> float:
     return cut_gap_formula(N, L)
 
 
+@functools.lru_cache(maxsize=MAX_NODES ** 2)  # every (N, L) shape
+def _plan(N: int, L: int) -> tuple:
+    """All that `audit` needs of the shape (N, L) alone; every array is read-only."""
+    S, D = cuts(N, L)
+    mask = np.array([[k in s for k in range(1, N + 1)] for s in S[1:]], float)[:, None, None]
+    n_s, n_d = np.array([len(s) for s in S])[:, None], np.array([len(d) for d in D])
+    cols = [np.flatnonzero(n_d == l) for l in range(1, L + 1)]
+    groups = tuple((c, np.array([D[j] for j in c]) - 1) for c in cols)
+    # the empty S (n_s = 0) keeps its capacity term on both sides: log2 max(0, 1) = 0
+    slack = ((n_s > 0) * n_d / 2.0, 0.5 * np.minimum(n_s, n_d * np.log2(np.maximum(n_s, 1))))
+    for a in (mask, *slack, *(x for group in groups for x in group)):
+        a.flags.writeable = False
+    return tuple(S), tuple(D), mask, groups, *slack, tuple(_links(N, s) for s in S)
+
+
 def audit(network: CranNetwork) -> dict:
     """Evaluate every (S, nonempty D) cut; passes iff the inner bound never
     exceeds the outer and the worst gap respects the closed-form bound.
     `inner` and `outer` have shape (len(S), len(D)) over `S, D = regions.cuts(N, L)`."""
-    S, D = cuts(network.N, network.L)
-    shared = np.repeat([[cut_capacity(network, s)] for s in S], len(D), axis=1)
-    mask = np.array([[k in s for k in range(1, network.N + 1)] for s in S[1:]], float)
-    for l in range(1, network.L + 1):
-        cols = [j for j, d in enumerate(D) if len(d) == l]
-        g = mask[:, None, None, :] * network.G[np.array([D[j] for j in cols]) - 1]
-        shared[1:, cols] += capacity_logdet(g, network.P * np.eye(network.N))
-    n_s, n_d = np.array([len(s) for s in S])[:, None], np.array([len(d) for d in D])
-    # the empty S (n_s = 0) keeps its capacity term on both sides: log2 max(0, 1) = 0
-    inner = shared - (n_s > 0) * n_d / 2.0
-    outer = shared + 0.5 * np.minimum(n_s, n_d * np.log2(np.maximum(n_s, 1)))
+    S, D, mask, groups, inner_slack, outer_slack, links = _plan(network.N, network.L)
+    c, t = network.C.tolist(), network.Ccoop.ravel().tolist()
+    shared = np.repeat([[_capacity(c, t, *ls)] for ls in links], len(D), axis=1)
+    for cols, users in groups:
+        shared[1:, cols] += capacity_logdet(mask * network.G[users], network.P * np.eye(network.N))
+    inner, outer = shared - inner_slack, shared + outer_slack
     max_gap = float((outer - inner).max())
     bound = gap_bound(network.N, network.L)
     ok = max_gap <= bound + 1e-9 and np.all(inner <= outer + 1e-9)
-    return {"S": S, "D": D, "inner": inner, "outer": outer,
+    return {"S": list(S), "D": list(D), "inner": inner, "outer": outer,
             "max_gap": max_gap, "bound": bound, "pass": bool(ok)}
 
 

@@ -265,8 +265,8 @@ def gauss_total_correlation(cov: JointCovariance, names) -> float:
 
 
 def capacity_logdet(g_sub: np.ndarray, k_sub: np.ndarray):
-    """(1/2) log2 det(I + G K G^T) in bits; K is clipped to the PSD cone once.
-    A stack G of shape (..., m, n) gives an array of shape (...), a matrix a float."""
+    """(1/2) log2 det(I + G K G^T) in bits, K clipped to the PSD cone by an eigensolve unless
+    it is nonnegative diagonal; a stack G (..., m, n) gives an array (...), a matrix a float."""
     g = np.asarray(g_sub, dtype=float)
     if g.ndim < 2:
         raise ValueError("G must be a matrix")
@@ -277,8 +277,9 @@ def capacity_logdet(g_sub: np.ndarray, k_sub: np.ndarray):
         raise ValueError(f"K shape {k.shape} does not match G columns {g.shape[-1]}")
     if not (np.isfinite(g).all() and np.isfinite(k).all()):
         raise ValueError("G or K is not finite")
-    w, v = np.linalg.eigh(_sym(k))
-    k = (v * np.clip(w, 0.0, None)) @ v.T
+    if np.count_nonzero(k) != np.count_nonzero(d := np.diagonal(k)) or d.min() < 0.0:
+        w, v = np.linalg.eigh(_sym(k))
+        k = (v * np.clip(w, 0.0, None)) @ v.T
     sign, logdet = np.linalg.slogdet(np.eye(g.shape[-2]) + g @ k @ np.swapaxes(g, -1, -2))
     if not (np.all(sign > 0) and np.isfinite(logdet).all()):  # an overflow fails too
         raise ValueError("I + G K G^T is numerically singular or not finite")

@@ -1,9 +1,11 @@
 """Per-cut Gaussian cut bounds, kept as the test oracle for `gapaudit`.
 
-Every cut takes its own 2-D `capacity_logdet` of G(D, S), its capacity term
-from `conftest.caps_valuation`, and, for the cut-set region, its own
-K(S | S^c).  The cuts are visited in (S, D) lexicographic order, the empty
-S first, from `itertools` rather than from `regions.cuts`.
+Every cut takes its own 2-D log-det of G(D, S) from this module's
+`capacity_logdet`, which clips every K by an eigensolve and so shares no
+code with the package kernel it checks, its capacity term from
+`conftest.caps_valuation`, and, for the cut-set region, its own K(S | S^c).
+The cuts are visited in (S, D) lexicographic order, the empty S first, from
+`itertools` rather than from `regions.cuts`.
 """
 
 from fractions import Fraction
@@ -13,7 +15,20 @@ import numpy as np
 
 from conftest import caps_valuation
 from cranbounds import gapaudit, polytope
-from cranbounds.gaussian import capacity_logdet, schur_conditional
+from cranbounds.gaussian import schur_conditional
+
+
+def capacity_logdet(g_sub, k_sub) -> float:
+    """(1/2) log2 det(I + G K G^T) of one matrix G, K always clipped to the PSD
+    cone by an eigensolve of its symmetric part."""
+    g, k = np.asarray(g_sub, dtype=float), np.asarray(k_sub, dtype=float)
+    if g.size == 0:
+        return 0.0
+    w, v = np.linalg.eigh(0.5 * (k + k.T))
+    k = (v * np.clip(w, 0.0, None)) @ v.T
+    sign, logdet = np.linalg.slogdet(np.eye(g.shape[-2]) + g @ k @ np.swapaxes(g, -1, -2))
+    assert sign > 0 and np.isfinite(logdet)
+    return float(np.where(logdet > 0.0, logdet / np.log(2.0) * 0.5, 0.0))
 
 
 def grid(network) -> list[tuple[tuple, tuple]]:

@@ -256,6 +256,38 @@ def test_nan_probabilities_are_rejected():
         Channel.make([("X", 2)], [("Y", 2)], [[np.nan, 1.0], [0.5, 0.5]])
 
 
+@pytest.mark.parametrize("probs", [
+    ["0.5", "0.5"],  # was read as 0.5 each
+    [True, False],  # was read as 1 and 0
+    [True, 0.0],
+    [np.True_, np.False_],
+    np.array(["0.5", "0.5"]),
+    np.array([True, False]),
+    [b"1", 0.0],
+])
+def test_probabilities_want_numbers_not_strings_or_bools(probs):
+    """The number rule of the pmf and channel files binds library calls too."""
+    with pytest.raises(ValueError, match="pmf probabilities must be numbers"):
+        JointPmf.make([("X", 2)], probs)
+    with pytest.raises(ValueError, match="channel probabilities must be numbers"):
+        Channel.make([("W", 1)], [("X", 2)], [probs])
+
+
+def test_integer_and_float_probabilities_are_accepted():
+    for probs in ([1, 0], np.array([0, 1]), np.array([0.5, 0.5], dtype=np.float32)):
+        assert JointPmf.make([("X", 2)], probs).probs.dtype == float
+
+
+@pytest.mark.parametrize("outputs, func, bad", [
+    ([("Y", 2)], lambda x: -1, "(-1,)"),  # was read as Y = 1
+    ([("Y", 2)], lambda x: 2, "(2,)"),  # was an IndexError
+    ([("Y", 2), ("Z", 2)], lambda x: (x, 2 - x), "(0, 2)"),
+], ids=["negative", "size", "second-output"])
+def test_from_map_rejects_an_output_index_outside_its_alphabet(outputs, func, bad):
+    with pytest.raises(ValueError, match=re.escape(f"channel output {bad} for input (0,)")):
+        Channel.from_map([("X", 2)], outputs, func)
+
+
 @pytest.mark.parametrize("axis, probs", [
     (("X", 2.9), [0.5, 0.5]),  # was truncated to size 2
     (("X", 2.0), [0.5, 0.5]),

@@ -117,8 +117,8 @@ def test_audit_takes_one_logdet_per_user_subset_size(monkeypatch):
 
 
 def oracle_networks():
-    """Random networks with N, L <= 6, plus P = 0, N = 1 (log2 1 = 0) and a
-    zero column of G."""
+    """Random networks with N, L <= 6, plus P = 0, N = 1 (log2 1 = 0), a
+    zero column of G, and powers of 1e3, 1e6 and 1e8."""
     rng = np.random.default_rng(2024)
     nets = []
     for N, L in [(1, 1), (1, 6), (6, 1), (6, 6), (3, 5), (5, 2)]:
@@ -129,6 +129,12 @@ def oracle_networks():
         np.fill_diagonal(T, 0.0)
         nets += [CranNetwork.make(G, 0.0, C, T), CranNetwork.make(G, 7.5, C, T)]
     nets.append(CranNetwork.make(np.zeros((3, 2)), 0.0, [1.0, 2.0]))
+    for N, L in [(4, 4), (2, 6), (6, 5), (5, 6)]:
+        G = rng.uniform(-2.0, 2.0, size=(L, N))
+        G[:, -1] = 0.0
+        C, T = rng.uniform(0.0, 5.0, size=N), rng.uniform(0.0, 5.0, size=(N, N))
+        np.fill_diagonal(T, 0.0)
+        nets += [CranNetwork.make(G, P, C, T) for P in (0.0, 1e3, 1e6, 1e8)]
     return nets
 
 
@@ -148,6 +154,46 @@ def test_batched_audit_equals_per_cut_oracle_bit_for_bit(net):
 def test_per_cut_bounds_match_oracle(d, s):
     for net in (net22(), net22(P=0.0)):
         assert cut(net, sorted(d), s) == gap_oracle.relaxed_bounds(net, d, s)
+
+
+def test_audit_plan_is_read_only_and_its_lists_are_fresh():
+    """`audit` shares one cached plan per shape, so no caller may write into it."""
+    net = net22()
+    rep = gapaudit.audit(net)
+    rep["S"].append((3,))
+    rep["D"].clear()
+    again = gapaudit.audit(net)
+    assert again["S"] == [(), (1,), (1, 2), (2,)] and again["D"] == [(1,), (1, 2), (2,)]
+    assert again["S"] is not rep["S"] and again["D"] is not rep["D"]
+    plan = gapaudit._plan(2, 2)
+    assert plan is gapaudit._plan(2, 2)
+    arrays = [a for a in plan if isinstance(a, np.ndarray)] + [a for g in plan[3] for a in g]
+    assert len(arrays) == 7
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 7
+
+
+@pytest.mark.parametrize("kind", ["full", "low-rank", "diagonal", "p-eye"])
+def test_cutset_region_equals_per_cut_oracle_bit_for_bit(kind):
+    """Each cut-set row equals the oracle's, which recomputes K(S | S^c) per
+    cut and always clips it by an eigensolve."""
+    rng = np.random.default_rng(["full", "low-rank", "diagonal", "p-eye"].index(kind))
+    for _ in range(12):
+        N, L = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        P = float(rng.choice([0.5, 20.0, 1e4, 1e8]))
+        a = rng.normal(size=(N, N if kind == "full" else max(1, N - 1)))
+        K = {"diagonal": np.diag(rng.uniform(0.0, 1.0, N)), "p-eye": np.eye(N)}.get(kind, a @ a.T)
+        K *= P / K.diagonal().max()
+        if kind == "diagonal":
+            K[0, 0] = 0.0
+        net = CranNetwork.make(rng.uniform(-2.0, 2.0, size=(L, N)), P,
+                               rng.uniform(0.0, 5.0, size=N), rng.uniform(0.0, 5.0, size=(N, N))
+                               * (1.0 - np.eye(N)))
+        cov = JointCovariance.make([(f"X{k}", 1) for k in range(1, N + 1)], K)
+        got = gapaudit.cutset_region(net, cov).constraints
+        want = gap_oracle.cutset_region(net, cov).constraints
+        assert [(dict(c.lhs), c.rhs.const) for c in got] == [(dict(c.lhs), c.rhs.const) for c in want]
 
 
 def test_random_instances_reject_sizes_below_one():

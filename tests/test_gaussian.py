@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import gap_oracle
 from cranbounds import cli, gaussian
 from cranbounds.atoms import gamma_atom, mi_atom
 from cranbounds.gaussian import (CranNetwork, JointCovariance, capacity_logdet,
@@ -227,6 +228,30 @@ def test_stacked_capacity_logdet_equals_per_matrix_calls(case):
     for idx in np.ndindex(*g.shape[:-2]):
         one = capacity_logdet(g[idx], k)
         assert type(one) is float and float(out[idx]).hex() == one.hex()
+
+
+@st.composite
+def diagonal_logdet_case(draw):
+    """A stack G as above and a nonnegative diagonal K: zeros, the smallest
+    subnormal, arbitrary variances up to 1e8, or P I."""
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    g = draw(hnp.arrays(float, lead + (m, n), elements=st.floats(-3.0, 3.0, allow_nan=False)))
+    variances = st.one_of(st.just(0.0), st.just(5e-324), st.floats(0.0, 1e8))
+    if draw(st.booleans()):
+        return g, draw(st.sampled_from([0.0, 1e3, 1e6, 1e8]) | variances) * np.eye(n)
+    return g, np.diag(draw(hnp.arrays(float, n, elements=variances)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagonal_logdet_case())
+def test_capacity_logdet_of_a_nonnegative_diagonal_k_equals_the_clipping_oracle(case):
+    """A nonnegative diagonal K skips the eigensolve: its clip is K itself, so
+    every value equals the always-clipping oracle's bit for bit."""
+    g, k = case
+    out = np.asarray(capacity_logdet(g, k))
+    for idx in np.ndindex(*g.shape[:-2]):
+        assert float(out[idx]).hex() == gap_oracle.capacity_logdet(g[idx], k).hex()
 
 
 def test_stacked_capacity_logdet_sizes_and_shape_errors():
