@@ -15,11 +15,14 @@ subsets.  Each back end has one kernel for those measures (entropies of a
 pmf, log-pseudo-determinants of a covariance); `atom_plan` caches the
 compiled plan per (variable names, atoms) for both back ends, and
 `AtomPlan.valuation` is their shared tail (names and named constants).
+`checked_axes`, `checked_reals` and `checked_int` are the one rule for the
+names, sizes and numbers of every law and config, in both back ends.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,3 +223,45 @@ def atom_plan(variables: tuple[str, ...], atoms: tuple) -> AtomPlan:
     variable names `variables`, cached per (variables, atoms)."""
     specs = [parse_atom(a) if isinstance(a, str) else a for a in atoms]
     return compile_atoms(specs, variables)
+
+
+def checked_axes(axes, what: str) -> tuple[tuple[str, int], ...]:
+    """`axes` as a tuple of (name, size) pairs, if every name is a string,
+    every size an integer of at least 1 (a NumPy integer is one, a bool is
+    not) and no name comes twice; else ValueError naming `what`."""
+    axes = tuple(axes)
+    if bad := [a for a in axes if len(a) != 2 or not isinstance(a[0], str) or isinstance(a[1], bool)
+               or not isinstance(a[1], (int, np.integer)) or a[1] < 1]:
+        raise ValueError(f"{what} want (string name, integer size >= 1) pairs, got {bad[0]!r}")
+    axes = tuple((str(n), int(s)) for n, s in axes)
+    if len({n for n, _ in axes}) != len(axes):
+        raise ValueError(f"{what} repeat a name: {[n for n, _ in axes]}")
+    return axes
+
+
+def checked_reals(values, what: str, lo: float = -math.inf, shape=None) -> np.ndarray:
+    """`values` as a new read-only C-ordered float array, if every entry is a
+    number (a string or a bool is not; a float or integer ndarray skips this
+    scan), finite and >= `lo`, and the array has the shape `shape` if one is
+    given; else ValueError naming `what`."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu") and (bad := [
+            x for x in np.asarray(values, object).flat
+            if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating))]):
+        raise ValueError(f"{what} must be numbers, got {bad[0]!r}")
+    a = np.array(values, dtype=float, order="C")
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all() or lo > -math.inf and a.min(initial=lo) < lo:
+        bound = f" and >= {lo:g}" if lo > -math.inf else ""
+        bad = a[~(np.isfinite(a) & (a >= lo))][0]
+        raise ValueError(f"{what} must be finite{bound}, got {float(bad)!r}")
+    a.flags.writeable = False
+    return a
+
+
+def checked_int(value, what: str, lo: int):
+    """`value` if it is an integer (a NumPy integer is one, a bool is not)
+    of at least `lo`, else ValueError naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise ValueError(f"{what} must be an integer of at least {lo}, got {value!r}")
+    return value

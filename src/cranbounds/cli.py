@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gapaudit, verify
+from .atoms import checked_reals
 from .discrete import Channel, JointPmf, atom_valuation, compose
 from .gaussian import CranNetwork, JointCovariance
 from .polytope import FMEBlowupError, eliminate_all, format_system, parse_system, region_to_json
@@ -33,8 +34,7 @@ def _write_text(path: str | None, text: str):
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        Path(path).write_text(text)
 
 
 def _naming(flag: str, path: str, fn):
@@ -53,19 +53,6 @@ def _read(flag: str, path: str, parse):
     return _naming(flag, path, lambda: parse(Path(path).read_text()))
 
 
-def _numbers(value, what: str, nested: bool = True):
-    """`value` once checked to be a finite JSON number (an int or a float,
-    not a bool or a string) or, if `nested`, lists of them to any depth; else
-    ValueError naming `what`.  The number rule of every JSON input file, whose
-    objects hold only their reader's keys, sizes integers and names strings."""
-    if nested and isinstance(value, list):
-        for v in value:
-            _numbers(v, what)
-    elif type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{what} holds {value!r}, not a finite JSON number")
-    return value
-
-
 def _object(value: dict, keys, where: str = "") -> dict:
     if unknown := sorted(value.keys() - keys):
         raise ValueError(f"unknown keys {unknown}{where}")
@@ -73,30 +60,30 @@ def _object(value: dict, keys, where: str = "") -> dict:
 
 
 def _axes(d: dict, key: str) -> list[tuple[str, int]]:
-    """The (name, size) pairs of the entries under `key`, as read: `make`
-    rejects a name that is not a string and a size that is not an integer."""
+    """The (name, size) pairs under `key`, as read: `make` checks them."""
     axes = [_object(v, {"name", "size"}, f" in a {key!r} entry") for v in d[key]]
     return [(v["name"], v["size"]) for v in axes]
 
 
 def _network(text: str) -> CranNetwork:
     d = _object(json.loads(text), {"G", "P", "C", "Ccoop"})
-    return CranNetwork.make(*(_numbers(d[k], k) for k in ("G", "P", "C")),
-                            _numbers(d["Ccoop"], "Ccoop") if "Ccoop" in d else None)
+    if d.get("Ccoop", ()) is None:  # `make` reads None as no links; a file gives a matrix
+        raise ValueError("Ccoop is null, not a matrix of numbers")
+    return CranNetwork.make(**d)
 
 
 def _pmf(text: str) -> JointPmf:
     d = _object(json.loads(text), {"variables", "probs"})
-    return JointPmf.make(_axes(d, "variables"), _numbers(d["probs"], "probs"))
+    return JointPmf.make(_axes(d, "variables"), d["probs"])
 
 
 def _channel(text: str) -> Channel:
     d = _object(json.loads(text), {"given", "variables", "probs"})
-    return Channel.make(_axes(d, "given"), _axes(d, "variables"), _numbers(d["probs"], "probs"))
+    return Channel.make(_axes(d, "given"), _axes(d, "variables"), d["probs"])
 
 
 def _valuation(text: str) -> dict[str, float]:
-    return {k: float(_numbers(v, f"atom {k!r}", nested=False))
+    return {k: float(checked_reals(v, f"atom {k!r}", shape=()))
             for k, v in json.loads(text).items()}
 
 
@@ -144,8 +131,7 @@ def cmd_region(args) -> int:
         net = _read("--network", args.network, _network)
         cuts(net.N, net.L)  # the node bound, before --cov is read or K = P I built
         names = [(f"X{k}", 1) for k in range(1, net.N + 1)]
-        cov = (_read("--cov", args.cov, lambda t: _numbers(json.loads(t), "the covariance"))
-               if args.cov else net.P * np.eye(net.N))
+        cov = _read("--cov", args.cov, json.loads) if args.cov else net.P * np.eye(net.N)
         last = ("--cov", args.cov) if args.cov else ("--network", args.network)
         text = _naming(*last, lambda: export(gapaudit.cutset_region(
             net, JointCovariance.make(names, cov)), {}))
@@ -174,7 +160,10 @@ def cmd_sweep(args) -> int:
     printed = printed if isinstance(printed, (list, tuple)) else ()  # else sweep_rows rejects it
     reference = (_read("--rcf-csv", args.rcf_csv, lambda text: _reference_rows(text, printed))
                  if args.rcf_csv else [])
-    rows = sweep_rows(config)
+    try:
+        rows = sweep_rows(config)
+    except ArithmeticError as exc:  # a float overflow at a huge P, say
+        raise ValueError(f"config {args.config}: {type(exc).__name__}: {exc}") from None
     if reference:
         t0 = config.get("T", 0.0)  # the first T, now that sweep_rows has checked it
         t0, star = float(t0[0] if isinstance(t0, list) else t0), rows[0]["rsum_star"]
@@ -210,9 +199,8 @@ def _reference_rows(text: str, printed) -> list[tuple[float, str, float]]:
         parts = line.strip().split(",")
         if len(parts) != len(header):
             raise ValueError(f"line {n} has {len(parts)} fields, want {len(header)}")
-        c, rate = float(parts[idx["C"]]), float(parts[idx["sum_rate"]])
-        if not (0.0 <= c < math.inf and 0.0 <= rate < math.inf):
-            raise ValueError(f"line {n}: C and sum_rate must be finite numbers >= 0")
+        c, rate = checked_reals([float(parts[idx[k]]) for k in ("C", "sum_rate")],
+                                f"line {n}: C and sum_rate", 0.0).tolist()
         name = parts[idx["scheme"]]
         if name in printed:
             raise ValueError(f"line {n}: scheme {name!r} is one the sweep prints")
@@ -250,7 +238,7 @@ def cmd_fme(args) -> int:
     if unknown:
         raise ValueError(f"unknown variables to eliminate: {unknown}")
     projected = eliminate_all(system, drop, max_constraints=args.max_constraints)
-    _write_text(args.output, format_system(projected))
+    _write_text(args.output, _naming("--input", args.input, lambda: format_system(projected)))
     return 0
 
 

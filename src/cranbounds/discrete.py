@@ -27,6 +27,7 @@ import numpy as np
 
 # unused parse_atom stays importable: bench/tracer.py wraps it by this name
 from .atoms import PLAN_CACHE_SIZE, atom_plan, gamma_atom, mi_atom, parse_atom  # noqa: F401
+from .atoms import checked_axes, checked_reals
 
 __all__ = [
     "JointPmf",
@@ -51,32 +52,14 @@ _INDEX_BUDGET = 1 << 18
 
 
 def _law(axes, probs, what: str):
-    """The one constructor check: `axes` as a tuple of (string name, integer
-    size >= 1, not a bool) pairs, no name twice, at most MAX_CELLS cells, and
-    a read-only float copy of `probs` in their shape, none a string, a bool, negative
-    or NaN (None for None); else ValueError, naming `what` for a bad pair or entry."""
-    axes = tuple(axes)
-    if bad := [(n, s) for n, s in axes if not isinstance(n, str)
-               or type(s) is not int and not isinstance(s, np.integer)]:  # bool is not int
-        raise ValueError(f"{what} axes want string names and integer sizes, got {bad[0]!r}")
-    axes = tuple((str(n), int(s)) for n, s in axes)
-    names, shape = [n for n, _ in axes], tuple(s for _, s in axes)
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate variable names in {names}")
-    if min(shape, default=1) < 1:
-        raise ValueError("alphabet sizes must be >= 1")
+    """`axes` by `checked_axes`, at most MAX_CELLS cells, and `probs` in their
+    shape by `checked_reals` with `lo` 0 (None stays None); errors name `what`."""
+    axes = checked_axes(axes, f"{what} axes")
+    shape = tuple(s for _, s in axes)
     if math.prod(shape) > MAX_CELLS:
         raise ValueError(f"state space {math.prod(shape)} exceeds guard {MAX_CELLS}")
-    if probs is None:
-        return axes, None
-    if not (isinstance(probs, np.ndarray) and probs.dtype.kind in "fiu") and any(
-            isinstance(x, (bool, np.bool_, str, bytes)) for x in np.asarray(probs, object).flat):
-        raise ValueError(f"{what} probabilities must be numbers, not strings or bools")
-    p = np.array(probs, dtype=float, order="C").reshape(shape)
-    if not p.min() >= 0:  # also false for NaN
-        raise ValueError(f"{what} probabilities must be nonnegative numbers")
-    p.flags.writeable = False
-    return axes, p
+    return axes, (None if probs is None
+                  else checked_reals(probs, f"{what} probabilities", 0.0).reshape(shape))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ import numpy as np
 
 # unused parse_atom stays importable: bench/tracer.py wraps it by this name
 from .atoms import H, PLAN_CACHE_SIZE, atom_plan, gamma_atom, mi_atom, parse_atom  # noqa: F401
+from .atoms import checked_axes, checked_reals
 
 __all__ = [
     "JointCovariance",
@@ -96,18 +97,17 @@ class JointCovariance:
 
     @staticmethod
     def make(components, matrix) -> "JointCovariance":
-        components = tuple((str(n), int(d)) for n, d in components)
-        names = [n for n, _ in components]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate component names in {names}")
+        components = tuple(components)
+        try:  # an unhashable or malformed entry takes the uncached check, which names it
+            components = _checked_components(components, tuple(type(d) for _, d in components))
+        except (TypeError, ValueError):
+            components = checked_axes(components, "covariance components")
         dim = sum(d for _, d in components)
-        m = np.asarray(matrix, dtype=float).reshape(dim, dim)
-        if not np.isfinite(m).all():
-            raise ValueError("covariance entries must be finite")
+        m = checked_reals(matrix, "covariance entries").reshape(dim, dim)
         asymmetric = (m != m.T).any()
         if asymmetric and np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
             raise ValueError("covariance matrix is not symmetric")
-        m = _sym(m) if asymmetric else m.copy()  # here _sym(m) is m, but m + m.T may overflow
+        m = _sym(m) if asymmetric else m  # here _sym(m) is m, but m + m.T may overflow
         top = _psd_top(np.linalg.eigvalsh(m), "covariance matrix", 1e-9)
         m.flags.writeable = False
         return JointCovariance(components, m, top)
@@ -146,6 +146,13 @@ def schur_conditional(cov: JointCovariance, s_names, t_names) -> JointCovariance
     w, v = np.linalg.eigh(cond)
     cond = (v * np.clip(w, 0.0, None)) @ v.T
     return JointCovariance.make(sub_components, cond)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _checked_components(components, size_types):
+    """`checked_axes` of a components tuple, cached per tuple and the types of
+    its sizes: True == 1 and 2.0 == 2, so the tuple alone would let them pass."""
+    return checked_axes(components, "covariance components")
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -305,27 +312,15 @@ class CranNetwork:
 
     @staticmethod
     def make(G, P, C, Ccoop=None) -> "CranNetwork":
-        G = np.atleast_2d(np.asarray(G, dtype=float))
+        G = np.atleast_2d(checked_reals(G, "network G"))
         L, N = G.shape
-        P = float(P)
-        C = np.asarray(C, dtype=float).reshape(N)
-        if Ccoop is None:
-            Ccoop = np.zeros((N, N))
-        Ccoop = np.asarray(Ccoop, dtype=float).reshape(N, N)
-        if not all(np.isfinite(v).all() for v in (G, P, C, Ccoop)):
-            raise ValueError("channel gains, power and capacities must be finite")
-        if P < 0:
-            raise ValueError("power must be nonnegative")
-        if C.min() < 0:
-            raise ValueError("fronthaul capacities must be nonnegative")
-        if Ccoop.min() < 0:
-            raise ValueError("cooperation capacities must be nonnegative")
+        P = float(checked_reals(P, "network P", 0.0, shape=()))
+        C = checked_reals(C, "network C", 0.0).reshape(N)
+        Ccoop = np.zeros((N, N)) if Ccoop is None else Ccoop
+        Ccoop = checked_reals(Ccoop, "network Ccoop", 0.0).reshape(N, N)
         if np.any(np.diag(Ccoop) != 0):
             raise ValueError("cooperation matrix must have zero diagonal")
-        G2, C2, T2 = G.copy(), C.copy(), Ccoop.copy()
-        for a in (G2, C2, T2):
-            a.flags.writeable = False
-        return CranNetwork(G2, P, C2, T2)
+        return CranNetwork(G, P, C, Ccoop)
 
     @property
     def N(self) -> int:

@@ -625,11 +625,12 @@ def region_to_json(system: ConstraintSystem, valuation: dict[str, float] | None 
 
 _DIGITS = r"\d+(?:_\d+)*"
 _NUMBER = (rf"{_DIGITS}/{_DIGITS}"
-           rf"|(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?")
+           rf"|(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE](?P<exp>[-+]?{_DIGITS}))?")
 _NAME = r"[A-Za-z_]\w*(?:\([^()]*\))?"
 _TERM = re.compile(rf"(?P<signs>[-+\s]*)(?:(?P<q>{_NUMBER})(?:\s*\*\s*(?P<qname>{_NAME}))?"
                    rf"|(?P<name>{_NAME}))")
 _SIGNS = re.compile(r"[-+\s]*")
+MAX_EXPONENT = 4300  # past it, a bad coefficient: `Fraction` takes seconds on 1e10000000
 
 
 class SystemParseError(ValueError):
@@ -649,9 +650,11 @@ def _parse_terms(text: str, lineno: int, offset: int, known=None):
     terms: dict[str, Fraction] = {}
     const, pos = ZERO, 0
     while (m := _TERM.match(text, pos)) and (pos == 0 or m["signs"].strip()):
-        try:
+        try:  # 1/0; underscores before Python 3.11; an exponent past MAX_EXPONENT
+            if abs(int(m["exp"] or 0)) > MAX_EXPONENT:
+                raise ValueError
             q = Q(m["q"] or 1)
-        except (ValueError, ZeroDivisionError):  # 1/0; underscores before Python 3.11
+        except (ValueError, ZeroDivisionError):
             raise SystemParseError(f"bad coefficient {m['q']!r}", lineno,
                                    offset + m.start("q") + 1) from None
         q = -q if m["signs"].count("-") % 2 else q

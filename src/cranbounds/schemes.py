@@ -20,6 +20,7 @@ closed form up to a one-dimensional convex minimisation.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -30,6 +31,7 @@ from . import gaussian
 # unused parse_atom and corollary3_feasible stay importable: bench/tracer.py
 # wraps them by these names
 from .atoms import parse_atom  # noqa: F401
+from .atoms import checked_int, checked_reals
 from .gaussian import CranNetwork, JointCovariance
 from .polytope import CompiledRegion, max_sum_rate
 from .regions import corollary3_feasible  # noqa: F401
@@ -119,14 +121,7 @@ class OptimizerBudget:
 
     def __post_init__(self):
         for key in ("restarts", "iters"):
-            _check_int(getattr(self, key), f"budget {key}", 1)
-
-
-def _check_int(value, what: str, lo: int):
-    """`value` if it is an int (or numpy integer; bool excluded) >= lo, else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
-        raise ValueError(f"{what} must be an integer of at least {lo}, got {value!r}")
-    return value
+            checked_int(getattr(self, key), f"budget {key}", 1)
 
 
 STEP0_SCALE = 0.25  # initial pattern-search step = STEP0_SCALE * sqrt(P)
@@ -449,17 +444,16 @@ def scheme_sum_cap(scheme: str, network: CranNetwork) -> float:
 def sweep_rows(config: dict) -> list[dict]:
     """Evaluate schemes over a fronthaul-capacity grid.
 
-    Config keys: P, G (a 2x2 matrix of finite numbers), C_grid, T (scalar
-    or list), schemes, seed (an integer >= 0) and budget {restarts, iters},
-    each an integer of at least 1; P, G, C_grid and seed are required, and
-    any other key is an error.  C_grid, T and schemes are
-    nonempty lists without repeats, P and the capacities finite and
-    nonnegative.  Within one (scheme, T) pair the refined parameters found
-    at every grid point are shared: each C reports the best sum rate over
-    the whole pool, which preserves monotonicity in C.
-    Every grid point gets its own derived seed.  The `cutset` column is
-    min(2C, rsum_star), a certified upper bound that does not depend on the
-    seed or the budget.  Returns rows sorted by (C, T, scheme).
+    Config keys: P, G (2x2), C_grid, T (a number or a list), schemes, seed
+    (an integer >= 0) and budget {restarts, iters} (integers >= 1), by the
+    rule of `atoms`, with every number finite and P, C_grid and T >= 0; P, G,
+    C_grid and seed are required, any other key is an error, and C_grid, T
+    and schemes are nonempty lists without repeats.  Within one (scheme, T)
+    pair the refined parameters found at every grid point are shared: each C
+    reports the best sum rate over the whole pool, which preserves
+    monotonicity in C.  Every grid point gets its own derived seed.  The
+    `cutset` column is min(2C, rsum_star), a certified upper bound that does
+    not depend on the seed or the budget.  Returns rows sorted by (C, T, scheme).
     """
     if not isinstance(config, dict):
         raise ValueError(f"sweep config must be an object, got {config!r}")
@@ -470,33 +464,24 @@ def sweep_rows(config: dict) -> list[dict]:
     if missing:
         raise ValueError(f"sweep config is missing required field {missing[0]!r}")
 
-    def listed(key, default, ok, what):
+    def listed(key, default, what, check):
         values = config.get(key, default)
         values = [values] if key == "T" and isinstance(values, (int, float)) else values
-        if not (isinstance(values, (list, tuple)) and values and all(map(ok, values))
-                and len(set(values)) == len(values)):
-            raise ValueError(f"sweep config {key} must be a nonempty list of distinct "
-                             f"{what}, got {values!r}")
-        return list(values)
+        with contextlib.suppress(TypeError, ValueError):  # an unhashable entry; a bad one
+            if (isinstance(values, (list, tuple)) and len(set(values)) == len(values)
+                    and (out := check(values))):
+                return out
+        raise ValueError(f"sweep config {key} must be a nonempty list of distinct "
+                         f"{what}, got {values!r}")
 
-    def real(v):
-        return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-                and math.isfinite(v))
-
-    def number(v):
-        return real(v) and v >= 0
-
-    if not number(config["P"]):
-        raise ValueError(f"sweep config P must be finite and >= 0, got {config['P']!r}")
-    G = np.array(config["G"], dtype=object)
-    if G.shape != (2, 2) or not all(map(real, G.flat)):
-        raise ValueError(f"sweep config G must be a 2x2 matrix of finite numbers, "
-                         f"got {config['G']!r}")
-    P, G = float(config["P"]), G.astype(float)
-    c_grid = [float(c) for c in listed("C_grid", None, number, "finite numbers >= 0")]
-    t_values = [float(t) for t in listed("T", 0.0, number, "finite numbers >= 0")]
-    schemes = listed("schemes", SWEEP_SCHEMES, lambda s: s in SWEEP_SCHEMES, "scheme names")
-    seed = int(_check_int(config["seed"], "sweep config seed", 0))
+    P = float(checked_reals(config["P"], "sweep config P", 0.0, shape=()))
+    G = checked_reals(config["G"], "sweep config G", shape=(2, 2))
+    c_grid, t_values = (listed(key, default, "finite numbers >= 0",
+                               lambda v: checked_reals(v, key, 0.0, shape=(len(v),)).tolist())
+                        for key, default in (("C_grid", None), ("T", 0.0)))
+    schemes = listed("schemes", SWEEP_SCHEMES, "scheme names",
+                     lambda v: set(v) <= set(SWEEP_SCHEMES) and list(v))
+    seed = int(checked_int(config["seed"], "sweep config seed", 0))
     bcfg = config.get("budget", {})
     if not isinstance(bcfg, dict) or bcfg.keys() - {"restarts", "iters"}:
         raise ValueError(f"sweep config budget must map restarts and iters only, got {bcfg!r}")

@@ -77,3 +77,26 @@ def test_each_gaussian_scheme_is_stated_once():
         literals = {n.value for n in ast.walk(fn) if isinstance(n, ast.Constant)}
         assert not literals & {*schemes.SWEEP_SCHEMES}, fn.name
     assert schemes.GAUSSIAN_SCHEMES == tuple(schemes._SCHEMES)
+
+
+
+def test_one_rule_for_names_sizes_and_numbers():
+    """`atoms` states the rule once and every constructor of a law or a
+    config calls it; the copies in `cli` and `schemes` are gone, and the
+    Gaussian constructors coerce no name or size with str() or int()."""
+    defs = {m: top_level(tree) for m, tree in TREES.items()}
+    assert "_numbers" not in defs["cli"] and "_check_int" not in defs["schemes"]
+
+    def method(module, cls, name):
+        return next(f for f in defs[module][cls].body
+                    if isinstance(f, ast.FunctionDef) and f.name == name)
+
+    def calls(fn):
+        return {n.func.id for n in ast.walk(fn)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+    gaussian = [method("gaussian", cls, "make") for cls in ("JointCovariance", "CranNetwork")]
+    for fn in (defs["discrete"]["_law"], *gaussian, defs["schemes"]["sweep_rows"],
+               method("schemes", "OptimizerBudget", "__post_init__"), defs["cli"]["_valuation"]):
+        assert calls(fn) & {"checked_axes", "checked_reals", "checked_int"}, fn.name
+    assert not any(calls(fn) & {"str", "int"} for fn in gaussian)

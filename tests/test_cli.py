@@ -125,6 +125,21 @@ def test_fme_reads_numbers_and_names_by_their_rules(tmp_path, capsys, line, read
         assert out.read_text().splitlines()[1:] == [reading]
 
 
+@pytest.mark.parametrize("constant,named", [
+    ("1e10000000", "bad coefficient '1e10000000' (line 1, column 6)"),  # took 7.7 s to parse
+    ("1e4300", "ValueError: Exceeds the limit"),  # parses, but prints 4,301 digits
+])
+def test_fme_input_past_the_printable_is_a_usage_error_naming_it(tmp_path, capsys,
+                                                                  constant, named):
+    """1e4300 exited 2 with Python's digit-limit message and no flag named."""
+    src, out = tmp_path / "sys.txt", tmp_path / "out.txt"
+    src.write_text(f"x <= {constant}\n")
+    assert run_cli(["fme", "-i", str(src), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: --input {src}: ") and named in err
+    assert not out.exists()
+
+
 def test_fme_repeated_variable_is_a_usage_error(tmp_path, capsys):
     rc = run_cli(["fme", "-i", str(GOLDEN / "cor4_input.txt"), "-e", "Ru1,Ru1",
                   "-o", str(tmp_path / "out.txt")])
@@ -213,6 +228,17 @@ def test_sweep_rejects_nan_power(tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert run_cli(["sumrate-sweep", str(cfg), "-o", str(out)]) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+@pytest.mark.parametrize("power", [1e160, 1e200])
+def test_sweep_float_overflow_is_a_usage_error_naming_the_config(tmp_path, capsys, power):
+    """A closed-form 2x2 eigenvalue squares a variance near P: at P = 1e160
+    this exited 1 with an OverflowError traceback."""
+    cfg = sweep_config(tmp_path, P=power, budget={"restarts": 1, "iters": 5})
+    out = tmp_path / "out.csv"
+    assert run_cli(["sumrate-sweep", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: config {cfg}: OverflowError")
     assert not out.exists()
 
 @pytest.mark.parametrize("budget", [{"restarts": 0, "iters": 5}, {"restarts": -2, "iters": 5},
@@ -822,6 +848,8 @@ MALFORMED_FILES = {
     # integer and a name a string; each was converted, 2.9 truncated to 2
     "--network string power": (_file_flag(*_CUTSET, "--network"),
                                '{"G": [[1.0]], "P": "10", "C": [1.0]}', "--network"),
+    "--network null Ccoop": (_file_flag(*_CUTSET, "--network"),
+                             '{"G": [[1.0]], "P": 1.0, "C": [1.0], "Ccoop": null}', "--network"),
     "--cov string and bool": (_cov, '[["10", 0, 0], [0, true, 0], [0, 0, 10]]', "--cov"),
     "--pmf fractional size, string probability": (
         _pmf, _golden_with("pmf_uvx1.json", ("variables", 0, "size", 2.9), ("probs", 0, "0.125")),

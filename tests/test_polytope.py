@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -307,6 +308,19 @@ def test_parse_error_reports_location():
     with pytest.raises(SystemParseError) as exc:
         parse_system("1*x <= 1* \n")
     assert exc.value.line == 1 and exc.value.column is not None
+
+
+@pytest.mark.parametrize("literal", ["1e10000000", "2.5E-4301", "1e+4301"])
+def test_an_exponent_past_4300_is_a_parse_error_at_its_column(literal):
+    """`Fraction` read 1e10000000 in 7.7 s; the literal is now refused unread."""
+    with pytest.raises(SystemParseError, match=re.escape(f"bad coefficient {literal!r}")) as exc:
+        parse_system(f"x <= {literal}*a\n")
+    assert (exc.value.line, exc.value.column) == (1, 6)
+
+
+def test_an_exponent_of_4300_is_read_exactly():
+    c = parse_system("x <= 1e4300 + 1e-4300*a\n").constraints[0]
+    assert c.rhs.const == 10 ** 4300 and dict(c.rhs.terms)["a"] == Fraction(1, 10 ** 4300)
 
 
 @pytest.mark.parametrize("text,variables,line,column", [
