@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .atoms import checked_int
 from .gaussian import CranNetwork, JointCovariance, capacity_logdet, schur_conditional
 from .polytope import AffineExpr, ConstraintSystem
 from .regions import MAX_NODES, cuts
@@ -131,8 +132,7 @@ def random_network(rng: np.random.Generator, nmax: int = 4, lmax: int = 4) -> Cr
 def audit_random_instances(instances: int, seed: int, nmax: int = 4,
                            lmax: int = 4) -> dict:
     """Audit a batch of seeded random networks; deterministic given seed."""
-    if instances < 1:
-        raise ValueError(f"instances must be at least 1, got {instances}")
+    instances = int(checked_int(instances, "instances", 1))
     rng = np.random.default_rng(seed)
     worst = {"max_gap": -np.inf}
     all_pass = True

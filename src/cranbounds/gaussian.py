@@ -18,6 +18,14 @@ spectrum, a 2x2's in closed form.
 product over ranks flags infinite atoms.  `atom_valuation` names them and
 adds named constants.  `gauss_mi` and `gauss_total_correlation` are
 single-atom calls; `schur_conditional` conditions via a pseudo-inverse.
+
+A `JointCovariance` may carry a leading lane axis: `JointCovariance.stack`
+runs `make`'s checks on every lane of a stack, `psd_tops` runs `check_psd`
+on stacks, and `subset_logpdets` and `atom_values` keep the lane axis in
+front.  `Verdicts` records which lanes failed which check, in place of an
+exception.  Each lane takes the arithmetic of one matrix (closed forms in
+Python floats, one matrix-vector product per lane, eigensolves stacked),
+so its values are the same to the last bit in any stack.
 """
 
 from __future__ import annotations
@@ -49,7 +57,72 @@ _EIG_REL_TOL = 1e-10
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
+
+
+class Verdicts:
+    """The checks of a stack of lanes: `ok` marks the lanes that passed every
+    check so far, `why` holds each other lane's ValueError message, that of
+    its first failed check."""
+
+    def __init__(self, lanes: int):
+        self.ok, self.why = np.ones(lanes, dtype=bool), {}
+
+    def reject(self, b: int, message: str):
+        """Fail lane b with `message`, unless it failed before."""
+        if self.ok[b]:
+            self.ok[b], self.why[b] = False, message
+
+    def raise_first(self):
+        """Raise the ValueError of the first failed lane, if any."""
+        if self.why:
+            raise ValueError(self.why[min(self.why)])
+
+
+def _ends(lo: float, hi: float, what: str, tol: float) -> str | None:
+    """The PSD test on the two ends lo <= hi of a spectrum: its failure
+    message, or None."""
+    if lo < -tol * max(1.0, -lo, hi):
+        return f"{what} is not PSD (min eigenvalue {lo})"
+    return None
+
+
+def psd_tops(mats, names, tol: float, verdicts: Verdicts) -> np.ndarray:
+    """`check_psd` on the stacks `mats` (lanes, k, k), one per name of
+    `names`, at every lane still ok in `verdicts`, in that order: a lane
+    fails at its first matrix that fails, with that check's message.  2x2
+    matrices take the closed form, reached lane by lane, larger ones one
+    stacked eigensolve of their symmetric parts.  Returns the largest
+    eigenvalues (lanes, q), floored at 0 (0 past a lane's failure)."""
+    m = np.stack(mats, axis=1)
+    lanes, q, k = m.shape[:3]
+    ok = np.isfinite(m).all(axis=(2, 3))
+    if k == 2:
+        entries = m.reshape(lanes, q, 4).tolist()
+
+        def spectrum(b, j):  # h -+ r of the symmetric part, in floats (C pow squares)
+            a, c, e, d = entries[b][j]
+            h, off = 0.5 * (a + d), 0.5 * (c + e)
+            r = math.sqrt((0.5 * (a - d)) ** 2 + off * off)
+            return h - r, h + r
+    else:
+        w = np.linalg.eigvalsh(_sym(np.where(ok[..., None, None], m, 0.0)))
+        ends = np.stack((w[..., 0], w[..., -1]), axis=2).tolist() if k else np.zeros((lanes, q, 2))
+
+        def spectrum(b, j):
+            return ends[b][j]
+    finite, tops = ok.tolist(), [[0.0] * q for _ in range(lanes)]
+    for b, ok in enumerate(verdicts.ok.tolist()):
+        for j in range(q) if ok else ():
+            if not finite[b][j]:
+                verdicts.reject(b, f"{names[j]} is not finite")
+                break
+            lo, hi = spectrum(b, j)
+            if failure := _ends(lo, hi, names[j], tol):
+                verdicts.reject(b, failure)
+                break
+            tops[b][j] = max(hi, 0.0)
+    return np.array(tops)
 
 
 def check_psd(m: np.ndarray, what: str, tol: float) -> float:
@@ -57,23 +130,10 @@ def check_psd(m: np.ndarray, what: str, tol: float) -> float:
     ValueError naming `what` if the smallest lies below -tol * max(1, largest
     |eigenvalue|), or if an entry is not finite.  A 2x2 takes the closed
     form h +- r in floats."""
-    entries = m.ravel().tolist()
-    if not all(map(math.isfinite, entries)):
-        raise ValueError(f"{what} is not finite")
-    if m.shape != (2, 2):
-        return _psd_top(np.linalg.eigvalsh(_sym(m)), what, tol)
-    a, b, c, d = entries
-    h, off = 0.5 * (a + d), 0.5 * (b + c)
-    r = math.sqrt((0.5 * (a - d)) ** 2 + off * off)
-    return _psd_top((h - r, h + r), what, tol)
-
-
-def _psd_top(w, what: str, tol: float) -> float:
-    """`check_psd`'s test and result on the ascending spectrum w."""
-    lo, hi = (float(w[0]), float(w[-1])) if len(w) else (0.0, 0.0)
-    if lo < -tol * max(1.0, -lo, hi):
-        raise ValueError(f"{what} is not PSD (min eigenvalue {lo})")
-    return max(hi, 0.0)
+    verdicts = Verdicts(1)
+    top = psd_tops([np.asarray(m, dtype=float)[None]], (what,), tol, verdicts)
+    verdicts.raise_first()
+    return float(top[0, 0])
 
 
 def _pinv_psd(m: np.ndarray) -> np.ndarray:
@@ -103,14 +163,42 @@ class JointCovariance:
         except (TypeError, ValueError):
             components = checked_axes(components, "covariance components")
         dim = sum(d for _, d in components)
-        m = checked_reals(matrix, "covariance entries").reshape(dim, dim)
-        asymmetric = (m != m.T).any()
-        if asymmetric and np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
-            raise ValueError("covariance matrix is not symmetric")
-        m = _sym(m) if asymmetric else m  # here _sym(m) is m, but m + m.T may overflow
-        top = _psd_top(np.linalg.eigvalsh(m), "covariance matrix", 1e-9)
+        m = checked_reals(matrix, "covariance entries").reshape(dim, dim)[None]
+        verdicts = Verdicts(1)
+        cov = JointCovariance.stack(components, m, verdicts)
+        verdicts.raise_first()
+        m = cov.matrix[0]
         m.flags.writeable = False
-        return JointCovariance(components, m, top)
+        return JointCovariance(components, m, float(cov.top_eigenvalue[0]))
+
+    @staticmethod
+    def stack(components, m: np.ndarray, verdicts: Verdicts) -> "JointCovariance":
+        """`make`'s checks on every lane of the float stack m (lanes, dim,
+        dim) still ok in `verdicts`, over checked `components`: finite
+        entries, symmetry within 1e-10 relative, then PSD within 1e-9.  The
+        result carries the lane axis in its matrix and top eigenvalues."""
+        lanes, flat = len(m), m.reshape(len(m), -1)
+        if not np.isfinite(flat).all():
+            for b in np.flatnonzero(~np.isfinite(flat).all(axis=1)).tolist():
+                try:  # for checked_reals' message
+                    checked_reals(m[b], "covariance entries")
+                except ValueError as exc:
+                    verdicts.reject(b, str(exc))
+        diff = m - m.swapaxes(1, 2)
+        if diff.any():  # _sym of a symmetric lane is itself, but m + m.T may overflow
+            asymmetric = diff.reshape(lanes, -1).any(axis=1)
+            spread = np.abs(diff).reshape(lanes, -1).max(axis=1).tolist()
+            for b, (asym, big) in enumerate(zip(asymmetric.tolist(),
+                                                np.abs(flat).max(axis=1).tolist())):
+                if asym and spread[b] > 1e-10 * max(1.0, big):
+                    verdicts.reject(b, "covariance matrix is not symmetric")
+            m = _sym(m) if asymmetric.all() else np.where(asymmetric[:, None, None], _sym(m), m)
+        w = np.linalg.eigvalsh(np.where(verdicts.ok[:, None, None], m, 0.0))
+        lo, hi = (w[:, 0].tolist(), w[:, -1].tolist()) if w.shape[1] else ([0.0] * lanes,) * 2
+        for b in range(lanes):
+            if failure := _ends(lo[b], hi[b], "covariance matrix", 1e-9):
+                verdicts.reject(b, failure)
+        return JointCovariance(components, m, np.array([max(h, 0.0) for h in hi]))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -165,81 +253,98 @@ def _offsets(components) -> dict[str, range]:
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _block_groups(components, subsets):
     """The principal block of every subset of component names, indices taken
-    in sorted name order, grouped by size: (k, i) for a 1x1 block at position
-    k, (k, i, j) for a 2x2 block, for each larger size n the positions and
-    the (g, n, 1) row and (g, 1, n) column indices of a stack of g, and the
-    positions of all stacks under 8 wide, in stack order."""
-    offsets = _offsets(components)
-    by_size: dict[int, list] = {}
+    in sorted name order, grouped by size: the positions of the 1x1 and of
+    the 2x2 blocks and the flat matrix indices their closed forms read (each
+    1x1's entry, then each 2x2's two diagonal entries and off-diagonal
+    entry), for each larger size the positions and flat (g, n, n) indices
+    of a stack of g, and the positions of all stacks under 8 wide, in stack
+    order."""
+    offsets, dim = _offsets(components), sum(d for _, d in components)
+    by_size: dict[int, list] = {1: [], 2: []}
     for k, s in enumerate(subsets):
         idx = [i for n in sorted(s) for i in offsets[n]]
         by_size.setdefault(len(idx), []).append((k, *idx))
-    arrays = [np.array(g, dtype=np.intp) for n, g in by_size.items() if n > 2]
-    stacks = tuple((a[:, 0], a[:, 1:, None], a[:, None, 1:]) for a in arrays)
-    narrow = np.array([k for a in arrays if a.shape[1] < 9 for k in a[:, 0]], dtype=np.intp)
-    return tuple(by_size.get(1, ())), tuple(by_size.get(2, ())), stacks, narrow
+    arrays = {n: np.array(g, dtype=np.intp).reshape(len(g), n + 1) for n, g in by_size.items()}
+    (k1, i1), (k2, i2, j2) = arrays[1].T, arrays[2].T
+    pairs = np.stack((i2 * (dim + 1), j2 * (dim + 1), i2 * dim + j2), axis=1).ravel()
+    stacks = tuple((a[:, 0], a[:, 1:, None] * dim + a[:, None, 1:])
+                   for n, a in arrays.items() if n > 2)
+    narrow = np.array([k for n, a in arrays.items() if 2 < n < 8 for k in a[:, 0]], dtype=np.intp)
+    return k1.tolist(), k2.tolist(), np.r_[i1 * (dim + 1), pairs], stacks, narrow
 
 
 def subset_logpdets(cov: JointCovariance, subsets) -> tuple[np.ndarray, np.ndarray]:
     """Base-2 log pseudo-determinant and rank of the principal block of every
-    component subset in `subsets` (0 and 0 for the empty set).
+    component subset in `subsets` (0 and 0 for the empty set), behind the
+    leading lane axes of a stacked `cov` (matrix (..., n, n), top
+    eigenvalues (...)).
 
     The one measure kernel of this module.  Eigenvalues at or below one cut,
     relative to the whole matrix's largest, are dropped, so ranks are
-    consistent across subsets.  1x1 and 2x2 blocks have closed forms; the
-    larger blocks of one size go through one stacked eigensolve.  Spectra
-    under 8 wide share one reduction, padded to 7 with -1, never above the
-    cut: the padding adds log2(1) = 0 and no rank.
+    consistent across subsets.  1x1 and 2x2 blocks have closed forms, lane
+    by lane in Python floats (math.log2 rounds otherwise than np.log2 on
+    about 3 in 10^4 values, C pow's square otherwise than t * t on about 1
+    in 1,000); the larger blocks of one size go through one stacked
+    eigensolve.  Spectra under 8 wide share one reduction, padded to 7 with
+    -1, never above the cut: the padding adds log2(1) = 0 and no rank.
     """
-    m = cov.matrix
-    cut = _EIG_REL_TOL * cov.top_eigenvalue
-    logs, ranks = [0.0] * len(subsets), [0] * len(subsets)
-    singles, pairs, stacks, narrow = _block_groups(cov.components, tuple(subsets))
-    rows = m.tolist()
-    for k, i in singles:
-        if rows[i][i] > cut:
-            logs[k], ranks[k] = math.log2(rows[i][i]), 1
-    for k, i, j in pairs:  # closed-form symmetric 2x2 eigenvalues
-        a, d, off = rows[i][i], rows[j][j], rows[i][j]
-        h, r = 0.5 * (a + d), math.sqrt(max(0.0, (0.5 * (a - d)) ** 2 + off * off))
-        for w in (h - r, h + r):
-            if w > cut:
-                logs[k] += math.log2(w)
-                ranks[k] += 1
-    logs, ranks = np.array(logs), np.array(ranks, dtype=float)
-    spectra, at = [(narrow, np.full((len(narrow), 7), -1.0))], 0
-    for ks, r, c in stacks:
-        w = np.linalg.eigvalsh(m[r, c])
-        if w.shape[1] < 8:
-            spectra[0][1][at:at + len(w), :w.shape[1]] = w
-            at += len(w)
+    n = cov.matrix.shape[-1]
+    m = cov.matrix.reshape(-1, n * n)
+    cut = _EIG_REL_TOL * np.reshape(cov.top_eigenvalue, (-1, 1))
+    k1, k2, entries, stacks, narrow = _block_groups(cov.components, tuple(subsets))
+    logs, ranks = [], []
+    for e, c in zip(m[:, entries].tolist(), cut[:, 0].tolist()):
+        lg, rk = [0.0] * len(subsets), [0.0] * len(subsets)
+        for k, v in zip(k1, e):
+            if v > c:
+                lg[k], rk[k] = math.log2(v), 1.0
+        for k, t in zip(k2, range(len(k1), len(e), 3)):  # closed-form symmetric 2x2 eigenvalues
+            a, d, off = e[t:t + 3]
+            h, r = 0.5 * (a + d), math.sqrt(max(0.0, (0.5 * (a - d)) ** 2 + off * off))
+            for w in (h - r, h + r):
+                if w > c:
+                    lg[k] += math.log2(w)
+                    rk[k] += 1.0
+        logs.append(lg)
+        ranks.append(rk)
+    logs, ranks = np.array(logs).reshape(len(m), -1), np.array(ranks).reshape(len(m), -1)
+    spectra, at = [(narrow, np.full((len(m), len(narrow), 7), -1.0))], 0
+    for ks, idx in stacks:
+        w = np.linalg.eigvalsh(m[:, idx])
+        if w.shape[2] < 8:
+            spectra[0][1][:, at:at + len(ks), :w.shape[2]] = w
+            at += len(ks)
         else:  # numpy's pairwise sum would add the padding in another order
             spectra.append((ks, w))
     for ks, w in spectra:
-        kept = w > cut
-        logs[ks] = np.log2(np.where(kept, w, 1.0)).sum(axis=1)
-        ranks[ks] = kept.sum(axis=1)
-    return logs, ranks
+        kept = w > cut[:, :, None]
+        logs[:, ks] = np.log2(np.where(kept, w, 1.0)).sum(axis=2)
+        ranks[:, ks] = kept.sum(axis=2)
+    shape = cov.matrix.shape[:-2] + (len(subsets),)
+    return logs.reshape(shape), ranks.reshape(shape)
 
 
 def atom_values(cov: JointCovariance, atoms) -> np.ndarray:
     """Mutual-information and total-correlation atoms on a joint Gaussian
-    law, in the order of `atoms` (a named constant reads 0).
+    law, in the order of `atoms` (a named constant reads 0), with the
+    leading lane axes of a stacked `cov` in front.
     Differential-entropy atoms are rejected (not bit-valued).
 
     The atoms are compiled into the shared `atoms.AtomPlan`: every I and
     Gamma atom is half a signed sum of subset log-pseudo-determinants,
-    clamped at zero.  The same signed sum of subset ranks is positive
-    exactly when the pseudo-Schur decomposition falls short of full rank,
-    which signals an almost-sure linear dependence: an infinite value.
+    clamped at zero; one matrix-vector product per lane, since a product
+    over all lanes at once rounds otherwise.  The same signed sum of subset
+    ranks is positive exactly when the pseudo-Schur decomposition falls
+    short of full rank, which signals an almost-sure linear dependence: an
+    infinite value.
     """
     plan = atom_plan(cov.names, tuple(atoms))
     if H in plan.kinds:
         name = plan.names[plan.kinds.index(H)]
         raise ValueError(f"cannot evaluate entropy atom {name} on a Gaussian law")
     logs, ranks = subset_logpdets(cov, plan.subsets)
-    values = 0.5 * (plan.coeffs @ logs)
-    values[plan.coeffs @ ranks > 0] = np.inf
+    values = 0.5 * (plan.coeffs @ logs[..., None])[..., 0]
+    values[ranks @ plan.coeffs.T > 0] = np.inf
     return np.maximum(values, 0.0, out=values, where=plan.clamp)
 
 

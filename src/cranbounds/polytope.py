@@ -30,6 +30,8 @@ from math import gcd, lcm
 
 import numpy as np
 
+from .atoms import checked_reals
+
 __all__ = [
     "AffineExpr",
     "LinearConstraint",
@@ -454,14 +456,14 @@ def min_slack(system: ConstraintSystem, valuation: dict[str, float],
 
     Raises ValueError when a right-hand side is NaN (inf - inf): the region
     is then undefined, so no point is a member or a non-member.  A point
-    coordinate that is not a finite number raises ValueError too.
+    coordinate that is not a finite number, by the rule of `atoms`, raises
+    ValueError naming the point.
     """
     missing = [v for v in system.variables if v not in point]
     if missing:
         raise KeyError(f"point missing variables {missing}")
-    x = np.array([point[v] for v in system.variables], dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError(f"point coordinates must be finite numbers, got {point}")
+    x = checked_reals([point[v] for v in system.variables], f"point {point!r} coordinates",
+                      shape=(len(system.variables),))
     rows = CompiledSystem(system)
     return float(np.min(_defined_rhs(system, rows, valuation) - rows.A @ x, initial=np.inf))
 

@@ -4,18 +4,26 @@ Every scheme is one linear-Gaussian construction: independent Gaussian
 sources S with covariance `base`, auxiliaries and channel inputs W S and
 outputs Y = G X S + Z with unit receiver noise.  One table, `_SCHEMES`,
 holds each scheme's region, restart-0 start and constant row template W;
-`build_joint_cov` states only what varies (`base`, the precoder in W, the
-PSD list), then forms the joint covariance, runs the finiteness and PSD
+`_joint_covs` states only what varies (`base`, the precoder in W, the PSD
+list), then forms the joint covariance, runs the finiteness and PSD
 checks on the covariance parameters and the per-BS power check on var(X1),
-var(X2).  The Gaussian atom values and the
-network's capacities fill one vector in the order of the scheme's compiled
-region, whose maximum sum rate is then taken; GDS-III's side conditions
-are rate-free rows of that region.
+var(X2).  The Gaussian atom values and the network's capacities fill one
+vector in the order of the scheme's compiled region, whose maximum sum
+rate is then taken; GDS-III's side conditions are rate-free rows of that
+region.
 Optimization is seeded multistart plus coordinate pattern search;
 covariances are parameterized through lower-triangular factors so PSD
-holds by construction, and per-BS power is enforced by projection.  The
-second-hop sum capacity `rsum_star` is not searched: it is Sato's bound,
-closed form up to a one-dimensional convex minimisation.
+holds by construction, and per-BS power is enforced by projection.  Each
+search is a lane, a generator of the points it needs (`_lane_search`),
+up to LOOKAHEAD moves of a poll at a time, on the path of one point at a
+time; `search_lanes` runs the lanes of a scheme, which share G and P, in
+lockstep, with one stacked evaluation per round: a leading lane axis on
+the parameters, the joint build and its checks, the kernel and the atoms.
+A lane that fails a check reads -inf, and each lane's value is that of
+one point to the last bit.  `build_joint_cov`, `scheme_sumrate` and
+`optimize_scheme` are the one-lane case.  The second-hop sum capacity
+`rsum_star` is not searched: it is Sato's bound, closed form up to a
+one-dimensional convex minimisation.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -68,7 +76,8 @@ _SCHEMES = {
                          np.eye(2, 7) + np.eye(2, 7, 2) + np.eye(2, 7, 4)])),  # X = S1 + S2 + W
 }
 GAUSSIAN_SCHEMES = tuple(_SCHEMES)
-_I2 = np.eye(2)
+_I2, _ONE, _EYE8 = np.eye(2), np.ones((1, 1)), np.eye(8)
+_LOWER = np.array([0, 2, 3])  # the flat positions of (l11, l21, l22) in a 2x2 factor
 # the schemes a sweep prints unless its config lists them; GDS-TS is the best
 # of GDS-I, II and III at each point
 SWEEP_SCHEMES = ("GDS-I", "GDS-II", "GDS-III", "GDS-TS", "GCOMP")
@@ -126,6 +135,7 @@ class OptimizerBudget:
 
 STEP0_SCALE = 0.25  # initial pattern-search step = STEP0_SCALE * sqrt(P)
 MIN_STEP = 1e-5
+LOOKAHEAD = 4  # moves of one poll a search lane evaluates at once
 
 
 @dataclass
@@ -137,19 +147,77 @@ class SchemeEvaluation:
 
 
 def _dpc_precoder(K2: np.ndarray, g2: np.ndarray, Kw: np.ndarray | None = None) -> np.ndarray:
-    """Interference precoder A = K2 g2^T (1 + g2 (K2 [+Kw]) g2^T)^{-1} g2."""
+    """Interference precoder A = K2 g2^T (1 + g2 (K2 [+Kw]) g2^T)^{-1} g2 of
+    every lane of K2 (lanes, 2, 2)."""
     total = K2 if Kw is None else K2 + Kw
-    denom = 1.0 + float(g2 @ total @ g2)
-    return np.outer(K2 @ g2, g2) / denom
+    denom = 1.0 + (g2[None, None] @ total @ g2[None, :, None])
+    return (K2 @ g2[:, None]) * g2[None, None] / denom
 
 
 def _blockdiag(*blocks) -> np.ndarray:
-    n = sum(len(b) for b in blocks)
-    out, i = np.zeros((n, n)), 0
-    for b in blocks:
-        out[i:i + len(b), i:i + len(b)] = b
-        i += len(b)
+    """The block diagonal matrix of every lane of the stacks `blocks`."""
+    sizes = [b.shape[-1] for b in blocks]
+    out, i = np.zeros((len(blocks[0]), sum(sizes), sum(sizes))), 0
+    for b, n in zip(blocks, sizes):
+        out[:, i:i + n, i:i + n] = b
+        i += n
     return out
+
+
+def _lanes_of(params):
+    """One point's parameters as a stack of one lane."""
+    return type(params)(*(np.asarray(getattr(params, f.name), dtype=float)[None]
+                          for f in fields(params)))
+
+
+def _lane(params, b: int):
+    """Lane b of stacked parameters."""
+    return type(params)(*(getattr(params, f.name)[b] for f in fields(params)))
+
+
+def _joint_covs(scheme: str, params, network: CranNetwork, verdicts: gaussian.Verdicts):
+    """`build_joint_cov` on every lane of the stacked `params`: a lane that
+    fails a check fails in `verdicts`, with the check's message.  Each lane
+    takes the arithmetic of one point (matrix products per lane, a
+    row-vector product where one point took a vector), so that it is the
+    same to the last bit whatever the other lanes hold."""
+    G, W = network.G, _SCHEMES[scheme][2]
+    k, n = W.shape[0] - 2, W.shape[1]
+    M = np.zeros((len(verdicts.ok), k + 4, n + 2))  # rows W, G X; columns S, Z
+    M[:, :k + 2, :n] = W
+    M[:, k + 2, n] = M[:, k + 3, n + 1] = 1.0
+    if scheme == "GDS-II":  # the auxiliaries are the unit sources; X rows (a, b)
+        for name, v in (("a", params.a), ("b", params.b)):
+            for b in np.flatnonzero(~np.isfinite(v).all(axis=1)).tolist():
+                verdicts.reject(b, f"{name} is not finite")
+        B, comps = _EYE8[None], [(c, 1) for c in ("U0", "V0", "U1", "V1", "U2", "V2")]
+        M[:, 6, :4], M[:, 7, [0, 1, 4, 5]] = params.a, params.b
+    else:  # the covariance parameters, checked in this order
+        Ks = [params.K1, params.K2] + ([params.Kw] if scheme == "GCOMP" else [])
+        gaussian.psd_tops(Ks, ("K1", "K2", "Kw"), 1e-8, verdicts)
+    if scheme == "GCOMP":  # U1 = S1, U2 = S2 + A S1, X0; X = S1 + S2 + W
+        B = _blockdiag(*Ks, _ONE[None], _I2[None])  # of (S1, S2, W, X0) and Z
+        B[:, 6, 0:6] = B[:, 0:6, 6] = params.x0cov
+        comps = [("U1", 2), ("U2", 2), ("X0", 1)]
+        M[:, 2:4, 0:2] = _dpc_precoder(params.K2, G[1], params.Kw)
+        gaussian.psd_tops([B[:, :7, :7]], ("joint (S1,S2,W,X0) covariance",), 1e-6, verdicts)
+    elif scheme == "GDS-I":  # U0 = S1, V0 = S2 + A S1; X = S1 + S2
+        B, comps = _blockdiag(*Ks, _I2[None]), [("U0", 2), ("V0", 2)]
+        M[:, 2:4, 0:2] = _dpc_precoder(params.K2, G[1])
+    elif scheme == "GDS-III":  # (U1, U2) = S1, (V1, V2) = S2 + A S1; X = U + V = (I+A) S1 + S2
+        B = _blockdiag(*Ks, _I2[None])
+        comps = [(c, 1) for c in ("U1", "U2", "V1", "V2")]
+        M[:, 2:4, 0:2] = params.A
+        M[:, 4:6, 0:2] += params.A
+    for i, g in enumerate(G):  # the rows G X, each a row-vector product as for one point
+        M[:, k + 2 + i, :n] = (g[None, None] @ M[:, k:k + 2, :n])[:, 0]
+    cov = M @ B @ M.swapaxes(1, 2)
+    limit = network.P + 1e-6
+    for b, (v1, v2) in enumerate(zip(cov[:, k, k].tolist(), cov[:, k + 1, k + 1].tolist())):
+        if v1 > limit or v2 > limit:
+            verdicts.reject(b, "per-BS power violated: var(X1) or var(X2) > P")
+    return JointCovariance.stack((*comps, ("X1", 1), ("X2", 1), ("Y1", 1), ("Y2", 1)), cov,
+                                 verdicts)
 
 
 def build_joint_cov(scheme: str, params, network: CranNetwork) -> JointCovariance:
@@ -162,42 +230,13 @@ def build_joint_cov(scheme: str, params, network: CranNetwork) -> JointCovarianc
         raise ValueError("Gaussian scheme constructions are 2-BS 2-user")
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown Gaussian scheme {scheme!r}")
-    W, g2, psd = _SCHEMES[scheme][2].copy(), network.G[1], ()
-    if scheme == "GDS-II":  # the auxiliaries are the unit sources; X rows (a, b)
-        for name, v in (("a", params.a), ("b", params.b)):
-            if not np.isfinite(v).all():
-                raise ValueError(f"{name} is not finite")
-        base, comps = W[:6], [(n, 1) for n in ("U0", "V0", "U1", "V1", "U2", "V2")]
-        W[6, :4], W[7, [0, 1, 4, 5]] = params.a, params.b
-    elif scheme == "GCOMP":  # U1 = S1, U2 = S2 + A S1, X0; X = S1 + S2 + W
-        base = _blockdiag(params.K1, params.K2, params.Kw, [[1.0]])  # of (S1, S2, W, X0)
-        base[6, 0:6] = base[0:6, 6] = params.x0cov
-        comps = [("U1", 2), ("U2", 2), ("X0", 1)]
-        W[2:4, 0:2] = _dpc_precoder(params.K2, g2, params.Kw)
-        psd = (("Kw", params.Kw, 1e-8), ("joint (S1,S2,W,X0) covariance", base, 1e-6))
-    elif scheme == "GDS-I":  # U0 = S1, V0 = S2 + A S1; X = S1 + S2
-        base, comps = _blockdiag(params.K1, params.K2), [("U0", 2), ("V0", 2)]
-        W[2:4, 0:2] = _dpc_precoder(params.K2, g2)
-    else:  # GDS-III: (U1, U2) = S1, (V1, V2) = S2 + A S1; X = U + V = (I+A) S1 + S2
-        base = _blockdiag(params.K1, params.K2)
-        comps = [(n, 1) for n in ("U1", "U2", "V1", "V2")]
-        W[2:4, 0:2] = params.A
-        W[4:6, 0:2] += params.A
-    if scheme != "GDS-II":
-        psd = (("K1", params.K1, 1e-8), ("K2", params.K2, 1e-8), *psd)
-    for name, m, tol in psd:
-        gaussian.check_psd(m, name, tol)
-    n, k = base.shape[0], W.shape[0] - 2
-    M = np.zeros((k + 4, n + 2))  # rows W, G X; columns S, Z
-    M[:k + 2, :n] = W
-    M[k + 2:, :n] = [g @ W[k:] for g in network.G]
-    B = np.zeros((n + 2, n + 2))  # blockdiag(base, I)
-    B[:n, :n] = base
-    M[k + 2, n] = M[k + 3, n + 1] = B[n, n] = B[n + 1, n + 1] = 1.0
-    cov = M @ B @ M.T
-    if cov[k, k] > network.P + 1e-6 or cov[k + 1, k + 1] > network.P + 1e-6:
-        raise ValueError("per-BS power violated: var(X1) or var(X2) > P")
-    return JointCovariance.make([*comps, ("X1", 1), ("X2", 1), ("Y1", 1), ("Y2", 1)], cov)
+    verdicts = gaussian.Verdicts(1)
+    with np.errstate(all="ignore"):
+        cov = _joint_covs(scheme, _lanes_of(params), network, verdicts)
+    verdicts.raise_first()
+    m = cov.matrix[0]
+    m.flags.writeable = False
+    return JointCovariance(cov.components, m, float(cov.top_eigenvalue[0]))
 
 
 @functools.cache
@@ -208,10 +247,14 @@ def _compiled(scheme: str):
     return region, np.array([region.rows.atoms.index(c) for c in CAPACITIES])
 
 
-def _atom_values(scheme: str, params, network: CranNetwork) -> np.ndarray:
-    """The atoms of the scheme's compiled region at `params`, in order; the
-    capacities read 0."""
-    cov = build_joint_cov(scheme, params, network)
+def _atom_values(scheme: str, params, network: CranNetwork, verdicts: gaussian.Verdicts):
+    """The atoms of the scheme's compiled region, in order, at every lane of
+    the stacked `params` (the capacities read 0); a lane that fails a check
+    reads those of a zero covariance."""
+    cov = _joint_covs(scheme, params, network, verdicts)
+    if not verdicts.ok.all():  # the kernel sees no lane that failed a check
+        cov = JointCovariance(cov.components, np.where(verdicts.ok[:, None, None], cov.matrix, 0.0),
+                              cov.top_eigenvalue)
     return gaussian.atom_values(cov, _compiled(scheme)[0].rows.atoms)
 
 
@@ -226,123 +269,200 @@ def _sumrate(scheme: str, values: np.ndarray, network: CranNetwork) -> float:
 def scheme_sumrate(scheme: str, params, network: CranNetwork) -> float:
     """Maximum R1+R2 of the scheme's region at the given parameters (0.0 for
     private-codeword parameters that break a side condition)."""
-    return _sumrate(scheme, _atom_values(scheme, params, network), network)
+    cov = build_joint_cov(scheme, params, network)
+    return _sumrate(scheme, gaussian.atom_values(cov, _compiled(scheme)[0].rows.atoms), network)
 
 
 # ---------------------------------------------------------------------------
-# Parameter vectorization, projection, and pattern search
+# Parameter vectorization, projection, and lockstep pattern search
 # ---------------------------------------------------------------------------
 
 
-def _vec_to_psd(vec) -> np.ndarray:
-    """L L^T for the lower-triangular factor L with entries (l11, l21, l22)."""
-    L = np.array([[vec[0], 0.0], [vec[1], vec[2]]])
-    return L @ L.T
+def _vec_to_psd(X: np.ndarray) -> np.ndarray:
+    """L L^T for every lower-triangular factor L with entries (l11, l21, l22)
+    in the last axis of X (lanes, q, 3)."""
+    L = np.zeros((*X.shape[:2], 4))
+    L[:, :, _LOWER] = X
+    L = L.reshape(*X.shape[:2], 2, 2)
+    return L @ L.swapaxes(2, 3)
 
 
-def _scale_to_power(mats, P: float):
-    """Jointly rescale summand covariances so the diagonal of their sum is
-    within the power budget (diagonal congruence scaling keeps PSD)."""
-    d = np.diag(sum(mats))
-    scale = np.sqrt(np.minimum(1.0, P / np.maximum(d, 1e-300)))
-    D = np.diag(scale)
-    return [D @ m @ D for m in mats]
+def _scale_to_power(K: np.ndarray, P: float) -> np.ndarray:
+    """Jointly rescale the summand covariances K (lanes, q, 2, 2) so the
+    diagonal of their sum is within the power budget (diagonal congruence
+    scaling keeps PSD); the summands in order.  Lane by lane in floats, as
+    NumPy takes sqrt(minimum(1, P / maximum(d, 1e-300))) of a diagonal
+    entry d: NaN for a NaN d."""
+    D = []
+    for k in K.reshape(len(K), -1, 4).tolist():
+        d = [P / (x if not x < 1e-300 else 1e-300) for x in map(sum, zip(*k))]
+        D.append([[[math.sqrt(1.0 if d[0] > 1.0 else d[0]), 0.0],
+                    [0.0, math.sqrt(1.0 if d[3] > 1.0 else d[3])]]])
+    D = np.array(D)
+    return (D @ K @ D).transpose(1, 0, 2, 3)
 
 
-class _SchemeSpace:
-    """Packs one scheme's parameters into a flat optimizer vector."""
-
-    def __init__(self, scheme: str, network: CranNetwork):
-        self.scheme = scheme
-        self.network = network
-        self.P = network.P
-        self.nparams = len(_SCHEMES[scheme][1])
-        self.memo: dict[bytes, float] = {}
-
-    def initial(self, rng: np.random.Generator, restart: int) -> np.ndarray:
-        s = np.sqrt(max(self.P, 1e-12))
-        if restart == 0:
-            return _SCHEMES[self.scheme][1] * s
-        return rng.normal(0.0, 0.5 * s, size=self.nparams)
-
-    def to_params(self, x: np.ndarray):
-        if self.scheme == "GDS-I":
-            K1, K2 = _scale_to_power([_vec_to_psd(x[0:3]), _vec_to_psd(x[3:6])], self.P)
-            return DescriptionIParams(K1, K2)
-        if self.scheme == "GDS-II":
-            a, b = x[0:4].copy(), x[4:8].copy()
-            na, nb = a @ a, b @ b
-            if na > self.P:
-                a *= np.sqrt(self.P / na)
-            if nb > self.P:
-                b *= np.sqrt(self.P / nb)
-            return DescriptionIIParams(a, b)
-        if self.scheme == "GDS-III":
-            K1, K2 = _vec_to_psd(x[0:3]), _vec_to_psd(x[3:6])
-            A = x[6:10].reshape(2, 2)
-            ia = _I2 + A
-            d = np.diag(ia @ K1 @ ia.T + K2)
-            worst = d.max(initial=0.0)
-            if worst > self.P:
-                s = self.P / worst
-                K1, K2 = s * K1, s * K2
-            return DescriptionIIIParams(K1, K2, A)
-        K1, K2, Kw = _scale_to_power([_vec_to_psd(x[i:i + 3]) for i in (0, 3, 6)], self.P)
-        base = _blockdiag(K1, K2, Kw)
-        # X0 has unit variance; keep the joint PSD by shrinking c if needed
-        w, v = np.linalg.eigh(base)
-        inv = np.where(w > 1e-12, 1.0 / np.where(w > 1e-12, w, 1.0), 0.0)
-        onto = v @ (inv * (v.T @ x[9:15]))
-        # zero out components of c outside the range of the base covariance
-        c = base @ onto
-        q = float(c @ onto)
-        if q > 1.0 - 1e-9:
-            c = c * np.sqrt((1.0 - 1e-9) / q)
-        return CompressionParams(K1, K2, Kw, c)
-
-    def objective(self, x: np.ndarray) -> float:
-        """Sum rate at x, -inf where infeasible; memoised, since a pattern
-        search steps back onto points it has already evaluated."""
-        key = x.tobytes()
-        if key not in self.memo:
-            try:
-                self.memo[key] = scheme_sumrate(self.scheme, self.to_params(x), self.network)
-            except ValueError:  # LinAlgError included
-                self.memo[key] = -np.inf
-        return self.memo[key]
+def _initial(scheme: str, P: float, rng: np.random.Generator, restart: int) -> np.ndarray:
+    """The start of a restart: a fixed point for restart 0, else a draw."""
+    s = np.sqrt(max(P, 1e-12))
+    if restart == 0:
+        return _SCHEMES[scheme][1] * s
+    return rng.normal(0.0, 0.5 * s, size=len(_SCHEMES[scheme][1]))
 
 
-def _pattern_search(f, x0: np.ndarray, step0: float, min_step: float,
-                    max_evals: int, stop_at: float = np.inf):
-    x = x0.copy()
-    fx = f(x)
-    evals = 1
-    step = step0
+def _to_params(scheme: str, X: np.ndarray, P: float):
+    """The parameters of every lane's optimizer vector, a row of X, as one
+    stacked parameter object: covariances from lower-triangular factors,
+    projected onto the per-BS power P (call it with floating-point warnings
+    off: a lane that the projection leaves divides by zero)."""
+    if scheme == "GDS-I":
+        return DescriptionIParams(*_scale_to_power(_vec_to_psd(X.reshape(-1, 2, 3)), P))
+    if scheme == "GDS-II":  # a and b each shrunk onto the sphere of squared radius P
+        ab = X.reshape(len(X), 2, 4)
+        norms = (ab[:, :, None, :] @ ab[:, :, :, None]).reshape(len(X), 2).tolist()
+        ab = ab * np.array([[[math.sqrt(P / n) if n > P else 1.0] for n in row] for row in norms])
+        return DescriptionIIParams(ab[:, 0], ab[:, 1])
+    if scheme == "GDS-III":  # K1 and K2 scaled alike, as far as the worst var(Xk) needs
+        K, A = _vec_to_psd(X[:, :6].reshape(-1, 2, 3)), X[:, 6:10].reshape(-1, 2, 2)
+        ia = _I2 + A
+        d = (ia @ K[:, 0] @ ia.swapaxes(1, 2) + K[:, 1]).reshape(len(X), 4)[:, ::3].tolist()
+        s = [math.nan if a != a or b != b else max(0.0, a, b) for a, b in d]  # NumPy's max
+        K = K * np.array([P / w if w > P else 1.0 for w in s])[:, None, None, None]
+        return DescriptionIIIParams(K[:, 0], K[:, 1], A)
+    K1, K2, Kw = _scale_to_power(_vec_to_psd(X[:, :9].reshape(-1, 3, 3)), P)
+    base = _blockdiag(K1, K2, Kw)
+    # X0 has unit variance; keep the joint PSD by shrinking c if needed
+    finite = np.isfinite(base).all(axis=(1, 2))[:, None, None]
+    w, v = np.linalg.eigh(np.where(finite, base, 0.0))  # a non-finite lane fails its K1 check
+    inv = np.array([[1.0 / x if x > 1e-12 else 0.0 for x in row] for row in w.tolist()])
+    onto = v @ (inv[:, :, None] * (v.swapaxes(1, 2) @ X[:, 9:15, None]))
+    # zero out components of c outside the range of the base covariance
+    c = base @ onto
+    q = (c.swapaxes(1, 2) @ onto).ravel().tolist()
+    c = c[:, :, 0] * np.array([[math.sqrt((1.0 - 1e-9) / x) if x > 1.0 - 1e-9 else 1.0] for x in q])
+    return CompressionParams(K1, K2, Kw, c)
+
+
+def _objective(scheme: str, X: np.ndarray, networks) -> list[float]:
+    """The search objective at every lane's point, a row of X, on its network
+    (the networks share G and P): the sum rate, -inf where a check fails.
+    If the stacked eigensolves raise LinAlgError, each lane is taken alone,
+    and a lane that raises alone reads -inf."""
+    verdicts = gaussian.Verdicts(len(X))
+    try:
+        with np.errstate(all="ignore"):
+            values = _atom_values(scheme, _to_params(scheme, X, networks[0].P), networks[0],
+                                  verdicts)
+    except np.linalg.LinAlgError:
+        if len(X) == 1:
+            return [-math.inf]
+        return [f for b in range(len(X)) for f in _objective(scheme, X[b:b + 1], networks[b:b + 1])]
+    out = [-math.inf] * len(X)
+    for b in np.flatnonzero(verdicts.ok).tolist():
+        try:
+            out[b] = _sumrate(scheme, values[b], networks[b])
+        except ValueError:  # an unbounded region
+            pass
+    return out
+
+
+def _pattern_search(x0: np.ndarray, step0: float, min_step: float, max_evals: int,
+                    stop_at: float, memo: dict):
+    """Coordinate pattern search as a generator: it yields lists of the points
+    whose objective it needs and `memo` does not hold, receives their values
+    and returns (x, f(x), evals).  A list looks up to LOOKAHEAD moves ahead
+    in the poll, each taken only if no earlier one was accepted; a value
+    past an accepted move is kept aside until the search takes its point,
+    so the path, the count and the memo are those of one point at a time."""
+    x, spare = x0.copy(), {}  # the values past an accepted move
+    (fx,) = yield [x]
+    memo[x.tobytes()], evals, step = fx, 1, step0
     while step > min_step and evals < max_evals:
         if fx >= stop_at:
             break
-        improved = False
-        for i in range(len(x)):
-            for sgn in (1.0, -1.0):
-                if evals >= max_evals:
-                    return x, fx, evals
-                y = x.copy()
-                y[i] += sgn * step
-                fy = f(y)
-                evals += 1
+        improved, moves, at = False, [(i, sgn) for i in range(len(x)) for sgn in (1.0, -1.0)], 0
+        while at < len(moves):
+            if evals >= max_evals:
+                return x, fx, evals
+            ys = []
+            for i, sgn in moves[at:at + min(LOOKAHEAD, max_evals - evals)]:
+                ys.append(x.copy())
+                ys[-1][i] += sgn * step
+            keys = [y.tobytes() for y in ys]
+            new = [(key, y) for key, y in zip(keys, ys) if key not in memo and key not in spare]
+            if new:
+                spare.update(zip([key for key, _ in new], (yield [y for _, y in new])))
+            for y, key in zip(ys, keys):
+                fy = memo[key] if key in memo else spare.pop(key)
+                memo[key], evals, at = fy, evals + 1, at + 1
                 if fy > fx + 1e-12:
-                    x, fx = y, fy
-                    improved = True
+                    x, fx, improved, at = y, fy, True, at + at % 2  # the next coordinate
                     break
-            if fx >= stop_at:
+            if improved and fx >= stop_at:
                 return x, fx, evals
         if not improved:
             step *= 0.5
     return x, fx, evals
 
 
+def _lane_search(scheme: str, network: CranNetwork, budget: OptimizerBudget):
+    """One lane: `optimize_scheme`'s restarts as a generator of point lists,
+    each answered with their objective values; returns (best point or None,
+    best value, diagnostics)."""
+    seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
+    step0 = STEP0_SCALE * np.sqrt(max(network.P, 1e-12))
+    best_x, best_f, best_r = None, -np.inf, -1
+    total_evals = distinct = 0
+    stop_at = scheme_sum_cap(scheme, network) - 1e-9
+    for r in range(budget.restarts):
+        x0 = _initial(scheme, network.P, np.random.default_rng(seeds[r]), r)
+        memo = {}  # restarts seldom meet; one memo per restart bounds it by `iters`
+        x, fx, ev = yield from _pattern_search(x0, step0, MIN_STEP, budget.iters, stop_at, memo)
+        total_evals += ev
+        distinct += len(memo)
+        if fx > best_f + 1e-12:
+            best_x, best_f, best_r = x, fx, r
+        if best_f >= stop_at:
+            break
+    return best_x, best_f, {"restarts": budget.restarts, "best_restart": best_r,
+                            "evals": total_evals, "distinct_evals": distinct}
+
+
+def search_lanes(scheme: str, lanes) -> list[tuple]:
+    """Run `optimize_scheme`'s search for every (network, budget) pair of
+    `lanes`, whose networks share G and P, in lockstep: each round takes the
+    next points of every unfinished lane through one stacked objective.
+    Returns (best point or None, best value, diagnostics) per lane."""
+    searches = [_lane_search(scheme, net, budget) for net, budget in lanes]
+    results, live, values = [None] * len(lanes), range(len(lanes)), [None] * len(lanes)
+    while live:
+        points, running, nets = [], [], []
+        for i in live:
+            try:
+                batch = searches[i].send(values[i])
+            except StopIteration as stop:
+                results[i] = stop.value
+                continue
+            running.append((i, len(batch)))
+            points += batch
+            nets += [lanes[i][0]] * len(batch)
+        if points:
+            f = _objective(scheme, np.array(points), nets)
+            for i, n in running:
+                values[i], f = f[:n], f[n:]
+        live = [i for i, _ in running]
+    return results
+
+
+def _params_at(scheme: str, x: np.ndarray, P: float):
+    """The parameters at one optimizer vector x."""
+    with np.errstate(all="ignore"):
+        return _lane(_to_params(scheme, x[None], P), 0)
+
+
 def optimize_scheme(scheme: str, network: CranNetwork, budget: OptimizerBudget) -> SchemeEvaluation:
-    """Best-effort maximization of a scheme's sum rate.
+    """Best-effort maximization of a scheme's sum rate: the one-lane case of
+    `search_lanes`.
 
     Deterministic given the seed: restart r uses the r-th spawned generator,
     and ties between restarts keep the lowest restart index.  The search
@@ -352,28 +472,9 @@ def optimize_scheme(scheme: str, network: CranNetwork, budget: OptimizerBudget) 
     """
     if scheme not in GAUSSIAN_SCHEMES:
         raise ValueError(f"unknown Gaussian scheme {scheme!r}")
-    space = _SchemeSpace(scheme, network)
-    seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
-    step0 = STEP0_SCALE * np.sqrt(max(network.P, 1e-12))
-    best_x, best_f, best_r = None, -np.inf, -1
-    total_evals = distinct = 0
-    stop_at = scheme_sum_cap(scheme, network) - 1e-9
-    for r in range(budget.restarts):
-        rng = np.random.default_rng(seeds[r])
-        x0 = space.initial(rng, r)
-        space.memo.clear()  # restarts seldom meet; this bounds the memo by `iters`
-        x, fx, ev = _pattern_search(space.objective, x0, step0,
-                                    MIN_STEP, budget.iters, stop_at)
-        total_evals += ev
-        distinct += len(space.memo)
-        if fx > best_f + 1e-12:
-            best_x, best_f, best_r = x, fx, r
-        if best_f >= stop_at:
-            break
-    params = space.to_params(best_x) if best_x is not None else None
-    return SchemeEvaluation(scheme, params, max(0.0, best_f),
-                            {"restarts": budget.restarts, "best_restart": best_r,
-                             "evals": total_evals, "distinct_evals": distinct})
+    ((x, f, diagnostics),) = search_lanes(scheme, [(network, budget)])
+    params = None if x is None else _params_at(scheme, x, network.P)
+    return SchemeEvaluation(scheme, params, max(0.0, f), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -491,24 +592,26 @@ def sweep_rows(config: dict) -> list[dict]:
     base_schemes = sorted({s for s in schemes if s != "GDS-TS"}
                           | (set(timeshared) if "GDS-TS" in schemes else set()))
     star = rsum_star(CranNetwork.make(G, P, [c_grid[0], c_grid[0]]))
+    nets = [[CranNetwork.make(G, P, [C, C], [[0.0, T], [T, 0.0]]) for C in c_grid]
+            for T in t_values]
+    grid = [(ti, ci) for ti in range(len(t_values)) for ci in range(len(c_grid))]
+    best = [{} for _ in t_values]
+    for si, scheme in enumerate(base_schemes):  # every (T, C) lane of a scheme in lockstep
+        seeds = [np.random.SeedSequence(seed, spawn_key=(ti, si, ci)) for ti, ci in grid]
+        found = search_lanes(scheme, [
+            (nets[ti][ci], replace(budget, seed=int(s.generate_state(1)[0])))
+            for (ti, ci), s in zip(grid, seeds)])
+        for ti, row in enumerate(nets):  # the optima across the C grid, at every C
+            pool = [_params_at(scheme, x, P) for (t, _), (x, _, _) in zip(grid, found)
+                    if t == ti and x is not None]
+            best[ti][scheme] = [max([0.0] + [scheme_sumrate(scheme, p, net) for p in pool])
+                                for net in row]
     rows = []
     for ti, T in enumerate(t_values):
-        nets = [CranNetwork.make(G, P, [C, C], [[0.0, T], [T, 0.0]]) for C in c_grid]
-        best = {}
-        for si, scheme in enumerate(base_schemes):
-            pool = []  # the atom values of the scheme's optima across the C grid
-            for ci, net in enumerate(nets):
-                sub_seed = np.random.SeedSequence(seed, spawn_key=(ti, si, ci))
-                ev = optimize_scheme(scheme, net,
-                                     replace(budget, seed=int(sub_seed.generate_state(1)[0])))
-                if ev.params is not None:
-                    pool.append(_atom_values(scheme, ev.params, net))
-            best[scheme] = [max([0.0] + [_sumrate(scheme, v, net) for v in pool])
-                            for net in nets]
         if "GDS-TS" in schemes:
-            best["GDS-TS"] = [max(r) for r in zip(*(best[s] for s in timeshared))]
+            best[ti]["GDS-TS"] = [max(r) for r in zip(*(best[ti][s] for s in timeshared))]
         for ci, C in enumerate(c_grid):
-            rows.extend({"C": C, "T": T, "scheme": s, "sum_rate": best[s][ci],
+            rows.extend({"C": C, "T": T, "scheme": s, "sum_rate": best[ti][s][ci],
                          "cutset": min(2.0 * C, star), "rsum_star": star} for s in schemes)
     rows.sort(key=lambda r: (r["C"], r["T"], r["scheme"]))
     return rows

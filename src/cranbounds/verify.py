@@ -28,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import discrete
+from .atoms import checked_int
 from .discrete import Channel, JointPmf
 from .polytope import CompiledSystem, min_slack
 from .regions import CAPACITIES, gcomp_theorem2_system, gds_theorem1_system
@@ -78,8 +79,7 @@ def example1_run(channel: Channel, c1: float, samples: int = 4000,
     below, and the sampled margin is recorded.  `samples` may be 0: the two
     structured corners are always tried.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be at least 0, got {samples}")
+    samples = int(checked_int(samples, "samples", 0))
     if len(channel.inputs) != 1 or len(channel.outputs) != 1:
         raise ValueError("example 1 expects a single-input single-output channel")
     if channel.inputs[0][0] != "X1" or channel.outputs[0][0] != "Y1":
@@ -309,8 +309,7 @@ def example2_run(samples: int = 10_000, seed: int = 0) -> ExampleReport:
     witness exactly (all atoms are integer bits, zero tolerance).
     (b) Sweep `samples` random data-sharing laws and confirm none contains
     (1,1) with slack above `GDS_SLACK`; `samples` must be at least 1."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    samples = int(checked_int(samples, "samples", 1))
     caps = {"C1": 1.0, "C2": 1.0, "C12": 0.0, "C21": 0.0}
     t2 = gcomp_theorem2_system()
     witness = zchannel_pmf()

@@ -68,12 +68,11 @@ def test_one_slack_tolerance_for_emptiness_membership_and_side_conditions():
 
 
 def test_each_gaussian_scheme_is_stated_once():
-    """One table entry per scheme and one joint builder: the optimizer space
-    and the region cache read the table and name no scheme."""
+    """One table entry per scheme and one joint builder: the search lanes,
+    their starts and the region cache read the table and name no scheme."""
     defs = top_level(TREES["schemes"])
     assert "_joint" not in defs
-    space = {f.name: f for f in defs["_SchemeSpace"].body if isinstance(f, ast.FunctionDef)}
-    for fn in (space["__init__"], space["initial"], defs["_compiled"]):
+    for fn in (defs["_initial"], defs["_lane_search"], defs["search_lanes"], defs["_compiled"]):
         literals = {n.value for n in ast.walk(fn) if isinstance(n, ast.Constant)}
         assert not literals & {*schemes.SWEEP_SCHEMES}, fn.name
     assert schemes.GAUSSIAN_SCHEMES == tuple(schemes._SCHEMES)

@@ -270,6 +270,17 @@ def test_sweep_fig6_matches_golden_output(tmp_path):
     assert out.read_bytes() == (GOLDEN / "sweep_fig6_seed0.csv").read_bytes()
 
 
+def test_sweep_lanes_matches_golden_output(tmp_path):
+    """fig6's channel at two cooperation capacities T and three fronthaul
+    capacities, with three restarts of 80 evaluations, as the sequential
+    search wrote it: the lanes across T and C run in lockstep, and GDS-I
+    and GDS-II reach their cap and stop between restarts."""
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sumrate-sweep", str(GOLDEN / "sweep_lanes_config.json"),
+                    "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "sweep_lanes_seed0.csv").read_bytes()
+
+
 @pytest.mark.parametrize("key,value", [
     ("T", []),                         # printed only the CSV header
     ("schemes", ["GDS-TS", "GDS-TS"]),  # printed every row twice
@@ -337,9 +348,9 @@ def test_sweep_merges_reference_csv(tmp_path):
 def test_malformed_reference_csv_is_rejected_before_the_sweep(tmp_path, capsys, monkeypatch):
     """A bad --rcf-csv was rejected only after every scheme was optimized."""
     def no_search(*args):
-        raise AssertionError("optimize_scheme ran before the reference CSV was checked")
+        raise AssertionError("a search lane ran before the reference CSV was checked")
 
-    monkeypatch.setattr(schemes, "optimize_scheme", no_search)
+    monkeypatch.setattr(schemes, "search_lanes", no_search)
     ref = tmp_path / "ref.csv"
     ref.write_text("C,scheme,sum_rate\n1.0,RCF,nan\n")
     out = tmp_path / "out.csv"
@@ -363,9 +374,9 @@ def test_reference_row_that_would_print_twice_is_rejected_before_the_sweep(
     """Such a row printed a second CSV row with the same (C, T, scheme), and
     the run exited 0."""
     def no_search(*args):
-        raise AssertionError("optimize_scheme ran before the reference CSV was checked")
+        raise AssertionError("a search lane ran before the reference CSV was checked")
 
-    monkeypatch.setattr(schemes, "optimize_scheme", no_search)
+    monkeypatch.setattr(schemes, "search_lanes", no_search)
     if config is None:
         cfg = json.loads((GOLDEN / "sweep_fig4_config.json").read_text())
         del cfg["schemes"]

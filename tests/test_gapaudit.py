@@ -208,6 +208,21 @@ def test_random_instances_reject_sizes_below_one():
         gapaudit.audit_random_instances(3, seed=0, nmax=0)
 
 
+@pytest.mark.parametrize("instances", [True, 1.5, "2"])
+def test_random_instance_count_takes_the_integer_rule(instances):
+    """True ran one instance and reported `"instances": true`; 1.5 raised
+    TypeError from `range`."""
+    with pytest.raises(ValueError, match=f"instances must be an integer of at least 1, "
+                                         f"got {instances!r}"):
+        gapaudit.audit_random_instances(instances, seed=0)
+
+
+def test_random_instance_count_may_be_a_numpy_integer():
+    rep = gapaudit.audit_random_instances(np.int64(2), seed=5)
+    assert rep["instances"] == 2 and type(rep["instances"]) is int
+    assert rep == gapaudit.audit_random_instances(2, seed=5)
+
+
 def test_random_instances_reject_sizes_above_the_node_limit():
     """The audit enumerates 2**N BS subsets: N is bounded like DDF-P1's."""
     assert regions.MAX_NODES == 9

@@ -19,7 +19,7 @@ import pathlib
 
 import numpy as np
 
-from cranbounds import schemes
+from cranbounds import gaussian, schemes
 from cranbounds.gaussian import CranNetwork
 from cranbounds.schemes import (CompressionParams, DescriptionIParams, DescriptionIIParams,
                                 DescriptionIIIParams, OptimizerBudget)
@@ -58,22 +58,34 @@ def _explicit(scheme: str) -> dict:
 
 def _points(scheme: str):
     """(label, network, params) of every evaluation point of `scheme`."""
+    nparams = len(schemes._SCHEMES[scheme][1])
     for net_name, net in NETWORKS.items():
-        space = schemes._SchemeSpace(scheme, net)
         rng = np.random.default_rng(7)
         s = np.sqrt(net.P)
-        xs = {f"restart{r}": space.initial(rng, r) for r in range(5)}
-        xs["zero"] = np.zeros(space.nparams)
-        xs["rank-deficient"] = np.eye(space.nparams)[0] * s
-        xs["over-power"] = np.full(space.nparams, 2.0 * s)
+        xs = {f"restart{r}": schemes._initial(scheme, net.P, rng, r) for r in range(5)}
+        xs["zero"] = np.zeros(nparams)
+        xs["rank-deficient"] = np.eye(nparams)[0] * s
+        xs["over-power"] = np.full(nparams, 2.0 * s)
         if scheme == "GCOMP":
-            shrunk = space.initial(rng, 1)
+            shrunk = schemes._initial(scheme, net.P, rng, 1)
             shrunk[9:15] = 3.0
             xs["shrunk-x0cov"] = shrunk
         for label, x in xs.items():
-            yield f"{net_name}/{label}", net, space.to_params(x)
+            with np.errstate(all="ignore"):
+                params = schemes._to_params(scheme, x[None], net.P)
+            yield f"{net_name}/{label}", net, schemes._lane(params, 0)
+
     for label, params in _explicit(scheme).items():
         yield f"sym/params-{label}", NETWORKS["sym"], params
+
+
+def atom_values(scheme: str, params, net) -> np.ndarray:
+    """The atom values of one point, or its check's ValueError."""
+    verdicts = gaussian.Verdicts(1)
+    with np.errstate(all="ignore"):
+        values = schemes._atom_values(scheme, schemes._lanes_of(params), net, verdicts)
+    verdicts.raise_first()
+    return values[0]
 
 
 @np.errstate(invalid="ignore")  # the non-finite parameters
@@ -82,7 +94,7 @@ def golden_lines() -> list[str]:
     for scheme in schemes.GAUSSIAN_SCHEMES:
         for label, net, params in _points(scheme):
             try:
-                values = schemes._atom_values(scheme, params, net)
+                values = atom_values(scheme, params, net)
                 atoms = " ".join(float(v).hex() for v in values)
                 rate = schemes.scheme_sumrate(scheme, params, net)
                 lines.append(f"{scheme} {label} {rate.hex()} {atoms}")

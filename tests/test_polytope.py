@@ -89,6 +89,17 @@ def test_membership_point_must_be_finite():
             is_member(sys_, {"C1": 1.0}, {"R1": 0.0, "R2": bad})
 
 
+@pytest.mark.parametrize("bad", ["0.5", True, None, [0.5]])
+def test_point_coordinates_take_the_number_rule(bad):
+    """A string read as 0.5 and True as 1.0 (the slack 0.0) before."""
+    sys_ = system_of("1*x <= 1\n")
+    for fn in (polytope.min_slack, is_member):
+        with pytest.raises(ValueError, match=r"point \{'x': .*\} coordinates"):
+            fn(sys_, {}, {"x": bad})
+    assert polytope.min_slack(sys_, {}, {"x": np.float32(0.5)}) == 0.5
+    assert polytope.min_slack(sys_, {}, {"x": np.int64(1)}) == 0.0
+
+
 def test_compiled_rhs_takes_a_vector_in_atom_order():
     """The mapping form is a lookup into the vector form: the same bits,
     and the same KeyError for a missing atom; a vector of the wrong length

@@ -8,8 +8,7 @@ import scheme_oracle
 from cranbounds.gaussian import CranNetwork
 from cranbounds.schemes import (GAUSSIAN_SCHEMES, CompressionParams,
                                 DescriptionIIIParams, DescriptionIIParams,
-                                DescriptionIParams, _SchemeSpace,
-                                build_joint_cov)
+                                DescriptionIParams, build_joint_cov)
 
 
 def assert_matches_oracle(scheme, params, net):
@@ -56,8 +55,8 @@ def test_builder_matches_oracle_on_optimizer_points(scheme):
     valid = 0
     for r in range(150):
         net = random_net(rng)
-        space = _SchemeSpace(scheme, net)
-        params = space.to_params(space.initial(rng, r))
+        params = scheme_oracle.to_params(scheme, scheme_oracle.initial(scheme, net.P, rng, r),
+                                         net.P)
         valid += assert_matches_oracle(scheme, params, net)
         # the same point pushed over the power budget (or, for GCOMP, past
         # the unit variance of X0) must fail on both sides alike

@@ -18,8 +18,8 @@ from cranbounds import regions, schemes
 from cranbounds.gaussian import CranNetwork
 from cranbounds.polytope import CompiledRegion, max_sum_rate
 from cranbounds.schemes import (GAUSSIAN_SCHEMES, CompressionParams, DescriptionIIIParams,
-                                DescriptionIParams, DescriptionIIParams, _SchemeSpace,
-                                scheme_sumrate, sweep_rows)
+                                DescriptionIParams, DescriptionIIParams, scheme_sumrate,
+                                sweep_rows)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -67,31 +67,37 @@ def test_scheme_sumrate_is_the_name_keyed_path_bit_for_bit(scheme):
             for P, T in ((0.0, 0.0), (1.0, 0.0), (10.0, 1.0), (100.0, 2.0), (40.0, 0.5))]
     seen = set()
     for r, net in enumerate(nets * 12):
-        space = _SchemeSpace(scheme, net)
-        points = [space.to_params(space.initial(rng, r))]
+        x = scheme_oracle.initial(scheme, net.P, rng, r)
+        points = [scheme_oracle.to_params(scheme, x, net.P)]
         points += special_points(scheme, net) if r < len(nets) else []
         for params in points:
             got = outcome(scheme_sumrate, scheme, params, net)
-            assert got == outcome(scheme_oracle.scheme_sumrate, scheme, params, net)
+            assert got == outcome(scheme_oracle.named_sumrate, scheme, params, net)
             seen.add("ValueError" if got == "ValueError" else "zero" if got == bits(0.0)
                      else "positive")
     assert seen == {"ValueError", "zero", "positive"}
 
 
 @pytest.mark.parametrize("scheme", GAUSSIAN_SCHEMES)
-def test_objective_is_the_name_keyed_path_bit_for_bit(scheme, monkeypatch):
-    """Far-out and non-finite parameter vectors too, where the objective
-    reads -inf."""
+def test_objective_is_the_name_keyed_path_bit_for_bit(scheme):
+    """The stacked objective of one batch of far-out and non-finite parameter
+    vectors too, where it reads -inf, against the name-keyed path one point
+    at a time."""
     rng = np.random.default_rng(400 + GAUSSIAN_SCHEMES.index(scheme))
     net = CranNetwork.make([[1.0, 0.5], [-0.5, 1.0]], 100.0, [4.0, 6.0], [[0, 1.0], [0.5, 0]])
-    space = _SchemeSpace(scheme, net)
-    xs = [rng.normal(0.0, scale, space.nparams) for scale in (0.1, 3.0, 30.0, 1e4) * 10]
-    xs += [np.full(space.nparams, v) for v in (1e200, np.inf, np.nan)]
+    n = len(scheme_oracle.initial(scheme, net.P, rng, 0))
+    xs = [rng.normal(0.0, scale, n) for scale in (0.1, 3.0, 30.0, 1e4) * 10]
+    xs += [np.full(n, v) for v in (1e200, np.inf, np.nan)]
     with np.errstate(all="ignore"):
-        got = [space.objective(x) for x in xs]
-        scheme_oracle.dict_path(monkeypatch)
-        space.memo.clear()
-        assert list(map(bits, got)) == [bits(space.objective(x)) for x in xs]
+        got = schemes._objective(scheme, np.array(xs), [net] * len(xs))
+        expect = []
+        for x in xs:
+            try:
+                expect.append(scheme_oracle.named_sumrate(
+                    scheme, scheme_oracle.to_params(scheme, x, net.P), net))
+            except ValueError:
+                expect.append(-np.inf)
+    assert list(map(bits, got)) == list(map(bits, expect))
     assert max(got) > 0.0 and got[-1] == -np.inf
 
 
@@ -102,7 +108,7 @@ def test_objective_is_the_name_keyed_path_bit_for_bit(scheme, monkeypatch):
 ], ids=["fig4", "fig6-like"])
 def test_sweep_rows_are_the_name_keyed_path_bit_for_bit(config, monkeypatch):
     rows = sweep_rows(config)
-    scheme_oracle.dict_path(monkeypatch)
+    scheme_oracle.named_path(monkeypatch)
     expect = sweep_rows(config)
     assert [{k: bits(v) if isinstance(v, float) else v for k, v in r.items()} for r in rows] \
         == [{k: bits(v) if isinstance(v, float) else v for k, v in r.items()} for r in expect]

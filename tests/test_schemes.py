@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import scheme_oracle
 from conftest import criterion1_networks
 from cranbounds import gaussian, schemes
 from cranbounds.atoms import atom_plan
@@ -69,16 +70,16 @@ def test_non_finite_gds2_coefficients_are_named(name, v):
 
 @pytest.mark.parametrize("scheme", schemes.GAUSSIAN_SCHEMES)
 def test_an_evaluation_builds_no_constant_matrix(scheme, monkeypatch):
-    """A scheme's 0/1 row template is built once, at import: scoring a point
+    """A scheme's 0/1 row template is built once, at import: scoring a batch
     (restart 0 and two random restarts, the region compiled first) calls no
     `np.eye`."""
-    space = schemes._SchemeSpace(scheme, sym_net())
+    net = sym_net()
     schemes._compiled(scheme)
     rng = np.random.default_rng(26)
-    xs = [space.initial(rng, r) for r in range(3)]
+    xs = np.array([schemes._initial(scheme, net.P, rng, r) for r in range(3)])
     eye, calls = np.eye, []
     monkeypatch.setattr(np, "eye", lambda *a, **k: calls.append(a) or eye(*a, **k))
-    values = [space.objective(x) for x in xs]
+    values = schemes._objective(scheme, xs, [net] * 3)
     assert calls == [] and np.isfinite(values).all()
 
 
@@ -296,14 +297,14 @@ def dpc_oracle(network, budget=OptimizerBudget(restarts=4)):
     best = 0.0
     for order in (0, 1):
         def f(x):
-            K1, K2 = schemes._scale_to_power([schemes._vec_to_psd(x[0:3]),
-                                              schemes._vec_to_psd(x[3:6])], P)
+            K1, K2 = scheme_oracle._scale_to_power([scheme_oracle._vec_to_psd(x[0:3]),
+                                                    scheme_oracle._vec_to_psd(x[3:6])], P)
             return _dpc_sum_rate(network, K1, K2, order)
         for r in range(budget.restarts):
             rng = np.random.default_rng(seeds[r])
             h = np.sqrt(P) / 2.0
             x0 = np.array([h, 0, h, h, 0, h]) if r == 0 else rng.normal(0, 0.5 * np.sqrt(P), 6)
-            _, fx, _ = schemes._pattern_search(f, x0, step0, min_step, budget.iters)
+            _, fx, _ = scheme_oracle.pattern_search(f, x0, step0, min_step, budget.iters)
             best = max(best, fx)
     return best
 
@@ -476,66 +477,72 @@ def test_gcomp_infinite_atom_when_compression_noise_vanishes():
     assert scheme_sumrate("GCOMP", p, net) == 0.0
 
 
-def plain_objective(space, x):
-    """`_SchemeSpace.objective` without its memo."""
-    try:
-        return schemes.scheme_sumrate(space.scheme, space.to_params(x), space.network)
-    except (ValueError, np.linalg.LinAlgError):
-        return -np.inf
+class NoMemo(dict):
+    """A memo that holds nothing."""
+
+    def __contains__(self, key):
+        return False
+
+    def __setitem__(self, key, value):
+        pass
 
 
 @pytest.mark.parametrize("scheme", schemes.GAUSSIAN_SCHEMES)
 def test_objective_memo_changes_no_result(scheme, monkeypatch):
-    """The memo computes each distinct point of a restart once and changes
-    nothing else: the same sum rate, parameters, evaluation count and
-    winning restart as without it."""
+    """The memo computes each distinct point of a restart once, the
+    lookahead points included, and changes nothing else: the same sum rate,
+    parameters, evaluation count and winning restart as with no memo, and
+    as the scalar search one point after another."""
     # no early exit, so every restart runs its whole budget and steps back
     monkeypatch.setattr(schemes, "scheme_sum_cap", lambda scheme, network: np.inf)
     net = CranNetwork.make([[1.0, 0.5], [-0.5, 1.0]], 100.0, [2.0, 2.5], [[0.0, 1.0], [0.5, 0.0]])
     budget = OptimizerBudget(restarts=3, iters=120, seed=4)
-    search, sumrate = schemes._pattern_search, schemes.scheme_sumrate
-    visits, calls = [], []
+    objective, seen = schemes._objective, []
 
-    def traced_search(f, *args):
-        seen = []
-        visits.append(seen)
-        return search(lambda x: seen.append(x.tobytes()) or f(x), *args)
+    def traced(scheme, X, networks):
+        seen.extend(x.tobytes() for x in X)
+        return objective(scheme, X, networks)
 
-    monkeypatch.setattr(schemes, "_pattern_search", traced_search)
-    monkeypatch.setattr(schemes, "scheme_sumrate", lambda *a: calls.append(a) or sumrate(*a))
+    monkeypatch.setattr(schemes, "_objective", traced)
     memo = optimize_scheme(scheme, net, budget)
-    distinct = sum(len(set(seen)) for seen in visits)
-    assert len(calls) == memo.diagnostics["distinct_evals"] == distinct
-    assert distinct < memo.diagnostics["evals"] == sum(map(len, visits)) == 3 * 120
+    assert len(set(seen)) == len(seen) >= memo.diagnostics["distinct_evals"]
+    assert memo.diagnostics["distinct_evals"] < memo.diagnostics["evals"] == 3 * 120
 
-    monkeypatch.setattr(schemes._SchemeSpace, "objective", plain_objective)
+    search = schemes._pattern_search
+    monkeypatch.setattr(schemes, "_pattern_search", lambda *a: search(*a[:-1], NoMemo()))
     plain = optimize_scheme(scheme, net, budget)
-    assert plain.sum_rate == memo.sum_rate
-    for key in ("evals", "best_restart"):
-        assert plain.diagnostics[key] == memo.diagnostics[key]
-    for name, value in vars(plain.params).items():
-        assert np.array_equal(value, getattr(memo.params, name)), name
+    x, rate, evals, best = scheme_oracle.optimize(scheme, net, budget)
+    for ev in (plain, memo):
+        assert ev.sum_rate.hex() == rate.hex()
+        assert (ev.diagnostics["evals"], ev.diagnostics["best_restart"]) == (evals, best)
+        for name, value in vars(scheme_oracle.to_params(scheme, x, net.P)).items():
+            assert np.array_equal(value, getattr(ev.params, name)), name
 
 
 @pytest.mark.parametrize("scheme", schemes.GAUSSIAN_SCHEMES)
 def test_an_evaluation_solves_the_joint_once_and_one_stack_per_block_size(scheme, monkeypatch):
-    """The eigenvalue cut reuses the joint's PSD-check spectrum, the 2x2
-    parameter checks take the closed form, with no eigensolve, and the
-    blocks above 2x2 take one stacked eigensolve per size."""
-    net = sym_net()
-    space = schemes._SchemeSpace(scheme, net)
-    params = space.to_params(space.initial(np.random.default_rng(0), 1))
+    """The eigenvalue cut reuses the joints' PSD-check spectra, the 2x2
+    parameter checks take the closed form, with no eigensolve, and a batch
+    of lanes takes one eigensolve for its joints, one for GCOMP's (S1, S2,
+    W, X0) covariances and one per block size above 2x2."""
+    net, lanes = sym_net(), 3
+    rng = np.random.default_rng(0)
+    X = np.array([schemes._initial(scheme, net.P, rng, r + 1) for r in range(lanes)])
+    with np.errstate(all="ignore"):
+        params = schemes._lane(schemes._to_params(scheme, X, net.P), 0)
     cov = schemes.build_joint_cov(scheme, params, net)
     dims = dict(cov.components)
     plan = atom_plan(cov.names, tuple(schemes._compiled(scheme)[0].rows.atoms))
     sizes = {sum(dims[n] for n in s) for s in plan.subsets}
     shapes, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
-    schemes.scheme_sumrate(scheme, params, net)
-    n = cov.matrix.shape[0]
-    parameters = [(7, 7)] if scheme == "GCOMP" else []
-    assert [s for s in shapes if len(s) == 2] == parameters + [(n, n)]
-    assert sorted(s[1] for s in shapes if len(s) == 3) == sorted(k for k in sizes if k > 2)
+    assert np.isfinite(schemes._objective(scheme, X, [net] * lanes)).all()
+    n, joint = cov.matrix.shape[0], [(lanes, 1, 7, 7)] if scheme == "GCOMP" else []
+    joint.append((lanes, n, n))
+    assert shapes[:len(joint)] == joint
+    stacks = shapes[len(joint):]
+    assert all(len(s) == 4 and s[0] == lanes for s in stacks)
+    assert sorted(s[-1] for s in stacks) == sorted(k for k in sizes if k > 2)
 
 
 @pytest.mark.xfail(strict=True, reason="the rank cut, relative to the whole joint's top "

@@ -47,14 +47,34 @@ def test_example1_takes_zero_samples_but_not_fewer():
     ident = Channel.make([("X1", 2)], [("Y1", 2)], np.eye(2))
     rep = verify.example1_run(ident, 0.5, samples=0)
     assert rep.verdict == "confirmed" and rep.values["samples"] == 0
-    with pytest.raises(ValueError, match="samples must be at least 0, got -1"):
+    with pytest.raises(ValueError, match="samples must be an integer of at least 0, got -1"):
         verify.example1_run(ident, 0.5, samples=-1)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
 def test_example2_needs_a_sample(samples):
-    with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+    with pytest.raises(ValueError, match=f"samples must be an integer of at least 1, got {samples}"):
         verify.example2_run(samples=samples)
+
+
+@pytest.mark.parametrize("samples", [True, 1.5])
+def test_sample_counts_take_the_integer_rule(samples):
+    """True ran one sample and reported `"samples": true`; 1.5 raised
+    TypeError from `range`."""
+    ident = Channel.make([("X1", 2)], [("Y1", 2)], np.eye(2))
+    for run, lo in ((lambda: verify.example1_run(ident, 0.5, samples=samples), 0),
+                    (lambda: verify.example2_run(samples=samples), 1)):
+        with pytest.raises(ValueError, match=f"samples must be an integer of at least {lo}, "
+                                             f"got {samples!r}"):
+            run()
+
+
+def test_sample_counts_may_be_numpy_integers():
+    ident = Channel.make([("X1", 2)], [("Y1", 2)], np.eye(2))
+    rep = verify.example1_run(ident, 0.5, samples=np.int64(3))
+    assert rep.values["samples"] == 3 and type(rep.values["samples"]) is int
+    rep = verify.example2_run(samples=np.int32(2), seed=1)
+    assert rep.values["gds_samples"] == 2 and type(rep.values["gds_samples"]) is int
 
 
 def test_example1_rejects_multiterminal():
