@@ -10,22 +10,26 @@ log-pseudo-determinants and ranks of principal blocks, with one eigenvalue
 cut relative to the whole matrix's largest eigenvalue (kept by
 `JointCovariance.make` from its PSD test), so ranks agree across blocks.
 1x1 and 2x2 blocks have closed forms, larger ones one stacked eigensolve
-per size, and the spectra under 8 wide one padded reduction.  `check_psd`,
-the one PSD test, rejects a non-finite entry, then reads the two ends of a
-spectrum, a 2x2's in closed form.
+per size, and the spectra under 8 wide one padded reduction.
 `atom_values` evaluates the `atoms.AtomPlan` the discrete back end shares
 (same cache, same clamp) as kernel, then half a matrix product; the same
 product over ranks flags infinite atoms.  `atom_valuation` names them and
 adds named constants.  `gauss_mi` and `gauss_total_correlation` are
 single-atom calls; `schur_conditional` conditions via a pseudo-inverse.
 
-A `JointCovariance` may carry a leading lane axis: `JointCovariance.stack`
-runs `make`'s checks on every lane of a stack, `psd_tops` runs `check_psd`
-on stacks, and `subset_logpdets` and `atom_values` keep the lane axis in
-front.  `Verdicts` records which lanes failed which check, in place of an
-exception.  Each lane takes the arithmetic of one matrix (closed forms in
-Python floats, one matrix-vector product per lane, eigensolves stacked),
-so its values are the same to the last bit in any stack.
+One rule does each matrix job: `_sym` takes symmetric parts (a symmetric
+matrix is itself), `_spectrum2` the 2x2 closed form h -+ r, `_psd_part`
+the PSD clip, and `psd_tops`, the one PSD test, tests a stack of lanes for
+`check_psd`, `JointCovariance.make` and the scheme builders: a non-finite
+entry of the symmetric part fails, then the two ends of its spectrum
+decide, a 2x2's in closed form unless that overflows.  A `JointCovariance`
+may carry a leading lane axis: `JointCovariance.stack` runs `make`'s
+checks on every lane of a stack, and `subset_logpdets` and `atom_values`
+keep the lane axis in front.  `Verdicts` records which lanes failed which
+check, in place of an exception.  Each lane takes the arithmetic of one
+matrix (closed forms in Python floats, one matrix-vector product per lane,
+eigensolves stacked), so its values are the same to the last bit in any
+stack.
 """
 
 from __future__ import annotations
@@ -57,7 +61,25 @@ _EIG_REL_TOL = 1e-10
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.swapaxes(-1, -2))
+    """The symmetric part of every matrix of the stack m (..., k, k): (m + m.T) / 2
+    of an asymmetric one, a symmetric one itself (m + m.T may overflow)."""
+    mt = m.swapaxes(-1, -2)
+    if m.tobytes() == mt.tobytes():  # bit for bit, the common case, at a tenth of the cost
+        return m
+    return np.where((m == mt).all(axis=(-2, -1), keepdims=True), m, 0.5 * (m + mt))
+
+
+def _spectrum2(a: float, d: float, off: float) -> tuple[float, float]:
+    """The eigenvalues h -+ r of the symmetric 2x2 [[a, off], [off, d]], in
+    Python floats (C pow squares otherwise than t * t on about 1 in 1,000)."""
+    h, r = 0.5 * (a + d), math.sqrt(max(0.0, (0.5 * (a - d)) ** 2 + off * off))
+    return h - r, h + r
+
+
+def _psd_part(m: np.ndarray) -> np.ndarray:
+    """The symmetric part of the matrix m, its negative eigenvalues set to 0."""
+    w, v = np.linalg.eigh(_sym(m))
+    return (v * np.clip(w, 0.0, None)) @ v.T
 
 
 class Verdicts:
@@ -80,60 +102,48 @@ class Verdicts:
 
 
 def _ends(lo: float, hi: float, what: str, tol: float) -> str | None:
-    """The PSD test on the two ends lo <= hi of a spectrum: its failure
-    message, or None."""
-    if lo < -tol * max(1.0, -lo, hi):
-        return f"{what} is not PSD (min eigenvalue {lo})"
-    return None
+    """The PSD test on the two ends lo <= hi of a spectrum: its failure message, or None."""
+    return f"{what} is not PSD (min eigenvalue {lo})" if lo < -tol * max(1.0, -lo, hi) else None
 
 
-def psd_tops(mats, names, tol: float, verdicts: Verdicts) -> np.ndarray:
-    """`check_psd` on the stacks `mats` (lanes, k, k), one per name of
-    `names`, at every lane still ok in `verdicts`, in that order: a lane
-    fails at its first matrix that fails, with that check's message.  2x2
-    matrices take the closed form, reached lane by lane, larger ones one
-    stacked eigensolve of their symmetric parts.  Returns the largest
-    eigenvalues (lanes, q), floored at 0 (0 past a lane's failure)."""
-    m = np.stack(mats, axis=1)
-    lanes, q, k = m.shape[:3]
-    ok = np.isfinite(m).all(axis=(2, 3))
+def psd_tops(m: np.ndarray, what: str, tol: float, verdicts: Verdicts):
+    """`check_psd` of `what` on every lane of the stack m (lanes, k, k) still
+    ok in `verdicts`, failures recorded there: a 2x2 in closed form unless
+    that overflows, the rest by one stacked eigensolve.  Returns the largest
+    eigenvalues, floored at 0 (0 at a failed lane), and the symmetric parts."""
+    m = _sym(m)
+    lanes, k = m.shape[:2]
+    if not np.isfinite(m).all():
+        for b in np.flatnonzero(~np.isfinite(m).all(axis=(1, 2))).tolist():
+            verdicts.reject(b, f"{what} is not finite")
+    live = [b for b, ok in enumerate(verdicts.ok.tolist()) if ok]
+    ends, redo = {}, live
     if k == 2:
-        entries = m.reshape(lanes, q, 4).tolist()
-
-        def spectrum(b, j):  # h -+ r of the symmetric part, in floats (C pow squares)
-            a, c, e, d = entries[b][j]
-            h, off = 0.5 * (a + d), 0.5 * (c + e)
-            r = math.sqrt((0.5 * (a - d)) ** 2 + off * off)
-            return h - r, h + r
-    else:
-        w = np.linalg.eigvalsh(_sym(np.where(ok[..., None, None], m, 0.0)))
-        ends = np.stack((w[..., 0], w[..., -1]), axis=2).tolist() if k else np.zeros((lanes, q, 2))
-
-        def spectrum(b, j):
-            return ends[b][j]
-    finite, tops = ok.tolist(), [[0.0] * q for _ in range(lanes)]
-    for b, ok in enumerate(verdicts.ok.tolist()):
-        for j in range(q) if ok else ():
-            if not finite[b][j]:
-                verdicts.reject(b, f"{names[j]} is not finite")
-                break
-            lo, hi = spectrum(b, j)
-            if failure := _ends(lo, hi, names[j], tol):
-                verdicts.reject(b, failure)
-                break
-            tops[b][j] = max(hi, 0.0)
-    return np.array(tops)
+        entries = m.reshape(lanes, 4).tolist()
+        ends = {b: _spectrum2(entries[b][0], entries[b][3], entries[b][1]) for b in live}
+        redo = [b for b, (lo, hi) in ends.items() if not (math.isfinite(lo) and math.isfinite(hi))]
+    if redo and k:
+        w = np.linalg.eigvalsh(m if len(redo) == lanes else m[redo])
+        ends.update(zip(redo, zip(w[:, 0].tolist(), w[:, -1].tolist())))
+    tops = [0.0] * lanes
+    for b in live:
+        lo, hi = ends.get(b, (0.0, 0.0))  # a 0x0 matrix has no eigenvalue
+        if failure := _ends(lo, hi, what, tol):
+            verdicts.reject(b, failure)
+        else:
+            tops[b] = max(hi, 0.0)
+    return np.array(tops), m
 
 
 def check_psd(m: np.ndarray, what: str, tol: float) -> float:
     """Largest eigenvalue of the symmetric part of m, floored at 0; raise
-    ValueError naming `what` if the smallest lies below -tol * max(1, largest
-    |eigenvalue|), or if an entry is not finite.  A 2x2 takes the closed
-    form h +- r in floats."""
+    ValueError naming `what` if an entry of that part is not finite, or if
+    its smallest eigenvalue lies below -tol * max(1, largest |eigenvalue|)."""
     verdicts = Verdicts(1)
-    top = psd_tops([np.asarray(m, dtype=float)[None]], (what,), tol, verdicts)
+    with np.errstate(all="ignore"):  # a non-finite symmetric part fails the test
+        top, _ = psd_tops(np.asarray(m, dtype=float)[None], what, tol, verdicts)
     verdicts.raise_first()
-    return float(top[0, 0])
+    return float(top[0])
 
 
 def _pinv_psd(m: np.ndarray) -> np.ndarray:
@@ -185,20 +195,13 @@ class JointCovariance:
                 except ValueError as exc:
                     verdicts.reject(b, str(exc))
         diff = m - m.swapaxes(1, 2)
-        if diff.any():  # _sym of a symmetric lane is itself, but m + m.T may overflow
-            asymmetric = diff.reshape(lanes, -1).any(axis=1)
+        if diff.any():
             spread = np.abs(diff).reshape(lanes, -1).max(axis=1).tolist()
-            for b, (asym, big) in enumerate(zip(asymmetric.tolist(),
-                                                np.abs(flat).max(axis=1).tolist())):
-                if asym and spread[b] > 1e-10 * max(1.0, big):
+            for b, big in enumerate(np.abs(flat).max(axis=1).tolist()):
+                if spread[b] > 1e-10 * max(1.0, big):
                     verdicts.reject(b, "covariance matrix is not symmetric")
-            m = _sym(m) if asymmetric.all() else np.where(asymmetric[:, None, None], _sym(m), m)
-        w = np.linalg.eigvalsh(np.where(verdicts.ok[:, None, None], m, 0.0))
-        lo, hi = (w[:, 0].tolist(), w[:, -1].tolist()) if w.shape[1] else ([0.0] * lanes,) * 2
-        for b in range(lanes):
-            if failure := _ends(lo[b], hi[b], "covariance matrix", 1e-9):
-                verdicts.reject(b, failure)
-        return JointCovariance(components, m, np.array([max(h, 0.0) for h in hi]))
+        tops, m = psd_tops(m, "covariance matrix", 1e-9, verdicts)
+        return JointCovariance(components, m, tops)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -229,11 +232,8 @@ def schur_conditional(cov: JointCovariance, s_names, t_names) -> JointCovariance
         return JointCovariance.make(sub_components, ss)
     st = cov.block(s_names, t_names)
     tt = cov.block(t_names)
-    cond = _sym(ss - st @ _pinv_psd(tt) @ st.T)
     # clip tiny negative eigenvalues introduced by the subtraction
-    w, v = np.linalg.eigh(cond)
-    cond = (v * np.clip(w, 0.0, None)) @ v.T
-    return JointCovariance.make(sub_components, cond)
+    return JointCovariance.make(sub_components, _psd_part(ss - st @ _pinv_psd(tt) @ st.T))
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -292,16 +292,14 @@ def subset_logpdets(cov: JointCovariance, subsets) -> tuple[np.ndarray, np.ndarr
     m = cov.matrix.reshape(-1, n * n)
     cut = _EIG_REL_TOL * np.reshape(cov.top_eigenvalue, (-1, 1))
     k1, k2, entries, stacks, narrow = _block_groups(cov.components, tuple(subsets))
-    logs, ranks = [], []
+    logs, ranks, n1 = [], [], len(k1)
     for e, c in zip(m[:, entries].tolist(), cut[:, 0].tolist()):
         lg, rk = [0.0] * len(subsets), [0.0] * len(subsets)
         for k, v in zip(k1, e):
             if v > c:
                 lg[k], rk[k] = math.log2(v), 1.0
-        for k, t in zip(k2, range(len(k1), len(e), 3)):  # closed-form symmetric 2x2 eigenvalues
-            a, d, off = e[t:t + 3]
-            h, r = 0.5 * (a + d), math.sqrt(max(0.0, (0.5 * (a - d)) ** 2 + off * off))
-            for w in (h - r, h + r):
+        for k, ends in zip(k2, map(_spectrum2, e[n1::3], e[n1 + 1::3], e[n1 + 2::3])):
+            for w in ends:
                 if w > c:
                     lg[k] += math.log2(w)
                     rk[k] += 1.0
@@ -390,8 +388,7 @@ def capacity_logdet(g_sub: np.ndarray, k_sub: np.ndarray):
     if not (np.isfinite(g).all() and np.isfinite(k).all()):
         raise ValueError("G or K is not finite")
     if np.count_nonzero(k) != np.count_nonzero(d := np.diagonal(k)) or d.min() < 0.0:
-        w, v = np.linalg.eigh(_sym(k))
-        k = (v * np.clip(w, 0.0, None)) @ v.T
+        k = _psd_part(k)
     sign, logdet = np.linalg.slogdet(np.eye(g.shape[-2]) + g @ k @ np.swapaxes(g, -1, -2))
     if not (np.all(sign > 0) and np.isfinite(logdet).all()):  # an overflow fails too
         raise ValueError("I + G K G^T is numerically singular or not finite")

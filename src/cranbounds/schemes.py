@@ -194,13 +194,14 @@ def _joint_covs(scheme: str, params, network: CranNetwork, verdicts: gaussian.Ve
         M[:, 6, :4], M[:, 7, [0, 1, 4, 5]] = params.a, params.b
     else:  # the covariance parameters, checked in this order
         Ks = [params.K1, params.K2] + ([params.Kw] if scheme == "GCOMP" else [])
-        gaussian.psd_tops(Ks, ("K1", "K2", "Kw"), 1e-8, verdicts)
+        for K, name in zip(Ks, ("K1", "K2", "Kw")):
+            gaussian.psd_tops(K, name, 1e-8, verdicts)
     if scheme == "GCOMP":  # U1 = S1, U2 = S2 + A S1, X0; X = S1 + S2 + W
         B = _blockdiag(*Ks, _ONE[None], _I2[None])  # of (S1, S2, W, X0) and Z
         B[:, 6, 0:6] = B[:, 0:6, 6] = params.x0cov
         comps = [("U1", 2), ("U2", 2), ("X0", 1)]
         M[:, 2:4, 0:2] = _dpc_precoder(params.K2, G[1], params.Kw)
-        gaussian.psd_tops([B[:, :7, :7]], ("joint (S1,S2,W,X0) covariance",), 1e-6, verdicts)
+        gaussian.psd_tops(B[:, :7, :7], "joint (S1,S2,W,X0) covariance", 1e-6, verdicts)
     elif scheme == "GDS-I":  # U0 = S1, V0 = S2 + A S1; X = S1 + S2
         B, comps = _blockdiag(*Ks, _I2[None]), [("U0", 2), ("V0", 2)]
         M[:, 2:4, 0:2] = _dpc_precoder(params.K2, G[1])

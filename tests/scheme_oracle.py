@@ -241,17 +241,18 @@ def _psd_top(w, what, tol):
 
 
 def check_psd(m, what, tol):
-    """The PSD test of one matrix: non-finite entries named first, a 2x2 in
-    closed form in Python floats, a larger one by `eigvalsh`."""
-    entries = m.ravel().tolist()
-    if not all(map(math.isfinite, entries)):
+    """The PSD test of one matrix's symmetric part (a symmetric matrix is
+    itself): non-finite entries named first, a 2x2 in closed form in Python
+    floats unless that overflows, otherwise by `eigvalsh`."""
+    if not np.isfinite(m).all():
         raise ValueError(f"{what} is not finite")
-    if m.shape != (2, 2):
-        return _psd_top(np.linalg.eigvalsh(0.5 * (m + m.T)), what, tol)
-    a, b, c, d = entries
-    h, off = 0.5 * (a + d), 0.5 * (b + c)
-    r = math.sqrt((0.5 * (a - d)) ** 2 + off * off)
-    return _psd_top((h - r, h + r), what, tol)
+    m = m if (m == m.T).all() else 0.5 * (m + m.T)
+    if m.shape == (2, 2):
+        a, off, _, d = m.ravel().tolist()
+        h, r = 0.5 * (a + d), math.sqrt((0.5 * (a - d)) ** 2 + off * off)
+        if math.isfinite(h - r) and math.isfinite(h + r):
+            return _psd_top((h - r, h + r), what, tol)
+    return _psd_top(np.linalg.eigvalsh(m), what, tol)
 
 
 def make_joint(components, m) -> JointCovariance:

@@ -99,3 +99,27 @@ def test_one_rule_for_names_sizes_and_numbers():
                method("schemes", "OptimizerBudget", "__post_init__"), defs["cli"]["_valuation"]):
         assert calls(fn) & {"checked_axes", "checked_reals", "checked_int"}, fn.name
     assert not any(calls(fn) & {"str", "int"} for fn in gaussian)
+
+
+def test_one_matrix_rule_each_in_gaussian():
+    """`gaussian` has one PSD test, whose verdict rule `_ends` has one
+    caller, one 2x2 closed form (its one square) and one eigenvalue clip;
+    the joint's checks in `JointCovariance.stack` run no eigensolve of
+    their own."""
+    tree, defs = TREES["gaussian"], top_level(TREES["gaussian"])
+
+    def calls(node, name):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+
+    callers = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and
+               calls(f, "_ends")]
+    assert callers == ["psd_tops"]
+    squares = [n for n in ast.walk(tree) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)]
+    assert len(squares) == 1 and squares[0] in set(ast.walk(defs["_spectrum2"]))
+    assert len(calls(tree, "clip")) == 1 and calls(defs["_psd_part"], "clip")
+    stack = next(f for f in defs["JointCovariance"].body
+                 if isinstance(f, ast.FunctionDef) and f.name == "stack")
+    assert not calls(stack, "eigvalsh") and calls(stack, "psd_tops")
+    assert calls(defs["check_psd"], "psd_tops")
+    assert calls(top_level(TREES["schemes"])["_joint_covs"], "psd_tops")

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from cranbounds.atoms import gamma_atom, mi_atom
 from cranbounds.gaussian import (CranNetwork, JointCovariance, capacity_logdet,
                                  gauss_mi, gauss_total_correlation,
                                  schur_conditional)
+from cranbounds.schemes import DescriptionIParams, build_joint_cov
 
 
 def cov2(name_dims, matrix):
@@ -310,12 +312,71 @@ def test_psd_check_exact_cases():
 
 
 @pytest.mark.parametrize("m", [[[1.0, math.nan], [math.nan, 1.0]], [[math.inf, 0.0], [0.0, 1.0]],
-                               [[-math.inf, 0.0], [0.0, 1.0]], np.full((3, 3), math.nan)])
+                               [[-math.inf, 0.0], [0.0, 1.0]], [[1.0, math.inf], [-math.inf, 1.0]],
+                               np.full((3, 3), math.nan)])
 def test_psd_check_rejects_non_finite_entries(m):
     """A 2x2's closed form would read NaN or infinity as PSD and a larger
     matrix fail in the eigensolver unnamed; both are named first."""
     with pytest.raises(ValueError, match="^M is not finite$"):
         gaussian.check_psd(np.array(m), "M", 1e-8)
+
+
+@pytest.mark.parametrize("m", [[[1.0, 2e154], [2e154, 1.0]], np.diag([1e308, -1e308])])
+def test_psd_check_of_an_overflowing_indefinite_2x2_takes_the_eigensolve(m):
+    """h -+ r of a finite 2x2 may come out infinite; an eigensolve then gives
+    the ends, so an indefinite matrix fails, in `check_psd`, in
+    `JointCovariance.make` and in the scheme builder's parameter checks."""
+    m, lo = np.array(m), -2e154 if m[0][1] else -1e308
+    with pytest.raises(ValueError, match=f"^{re.escape(f'M is not PSD (min eigenvalue {lo})')}$"):
+        gaussian.check_psd(m, "M", 1e-9)
+    with pytest.raises(ValueError, match=r"^covariance matrix is not PSD"):
+        JointCovariance.make([("X1", 1), ("X2", 1)], m)
+    params = DescriptionIParams(m, np.eye(2))
+    with pytest.raises(ValueError, match=r"^K1 is not PSD"):
+        build_joint_cov("GDS-I", params, CranNetwork.symmetric(10.0, 0.5, 0.5, 2.0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [2, 3])
+def test_psd_check_of_a_huge_symmetric_matrix_reads_its_top(k):
+    """diag(1e308, ...): the 2x2 closed form overflows in h and m + m.T
+    overflows, so the top is the eigensolve's, with no warning."""
+    m = np.diag([1e308] * k)
+    assert gaussian.check_psd(m, "M", 1e-9) == 1e308
+    assert JointCovariance.make([(f"X{i}", 1) for i in range(k)], m).top_eigenvalue == 1e308
+
+
+@st.composite
+def scaled_symmetric_2x2(draw):
+    """A symmetric 2x2, an arbitrary one or A A^T, with equal diagonal
+    entries half the time, scaled by 2^k for |k| <= 1000."""
+    a, c, d = (draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    m = np.array([[a, c], [c, a if draw(st.booleans()) else d]])
+    if draw(st.booleans()):
+        m = m @ m
+    return m * 2.0 ** draw(st.integers(-1000, 1000)), draw(st.sampled_from([1e-9, 1e-8, 1e-6]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(scaled_symmetric_2x2())
+def test_closed_form_psd_check_agrees_with_eigvalsh_at_every_scale(case):
+    """At any scale, the 2x2 test gives the verdict of `eigvalsh`'s two ends
+    and its top within 1e-12 relative; an overflowing closed form takes the
+    eigensolve.  A square of (a - d) / 2 past the largest float is left out:
+    it raises OverflowError."""
+    m, tol = case
+    try:
+        (0.5 * (float(m[0, 0]) - float(m[1, 1]))) ** 2
+    except OverflowError:
+        assume(False)
+    lo, hi = np.linalg.eigvalsh(m)
+    scale = max(1.0, -lo, hi)
+    assume(abs(lo + tol * scale) > 1e-12 * scale)
+    if lo < -tol * scale:
+        with pytest.raises(ValueError, match="^M is not PSD"):
+            gaussian.check_psd(m, "M", tol)
+    else:
+        assert gaussian.check_psd(m, "M", tol) == pytest.approx(max(hi, 0.0), rel=1e-12)
 
 
 @pytest.mark.filterwarnings("error")

@@ -537,7 +537,7 @@ def test_an_evaluation_solves_the_joint_once_and_one_stack_per_block_size(scheme
     shapes, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
     assert np.isfinite(schemes._objective(scheme, X, [net] * lanes)).all()
-    n, joint = cov.matrix.shape[0], [(lanes, 1, 7, 7)] if scheme == "GCOMP" else []
+    n, joint = cov.matrix.shape[0], [(lanes, 7, 7)] if scheme == "GCOMP" else []
     joint.append((lanes, n, n))
     assert shapes[:len(joint)] == joint
     stacks = shapes[len(joint):]
